@@ -11,7 +11,7 @@ Two scaling sections extend the original sub-5 ms microbench
 (PROTOCOL.md §15):
 
 - **flows × relays grid** — flows are spread over a relay mesh by the
-  :class:`~repro.core.directory.RelayDirectory`; each relay is a queued
+  :class:`~benchmarks.directory.RelayDirectory`; each relay is a queued
   server with a fixed per-frame service time, so the grid exposes a
   real saturation knee (goodput stops scaling with offered flows) in
   *simulated* time — deterministic, and gated by the bench ring.
@@ -24,9 +24,9 @@ Two scaling sections extend the original sub-5 ms microbench
 import time
 
 from benchmarks.conftest import format_table
+from benchmarks.directory import RelayDirectory
 from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.bootstrap import ChainSet, build_handshake
-from repro.core.directory import RelayDirectory
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.crypto.drbg import DRBG

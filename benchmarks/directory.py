@@ -7,17 +7,17 @@ coordination point: relays register and heartbeat with an advertised
 load, clients fetch ranked multi-hop paths, and :meth:`populate` feeds
 them straight into a :class:`~repro.core.resilience.PathManager`.
 
+The protocol itself never consults a directory; it lives beside its one
+user, the flows×relays grid in :mod:`benchmarks.bench_flow_scaling`.
+
 The chained topology mirrors the enhanced-chain-signatures routing
 assumption (PAPERS.md, arXiv 0907.4085): every hop on a fetched path is
 a registered, live relay, so each can be expected to hold (or
 bootstrap) the pairwise chain state the per-hop re-signing needs.
 
-Like everything in :mod:`repro.core`, the directory is sans-IO and
-clock-explicit: callers pass ``now``, liveness is a TTL on the last
-heartbeat, and ranking is deterministic (load, then name) so tests and
-benchmarks reproduce exactly. A deployment would put this behind a tiny
-registration protocol; here it lives in-process next to the reactor
-(PROTOCOL.md §15).
+The directory is sans-IO and clock-explicit: callers pass ``now``,
+liveness is a TTL on the last heartbeat, and ranking is deterministic
+(load, then name) so tests and benchmarks reproduce exactly.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@
 #   scripts/check.sh            # what CI / a pre-commit hook should run
 #   scripts/check.sh --bench    # additionally diff bench snapshots
 #                               # (scripts/bench_track.py) after the suite
+#   scripts/check.sh --perf     # additionally run the host-CPU benchmark's
+#                               # own tests and a smoke run of its four
+#                               # workloads with their correctness checks
 #   scripts/check.sh --security # additionally run the security test
 #                               # tier + the separation-grid smoke and
 #                               # gate attacker-acceptance counts
@@ -19,12 +22,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_BENCH=0
+RUN_PERF=0
 RUN_SECURITY=0
 for arg in "$@"; do
     case "$arg" in
         --bench) RUN_BENCH=1 ;;
+        --perf) RUN_PERF=1 ;;
         --security) RUN_SECURITY=1 ;;
-        *) echo "unknown option: $arg (supported: --bench, --security)" >&2
+        *) echo "unknown option: $arg (supported: --bench, --perf, --security)" >&2
            exit 2 ;;
     esac
 done
@@ -76,11 +81,21 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 if [ "$RUN_BENCH" = "1" ]; then
     # The suite above just wrote fresh results/bench/BENCH_*.json
     # snapshots; diff them against the previous generation, and gate
-    # the headline hot-path metrics (e2e goodput, flow-scaling grid
-    # saturation goodput) against the median of their history ring
-    # (>10% below median fails).
+    # the e2e goodput and flow-scaling grid saturation goodput against
+    # the median of their history ring (>10% below median fails).
+    # Both are simulated-time figures: behaviour pins, not performance.
+    # Host-CPU performance is perf/'s job (--perf).
     echo "== bench regression tracking + perf smoke =="
     python scripts/bench_track.py --perf-smoke
+fi
+
+if [ "$RUN_PERF" = "1" ]; then
+    # perf/ drives the library through its public endpoint API, and the
+    # tier-1 run (testpaths = tests) never imports it: run its tests and
+    # a smoke of all four workloads (correctness checks included, <30 s).
+    echo "== host-CPU benchmark tests + smoke =="
+    python -m pytest perf/tests -q
+    python3 -m perf run --smoke
 fi
 
 if [ "$RUN_SECURITY" = "1" ]; then

@@ -21,7 +21,6 @@ from repro.core.modes import Mode, ReliabilityMode
 from repro.core.hashchain import HashChain, ChainVerifier
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, verify_merkle_path
 from repro.core.acktree import AckTree, verify_ack_opening
-from repro.core.directory import RelayDirectory, RelayRecord
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.resilience import (
     ExchangeFailed,
@@ -51,8 +50,6 @@ __all__ = [
     "EndpointConfig",
     "ExchangeFailed",
     "PathManager",
-    "RelayDirectory",
-    "RelayRecord",
     "ResilienceStats",
     "RttEstimator",
     "AlphaError",

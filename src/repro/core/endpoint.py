@@ -22,7 +22,7 @@ simulator. Applications typically use exactly four methods::
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from repro.core.bootstrap import (
@@ -34,7 +34,6 @@ from repro.core.bootstrap import (
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.exceptions import AlphaError, ProtocolError
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier
-from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
 from repro.core.packets import (
     A1Packet,
     A2Packet,
@@ -66,37 +65,18 @@ _ESCAPE_CORRUPTION_BIAS = 0.6
 
 
 @dataclass(frozen=True)
-class EndpointConfig:
-    """Endpoint-wide protocol parameters."""
+class EndpointConfig(ChannelConfig):
+    """Endpoint-wide protocol parameters: the :class:`ChannelConfig`
+    every association's outbound channel starts from (an association is
+    a duplex of two simplex channels, Section 3.1), plus the policy
+    declared here."""
 
     hash_name: str = "sha1"
     chain_length: int = 2048
-    mode: Mode = Mode.BASE
-    reliability: ReliabilityMode = ReliabilityMode.UNRELIABLE
-    batch_size: int = 8
-    #: Concurrent interlocked exchanges in flight (ChannelConfig
-    #: semantics; Section 3.2.1's role binding makes >1 safe). 1 keeps
-    #: the paper's strictly sequential scheme.
-    max_outstanding: int = 1
-    retransmit_timeout_s: float = 0.25
-    max_retries: int = 6
-    retransmit_policy: RetransmitPolicy = RetransmitPolicy.SELECTIVE_REPEAT
-    #: RFC 6298 timeout adaptation for the S/A interlock (see
-    #: ChannelConfig for the per-knob semantics).
-    adaptive_rto: bool = True
-    rto_min_s: float = 0.05
-    rto_max_s: float = 10.0
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.1
-    #: Storm-proofing knobs (PROTOCOL.md §12; see ChannelConfig for the
-    #: per-knob semantics): nack-storm damper token bucket and the
-    #: escape-hatch probe after K consecutive max-RTO timeouts.
-    nack_bucket: int = 4
-    nack_refill_rtos: float = 1.0
-    rto_probe_after: int = 2
-    probe_budget: int = 2
     #: Consecutive failed exchanges after which the peer is declared
-    #: dead and the association marked DOWN (0 disables detection).
+    #: dead and the association marked DOWN (0 disables detection). A
+    #: terminal ``rto-escape`` failure trips it at once: the probe
+    #: budget already proved the path black-holed.
     dead_peer_threshold: int = 3
     #: When a peer is declared dead, immediately start a replacement
     #: handshake and migrate queued traffic onto it; without it, queued
@@ -125,7 +105,7 @@ class EndpointConfig:
     #: Attach an :class:`~repro.core.adaptive.AdaptiveController` to
     #: every association's signer: mode, batch size, and pipelining
     #: depth then track the observed loss/queue/RTT signals instead of
-    #: staying pinned to the static values above (PROTOCOL.md §10).
+    #: staying pinned to the static channel values (PROTOCOL.md §10).
     adaptive: bool = False
     #: Controller tuning; ``None`` uses the AdaptiveConfig defaults.
     adaptive_config: AdaptiveConfig | None = None
@@ -146,41 +126,6 @@ class EndpointConfig:
     #: transport layer re-points next-hops here. ``None`` means routing
     #: is external (e.g. the netsim already reroutes).
     on_path_switch: Callable | None = None
-    #: Treat a terminal ``rto-escape`` failure as conclusive dead-peer
-    #: evidence (the probe budget proved the path black-holed): trip
-    #: dead-peer handling immediately instead of waiting for
-    #: ``dead_peer_threshold`` consecutive failures, so auto-rebootstrap
-    #: recovers the association instead of letting it die silently.
-    #: Only consulted while dead-peer detection is enabled.
-    escape_is_dead_peer: bool = True
-    #: Schedule timer work (handshake retransmits, RTO deadlines, rekey
-    #: checks) on a deadline heap so :meth:`AlphaEndpoint.poll` costs
-    #: O(due timers + dirty associations), not O(total associations) —
-    #: the difference between hundreds and tens of thousands of live
-    #: associations per process (PROTOCOL.md §15). ``False`` restores
-    #: the historical every-association scan; the differential property
-    #: suite drives both and asserts identical protocol behaviour.
-    deadline_heap: bool = True
-
-    def channel_config(self) -> ChannelConfig:
-        return ChannelConfig(
-            mode=self.mode,
-            reliability=self.reliability,
-            batch_size=self.batch_size,
-            max_outstanding=self.max_outstanding,
-            retransmit_timeout_s=self.retransmit_timeout_s,
-            max_retries=self.max_retries,
-            retransmit_policy=self.retransmit_policy,
-            adaptive_rto=self.adaptive_rto,
-            rto_min_s=self.rto_min_s,
-            rto_max_s=self.rto_max_s,
-            backoff_factor=self.backoff_factor,
-            backoff_jitter=self.backoff_jitter,
-            nack_bucket=self.nack_bucket,
-            nack_refill_rtos=self.nack_refill_rtos,
-            rto_probe_after=self.rto_probe_after,
-            probe_budget=self.probe_budget,
-        )
 
 
 @dataclass
@@ -199,10 +144,18 @@ class Association:
     hs_deadline: float = 0.0
     hs_retries: int = 0
     pending_sends: list[bytes] = field(default_factory=list)
-    #: assoc_id of the re-keying replacement, once one was initiated.
+    #: assoc_id of the replacement, once one was initiated or, on the
+    #: responder, once the peer's re-key installed one.
     replacement_id: int | None = None
+    #: Responder side of a peer's re-key: the association this one
+    #: replaces. Cleared by the peer's first packet here, which proves
+    #: the peer starts no more exchanges on the old chains.
+    supersedes: int | None = None
     #: True once superseded by a replacement (kept around to drain).
     retired: bool = False
+    #: Latest time a retired association waits for the peer to finish
+    #: an exchange it started on the old chains (set on first check).
+    drain_deadline: float | None = None
     #: Dead-peer detection tripped: the peer stopped answering.
     down: bool = False
     #: Feedback controller over the signer's channel (adaptive mode).
@@ -216,11 +169,11 @@ class Association:
     #: a push-suppression mark: later deadlines than this may linger as
     #: stale heap entries, which cost one spurious no-op service each.
     armed_deadline: float | None = None
-    #: Monotonic installation order on the owning endpoint. Heap-mode
-    #: poll turns service due associations in this order so a turn
-    #: emits packets exactly as the historical full scan (dict
-    #: insertion order) did — packet order is behaviour wherever the
-    #: link draws per-packet randomness.
+    #: Monotonic installation order on the owning endpoint. Poll turns
+    #: service due associations in this order so a turn emits packets
+    #: exactly as a scan of every association (dict insertion order)
+    #: would — packet order is behaviour wherever the link draws
+    #: per-packet randomness.
     install_seq: int = 0
 
 
@@ -269,7 +222,11 @@ class AlphaEndpoint:
         #: activity, retirement) that the next :meth:`poll` must service
         #: regardless of any armed deadline.
         self._dirty: set[int] = set()
-        self._use_heap = self.config.deadline_heap
+        #: The channel half of the config, as the plain type that
+        #: ``set_channel_config`` and the adaptive controller produce.
+        self._channel_config = ChannelConfig(
+            **{f.name: getattr(self.config, f.name) for f in fields(ChannelConfig)}
+        )
         #: Deadline-heap service lag histogram (``telemetry.heap.lag_ms``,
         #: PROTOCOL.md §16): how far past its armed deadline a timer pops.
         #: Measured purely in the injected clock domain — the real-clock
@@ -325,27 +282,8 @@ class AlphaEndpoint:
             self._mark_dirty(existing)
             del self._by_peer[peer]
         assoc_id = self.rng.random_int(63)
-        chains = self._create_chains()
-        packet = build_handshake(
-            assoc_id=assoc_id,
-            chains=chains,
-            hash_name=self.config.hash_name,
-            rng=self.rng.fork(f"hs:{peer}"),
-            is_response=False,
-            identity=self.identity,
-        )
-        assoc = Association(
-            assoc_id=assoc_id,
-            peer=peer,
-            initiator=True,
-            chains=chains,
-            hs_nonce=packet.nonce,
-            hs_bytes=packet.encode(),
-            hs_deadline=now + self.config.retransmit_timeout_s,
-        )
+        assoc = self._open_handshake(assoc_id, peer, now, f"hs:{peer}")
         self._by_peer[peer] = assoc
-        self._admit(assoc)
-        self._arm(assoc, assoc.hs_deadline)
         if self.obs.enabled:
             self.obs.tracer.emit(
                 now, self.name, EventKind.HS_SEND, assoc_id, info="hs1"
@@ -401,9 +339,7 @@ class AlphaEndpoint:
         """Charge one damaged arrival from ``src`` to the per-peer ledger.
 
         Transports call this for datagrams that died before or inside
-        the parser — the drops that previously surfaced only in
-        ``udp.*`` counters and left the ledger (and therefore the wire
-        telemetry summary) blind to pure corruption.
+        the parser, so the ledger's wire summary sees pure corruption.
         """
         if self._track_links:
             self.links.link(src).on_corrupt_arrival()
@@ -437,6 +373,9 @@ class AlphaEndpoint:
         assoc = self._by_id.get(packet.assoc_id)
         if assoc is None or not assoc.established or assoc.peer != src:
             return out
+        if assoc.supersedes is not None:
+            self._dirty.add(assoc.supersedes)
+            assoc.supersedes = None
         if isinstance(packet, S1Packet):
             a1 = assoc.verifier.handle_s1(packet, now)
             if a1 is not None:
@@ -463,19 +402,15 @@ class AlphaEndpoint:
     def poll(self, now: float) -> EndpointOutput:
         """Drive due timers and dirty associations.
 
-        With ``deadline_heap`` (the default) only associations whose
-        armed deadline has passed — plus those marked dirty by packet
-        activity, sends, or retirement — are serviced; everything else
-        is untouched, so the cost of a poll turn is driven by due work,
-        not by how many associations exist. With the heap disabled this
-        degrades to the historical full scan (same protocol behaviour,
-        O(n) per turn — kept as the differential-test oracle).
+        Only associations whose armed deadline has passed — plus those
+        marked dirty by packet activity, sends, or retirement — are
+        serviced; everything else is untouched, so the cost of a poll
+        turn is driven by due work, not by how many associations exist.
+        The protocol behaves exactly as if every association were
+        serviced every turn; the timer-heap differential property suite
+        holds it to that reference scan.
         """
         out = EndpointOutput()
-        if not self._use_heap:
-            for assoc in list(self._by_id.values()):
-                self._service_association(assoc, now, out)
-            return out
         due: dict[int, Association] = {}
         observe_lag = self.obs.enabled
         while self._timers and self._timers[0][0] <= now:
@@ -495,13 +430,11 @@ class AlphaEndpoint:
                     due[assoc_id] = assoc
             self._dirty.clear()
         if self.config.adaptive:
-            # Controllers are time-sampled feedback loops: the historical
-            # full scan ticked every one each poll turn, and that cadence
-            # is what the EWMA sampling was calibrated against. Keep it
-            # exactly — inside the decision interval the tick is a cheap
-            # early return, and due associations tick in their own
-            # service slot. A retune makes the association due so the
-            # new channel config shapes exchanges started this turn.
+            # Controllers are time-sampled feedback loops calibrated
+            # against a tick every poll turn, as the reference scan does
+            # (a cheap early return inside the decision interval). A
+            # retune makes the association due so the new channel config
+            # shapes exchanges started this turn.
             for assoc in list(self._by_id.values()):
                 if (
                     assoc.controller is None
@@ -511,8 +444,8 @@ class AlphaEndpoint:
                     continue
                 if assoc.controller.poll(now) is not None:
                     due[assoc.assoc_id] = assoc
-        # Installation order, not heap-pop order: the historical scan
-        # iterated ``_by_id`` insertion order, and a turn's packet order
+        # Installation order, not heap-pop order: the reference scan
+        # iterates ``_by_id`` insertion order, and a turn's packet order
         # is behaviour wherever the link draws per-packet randomness.
         for assoc in sorted(due.values(), key=lambda a: a.install_seq):
             self._service_association(assoc, now, out)
@@ -525,21 +458,14 @@ class AlphaEndpoint:
         bound their select timeout. May be conservatively early when a
         stale heap entry survives — never late.
         """
-        if not self._use_heap:
-            # Full-scan mode has no timer book-keeping: every turn is
-            # potentially due, exactly as the historical loop assumed.
-            return 0.0 if self._by_id else None
         if self._dirty:
             return 0.0
         return self._timers[0][0] if self._timers else None
 
     def needs_service(self, now: float) -> bool:
         """True when :meth:`poll` at ``now`` would have work to do."""
-        if not self._use_heap:
-            return bool(self._by_id)
-        if self._dirty:
-            return True
-        return bool(self._timers) and self._timers[0][0] <= now
+        deadline = self.next_deadline()
+        return deadline is not None and deadline <= now
 
     def _service_association(
         self, assoc: Association, now: float, out: EndpointOutput
@@ -569,23 +495,41 @@ class AlphaEndpoint:
             return
         self._collect_signer_output(assoc, now, out)
         self._maybe_rekey(assoc, now, out)
-        if assoc.retired and assoc.signer.idle:
+        if assoc.retired and assoc.signer.idle and self._peer_done(assoc, now):
             # Preserve the drained association's counters before it goes.
             self._drained.merge(assoc.signer.stats)
             self._drained_rto_peak = max(
                 self._drained_rto_peak, assoc.signer.max_rto_streak_peak
             )
-            if assoc.verifier is not None:
-                self._drained.nack_suppressed += assoc.verifier.nacks_suppressed
+            self._drained.nack_suppressed += assoc.verifier.nacks_suppressed
             del self._by_id[assoc.assoc_id]
-            # Release the peer mapping too: a drained association left
-            # in ``_by_peer`` would pin the whole signer/verifier state
-            # in memory forever (the leak every long-lived endpoint
-            # would eventually die of).
+            # Release the peer mapping too, or it pins the whole
+            # signer/verifier state in memory forever.
             if self._by_peer.get(assoc.peer) is assoc:
                 del self._by_peer[assoc.peer]
             return
-        self._rearm(assoc, now)
+        self._arm(assoc, assoc.signer.next_deadline())
+        self._arm(assoc, assoc.drain_deadline)
+        if assoc.controller is not None:
+            # Adaptive associations keep a heartbeat so the controller
+            # still ticks on its decision interval while idle.
+            self._arm(assoc, now + assoc.controller.config.decision_interval_s)
+
+    def _peer_done(self, assoc: Association, now: float) -> bool:
+        """True once the peer can no longer be using a retired
+        association's chains: it has sent on the replacement and every
+        exchange it started here is delivered — or the drain deadline
+        (the peer's whole retry schedule at the RTO ceiling) passed, so
+        a lost unreliable S2 cannot pin the association forever."""
+        replacement = self._by_id.get(assoc.replacement_id)
+        if not assoc.verifier.awaiting_messages and (
+            replacement is None or replacement.supersedes is None
+        ):
+            return True
+        if assoc.drain_deadline is None:
+            config = self.config
+            assoc.drain_deadline = now + (config.max_retries + 1) * config.rto_max_s
+        return now >= assoc.drain_deadline
 
     # -- deadline heap plumbing --------------------------------------------------
 
@@ -597,7 +541,7 @@ class AlphaEndpoint:
 
     def _arm(self, assoc: Association, deadline: float | None) -> None:
         """Push a timer unless an equal-or-earlier one is already armed."""
-        if not self._use_heap or deadline is None:
+        if deadline is None:
             return
         armed = assoc.armed_deadline
         if armed is not None and armed <= deadline:
@@ -605,34 +549,18 @@ class AlphaEndpoint:
         assoc.armed_deadline = deadline
         heapq.heappush(self._timers, (deadline, assoc.assoc_id))
 
-    def _rearm(self, assoc: Association, now: float) -> None:
-        """Arm the association's next natural deadline after a service."""
-        if not self._use_heap:
-            return
-        if not assoc.established:
-            if assoc.initiator:
-                self._arm(assoc, assoc.hs_deadline)
-            return
-        deadline = assoc.signer.next_deadline()
-        if assoc.controller is not None:
-            # Adaptive associations keep a heartbeat so the controller
-            # still ticks on its decision interval while idle.
-            tick = now + assoc.controller.config.decision_interval_s
-            deadline = tick if deadline is None else min(deadline, tick)
-        self._arm(assoc, deadline)
-
     def _mark_dirty(self, assoc: Association) -> None:
         """Queue the association for service on the next poll turn."""
-        if self._use_heap:
-            self._dirty.add(assoc.assoc_id)
+        self._dirty.add(assoc.assoc_id)
 
     @property
     def busy(self) -> bool:
-        """True while any association has in-flight or queued work."""
+        """True while any association, retired ones included, has
+        in-flight or queued work."""
         return any(
-            assoc.established and not assoc.signer.idle
-            for assoc in self._by_peer.values()
-        ) or any(not assoc.established for assoc in self._by_peer.values())
+            not assoc.established or not assoc.signer.idle
+            for assoc in self._by_id.values()
+        )
 
     # -- internals ----------------------------------------------------------------
 
@@ -640,6 +568,33 @@ class AlphaEndpoint:
         return ChainSet.create(
             self.hash_fn, self.rng.fork("chains"), self.config.chain_length
         )
+
+    def _open_handshake(
+        self, assoc_id: int, peer: str, now: float, rng_label: str
+    ) -> Association:
+        """Admit a half-open initiator association on fresh chains, its
+        HS1 built and the retransmit timer armed."""
+        chains = self._create_chains()
+        packet = build_handshake(
+            assoc_id=assoc_id,
+            chains=chains,
+            hash_name=self.config.hash_name,
+            rng=self.rng.fork(rng_label),
+            is_response=False,
+            identity=self.identity,
+        )
+        assoc = Association(
+            assoc_id=assoc_id,
+            peer=peer,
+            initiator=True,
+            chains=chains,
+            hs_nonce=packet.nonce,
+            hs_bytes=packet.encode(),
+            hs_deadline=now + self.config.retransmit_timeout_s,
+        )
+        self._admit(assoc)
+        self._arm(assoc, assoc.hs_deadline)
+        return assoc
 
     def _install_association(
         self,
@@ -657,11 +612,18 @@ class AlphaEndpoint:
             )
             previous = self._by_peer.get(peer)
             if previous is not None and previous.assoc_id != assoc_id:
-                previous.retired = True  # superseded by the peer's re-key
+                # Superseded by the peer's re-key: the peer retires its
+                # side when our HS2 arrives, so only exchanges already
+                # in flight may finish on the old chains.
+                previous.retired = True
+                previous.replacement_id = assoc_id
+                assoc.supersedes = previous.assoc_id
+                if previous.signer is not None:
+                    assoc.pending_sends.extend(previous.signer._queue)
+                    previous.signer._queue.clear()
                 self._mark_dirty(previous)
             self._by_peer[peer] = assoc
             self._admit(assoc)
-        channel_config = self.config.channel_config()
         link = self.links.link(peer) if self._track_links else None
         if link is not None:
             link.on_association()
@@ -674,7 +636,7 @@ class AlphaEndpoint:
                 tags=ACKNOWLEDGMENT_TAGS,
                 resync_window=self.config.resync_window,
             ),
-            config=channel_config,
+            config=self._channel_config,
             assoc_id=assoc_id,
             peer=peer,
             obs=self.obs,
@@ -741,9 +703,10 @@ class AlphaEndpoint:
     ) -> None:
         if packet.is_response:
             assoc = self._by_id.get(packet.assoc_id)
-            if assoc is None or assoc.established or not assoc.initiator:
-                return
-            if assoc.peer != src:
+            if (
+                assoc is None or assoc.established or not assoc.initiator
+                or assoc.peer != src
+            ):
                 return
             try:
                 peer_anchors = validate_handshake(
@@ -815,12 +778,17 @@ class AlphaEndpoint:
             or assoc.replacement_id is not None
         ):
             return
+        signature, acknowledgment = assoc.chains.signature, assoc.chains.acknowledgment
         remaining = min(
-            assoc.chains.signature.remaining_exchanges,
-            assoc.chains.acknowledgment.remaining_exchanges,
+            signature.remaining_exchanges, acknowledgment.remaining_exchanges
         )
         if remaining > self.config.rekey_threshold:
             return
+        if (
+            signature.remaining == signature.length
+            and acknowledgment.remaining == acknowledgment.length
+        ):
+            return  # untouched: a replacement would re-key forever
         self._initiate_replacement(assoc, now, out, label="rekey")
 
     def _initiate_replacement(
@@ -828,27 +796,10 @@ class AlphaEndpoint:
     ) -> Association:
         """Start a fresh handshake that will supersede ``assoc``."""
         new_id = self.rng.random_int(63)
-        chains = self._create_chains()
-        packet = build_handshake(
-            assoc_id=new_id,
-            chains=chains,
-            hash_name=self.config.hash_name,
-            rng=self.rng.fork(f"{label}:{assoc.peer}:{new_id}"),
-            is_response=False,
-            identity=self.identity,
+        replacement = self._open_handshake(
+            new_id, assoc.peer, now, f"{label}:{assoc.peer}:{new_id}"
         )
-        replacement = Association(
-            assoc_id=new_id,
-            peer=assoc.peer,
-            initiator=True,
-            chains=chains,
-            hs_nonce=packet.nonce,
-            hs_bytes=packet.encode(),
-            hs_deadline=now + self.config.retransmit_timeout_s,
-        )
-        self._admit(replacement)
         assoc.replacement_id = new_id
-        self._arm(replacement, replacement.hs_deadline)
         out.replies.append((assoc.peer, replacement.hs_bytes))
         if self.obs.enabled:
             self.obs.tracer.emit(
@@ -864,16 +815,13 @@ class AlphaEndpoint:
     def _migrate_if_replacement(self, assoc: Association) -> None:
         """Point the peer mapping at a freshly established replacement."""
         current = self._by_peer.get(assoc.peer)
-        if current is assoc or current is None:
-            return
-        if current.replacement_id != assoc.assoc_id:
+        if current is None or current.replacement_id != assoc.assoc_id:
             return
         # Queued-but-unsent messages move to the fresh chains; in-flight
-        # exchanges finish on the old association, which is then drained
-        # and garbage-collected by poll().
-        if current.signer is not None:
-            while current.signer._queue:
-                assoc.signer.submit(current.signer._queue.popleft())
+        # exchanges finish on the old (established) association, which
+        # is then drained and garbage-collected by poll().
+        while current.signer._queue:
+            assoc.signer.submit(current.signer._queue.popleft())
         current.retired = True
         self._mark_dirty(current)
         self._mark_dirty(assoc)
@@ -896,10 +844,7 @@ class AlphaEndpoint:
             if failure.reason == "rto-escape":
                 escaped = True
         self._check_loss_spike(assoc, now, out)
-        self._check_dead_peer(
-            assoc, now, out,
-            force=escaped and self.config.escape_is_dead_peer,
-        )
+        self._check_dead_peer(assoc, now, out, force=escaped)
 
     def _check_loss_spike(
         self, assoc: Association, now: float, out: EndpointOutput
@@ -931,9 +876,8 @@ class AlphaEndpoint:
     def _attempt_failover(
         self, assoc: Association, now: float, out: EndpointOutput, cause: str
     ) -> bool:
-        """Switch paths and re-present in-flight S1s; False if no path."""
-        if self.paths is None or assoc.retired or assoc.down:
-            return False
+        """Switch paths and re-present in-flight S1s; False if no path.
+        Callers have already ruled out retired and DOWN associations."""
         if not self._switch_path(assoc, now, cause):
             return False
         assoc.signer.consecutive_failures = 0
@@ -972,18 +916,13 @@ class AlphaEndpoint:
         return True
 
     def _check_dead_peer(
-        self,
-        assoc: Association,
-        now: float,
-        out: EndpointOutput,
-        force: bool = False,
+        self, assoc: Association, now: float, out: EndpointOutput, force: bool
     ) -> None:
         """Declare the peer dead after too many consecutive failures.
 
-        ``force`` (terminal rto-escape with ``escape_is_dead_peer``)
-        skips the consecutive-failure count — the probe budget already
-        proved the path black-holed — but still respects the
-        ``dead_peer_threshold <= 0`` master switch.
+        ``force`` (a terminal rto-escape: the probe budget proved the
+        path black-holed) skips the count, but ``dead_peer_threshold
+        <= 0`` still disables detection.
         """
         threshold = self.config.dead_peer_threshold
         if threshold <= 0 or assoc.down or assoc.retired:

@@ -441,6 +441,13 @@ class VerifierSession:
             )
             del self._exchanges[victim.seq]
 
+    @property
+    def awaiting_messages(self) -> bool:
+        """True while a buffered exchange has undelivered messages."""
+        return any(
+            len(ex.delivered) < ex.message_count for ex in self._exchanges.values()
+        )
+
     def drain_delivered(self) -> list[DeliveredMessage]:
         """Return and clear messages authenticated since the last drain."""
         messages, self.delivered = self.delivered, []

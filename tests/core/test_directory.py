@@ -1,8 +1,12 @@
-"""Relay directory: registration, TTL liveness, ranked multi-hop paths."""
+"""Relay directory: registration, TTL liveness, ranked multi-hop paths.
+
+The directory is benchmark scaffolding (``benchmarks/directory.py``)
+for the flows×relays grid; the protocol itself never consults it.
+"""
 
 import pytest
 
-from repro.core.directory import RelayDirectory
+from benchmarks.directory import RelayDirectory
 from repro.core.resilience import PathManager
 
 

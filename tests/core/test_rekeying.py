@@ -5,9 +5,13 @@ chains (a new association id and a new handshake) before the old ones
 run dry, without losing queued traffic.
 """
 
+from collections import deque
+
+import pytest
 
 from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
+from repro.core.modes import ReliabilityMode
 from repro.netsim import Network
 
 
@@ -124,3 +128,98 @@ class TestRekeying:
         # association's traffic too.
         assert relays[0].engine.association_count() >= 2
         assert relays[0].engine.stats.get("dropped", 0) == 0
+
+
+def fifo_exchange(reliability, both_ways, count=60):
+    """Send ``count`` messages a->b (and b->a) over one FIFO queue,
+    polling both endpoints after every packet — the cadence of an event
+    loop with latency, where a poll can land between an exchange's A1
+    and S2. Returns what each side received and every failure reason."""
+    config = EndpointConfig(chain_length=16, reliability=reliability)
+    endpoints = {
+        "a": AlphaEndpoint("a", config, seed=1),
+        "b": AlphaEndpoint("b", config, seed=2),
+    }
+    a, b = endpoints["a"], endpoints["b"]
+    queue = deque([("a", "b", a.connect("b")[1])])
+    received = {"a": [], "b": []}
+    failures = []
+
+    def absorb(name, out):
+        queue.extend((name, dest, data) for dest, data in out.replies)
+        received[name].extend(m.message for _, m in out.delivered)
+        failures.extend(f.reason for _, f in out.failures)
+
+    for i in range(count):
+        a.send("b", b"a%d" % i)
+    backlog = [b"b%d" % i for i in range(count)] if both_ways else []
+    now = 0.0
+    for _ in range(50_000):
+        if backlog and "a" in b.peers and b.association("a").established:
+            b.send("a", backlog.pop(0))
+        if queue:
+            src, dst, data = queue.popleft()
+            absorb(dst, endpoints[dst].on_packet(data, src, now))
+        for name, endpoint in endpoints.items():
+            absorb(name, endpoint.poll(now))
+        if not queue:
+            deadlines = [
+                d for d in (a.next_deadline(), b.next_deadline()) if d is not None
+            ]
+            if not deadlines or now > 100.0:
+                break
+            now = max(now + 0.001, min(deadlines))
+    return received, failures
+
+
+class TestRekeyUnderEagerPolling:
+    """A rekey must not lose the old association's last exchanges."""
+
+    @pytest.mark.parametrize("both_ways", [False, True], ids=["one-way", "both-ways"])
+    @pytest.mark.parametrize(
+        "reliability",
+        [ReliabilityMode.UNRELIABLE, ReliabilityMode.RELIABLE],
+        ids=["unreliable", "reliable"],
+    )
+    def test_every_message_survives_the_rekeys(self, reliability, both_ways):
+        received, failures = fifo_exchange(reliability, both_ways)
+        assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(60))
+        expected_at_a = [b"b%d" % i for i in range(60)] if both_ways else []
+        assert sorted(received["a"]) == sorted(expected_at_a)
+        assert failures == []
+
+    def test_busy_counts_retired_associations(self):
+        config = EndpointConfig(chain_length=64)
+        a = AlphaEndpoint("a", config, seed=1)
+        b = AlphaEndpoint("b", config, seed=2)
+        _, hs1 = a.connect("b")
+        a.on_packet(b.on_packet(hs1, "a", 0.0).replies[0][1], "b", 0.0)
+        a.send("b", b"in flight")
+        assert a.poll(0.0).replies  # the S1 is out, its exchange open
+        # A replacement took the peer slot; the retired association
+        # still owes its in-flight exchange.
+        a._by_peer.pop("b").retired = True
+        assert a.busy
+
+    def test_lost_s2_cannot_pin_a_retired_association(self):
+        config = EndpointConfig(chain_length=64, rto_max_s=1.0, max_retries=2)
+        a = AlphaEndpoint("a", config, seed=1)
+        b = AlphaEndpoint("b", config, seed=2)
+        _, hs1 = a.connect("b")
+        a.on_packet(b.on_packet(hs1, "a", 0.0).replies[0][1], "b", 0.0)
+        a.send("b", b"lost")
+        (_, s1), = a.poll(0.0).replies
+        (_, a1), = b.on_packet(s1, "a", 0.0).replies
+        assert a.on_packet(a1, "b", 0.0).replies  # the S2, never delivered
+        old = b._by_peer.pop("a")
+        old.retired = True
+        b._mark_dirty(old)
+        b.poll(0.0)
+        # Kept for the peer's exchange, until the drain deadline: the
+        # peer's retry schedule at the RTO ceiling, (2 + 1) x 1 s.
+        assert old.assoc_id in b._by_id
+        assert b.next_deadline() == 3.0
+        b.poll(2.9)
+        assert old.assoc_id in b._by_id
+        b.poll(3.0)
+        assert old.assoc_id not in b._by_id

@@ -1,10 +1,9 @@
-"""Differential property test: deadline heap vs historical full scan.
+"""Differential property test: deadline heap vs full scan.
 
 The deadline heap (PROTOCOL.md §15) claims to be a pure scheduling
-optimisation: ``poll(now)`` with ``deadline_heap=True`` must emit the
-same packets, deliveries, and failures as the historical
-every-association scan (``deadline_heap=False``), which stays in the
-code exactly as the differential oracle.
+optimisation: ``poll(now)`` must emit the same packets, deliveries, and
+failures as a scheduler that services every association on every turn.
+That reference lives here, as :class:`FullScanEndpoint`.
 
 Two worlds run the same randomized schedule — sends, time advances,
 deliveries, drops — on identically-seeded endpoint pairs. Only the
@@ -14,14 +13,25 @@ scan order vs heap pop order), so outputs are compared as sorted lists.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.endpoint import AlphaEndpoint, EndpointConfig
+from repro.core.endpoint import AlphaEndpoint, EndpointConfig, EndpointOutput
 from repro.core.modes import ReliabilityMode
 
 
-def make_world(deadline_heap: bool, seed: int, config_kwargs: dict):
-    config = EndpointConfig(deadline_heap=deadline_heap, **config_kwargs)
-    a = AlphaEndpoint("a", config, seed=seed)
-    b = AlphaEndpoint("b", config, seed=seed + 1)
+class FullScanEndpoint(AlphaEndpoint):
+    """Reference scheduler: every poll services every association, in
+    ``_by_id`` insertion order, with no regard for armed deadlines."""
+
+    def poll(self, now):
+        out = EndpointOutput()
+        for assoc in list(self._by_id.values()):
+            self._service_association(assoc, now, out)
+        return out
+
+
+def make_world(endpoint_cls, seed: int, config_kwargs: dict):
+    config = EndpointConfig(**config_kwargs)
+    a = endpoint_cls("a", config, seed=seed)
+    b = endpoint_cls("b", config, seed=seed + 1)
     return {"a": a, "b": b, "outbox": [], "delivered": [], "failures": []}
 
 
@@ -80,7 +90,10 @@ class TestDeadlineHeapDifferential:
     @settings(max_examples=40, deadline=None)
     def test_heap_matches_full_scan(self, seed, ops, reliable, rekey):
         config_kwargs = dict(
-            chain_length=16,
+            # Short chains make re-keying frequent; without re-keying the
+            # chains must outlast the longest schedule (one exchange per
+            # send, two chain elements each).
+            chain_length=16 if rekey else 256,
             rekey_threshold=2 if rekey else 0,
             retransmit_timeout_s=0.05,
             max_retries=4,
@@ -94,8 +107,8 @@ class TestDeadlineHeapDifferential:
             adaptive_rto=False,
             backoff_jitter=0.0,
         )
-        heap = make_world(True, seed, config_kwargs)
-        scan = make_world(False, seed, config_kwargs)
+        heap = make_world(AlphaEndpoint, seed, config_kwargs)
+        scan = make_world(FullScanEndpoint, seed, config_kwargs)
         for world in (heap, scan):
             _, hs1 = world["a"].connect("b")
             world["outbox"].append(("a", "b", hs1))
