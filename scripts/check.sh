@@ -78,6 +78,12 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
+# perf/tracing.py patches names inside src/repro/core by module path,
+# and tier-1 (testpaths = tests) never imports perf/: this ~2 s test
+# fails when a core refactor drops or moves one of those names.
+echo "== perf tracing targets =="
+python -m pytest -q perf/tests/test_tracing.py
+
 if [ "$RUN_BENCH" = "1" ]; then
     # The suite above just wrote fresh results/bench/BENCH_*.json
     # snapshots; diff them against the previous generation, and gate

@@ -301,6 +301,12 @@ class ChainVerifier:
             return False
         return True
 
+    def admit(self, element: ChainElement) -> bool:
+        """Admit an identity token (S1/A1): :meth:`verify` it, or accept
+        it once from the derived cache when a pipelined later token
+        overtook it (:meth:`consume_derived`)."""
+        return self.verify(element) or self.consume_derived(element)
+
     def _prune_derived(self) -> None:
         # Entries above the horizon can never verify again (a fresh
         # element would need gap > resync_window); entries at or below

@@ -30,6 +30,18 @@ def _ceil_pow2(n: int) -> int:
     return power
 
 
+def leaves_per_tree(message_count: int, trees: int) -> int:
+    """Leaves per tree when a batch is split over ``trees`` keyed roots.
+
+    Combined C+M mode (Section 3.3.2, last paragraph) puts message ``j``
+    at leaf ``j % per_tree`` of tree ``j // per_tree``, with ``per_tree
+    = ceil(message_count / trees)``; plain ALPHA-M is the one-tree case.
+    The signer slices its batch by this rule and every receiver locates
+    a message's root by it, so it lives here once.
+    """
+    return -(-message_count // trees)
+
+
 class MerkleTree:
     """Signer-side tree: construction, keyed root, and path extraction.
 

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.acktree import AckOpening, verify_ack_opening
+# perf/tracing.py patches verify_ack_opening and verify_merkle_path here too.
+from repro.core.acktree import verify_ack_opening  # noqa: F401
 from repro.core.hashchain import (
     ACKNOWLEDGMENT_TAGS,
     ChainElement,
     ChainVerifier,
 )
-from repro.core.merkle import MerkleVerifyCache, verify_merkle_path
-from repro.core.modes import Mode
+from repro.core.merkle import verify_merkle_path  # noqa: F401
 from repro.core.packets import (
     A1Packet,
     A2Packet,
@@ -39,7 +39,8 @@ from repro.core.packets import (
 )
 from repro.core.exceptions import PacketError
 from repro.core.resilience import ResilienceStats
-from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG
+from repro.core.signer import check_a2_key, verify_verdict
+from repro.core.verifier import S1Commitment, check_s2_key, verify_s2
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
 from repro.obs.linkhealth import HealthLedger
@@ -141,14 +142,7 @@ class ExtractedMessage:
 
 
 @dataclass
-class _RelayExchange:
-    seq: int
-    mode: Mode
-    reliable: bool
-    message_count: int
-    pre_signatures: list[bytes]
-    s1_element: ChainElement
-    key_value: bytes | None = None
+class _RelayExchange(S1Commitment):
     a1_seen: bool = False
     #: The A1's ack-chain element, kept for the crash journal: a
     #: restarted relay authenticates the verifier's repeated A1 against
@@ -163,16 +157,13 @@ class _RelayExchange:
     pre_nacks: list[bytes] = field(default_factory=list)
     amt_root: bytes | None = None
     ack_key_value: bytes | None = None
-    verified_s2: set[int] = field(default_factory=set)
     #: Simulated time of the last packet that touched this exchange.
     last_seen: float = 0.0
-    #: Proven Merkle interior nodes for this batch (PROTOCOL.md §14).
-    #: Never journaled: a restored relay starts cold and re-proves from
-    #: the re-presented S1 commitments.
-    merkle_cache: MerkleVerifyCache = field(default_factory=MerkleVerifyCache)
 
     @property
     def buffered_bytes(self) -> int:
+        # Summed here rather than through super(): every relay packet
+        # re-totals each buffered exchange for the byte cap.
         return sum(len(sig) for sig in self.pre_signatures) + sum(
             len(h) for h in self.pre_acks + self.pre_nacks
         ) + (len(self.amt_root) if self.amt_root else 0)
@@ -413,25 +404,15 @@ class _ChannelObserver:
         )
         if not same:
             return RelayDecision(False, "s1-journal-mismatch")
-        exchange = _RelayExchange(
-            seq=packet.seq,
-            mode=packet.mode,
-            reliable=packet.reliable,
-            message_count=packet.message_count,
-            pre_signatures=list(packet.pre_signatures),
-            s1_element=ChainElement(packet.chain_index, packet.chain_element),
-            last_seen=now,
-        )
+        restored = {}
         if record.get("key_value"):
-            exchange.key_value = bytes.fromhex(record["key_value"])
+            restored["key_value"] = bytes.fromhex(record["key_value"])
         if record.get("a1_value") is not None:
-            exchange.expected_a1 = (
+            restored["expected_a1"] = (
                 record["a1_index"],
                 bytes.fromhex(record["a1_value"]),
             )
         del self.recovering[packet.seq]
-        self.evicted.pop(packet.seq, None)
-        self.exchanges[packet.seq] = exchange
         self.resilience.relay_reanchors += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -439,11 +420,22 @@ class _ChannelObserver:
                 packet.seq, info=f"s1 index={packet.chain_index}",
             )
             self._obs.registry.counter("relay.reanchors").inc()
+        return self._buffer_s1(packet, "s1-reanchored", now, **restored)
+
+    def _buffer_s1(
+        self, packet: S1Packet, reason: str, now: float, **restored
+    ) -> RelayDecision:
+        """Buffer what an accepted S1 commits to, then shed exchanges
+        over the entry cap and the byte cap."""
+        self.evicted.pop(packet.seq, None)
+        self.exchanges[packet.seq] = _RelayExchange.from_s1(
+            packet, last_seen=now, **restored
+        )
         while len(self.exchanges) > self.config.max_buffered_exchanges:
             self._evict(self._least_recent(), now, "entry-cap")
             self.resilience.evictions_capacity += 1
         self._enforce_byte_cap(now)
-        return RelayDecision(True, "s1-reanchored", verified=True)
+        return RelayDecision(True, reason, verified=True)
 
     def on_s1(self, packet: S1Packet, wire_size: int, now: float = 0.0) -> RelayDecision:
         record = self.recovering.get(packet.seq)
@@ -467,40 +459,48 @@ class _ChannelObserver:
             # elements by construction (Section 3.2.1).
             return RelayDecision(False, "s1-even-position")
         element = ChainElement(packet.chain_index, packet.chain_element)
-        if not self.sig_verifier.verify(element):
-            if not self.sig_verifier.consume_derived(element):
-                if packet.seq in self.evicted:
-                    # Evicted exchange: its element was consumed when the
-                    # original S1 verified and can never verify again.
-                    # Degrade to unverified forwarding rather than
-                    # censoring the retransmission.
-                    return self._tombstone(packet.seq, now, "s1-evicted-unverified")
-                return RelayDecision(False, "s1-bad-chain-element")
+        if not self.sig_verifier.admit(element):
+            if packet.seq in self.evicted:
+                # Evicted exchange: its element was consumed when the
+                # original S1 verified and can never verify again.
+                # Degrade to unverified forwarding rather than
+                # censoring the retransmission.
+                return self._tombstone(packet.seq, now, "s1-evicted-unverified")
+            return RelayDecision(False, "s1-bad-chain-element")
         # The element verified after all (evicted before commit, or the
-        # derived entry survived): rebuild full state below.
-        self.evicted.pop(packet.seq, None)
-        exchange = _RelayExchange(
-            seq=packet.seq,
-            mode=packet.mode,
-            reliable=packet.reliable,
-            message_count=packet.message_count,
-            pre_signatures=list(packet.pre_signatures),
-            s1_element=element,
-            last_seen=now,
-        )
-        self.exchanges[packet.seq] = exchange
+        # derived entry survived): rebuild full state.
         self.resilience.relay_admits += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.RELAY_ADMIT, self.assoc_id,
-                packet.seq, info=f"bytes={exchange.buffered_bytes}",
+                packet.seq,
+                info=f"bytes={sum(len(sig) for sig in packet.pre_signatures)}",
             )
             self._obs.registry.counter("relay.admits").inc()
-        while len(self.exchanges) > self.config.max_buffered_exchanges:
-            self._evict(self._least_recent(), now, "entry-cap")
-            self.resilience.evictions_capacity += 1
-        self._enforce_byte_cap(now)
-        return RelayDecision(True, "s1-ok", verified=True)
+        return self._buffer_s1(packet, "s1-ok", now)
+
+    def _unknown_exchange(self, kind: str, seq: int, now: float) -> RelayDecision:
+        """Judge a ``kind`` packet (``a1``, ``s2``, ``a2``) of an
+        exchange this channel holds no buffered state for."""
+        if seq in self.recovering:
+            return self._passthrough(seq, now, f"{kind}-recovering")
+        if seq in self.evicted:
+            return self._tombstone(seq, now, f"{kind}-evicted-unverified")
+        if self.config.strict:
+            return RelayDecision(False, f"{kind}-unknown-exchange")
+        return RelayDecision(True, f"{kind}-unverified")
+
+    def _commit_a1(
+        self, exchange: _RelayExchange, packet: A1Packet, element: ChainElement
+    ) -> None:
+        """Buffer what an authentic A1 commits to; the destination was
+        willing, so grow the sender's S1 allowance."""
+        exchange.a1_seen = True
+        exchange.a1_element = element
+        exchange.pre_acks = list(packet.pre_acks)
+        exchange.pre_nacks = list(packet.pre_nacks)
+        exchange.amt_root = packet.amt_root
+        self.s1_allowance = min(self.s1_allowance * 2, self.config.max_s1_allowance)
 
     def on_a1(self, packet: A1Packet, now: float = 0.0) -> RelayDecision:
         if packet.ack_index % 2 == 0:
@@ -508,13 +508,7 @@ class _ChannelObserver:
         element = ChainElement(packet.ack_index, packet.ack_element)
         exchange = self.exchanges.get(packet.seq)
         if exchange is None:
-            if packet.seq in self.recovering:
-                return self._passthrough(packet.seq, now, "a1-recovering")
-            if packet.seq in self.evicted:
-                return self._tombstone(packet.seq, now, "a1-evicted-unverified")
-            if self.config.strict:
-                return RelayDecision(False, "a1-unknown-exchange")
-            return RelayDecision(True, "a1-unverified")
+            return self._unknown_exchange("a1", packet.seq, now)
         self._touch(exchange, now)
         if exchange.a1_seen:
             # Duplicate A1 (answering an S1 retransmission): the chain
@@ -529,44 +523,24 @@ class _ChannelObserver:
             # never re-verify on-chain) — re-populate the pre-ack
             # buffers the crash lost.
             exchange.expected_a1 = None
-            exchange.a1_seen = True
-            exchange.a1_element = element
-            exchange.pre_acks = list(packet.pre_acks)
-            exchange.pre_nacks = list(packet.pre_nacks)
-            exchange.amt_root = packet.amt_root
-            self.s1_allowance = min(
-                self.s1_allowance * 2, self.config.max_s1_allowance
-            )
+            self._commit_a1(exchange, packet, element)
             if self._obs.enabled:
                 self._obs.tracer.emit(
                     now, self._node, EventKind.RELAY_REANCHOR, self.assoc_id,
                     packet.seq, info=f"a1 index={packet.ack_index}",
                 )
             return RelayDecision(True, "a1-rejournaled", verified=True)
-        if not self.ack_verifier.verify(element):
-            if not self.ack_verifier.consume_derived(element):
-                return RelayDecision(False, "a1-bad-chain-element")
+        if not self.ack_verifier.admit(element):
+            return RelayDecision(False, "a1-bad-chain-element")
         if packet.echo_sig_element != exchange.s1_element.value:
             return RelayDecision(False, "a1-wrong-echo")
-        exchange.a1_seen = True
-        exchange.a1_element = element
-        exchange.pre_acks = list(packet.pre_acks)
-        exchange.pre_nacks = list(packet.pre_nacks)
-        exchange.amt_root = packet.amt_root
-        # The destination was willing: grow the sender's S1 allowance.
-        self.s1_allowance = min(self.s1_allowance * 2, self.config.max_s1_allowance)
+        self._commit_a1(exchange, packet, element)
         return RelayDecision(True, "a1-ok", verified=True)
 
     def on_s2(self, packet: S2Packet, now: float = 0.0) -> RelayDecision:
         exchange = self.exchanges.get(packet.seq)
         if exchange is None:
-            if packet.seq in self.recovering:
-                return self._passthrough(packet.seq, now, "s2-recovering")
-            if packet.seq in self.evicted:
-                return self._tombstone(packet.seq, now, "s2-evicted-unverified")
-            if self.config.strict:
-                return RelayDecision(False, "s2-unknown-exchange")
-            return RelayDecision(True, "s2-unverified")
+            return self._unknown_exchange("s2", packet.seq, now)
         self._touch(exchange, now)
         if (
             self.config.require_a1_for_s2
@@ -576,18 +550,11 @@ class _ChannelObserver:
             # A journaled A1 (expected_a1 pending re-journal) counts as
             # solicited: the pre-crash relay witnessed the willingness.
             return RelayDecision(False, "s2-unsolicited")
-        if exchange.key_value is None:
-            disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
-            if disclosed.index != exchange.s1_element.index - 1:
-                return RelayDecision(False, "s2-wrong-key-index")
-            if not self.sig_verifier.verify_disclosure(disclosed):
-                return RelayDecision(False, "s2-bad-key")
-            exchange.key_value = disclosed.value
-        elif packet.disclosed_element != exchange.key_value:
-            return RelayDecision(False, "s2-key-mismatch")
-        if not self._verify_s2_payload(exchange, packet):
+        reason = check_s2_key(self.sig_verifier, exchange, packet)
+        if reason is not None:
+            return RelayDecision(False, "s2-" + reason)
+        if not verify_s2(self._hash, exchange, packet):
             return RelayDecision(False, "s2-bad-payload")
-        exchange.verified_s2.add(packet.msg_index)
         extracted = [
             ExtractedMessage(
                 assoc_id=packet.assoc_id,
@@ -602,81 +569,20 @@ class _ChannelObserver:
     def on_a2(self, packet: A2Packet, now: float = 0.0) -> RelayDecision:
         exchange = self.exchanges.get(packet.seq)
         if exchange is None:
-            if packet.seq in self.recovering:
-                return self._passthrough(packet.seq, now, "a2-recovering")
-            if packet.seq in self.evicted:
-                return self._tombstone(packet.seq, now, "a2-evicted-unverified")
-            if self.config.strict:
-                return RelayDecision(False, "a2-unknown-exchange")
-            return RelayDecision(True, "a2-unverified")
+            return self._unknown_exchange("a2", packet.seq, now)
         self._touch(exchange, now)
         if exchange.expected_a1 is not None and not exchange.pre_acks:
             # Re-anchored but the repeated A1 (with the pre-ack buffers)
             # has not come past yet: an A2 racing it cannot be judged,
             # so it passes unverified rather than being censored.
             return self._passthrough(packet.seq, now, "a2-prejournal")
-        if packet.disclosed_index % 2:
-            return RelayDecision(False, "a2-odd-position")
-        if exchange.ack_key_value is None:
-            disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
-            if not self.ack_verifier.verify_disclosure(disclosed):
-                return RelayDecision(False, "a2-bad-key")
-            exchange.ack_key_value = disclosed.value
-        elif packet.disclosed_element != exchange.ack_key_value:
-            return RelayDecision(False, "a2-key-mismatch")
-        key = exchange.ack_key_value
+        reason = check_a2_key(self.ack_verifier, exchange, packet)
+        if reason is not None:
+            return RelayDecision(False, "a2-" + reason)
         for verdict in packet.verdicts:
-            if not self._verify_verdict(exchange, key, verdict):
+            if not verify_verdict(self._hash, exchange, verdict):
                 return RelayDecision(False, "a2-bad-verdict")
         return RelayDecision(True, "a2-ok", verified=True)
-
-    def _verify_s2_payload(self, exchange: _RelayExchange, packet: S2Packet) -> bool:
-        if not 0 <= packet.msg_index < exchange.message_count:
-            return False
-        key = exchange.key_value
-        if exchange.mode in (Mode.MERKLE, Mode.MERKLE_CUMULATIVE):
-            if not packet.message:
-                return False
-            from repro.core.verifier import _locate_root
-
-            root, local_index = _locate_root(
-                exchange.pre_signatures, exchange.message_count, packet.msg_index
-            )
-            return verify_merkle_path(
-                self._hash,
-                packet.message,
-                local_index,
-                packet.auth_path,
-                key,
-                root,
-                cache=exchange.merkle_cache,
-            )
-        recomputed = self._hash.mac(key, packet.message, label="relay-s2-verify")
-        return recomputed == exchange.pre_signatures[packet.msg_index]
-
-    def _verify_verdict(self, exchange: _RelayExchange, key: bytes, verdict) -> bool:
-        if exchange.amt_root is not None:
-            opening = AckOpening(
-                msg_index=verdict.msg_index,
-                is_ack=verdict.is_ack,
-                secret=verdict.secret,
-                path=verdict.path,
-            )
-            return verify_ack_opening(
-                self._hash, opening, exchange.message_count, key, exchange.amt_root
-            )
-        if not exchange.pre_acks:
-            # Unreliable exchange: an A2 is unexpected but harmless.
-            return False
-        if verdict.msg_index >= len(exchange.pre_acks):
-            return False
-        tag = PRE_ACK_TAG if verdict.is_ack else PRE_NACK_TAG
-        expected = (
-            exchange.pre_acks[verdict.msg_index]
-            if verdict.is_ack
-            else exchange.pre_nacks[verdict.msg_index]
-        )
-        return self._hash.digest(key + tag + verdict.secret, label="relay-ack-verify") == expected
 
     @property
     def buffered_bytes(self) -> int:

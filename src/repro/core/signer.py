@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 from repro.core.acktree import AckOpening, verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
-from repro.core.merkle import MerkleTree
+from repro.core.merkle import MerkleTree, leaves_per_tree
 from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
-from repro.core.packets import A1Packet, A2Packet, S1Packet, S2Packet
+from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
 from repro.core.resilience import ExchangeFailed, ResilienceStats, RttEstimator
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
@@ -163,7 +163,7 @@ class _Exchange:
     s2_bytes: dict[int, bytes] = field(default_factory=dict)
     deadline: float = 0.0
     retries: int = 0
-    ack_key_element: ChainElement | None = None  # disclosed via A2
+    ack_key_value: bytes | None = None  # disclosed via A2
     # RTT bookkeeping: when the awaited reply was solicited, and whether
     # the pending round trip is unambiguous (Karn's algorithm — a
     # retransmission poisons the sample).
@@ -186,6 +186,10 @@ class _Exchange:
     probe_sent_at: float = 0.0
     probe_episodes: int = 0
     probe_marker: tuple = ()
+
+    @property
+    def message_count(self) -> int:
+        return len(self.messages)
 
 
 class SignerSession:
@@ -420,13 +424,9 @@ class SignerSession:
             self._reject_a1(now, packet.seq, "even-position")
             return []  # A1 tokens are odd-position ack-chain elements
         ack_element = ChainElement(packet.ack_index, packet.ack_element)
-        if not self.ack_verifier.verify(ack_element):
-            # Pipelining: a later exchange's A1 may have overtaken this
-            # one; its genuine element was derived during that gap walk
-            # and is accepted exactly once (see consume_derived).
-            if not self.ack_verifier.consume_derived(ack_element):
-                self._reject_a1(now, packet.seq, "bad-chain-element")
-                return []  # forged or replayed A1
+        if not self.ack_verifier.admit(ack_element):
+            self._reject_a1(now, packet.seq, "bad-chain-element")
+            return []  # forged or replayed A1
         if packet.echo_sig_element != exchange.s1_element.value:
             self._reject_a1(now, packet.seq, "wrong-echo")
             return []  # acknowledges someone else's S1
@@ -497,26 +497,15 @@ class SignerSession:
         exchange = self._exchanges.get(packet.seq)
         if exchange is None or exchange.state is not ExchangeState.AWAIT_A2:
             return []
-        if packet.disclosed_index % 2:
-            self._reject_a2(now, packet.seq, "odd-position")
-            return []  # A2 discloses even-position ack-chain elements
-        disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
-        if exchange.ack_key_element is None:
-            if not self.ack_verifier.verify_disclosure(disclosed):
-                self._reject_a2(now, packet.seq, "bad-disclosure")
-                return []
-            exchange.ack_key_element = disclosed
-        elif disclosed.value != exchange.ack_key_element.value:
-            self._reject_a2(now, packet.seq, "key-mismatch")
+        reason = check_a2_key(self.ack_verifier, exchange, packet)
+        if reason is not None:
+            self._reject_a2(now, packet.seq, reason)
             return []
         if self.config.adaptive_rto:
             self.rtt.clear_backoff()  # authentic A2: the peer is alive
         self._exchange_alive(exchange)
-        key = exchange.ack_key_element.value
         for verdict in packet.verdicts:
-            if not 0 <= verdict.msg_index < len(exchange.messages):
-                continue
-            if not self._verify_verdict(exchange, key, verdict):
+            if not verify_verdict(self._hash, exchange, verdict):
                 continue
             if verdict.is_ack:
                 exchange.acked.add(verdict.msg_index)
@@ -570,14 +559,14 @@ class SignerSession:
         reliable = self.config.reliability is ReliabilityMode.RELIABLE
         trees: list[MerkleTree] = []
         per_tree = 0
-        if mode is Mode.MERKLE:
-            trees = [MerkleTree(self._hash, messages)]
-            per_tree = len(messages)
-            pre_signatures = [trees[0].root(key_element.value)]
-        elif mode is Mode.MERKLE_CUMULATIVE:
-            trees, per_tree = _build_tree_slices(
-                self._hash, messages, self.config.trees_per_s1
-            )
+        if mode in (Mode.MERKLE, Mode.MERKLE_CUMULATIVE):
+            # Plain ALPHA-M is the one-tree case of the C+M slicing.
+            wanted = self.config.trees_per_s1 if mode is Mode.MERKLE_CUMULATIVE else 1
+            per_tree = leaves_per_tree(len(messages), min(wanted, len(messages)))
+            trees = [
+                MerkleTree(self._hash, messages[start : start + per_tree])
+                for start in range(0, len(messages), per_tree)
+            ]
             pre_signatures = [tree.root(key_element.value) for tree in trees]
         else:
             pre_signatures = [
@@ -900,8 +889,8 @@ class SignerSession:
         packets = []
         for index, message in enumerate(exchange.messages):
             if exchange.trees:
-                tree = exchange.trees[index // exchange.per_tree]
-                path = tree.path(index % exchange.per_tree)
+                tree, leaf = divmod(index, exchange.per_tree)
+                path = exchange.trees[tree].path(leaf)
             else:
                 path = []
             packet = S2Packet(
@@ -933,30 +922,6 @@ class SignerSession:
             pending = list(range(min(pending), len(exchange.messages)))
             pending = [i for i in pending if i not in exchange.acked]
         return [exchange.s2_bytes[index] for index in pending]
-
-    def _verify_verdict(self, exchange: _Exchange, key: bytes, verdict) -> bool:
-        if exchange.amt_root is not None:
-            opening = AckOpening(
-                msg_index=verdict.msg_index,
-                is_ack=verdict.is_ack,
-                secret=verdict.secret,
-                path=verdict.path,
-            )
-            return verify_ack_opening(
-                self._hash, opening, len(exchange.messages), key, exchange.amt_root
-            )
-        if verdict.msg_index >= len(exchange.pre_acks):
-            return False
-        tag = PRE_ACK_TAG if verdict.is_ack else PRE_NACK_TAG
-        expected = (
-            exchange.pre_acks[verdict.msg_index]
-            if verdict.is_ack
-            else exchange.pre_nacks[verdict.msg_index]
-        )
-        recomputed = self._hash.digest(
-            key + tag + verdict.secret, label="pre-ack-verify"
-        )
-        return recomputed == expected
 
     def _complete_exchange(
         self, exchange: _Exchange, delivered: bool | None, now: float = 0.0
@@ -1054,21 +1019,53 @@ class SignerSession:
         return [failure]
 
 
-def _build_tree_slices(
-    hash_fn, messages: list[bytes], trees_requested: int
-) -> tuple[list[MerkleTree], int]:
-    """Split a batch into one tree per slice for combined C+M mode.
+def check_a2_key(ack_verifier: ChainVerifier, exchange, packet: A2Packet) -> str | None:
+    """The A2 key-disclosure check; ``None`` when the key holds.
 
-    Returns ``(trees, per_tree)`` where message ``j`` lives at leaf
-    ``j % per_tree`` of tree ``j // per_tree``. The receiver recovers
-    the same mapping from ``ceil(message_count / len(roots))``, so the
-    slicing must (and does) drop empty tails.
+    An A2 discloses the even-position ack-chain element below its A1
+    token. The first disclosure that verifies on the chain is pinned in
+    ``exchange.ack_key_value``; every later A2 of the exchange must
+    repeat it. The signer and each relay run this same check.
     """
-    import math
+    if packet.disclosed_index % 2:
+        return "odd-position"
+    if exchange.ack_key_value is None:
+        disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
+        if not ack_verifier.verify_disclosure(disclosed):
+            return "bad-key"
+        exchange.ack_key_value = disclosed.value
+    elif packet.disclosed_element != exchange.ack_key_value:
+        return "key-mismatch"
+    return None
 
-    k = min(max(trees_requested, 1), len(messages))
-    per_tree = math.ceil(len(messages) / k)
-    trees = []
-    for start in range(0, len(messages), per_tree):
-        trees.append(MerkleTree(hash_fn, messages[start : start + per_tree]))
-    return trees, per_tree
+
+def verify_verdict(hash_fn: HashFunction, exchange, verdict: AckVerdict) -> bool:
+    """Check one (n)ack against what the exchange's A1 committed to.
+
+    ``exchange`` carries ``message_count`` and the A1 commitment
+    (``amt_root``, or the flat ``pre_acks``/``pre_nacks``) plus the
+    ``ack_key_value`` that :func:`check_a2_key` pinned. A verdict for an
+    index outside the exchange never verifies.
+    """
+    if not 0 <= verdict.msg_index < exchange.message_count:
+        return False
+    key = exchange.ack_key_value
+    if exchange.amt_root is not None:
+        opening = AckOpening(
+            msg_index=verdict.msg_index,
+            is_ack=verdict.is_ack,
+            secret=verdict.secret,
+            path=verdict.path,
+        )
+        return verify_ack_opening(
+            hash_fn, opening, exchange.message_count, key, exchange.amt_root
+        )
+    if verdict.msg_index >= len(exchange.pre_acks):
+        return False
+    tag = PRE_ACK_TAG if verdict.is_ack else PRE_NACK_TAG
+    expected = (
+        exchange.pre_acks[verdict.msg_index]
+        if verdict.is_ack
+        else exchange.pre_nacks[verdict.msg_index]
+    )
+    return hash_fn.digest(key + tag + verdict.secret, label="pre-ack-verify") == expected

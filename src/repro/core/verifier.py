@@ -19,7 +19,7 @@ from typing import Callable
 
 from repro.core.acktree import AckTree
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
-from repro.core.merkle import MerkleVerifyCache, verify_merkle_path
+from repro.core.merkle import MerkleVerifyCache, leaves_per_tree, verify_merkle_path
 from repro.core.modes import Mode
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
 from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG
@@ -51,20 +51,51 @@ class DeliveredMessage:
 
 
 @dataclass
-class _VerifierExchange:
+class S1Commitment:
+    """What one S1 commits to, as buffered by every role checking its S2s.
+
+    The verifier and each relay extend this record with their own state;
+    :func:`check_s2_key` and :func:`verify_s2` read it.
+    """
+
     seq: int
     mode: Mode
     reliable: bool
     message_count: int
     pre_signatures: list[bytes]
     s1_element: ChainElement
+    key_value: bytes | None = None  # pinned by the first valid S2 disclosure
+    #: Proven Merkle interior nodes for this batch (PROTOCOL.md §14);
+    #: dies with the exchange, so batch boundaries invalidate it. Never
+    #: journaled: a restored relay re-proves from the re-presented S1.
+    merkle_cache: MerkleVerifyCache = field(default_factory=MerkleVerifyCache)
+
+    @classmethod
+    def from_s1(cls, packet: S1Packet, **state):
+        return cls(
+            seq=packet.seq,
+            mode=packet.mode,
+            reliable=packet.reliable,
+            message_count=packet.message_count,
+            pre_signatures=list(packet.pre_signatures),
+            s1_element=ChainElement(packet.chain_index, packet.chain_element),
+            **state,
+        )
+
+    @property
+    def buffered_bytes(self) -> int:
+        """Pre-signature buffer footprint (Table 2's verifier column)."""
+        return sum(len(sig) for sig in self.pre_signatures)
+
+
+@dataclass
+class _VerifierExchange(S1Commitment):
     a1_bytes: bytes = b""
     #: The decoded A1, kept so a resend can refresh the advisory
     #: telemetry field (every protocol field stays frozen).
     a1_packet: A1Packet | None = None
     ack_element: ChainElement | None = None
     ack_key_element: ChainElement | None = None
-    key_value: bytes | None = None  # set once the first valid S2 discloses it
     delivered: set[int] = field(default_factory=set)
     ack_secrets: list[bytes] = field(default_factory=list)
     nack_secrets: list[bytes] = field(default_factory=list)
@@ -72,14 +103,6 @@ class _VerifierExchange:
     #: Damaged arrivals per message index, for exponential duplicate-
     #: nack suppression (the verifier's half of the storm damper).
     nack_counts: dict[int, int] = field(default_factory=dict)
-    #: Proven Merkle interior nodes for this batch (PROTOCOL.md §14);
-    #: dies with the exchange, so batch boundaries invalidate it.
-    merkle_cache: MerkleVerifyCache = field(default_factory=MerkleVerifyCache)
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Pre-signature buffer footprint (Table 2's verifier column)."""
-        return sum(len(sig) for sig in self.pre_signatures)
 
 
 class VerifierSession:
@@ -155,13 +178,10 @@ class VerifierSession:
             self._reject_s1(now, packet.seq, "even-position")
             return None
         element = ChainElement(packet.chain_index, packet.chain_element)
-        if not self.sig_verifier.verify(element):
-            # A pipelining signer's later S1 may have overtaken this one;
-            # the derived-cache accepts the genuine element exactly once.
-            if not self.sig_verifier.consume_derived(element):
-                self.rejected_s1 += 1
-                self._reject_s1(now, packet.seq, "bad-chain-element")
-                return None
+        if not self.sig_verifier.admit(element):
+            self.rejected_s1 += 1
+            self._reject_s1(now, packet.seq, "bad-chain-element")
+            return None
         if self.accept_policy is not None and not self.accept_policy(packet):
             # Unwilling: deny the A1 (paper Section 3.5). The chain
             # element was still consumed, which is correct — it was
@@ -174,14 +194,7 @@ class VerifierSession:
                 )
                 self._obs.registry.counter("verifier.s1_refused").inc()
             return None
-        exchange = _VerifierExchange(
-            seq=packet.seq,
-            mode=packet.mode,
-            reliable=packet.reliable,
-            message_count=packet.message_count,
-            pre_signatures=list(packet.pre_signatures),
-            s1_element=element,
-        )
+        exchange = _VerifierExchange.from_s1(packet)
         a1_element, ack_key = self.ack_chain.next_exchange()
         exchange.ack_element = a1_element
         exchange.ack_key_element = ack_key
@@ -253,12 +266,11 @@ class VerifierSession:
             self.rejected_s2 += 1
             self._reject_s2(now, packet, "unknown-exchange")
             return None
-        if not self._accept_key_disclosure(exchange, packet):
+        if check_s2_key(self.sig_verifier, exchange, packet) is not None:
             self.rejected_s2 += 1
             self._reject_s2(now, packet, "bad-key-disclosure")
             return None
-        key = exchange.key_value
-        valid = self._verify_message(exchange, key, packet)
+        valid = verify_s2(self._hash, exchange, packet)
         if valid and self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.S2_VERIFY_OK, self.assoc_id,
@@ -352,41 +364,6 @@ class VerifierSession:
             self._obs.registry.counter("verifier.nacks_suppressed").inc()
         return False
 
-    def _accept_key_disclosure(self, exchange: _VerifierExchange, packet: S2Packet) -> bool:
-        """Validate the disclosed MAC key against the chain."""
-        if exchange.key_value is not None:
-            return packet.disclosed_element == exchange.key_value
-        disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
-        if disclosed.index != exchange.s1_element.index - 1:
-            return False
-        if not self.sig_verifier.verify_disclosure(disclosed):
-            return False
-        exchange.key_value = disclosed.value
-        return True
-
-    def _verify_message(
-        self, exchange: _VerifierExchange, key: bytes, packet: S2Packet
-    ) -> bool:
-        if not 0 <= packet.msg_index < exchange.message_count:
-            return False
-        if exchange.mode in (Mode.MERKLE, Mode.MERKLE_CUMULATIVE):
-            if not packet.message:
-                return False  # padding leaves are not real messages
-            root, local_index = _locate_root(
-                exchange.pre_signatures, exchange.message_count, packet.msg_index
-            )
-            return verify_merkle_path(
-                self._hash,
-                packet.message,
-                local_index,
-                packet.auth_path,
-                key,
-                root,
-                cache=exchange.merkle_cache,
-            )
-        recomputed = self._hash.mac(key, packet.message, label="s2-verify")
-        return recomputed == exchange.pre_signatures[packet.msg_index]
-
     def _build_a2(
         self, exchange: _VerifierExchange, msg_index: int, is_ack: bool
     ) -> bytes | None:
@@ -459,16 +436,55 @@ class VerifierSession:
         return sum(ex.buffered_bytes for ex in self._exchanges.values())
 
 
-def _locate_root(
-    roots: list[bytes], message_count: int, msg_index: int
-) -> tuple[bytes, int]:
-    """Map a global message index onto (tree root, local leaf index).
+def check_s2_key(
+    sig_verifier: ChainVerifier, exchange: S1Commitment, packet: S2Packet
+) -> str | None:
+    """The S2 key-disclosure check; ``None`` when the key holds.
 
-    Single-root ALPHA-M degenerates to ``(roots[0], msg_index)``;
-    combined C+M slices the batch into ``ceil(count / len(roots))``
-    leaves per tree, mirroring the signer's slicing.
+    The first S2 of an exchange must disclose the even-position element
+    just below the S1 token, and it must verify on the signature chain;
+    it is then pinned in ``exchange.key_value``, and every later S2 of
+    the exchange must repeat it. The verifier and each relay run this
+    same check.
     """
-    import math
+    if exchange.key_value is not None:
+        if packet.disclosed_element != exchange.key_value:
+            return "key-mismatch"
+        return None
+    if packet.disclosed_index != exchange.s1_element.index - 1:
+        return "wrong-key-index"
+    disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
+    if not sig_verifier.verify_disclosure(disclosed):
+        return "bad-key"
+    exchange.key_value = disclosed.value
+    return None
 
-    per_tree = math.ceil(message_count / len(roots))
-    return roots[msg_index // per_tree], msg_index % per_tree
+
+def verify_s2(hash_fn: HashFunction, exchange: S1Commitment, packet: S2Packet) -> bool:
+    """Check one S2's message against its S1 commitment.
+
+    Needs the key :func:`check_s2_key` pinned. Cumulative and base modes
+    recompute the message's MAC; Merkle modes verify the message's path
+    to the root that covers its index.
+    """
+    if not 0 <= packet.msg_index < exchange.message_count:
+        return False
+    key = exchange.key_value
+    if exchange.mode in (Mode.MERKLE, Mode.MERKLE_CUMULATIVE):
+        if not packet.message:
+            return False  # padding leaves are not real messages
+        roots = exchange.pre_signatures
+        tree, leaf = divmod(
+            packet.msg_index, leaves_per_tree(exchange.message_count, len(roots))
+        )
+        return verify_merkle_path(
+            hash_fn,
+            packet.message,
+            leaf,
+            packet.auth_path,
+            key,
+            roots[tree],
+            cache=exchange.merkle_cache,
+        )
+    recomputed = hash_fn.mac(key, packet.message, label="s2-verify")
+    return recomputed == exchange.pre_signatures[packet.msg_index]
