@@ -124,8 +124,6 @@ def run_failover(period_s=None, crash_only=False, failover=True, seed=3):
         retransmit_timeout_s=0.15,
         max_retries=60,
         rto_max_s=1.0,
-        rto_probe_after=2,
-        probe_budget=2,
         dead_peer_threshold=0,
         rekey_threshold=0,
         adaptive=False,

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Repo gate: lint (when ruff is available) + the tier-1 test suite.
+# Repo gate: lint (when ruff is available), the tier-1 test suite, and
+# a smoke run of the host-CPU benchmark's four workloads.
 #
 #   scripts/check.sh            # what CI / a pre-commit hook should run
 #   scripts/check.sh --bench    # additionally diff bench snapshots
 #                               # (scripts/bench_track.py) after the suite
 #   scripts/check.sh --perf     # additionally run the host-CPU benchmark's
-#                               # own tests and a smoke run of its four
-#                               # workloads with their correctness checks
+#                               # own tests
 #   scripts/check.sh --security # additionally run the security test
 #                               # tier + the separation-grid smoke and
 #                               # gate attacker-acceptance counts
@@ -84,6 +84,12 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 echo "== perf tracing targets =="
 python -m pytest -q perf/tests/test_tracing.py
 
+# The smoke drives all four workloads end to end through the public
+# endpoint API (cumulative-lossy covers the timeout/backoff path) and
+# exits 1 on any exactly-once, order or full-delivery violation.
+echo "== host-CPU benchmark smoke =="
+python3 -m perf run --smoke
+
 if [ "$RUN_BENCH" = "1" ]; then
     # The suite above just wrote fresh results/bench/BENCH_*.json
     # snapshots; diff them against the previous generation, and gate
@@ -97,11 +103,9 @@ fi
 
 if [ "$RUN_PERF" = "1" ]; then
     # perf/ drives the library through its public endpoint API, and the
-    # tier-1 run (testpaths = tests) never imports it: run its tests and
-    # a smoke of all four workloads (correctness checks included, <30 s).
-    echo "== host-CPU benchmark tests + smoke =="
+    # tier-1 run (testpaths = tests) never imports it.
+    echo "== host-CPU benchmark tests =="
     python -m pytest perf/tests -q
-    python3 -m perf run --smoke
 fi
 
 if [ "$RUN_SECURITY" = "1" ]; then

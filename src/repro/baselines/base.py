@@ -272,6 +272,9 @@ class BaselineAdapter:
         )
 
     def receive(self, payload: bytes, now: float) -> None:
+        """Hand one payload to the receiver. A payload the receiver
+        cannot parse may raise; :class:`BaselineChain` counts that as
+        one ``receiver_errors``."""
         raise NotImplementedError
 
     def flush_packets(self, now: float) -> list[bytes]:
@@ -426,19 +429,15 @@ class TeslaAdapter(BaselineAdapter):
         self._receiver = TeslaVerifier(
             self.verify_hash, self._signer.anchor, self.schedule
         )
-        self._malformed = 0
 
     def protect(self, message: bytes, now: float) -> bytes:
         return self._signer.protect(message, now)
 
     def receive(self, payload: bytes, now: float) -> None:
-        try:
-            if len(payload) == 4 + self.hash.digest_size:
-                self._receiver.handle_disclosure_packet(payload)
-            else:
-                self._receiver.handle_packet(payload, now)
-        except Exception:
-            self._malformed += 1
+        if len(payload) == 4 + self.hash.digest_size:
+            self._receiver.handle_disclosure_packet(payload)
+        else:
+            self._receiver.handle_packet(payload, now)
 
     def flush_packets(self, now: float) -> list[bytes]:
         disclosure = self._signer.idle_disclosure(now)
@@ -448,11 +447,7 @@ class TeslaAdapter(BaselineAdapter):
         return self._strip_markers([v.message for v in self._receiver.verified])
 
     def receiver_rejects(self) -> int:
-        return (
-            self._receiver.rejected
-            + self._receiver.dropped_unsafe
-            + self._malformed
-        )
+        return self._receiver.rejected + self._receiver.dropped_unsafe
 
     def message_region(self, payload: bytes) -> tuple[int, int] | None:
         return _var_span(payload, 4)
@@ -486,16 +481,12 @@ class GuyFawkesAdapter(BaselineAdapter):
         self._receiver = GuyFawkesVerifier(
             self.verify_hash, self._signer.bootstrap_commitment()
         )
-        self._malformed = 0
 
     def protect(self, message: bytes, now: float) -> bytes:
         return self._signer.protect(message)
 
     def receive(self, payload: bytes, now: float) -> None:
-        try:
-            self._receiver.handle_packet(payload)
-        except Exception:
-            self._malformed += 1
+        self._receiver.handle_packet(payload)
 
     def flush_packets(self, now: float) -> list[bytes]:
         # One trailing packet discloses the previous key, releasing the
@@ -510,7 +501,7 @@ class GuyFawkesAdapter(BaselineAdapter):
         return self._strip_markers([v.message for v in self._receiver.verified])
 
     def receiver_rejects(self) -> int:
-        return self._receiver.rejected + self._malformed
+        return self._receiver.rejected
 
     def message_region(self, payload: bytes) -> tuple[int, int] | None:
         return _var_span(payload, 4)
@@ -555,7 +546,6 @@ class LhapAdapter(BaselineAdapter):
                 upstream, self._nodes[upstream].chain.anchor
             )
         self._accepted: list[bytes] = []
-        self._malformed = 0
 
     def _encode(self, message: bytes, token: bytes) -> bytes:
         return Writer().var_bytes(message).raw(token).getvalue()
@@ -598,11 +588,7 @@ class LhapAdapter(BaselineAdapter):
         return True, [self._encode(*me.attach_token(mutated))], "insider-retokened"
 
     def receive(self, payload: bytes, now: float) -> None:
-        try:
-            message, token = self._decode(payload)
-        except ValueError:
-            self._malformed += 1
-            return
+        message, token = self._decode(payload)
         if self._nodes["v"].verify_from(self._names[-2], message, token):
             self._accepted.append(message)
 
@@ -610,7 +596,7 @@ class LhapAdapter(BaselineAdapter):
         return self._strip_markers(self._accepted)
 
     def receiver_rejects(self) -> int:
-        return self._nodes["v"].rejected + self._malformed
+        return self._nodes["v"].rejected
 
     def message_region(self, payload: bytes) -> tuple[int, int] | None:
         return _var_span(payload, 0)
@@ -713,7 +699,6 @@ class ChainedModeAdapter(BaselineAdapter):
         self._receiver = ChainedModeVerifier(
             self.verify_hash, keys[-1], generation_size
         )
-        self._malformed = 0
 
     def protect(self, message: bytes, now: float) -> bytes:
         return self._signer.protect(message)
@@ -737,10 +722,7 @@ class ChainedModeAdapter(BaselineAdapter):
         return True, outs, reason
 
     def receive(self, payload: bytes, now: float) -> None:
-        try:
-            self._receiver.handle_packet(payload)
-        except Exception:
-            self._malformed += 1
+        self._receiver.handle_packet(payload)
 
     def flush_packets(self, now: float) -> list[bytes]:
         if self._signer.pending_in_generation == 0:
@@ -751,7 +733,7 @@ class ChainedModeAdapter(BaselineAdapter):
         return self._strip_markers([v.message for v in self._receiver.verified])
 
     def receiver_rejects(self) -> int:
-        return self._receiver.rejected + self._malformed
+        return self._receiver.rejected
 
     def message_region(self, payload: bytes) -> tuple[int, int] | None:
         return _var_span(payload, 6)  # u32 generation | u16 index | var_bytes

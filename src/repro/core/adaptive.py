@@ -18,7 +18,7 @@ the live :class:`~repro.core.signer.ChannelConfig`:
   queue builds on a clean link, ``MERKLE`` when it builds on a lossy
   one;
 * **batch_size** — tracks the queue depth in powers of two within
-  ``[batch_min, batch_max]`` (cumulative batches additionally capped so
+  ``[BATCH_MIN, batch_max]`` (cumulative batches additionally capped so
   the S1's pre-signature list stays inside the relay's S1 allowance);
 * **max_outstanding** — pipelining deepens on clean backlogged links
   and collapses to 1 under loss, where concurrent exchanges mostly
@@ -49,6 +49,19 @@ from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import OBS_OFF, EventKind, Observability
 from repro.obs.linkhealth import LinkHealth
 
+#: Queue hysteresis band (messages waiting): enter a batched mode at
+#: ``QUEUE_ENTER``, return to BASE only once the queue has drained to
+#: ``QUEUE_EXIT``.
+QUEUE_ENTER = 4
+QUEUE_EXIT = 1
+#: Smallest batch of the batched modes.
+BATCH_MIN = 2
+#: Batch ceiling while corruption dominates the loss split. A smaller
+#: batch means each A1's pre-ack block covers fewer S2s — tighter
+#: pre-ack spacing (paper §3.3.3), so a damaged S2 is nacked and
+#: repaired after fewer in-flight packets.
+CORRUPTION_BATCH_CAP = 8
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -66,16 +79,10 @@ class AdaptiveConfig:
     #: back. The gap absorbs estimator noise around one threshold.
     loss_enter: float = 0.05
     loss_exit: float = 0.02
-    #: Queue hysteresis band (messages waiting): enter a batched mode at
-    #: ``queue_enter``, return to BASE only when the queue has drained
-    #: below ``queue_exit``.
-    queue_enter: int = 4
-    queue_exit: int = 1
     #: Minimum seconds between *mode* switches (batch/pipelining tunes
     #: are merely interval-gated). The flap killer.
     switch_cooldown_s: float = 2.0
-    #: Batch-size bounds for the batched modes.
-    batch_min: int = 2
+    #: Batch ceiling for the batched modes (the floor is ``BATCH_MIN``).
     batch_max: int = 32
     #: Cap on pre-signatures per cumulative S1, keeping the packet well
     #: inside the relay's default 1536-byte S1 allowance (Merkle S1s are
@@ -87,20 +94,6 @@ class AdaptiveConfig:
     #: BASE becomes marginal; above it the controller demands twice the
     #: backlog before batching (large messages amortize their own S1).
     large_message_bytes: int = 1024
-    #: Fraction of classified loss at which one cause counts as
-    #: *dominant* (PROTOCOL.md §11). Only consulted once the link
-    #: ledger's split is backed by enough loss events.
-    cause_split_threshold: float = 0.6
-    #: Batch ceiling while corruption dominates the loss split. A
-    #: smaller batch means each A1's pre-ack block covers fewer S2s —
-    #: tighter pre-ack spacing (paper §3.3.3), so a damaged S2 is
-    #: nacked and repaired after fewer in-flight packets.
-    corruption_batch_cap: int = 8
-    #: Half-life for aging the ledger's carried-over loss estimate
-    #: before seeding a fresh association from it (a link that
-    #: recovered since the last association must not be seeded into the
-    #: loss-protective mode it no longer needs).
-    loss_half_life_s: float = 60.0
 
     def __post_init__(self) -> None:
         if self.decision_interval_s <= 0:
@@ -109,24 +102,16 @@ class AdaptiveConfig:
             raise ValueError("EWMA alpha must be in (0, 1]")
         if not 0 <= self.loss_exit <= self.loss_enter <= 1:
             raise ValueError("need 0 <= loss_exit <= loss_enter <= 1")
-        if not 0 <= self.queue_exit <= self.queue_enter:
-            raise ValueError("need 0 <= queue_exit <= queue_enter")
         if self.switch_cooldown_s < 0:
             raise ValueError("cooldown must be non-negative")
-        if not 1 <= self.batch_min <= self.batch_max:
-            raise ValueError("need 1 <= batch_min <= batch_max")
+        if self.batch_max < BATCH_MIN:
+            raise ValueError(f"batch_max must be at least {BATCH_MIN}")
         if self.s1_presig_budget < 1:
             raise ValueError("S1 pre-signature budget must be positive")
         if self.max_outstanding_cap < 1:
             raise ValueError("outstanding cap must be at least 1")
         if self.warmup_intervals < 0:
             raise ValueError("warmup must be non-negative")
-        if not 0.5 <= self.cause_split_threshold <= 1.0:
-            raise ValueError("cause split threshold must be in [0.5, 1]")
-        if self.corruption_batch_cap < 1:
-            raise ValueError("corruption batch cap must be positive")
-        if self.loss_half_life_s <= 0:
-            raise ValueError("loss half-life must be positive")
 
 
 @dataclass(frozen=True)
@@ -209,18 +194,14 @@ class AdaptiveController:
         path is not overloaded, so collapsing pipelining or growing
         batches to shed interlock packets would only slow repair down.
         """
-        link = self.link
-        if link is None or not link.split_confident:
-            return False
-        _, corruption = link.loss_split()
-        return corruption >= self.config.cause_split_threshold
+        return self.link is not None and self.link.dominant_cause() == "corruption"
 
     def _backlogged(self, mode: Mode, queue: int) -> bool:
-        enter = self.config.queue_enter
+        enter = QUEUE_ENTER
         if self.signer.mean_message_size >= self.config.large_message_bytes:
             enter *= 2  # large payloads amortize their own interlock
         if mode.batched:
-            return queue > self.config.queue_exit
+            return queue > QUEUE_EXIT
         return queue >= enter
 
     def _target_mode(self, queue: int) -> Mode:
@@ -238,7 +219,7 @@ class AdaptiveController:
         # rounding down would fragment the tail into small exchanges
         # that each pay a full S1/A1 interlock.
         target = 1 << max(queue - 1, 0).bit_length()
-        target = max(self.config.batch_min, min(self.config.batch_max, target))
+        target = max(BATCH_MIN, min(self.config.batch_max, target))
         if not mode.constant_s1:
             target = min(target, self.config.s1_presig_budget)
         if self._lossy(mode) and self._corruption_dominated():
@@ -246,7 +227,7 @@ class AdaptiveController:
             # Each A1's pre-(n)ack block covers one batch, so a smaller
             # batch localizes a damaged S2 after fewer in-flight packets
             # (paper §3.3.3 picks the spacing from link conditions).
-            target = min(target, self.config.corruption_batch_cap)
+            target = min(target, CORRUPTION_BATCH_CAP)
         return target
 
     def _target_outstanding(self, mode: Mode, lossy: bool, queue: int) -> int:
@@ -261,7 +242,7 @@ class AdaptiveController:
         batch = max(self._target_batch(mode, queue), 1)
         if queue >= 2 * batch and mode.batched:
             return min(self.config.max_outstanding_cap, max(current, 1) * 2)
-        if queue <= self.config.queue_exit:
+        if queue <= QUEUE_EXIT:
             return max(1, current // 2)
         return current
 
@@ -282,7 +263,7 @@ class AdaptiveController:
         link = self.link
         if link is None or not link.known:
             return None
-        self.loss_ewma = link.loss_estimate(now, self.config.loss_half_life_s)
+        self.loss_ewma = link.loss_estimate(now)
         self._samples = max(self._samples, self.config.warmup_intervals)
         if self.loss_ewma < self.config.loss_enter:
             return None

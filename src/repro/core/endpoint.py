@@ -57,12 +57,6 @@ from repro.obs import OBS_OFF, EventKind, Observability
 from repro.obs import telemetry
 from repro.obs.linkhealth import HealthLedger
 
-#: Fused-split corruption share above which a terminal rto-escape is
-#: read as "the peer is alive, the path is chewing packets" — worth a
-#: re-bootstrap even without ``auto_rebootstrap`` (PROTOCOL.md §16).
-#: Matches the signer's ``_CAUSE_BIAS_THRESHOLD`` posture bias.
-_ESCAPE_CORRUPTION_BIAS = 0.6
-
 
 @dataclass(frozen=True)
 class EndpointConfig(ChannelConfig):
@@ -85,8 +79,6 @@ class EndpointConfig(ChannelConfig):
     resync_window: int = 128
     #: Refuse unauthenticated handshakes from peers.
     require_protected_handshake: bool = False
-    #: Verifier-side buffered exchange limit.
-    max_buffered_exchanges: int = 8
     #: Start a replacement handshake when this few exchanges remain on
     #: the outbound signature chain (0 disables automatic re-keying).
     #: Chains are finite — the paper uses "a different set of hash
@@ -116,11 +108,6 @@ class EndpointConfig(ChannelConfig):
     failover: bool = False
     #: Per-peer failover budget (see PathManager).
     max_failovers: int = 8
-    #: Ledger loss-spike trigger: this many timeout retransmits with no
-    #: completed exchange in between classifies the active hop dead and
-    #: fails over early, before the escape hatch exhausts (0 disables
-    #: the spike trigger; escape/dead-peer classification still runs).
-    failover_spike_retransmits: int = 0
     #: Routing callback invoked as ``(peer, old, new)`` with the demoted
     #: and promoted :class:`PathCandidate` on every switch — the
     #: transport layer re-points next-hops here. ``None`` means routing
@@ -160,10 +147,9 @@ class Association:
     down: bool = False
     #: Feedback controller over the signer's channel (adaptive mode).
     controller: AdaptiveController | None = None
-    #: Loss-spike watermark: (timeout retransmits, completed exchanges)
-    #: at the last spike check, so the trigger measures the delta since
-    #: the last completion instead of lifetime totals.
-    spike_marker: tuple = (0, 0)
+    #: The signer's completed-exchange count when the active path was
+    #: last credited with progress (``PathManager.note_success``).
+    completions_seen: int = 0
     #: Earliest deadline currently armed for this association on the
     #: endpoint's timer heap (``None`` when no timer is armed). Purely
     #: a push-suppression mark: later deadlines than this may linger as
@@ -675,7 +661,6 @@ class AlphaEndpoint:
             assoc_id=assoc_id,
             rng=self.rng.fork(f"verifier:{peer}"),
             accept_policy=self.config.accept_policy,
-            max_buffered_exchanges=self.config.max_buffered_exchanges,
             obs=self.obs,
             node=self.name,
             link=link,
@@ -843,47 +828,17 @@ class AlphaEndpoint:
             out.failures.append((assoc.peer, failure))
             if failure.reason == "rto-escape":
                 escaped = True
-        self._check_loss_spike(assoc, now, out)
-        self._check_dead_peer(assoc, now, out, force=escaped)
-
-    def _check_loss_spike(
-        self, assoc: Association, now: float, out: EndpointOutput
-    ) -> None:
-        """Ledger loss-spike hop-death classifier (PROTOCOL.md §13).
-
-        A burst of timeout retransmits with zero completions since the
-        last check means every packet class is vanishing on the active
-        path — classify the hop dead and fail over early rather than
-        waiting for the escape hatch to burn its probe budget.
-        """
-        if self.paths is None or assoc.retired or assoc.down:
-            return
-        signer = assoc.signer
-        timeouts = signer.stats.retransmits_timeout
-        completed = signer.exchanges_completed
-        last_timeouts, last_completed = assoc.spike_marker
-        if completed > last_completed:
+        completed = assoc.signer.exchanges_completed
+        if (
+            self.paths is not None
+            and completed > assoc.completions_seen
+            and not assoc.retired
+            and not assoc.down
+        ):
             # Forward progress: the active path works; clear its mark.
-            assoc.spike_marker = (timeouts, completed)
+            assoc.completions_seen = completed
             self.paths.note_success(assoc.peer)
-            return
-        threshold = self.config.failover_spike_retransmits
-        if threshold <= 0 or timeouts - last_timeouts < threshold:
-            return
-        assoc.spike_marker = (timeouts, completed)
-        self._attempt_failover(assoc, now, out, cause="loss-spike")
-
-    def _attempt_failover(
-        self, assoc: Association, now: float, out: EndpointOutput, cause: str
-    ) -> bool:
-        """Switch paths and re-present in-flight S1s; False if no path.
-        Callers have already ruled out retired and DOWN associations."""
-        if not self._switch_path(assoc, now, cause):
-            return False
-        assoc.signer.consecutive_failures = 0
-        for payload in assoc.signer.represent(now):
-            out.replies.append((assoc.peer, payload))
-        return True
+        self._check_dead_peer(assoc, now, out, force=escaped)
 
     def _switch_path(
         self, assoc: Association, now: float, cause: str
@@ -930,8 +885,12 @@ class AlphaEndpoint:
         if assoc.signer.consecutive_failures < threshold and not force:
             return
         # Hop death is not peer death: with a backup path registered,
-        # move the association instead of declaring the peer gone.
-        if self._attempt_failover(assoc, now, out, cause="dead-peer"):
+        # move the association and re-present its in-flight S1s instead
+        # of declaring the peer gone.
+        if self._switch_path(assoc, now, "dead-peer"):
+            assoc.signer.consecutive_failures = 0
+            for payload in assoc.signer.represent(now):
+                out.replies.append((assoc.peer, payload))
             return
         assoc.down = True
         self.stats.dead_peers += 1
@@ -957,8 +916,7 @@ class AlphaEndpoint:
             if (
                 link is not None
                 and link.peer_reports
-                and link.split_confident
-                and link.loss_split()[1] >= _ESCAPE_CORRUPTION_BIAS
+                and link.dominant_cause() == "corruption"
             ):
                 rebootstrap = True
                 cause = "escape-corruption"
@@ -1059,9 +1017,9 @@ class AlphaEndpoint:
 
     def max_rto_streak_peak(self) -> int:
         """Worst run of consecutive timeouts any signer spent pinned at
-        ``rto_max_s``. With the escape hatch enabled this stays at or
-        below ``rto_probe_after`` — the wedge-regression suite asserts
-        exactly that.
+        ``rto_max_s``. The escape hatch keeps this at or below
+        ``RTO_PROBE_AFTER`` — the wedge-regression suite asserts exactly
+        that.
         """
         return max(
             self._drained_rto_peak,

@@ -45,6 +45,9 @@ from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
 from repro.obs.linkhealth import HealthLedger
 
+#: Ceiling on the per-association S1 size allowance (bytes).
+MAX_S1_ALLOWANCE = 65535
+
 
 @dataclass(frozen=True)
 class RelayConfig:
@@ -60,9 +63,9 @@ class RelayConfig:
     #: Forward packets of associations with unknown anchors (non-ALPHA
     #: relays would). Strict-security deployments set this to False.
     forward_unknown: bool = True
-    #: Initial per-association S1 size allowance in bytes, and its cap.
+    #: Initial per-association S1 size allowance in bytes; it doubles
+    #: with every authentic A1, up to ``MAX_S1_ALLOWANCE``.
     initial_s1_allowance: int = 1536
-    max_s1_allowance: int = 65535
     #: Buffered exchanges per simplex channel.
     max_buffered_exchanges: int = 8
     #: Evict a buffered exchange untouched for this long (seconds); a
@@ -162,8 +165,8 @@ class _RelayExchange(S1Commitment):
 
     @property
     def buffered_bytes(self) -> int:
-        # Summed here rather than through super(): every relay packet
-        # re-totals each buffered exchange for the byte cap.
+        # Summed here rather than through super(): the byte cap
+        # re-totals each buffered exchange on every S1 and A1 it buffers.
         return sum(len(sig) for sig in self.pre_signatures) + sum(
             len(h) for h in self.pre_acks + self.pre_nacks
         ) + (len(self.amt_root) if self.amt_root else 0)
@@ -206,11 +209,12 @@ class _ChannelObserver:
         self.s1_allowance = config.initial_s1_allowance
 
     def prune(self, now: float) -> None:
-        """TTL + capacity eviction of the S1/A1 buffers.
+        """TTL eviction of the S1/A1 buffers.
 
-        Called before every packet is judged, so buffer occupancy is
-        bounded no matter what a flooding sender does: stale exchanges
-        age out, and the byte ceiling evicts oldest-first.
+        Called before every packet is judged, so stale exchanges age
+        out no matter what a flooding sender does. The byte ceiling is
+        enforced where buffers grow (S1 buffering, A1 commit), so
+        occupancy never exceeds it between packets.
         """
         ttl = self.config.exchange_ttl_s
         if ttl is not None:
@@ -233,7 +237,6 @@ class _ChannelObserver:
             for seq in stale:
                 del self.recovering[seq]
                 self._remember_tombstone(seq)
-        self._enforce_byte_cap(now)
 
     def _remember_tombstone(self, seq: int) -> None:
         self.evicted.pop(seq, None)
@@ -491,16 +494,22 @@ class _ChannelObserver:
         return RelayDecision(True, f"{kind}-unverified")
 
     def _commit_a1(
-        self, exchange: _RelayExchange, packet: A1Packet, element: ChainElement
+        self,
+        exchange: _RelayExchange,
+        packet: A1Packet,
+        element: ChainElement,
+        now: float,
     ) -> None:
-        """Buffer what an authentic A1 commits to; the destination was
-        willing, so grow the sender's S1 allowance."""
+        """Buffer what an authentic A1 commits to, shedding exchanges over
+        the byte cap; the destination was willing, so grow the sender's
+        S1 allowance."""
         exchange.a1_seen = True
         exchange.a1_element = element
         exchange.pre_acks = list(packet.pre_acks)
         exchange.pre_nacks = list(packet.pre_nacks)
         exchange.amt_root = packet.amt_root
-        self.s1_allowance = min(self.s1_allowance * 2, self.config.max_s1_allowance)
+        self._enforce_byte_cap(now)
+        self.s1_allowance = min(self.s1_allowance * 2, MAX_S1_ALLOWANCE)
 
     def on_a1(self, packet: A1Packet, now: float = 0.0) -> RelayDecision:
         if packet.ack_index % 2 == 0:
@@ -523,7 +532,7 @@ class _ChannelObserver:
             # never re-verify on-chain) — re-populate the pre-ack
             # buffers the crash lost.
             exchange.expected_a1 = None
-            self._commit_a1(exchange, packet, element)
+            self._commit_a1(exchange, packet, element, now)
             if self._obs.enabled:
                 self._obs.tracer.emit(
                     now, self._node, EventKind.RELAY_REANCHOR, self.assoc_id,
@@ -534,7 +543,7 @@ class _ChannelObserver:
             return RelayDecision(False, "a1-bad-chain-element")
         if packet.echo_sig_element != exchange.s1_element.value:
             return RelayDecision(False, "a1-wrong-echo")
-        self._commit_a1(exchange, packet, element)
+        self._commit_a1(exchange, packet, element, now)
         return RelayDecision(True, "a1-ok", verified=True)
 
     def on_s2(self, packet: S2Packet, now: float = 0.0) -> RelayDecision:

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+#: Lower clamp on every retransmission timeout (seconds).
+RTO_FLOOR_S = 0.05
+
 
 class RttEstimator:
     """RFC 6298-style retransmission-timeout estimator.
@@ -36,7 +39,7 @@ class RttEstimator:
     def __init__(
         self,
         initial_rto_s: float = 0.25,
-        min_rto_s: float = 0.05,
+        min_rto_s: float = RTO_FLOOR_S,
         max_rto_s: float = 10.0,
     ) -> None:
         if initial_rto_s <= 0 or min_rto_s <= 0 or max_rto_s <= 0:

@@ -23,7 +23,12 @@ from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
 from repro.core.merkle import MerkleTree, leaves_per_tree
 from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
-from repro.core.resilience import ExchangeFailed, ResilienceStats, RttEstimator
+from repro.core.resilience import (
+    RTO_FLOOR_S,
+    ExchangeFailed,
+    ResilienceStats,
+    RttEstimator,
+)
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
@@ -34,10 +39,24 @@ from repro.obs.linkhealth import LinkHealth
 PRE_ACK_TAG = b"1"
 PRE_NACK_TAG = b"0"
 
-#: Fraction of classified loss at which one cause counts as dominant
-#: when the link ledger biases the damper/escape hatch. Mirrors
-#: ``AdaptiveConfig.cause_split_threshold``'s default (PROTOCOL.md §11).
-_CAUSE_BIAS_THRESHOLD = 0.6
+#: Nack-storm damper (PROTOCOL.md §12): token-bucket capacity for
+#: nack-provoked retransmit events per exchange, halved while
+#: congestion dominates the link's loss. A corruption storm turns every
+#: honored nack into an instantly re-damaged resend whose refreshed
+#: deadline starves the timeout path; the bucket admits short nack
+#: bursts at full speed and then suppresses with exponentially growing
+#: windows.
+NACK_BUCKET = 4
+#: Quiet time (in RTOs) that refills one bucket token.
+NACK_REFILL_RTOS = 1.0
+#: RTO escape hatch: consecutive timeouts pinned at ``rto_max_s``
+#: before the signer probes the link with the bare S1 (the verifier
+#: repeats its A1 verbatim) instead of blindly resending the full
+#: batch. One while corruption dominates the link's loss.
+RTO_PROBE_AFTER = 2
+#: Unanswered probes before the exchange fails terminally (reason
+#: ``rto-escape``) and dead-peer handling takes over.
+PROBE_BUDGET = 2
 
 
 @dataclass(frozen=True)
@@ -65,32 +84,14 @@ class ChannelConfig:
     max_retries: int = 6
     retransmit_policy: RetransmitPolicy = RetransmitPolicy.SELECTIVE_REPEAT
     #: RFC 6298-style SRTT/RTTVAR timeout adaptation with exponential
-    #: backoff. Disabled, every retry fires after a fixed
+    #: (x2) backoff. Disabled, every retry fires after a fixed
     #: ``retransmit_timeout_s`` (the pre-resilience behaviour).
     adaptive_rto: bool = True
-    rto_min_s: float = 0.05
+    #: RTO ceiling; the floor is ``RTO_FLOOR_S``.
     rto_max_s: float = 10.0
-    backoff_factor: float = 2.0
     #: Fractional jitter multiplied onto each backed-off deadline so
     #: synchronized flows don't retransmit in lockstep. 0 disables.
     backoff_jitter: float = 0.1
-    #: Nack-storm damper: token-bucket capacity for nack-provoked
-    #: retransmit events per exchange. A corruption storm turns every
-    #: honored nack into an instantly re-damaged resend whose refreshed
-    #: deadline starves the timeout path; the bucket admits short nack
-    #: bursts at full speed and then suppresses with exponentially
-    #: growing windows. 0 disables the damper.
-    nack_bucket: int = 4
-    #: Quiet time (in RTOs) that refills one bucket token.
-    nack_refill_rtos: float = 1.0
-    #: RTO escape hatch: consecutive timeouts pinned at ``rto_max_s``
-    #: before the signer probes the link with the bare S1 (the verifier
-    #: repeats its A1 verbatim) instead of blindly resending the full
-    #: batch. 0 disables the hatch.
-    rto_probe_after: int = 2
-    #: Unanswered probes before the exchange fails terminally
-    #: (reason ``rto-escape``) and dead-peer handling takes over.
-    probe_budget: int = 2
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -103,20 +104,10 @@ class ChannelConfig:
             raise ValueError("max retries must be non-negative")
         if self.max_outstanding < 1:
             raise ValueError("need at least one outstanding exchange")
-        if self.rto_min_s <= 0 or self.rto_max_s < self.rto_min_s:
-            raise ValueError("need 0 < rto_min_s <= rto_max_s")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff factor must be at least 1")
+        if self.rto_max_s < RTO_FLOOR_S:
+            raise ValueError(f"rto_max_s must be at least {RTO_FLOOR_S} s")
         if self.backoff_jitter < 0:
             raise ValueError("backoff jitter must be non-negative")
-        if self.nack_bucket < 0:
-            raise ValueError("nack bucket capacity must be non-negative")
-        if self.nack_refill_rtos <= 0:
-            raise ValueError("nack refill interval must be positive")
-        if self.rto_probe_after < 0:
-            raise ValueError("probe threshold must be non-negative")
-        if self.probe_budget < 1:
-            raise ValueError("need at least one probe in the budget")
 
     @property
     def effective_batch(self) -> int:
@@ -225,7 +216,6 @@ class SignerSession:
         self.rng = rng if rng is not None else DRBG(f"signer-jitter:{assoc_id}")
         self.rtt = RttEstimator(
             initial_rto_s=config.retransmit_timeout_s,
-            min_rto_s=config.rto_min_s,
             max_rto_s=config.rto_max_s,
         )
         self.stats = ResilienceStats()
@@ -249,8 +239,8 @@ class SignerSession:
         #: Exchange failures since the last success; dead-peer signal.
         self.consecutive_failures = 0
         #: Longest run of consecutive timeouts any exchange spent pinned
-        #: at ``rto_max_s`` before the escape hatch intervened. With the
-        #: hatch enabled this never exceeds the probe threshold.
+        #: at ``rto_max_s`` before the escape hatch intervened; never
+        #: above ``RTO_PROBE_AFTER``.
         self.max_rto_streak_peak = 0
         #: Endpoint-installed hop-death hook, consulted with
         #: ``(cause, now)`` immediately before an exchange would fail
@@ -325,7 +315,7 @@ class SignerSession:
             if exchange.retries >= self.config.max_retries:
                 self._fail_exchange(exchange, now)
                 continue
-            if exchange.probing and exchange.probe_sends >= self.config.probe_budget:
+            if exchange.probing and exchange.probe_sends >= PROBE_BUDGET:
                 # The link never answered even the minimal S1/A1 probe:
                 # the hop is dead. A successful failover re-presents the
                 # in-flight S1s over a backup path; otherwise stop
@@ -385,8 +375,7 @@ class SignerSession:
                     self._obs.tracer.emit(
                         now, self._node, EventKind.RTO_PROBE, self.assoc_id,
                         exchange.seq,
-                        info=f"probe={exchange.probe_sends}"
-                        f"/{self.config.probe_budget}",
+                        info=f"probe={exchange.probe_sends}/{PROBE_BUDGET}",
                     )
                     self._obs.registry.counter("resilience.rto.probes").inc()
                 elif self.config.adaptive_rto:
@@ -650,7 +639,7 @@ class SignerSession:
         """Timeout after a retransmission: backoff plus jitter."""
         if not self.config.adaptive_rto:
             return self.config.retransmit_timeout_s
-        timeout = self.rtt.backoff(self.config.backoff_factor)
+        timeout = self.rtt.backoff()
         self.stats.backoff_events += 1
         if self.config.backoff_jitter:
             timeout *= 1.0 + self.rng.uniform(0.0, self.config.backoff_jitter)
@@ -658,8 +647,8 @@ class SignerSession:
 
     # -- storm damper / escape hatch (PROTOCOL.md §12) -------------------------
 
-    def _loss_bias(self) -> str:
-        """``corruption`` | ``congestion`` | ``balanced`` per the ledger.
+    def _dominant_cause(self) -> str | None:
+        """The link ledger's dominant loss cause, if any.
 
         The cross-association :class:`LinkHealth` split (PROTOCOL.md
         §11) biases both defenses: corruption-dominated links prefer
@@ -667,27 +656,17 @@ class SignerSession:
         congestion-dominated links prefer damping (extra repair traffic
         feeds the queue that is dropping packets).
         """
-        link = self.link
-        if link is None or not link.split_confident:
-            return "balanced"
-        congestion, corruption = link.loss_split()
-        if corruption >= _CAUSE_BIAS_THRESHOLD:
-            return "corruption"
-        if congestion >= _CAUSE_BIAS_THRESHOLD:
-            return "congestion"
-        return "balanced"
+        return self.link.dominant_cause() if self.link is not None else None
 
     def _nack_capacity(self) -> float:
-        capacity = self.config.nack_bucket
-        if capacity and self._loss_bias() == "congestion":
-            capacity = max(1, capacity // 2)
-        return float(capacity)
+        if self._dominant_cause() == "congestion":
+            return float(NACK_BUCKET // 2)
+        return float(NACK_BUCKET)
 
     def _probe_threshold(self) -> int:
-        threshold = self.config.rto_probe_after
-        if threshold and self._loss_bias() == "corruption":
-            threshold = max(1, threshold - 1)
-        return threshold
+        if self._dominant_cause() == "corruption":
+            return RTO_PROBE_AFTER - 1
+        return RTO_PROBE_AFTER
 
     def _admit_nack_retransmit(self, exchange: _Exchange, now: float) -> bool:
         """Nack-storm damper: token bucket + exponential suppression.
@@ -701,14 +680,11 @@ class SignerSession:
         suppressed nack leaves the deadline alone, so timeouts (and
         terminal outcomes) stay reachable.
         """
-        capacity = self._nack_capacity()
-        if capacity <= 0:
-            return True  # damper disabled
         rto = self._current_timeout()
         elapsed = max(0.0, now - exchange.nack_refill_at)
         exchange.nack_tokens = min(
-            capacity,
-            exchange.nack_tokens + elapsed / (self.config.nack_refill_rtos * rto),
+            self._nack_capacity(),
+            exchange.nack_tokens + elapsed / (NACK_REFILL_RTOS * rto),
         )
         exchange.nack_refill_at = now
         if exchange.nack_tokens >= 1.0:
@@ -738,8 +714,7 @@ class SignerSession:
         full-batch resends can spin there for the whole retry budget.
         K consecutive ceiling timeouts cue the escape-hatch probe.
         """
-        threshold = self._probe_threshold()
-        if not threshold or not self.config.adaptive_rto:
+        if not self.config.adaptive_rto:
             return False
         if self.rtt.rto < self.config.rto_max_s - 1e-9:
             exchange.at_max_streak = 0
@@ -747,7 +722,7 @@ class SignerSession:
         exchange.at_max_streak += 1
         if exchange.at_max_streak > self.max_rto_streak_peak:
             self.max_rto_streak_peak = exchange.at_max_streak
-        return exchange.at_max_streak >= threshold
+        return exchange.at_max_streak >= self._probe_threshold()
 
     def _engage_probe(self, exchange: _Exchange, now: float) -> bool:
         """Enter probe mode; False when the exchange is structurally

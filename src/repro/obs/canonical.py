@@ -266,7 +266,6 @@ def run_adaptive_canonical(
             warmup_intervals=0,
             ewma_alpha=1.0,  # the estimate is the last interval's ratio
             switch_cooldown_s=0.0,
-            queue_enter=4,
             batch_max=8,
         ),
         obs=obs,

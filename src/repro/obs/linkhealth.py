@@ -53,7 +53,10 @@ _RTT_GAIN = 1 / 8
 #: Loss events needed before :meth:`LinkHealth.loss_split` claims a
 #: cause; below it the split is reported but flagged unconfident.
 MIN_SPLIT_EVENTS = 4
-#: Default half-life for aging a carried-over loss estimate: a link
+#: Share of a confident split at which one cause counts as dominant.
+DOMINANT_SHARE = 0.6
+#: Half-life for aging a carried-over loss estimate before the
+#: adaptive controller seeds a fresh association from it: a link
 #: that recovered overnight should not seed its next association
 #: pessimistically, so the stale estimate halves every interval since
 #: the last controller update.
@@ -394,6 +397,24 @@ class LinkHealth:
     def split_confident(self) -> bool:
         """True once enough loss events back the classification."""
         return self.loss_events >= MIN_SPLIT_EVENTS
+
+    def dominant_cause(self) -> str | None:
+        """``"corruption"`` or ``"congestion"`` once that cause holds at
+        least ``DOMINANT_SHARE`` of a confident split, else ``None``.
+
+        The one rule behind every loss-cause bias: the signer's damper
+        and escape hatch (PROTOCOL.md §12), the adaptive controller's
+        batch cap and pipelining (§11), and the endpoint's escape
+        re-bootstrap (§16).
+        """
+        if not self.split_confident:
+            return None
+        congestion, corruption = self.loss_split()
+        if corruption >= DOMINANT_SHARE:
+            return "corruption"
+        if congestion >= DOMINANT_SHARE:
+            return "congestion"
+        return None
 
     @property
     def known(self) -> bool:

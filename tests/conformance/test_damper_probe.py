@@ -4,7 +4,7 @@ The nack-storm damper and the RTO escape hatch each have a small state
 machine (PROTOCOL.md §12); these tests pin the *exact* observable
 sequence each one produces when it engages:
 
-- damper: ``nack_bucket`` nack-provoked retransmits at full speed, then
+- damper: ``NACK_BUCKET`` nack-provoked retransmits at full speed, then
   ``NACK_SUPPRESSED`` with the deadline left untouched, reopening once
   a token refills;
 - verifier half: duplicate nacks for one damaged index answered only on
@@ -25,7 +25,12 @@ import pytest
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
-from repro.core.signer import ChannelConfig, SignerSession
+from repro.core.signer import (
+    NACK_BUCKET,
+    RTO_PROBE_AFTER,
+    ChannelConfig,
+    SignerSession,
+)
 from repro.core.verifier import VerifierSession
 from repro.obs import EventKind as K
 from repro.obs import Observability
@@ -103,17 +108,17 @@ class TestDamperSequence:
         )
         nack = self.nack_for(signer, verifier)
         # Replay the authentic nack with no time passing: the bucket
-        # admits exactly nack_bucket instant retransmits, then the
+        # admits exactly NACK_BUCKET instant retransmits, then the
         # damper engages on the next one.
-        for _ in range(signer.config.nack_bucket):
+        for _ in range(NACK_BUCKET):
             assert signer.handle_a2(nack, 0.0)  # retransmitted S2
         (exchange,) = signer._exchanges.values()
         deadline_before = exchange.deadline
         assert signer.handle_a2(nack, 0.0) == []  # suppressed
         assert exchange.deadline == deadline_before  # timeout path live
-        assert signer.stats.retransmits_nack == signer.config.nack_bucket
+        assert signer.stats.retransmits_nack == NACK_BUCKET
         assert signer.stats.nack_suppressed == 1
-        expected = [("signer", K.RETRANSMIT)] * signer.config.nack_bucket
+        expected = [("signer", K.RETRANSMIT)] * NACK_BUCKET
         expected.append(("signer", K.NACK_SUPPRESSED))
         assert obs.tracer.sequence({K.RETRANSMIT, K.NACK_SUPPRESSED}) == expected
         assert obs.registry.snapshot()["resilience.nack.suppressed"] == 1
@@ -123,10 +128,10 @@ class TestDamperSequence:
             sha1, rng, self.damper_config()
         )
         nack = self.nack_for(signer, verifier)
-        for _ in range(signer.config.nack_bucket):
+        for _ in range(NACK_BUCKET):
             signer.handle_a2(nack, 0.0)
         assert signer.handle_a2(nack, 0.0) == []  # drained: suppressed
-        # One RTO refills one token (nack_refill_rtos=1.0, RTO=1.0):
+        # One RTO refills one token (NACK_REFILL_RTOS=1.0, RTO=1.0):
         # the damper reopens and the nack is honored again.
         out = signer.handle_a2(nack, 1.0)
         assert len(out) == 1
@@ -193,7 +198,7 @@ class TestEscapeHatchSequence:
     def test_probe_fires_after_k_ceiling_timeouts(self, sha1, rng):
         signer, _, obs = self.wedge_to_probe(sha1, rng)
         assert signer.stats.escape_probes == 1
-        assert signer.max_rto_streak_peak == signer.config.rto_probe_after
+        assert signer.max_rto_streak_peak == RTO_PROBE_AFTER
         assert obs.tracer.sequence(self.HATCH_KINDS) == [
             ("signer", K.BACKOFF),
             ("signer", K.BACKOFF),

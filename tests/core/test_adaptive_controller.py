@@ -10,7 +10,11 @@ mid-association switch lives in tests/conformance.
 
 import pytest
 
-from repro.core.adaptive import AdaptiveConfig, AdaptiveController
+from repro.core.adaptive import (
+    CORRUPTION_BATCH_CAP,
+    AdaptiveConfig,
+    AdaptiveController,
+)
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.hashchain import (
     ACKNOWLEDGMENT_TAGS,
@@ -20,7 +24,7 @@ from repro.core.hashchain import (
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import EventKind, Observability
-from repro.obs.linkhealth import LinkHealth
+from repro.obs.linkhealth import LOSS_DECAY_HALF_LIFE_S, LinkHealth
 
 H = 20
 
@@ -174,7 +178,6 @@ class TestModeSelection:
             warmup_intervals=0,
             ewma_alpha=1.0,
             switch_cooldown_s=0.0,
-            queue_enter=4,
             large_message_bytes=256,
         )
         signer = make_signer(sha1, rng)
@@ -182,7 +185,7 @@ class TestModeSelection:
         for i in range(5):
             signer.submit(b"x" * 512)  # mean well above the threshold
         feed_traffic(signer)
-        # 5 >= queue_enter, but large payloads double the bar to 8.
+        # 5 >= QUEUE_ENTER, but large payloads double the bar to 8.
         applied = ctl.poll(0.0)
         assert signer.config.mode is Mode.BASE
         for i in range(5):
@@ -223,8 +226,6 @@ class TestHysteresisAndCooldown:
             warmup_intervals=0,
             ewma_alpha=1.0,
             switch_cooldown_s=0.0,
-            queue_enter=4,
-            queue_exit=1,
         )
         signer = make_signer(sha1, rng)
         ctl = AdaptiveController(signer, cfg)
@@ -232,7 +233,7 @@ class TestHysteresisAndCooldown:
             signer.submit(b"m%d" % i)
         feed_traffic(signer)
         assert ctl.poll(0.0).mode is Mode.CUMULATIVE
-        # Drain to 2 (> queue_exit): batched mode holds.
+        # Drain to 2 (> QUEUE_EXIT): batched mode holds.
         signer._queue.popleft(), signer._queue.popleft()
         feed_traffic(signer)
         ctl.poll(1.0)
@@ -330,7 +331,7 @@ class TestObservability:
         with pytest.raises(ValueError):
             AdaptiveConfig(decision_interval_s=0.0)
         with pytest.raises(ValueError):
-            AdaptiveConfig(batch_min=0)
+            AdaptiveConfig(batch_max=1)
         with pytest.raises(ValueError):
             AdaptiveConfig(ewma_alpha=0.0)
 
@@ -455,7 +456,7 @@ class TestLedgerSeeding:
         link = LinkHealth("v")
         link.update_loss_estimate(0.2, now=0.0)
         ctl = AdaptiveController(signer, CFG, link=link)
-        now = 6 * CFG.loss_half_life_s  # 0.2 / 2**6 = 0.003 < loss_enter
+        now = 6 * LOSS_DECAY_HALF_LIFE_S  # 0.2 / 2**6 = 0.003 < loss_enter
         assert ctl.seed_from_link(now) is None
         assert ctl.loss_ewma == pytest.approx(0.2 / 64)
         assert signer.config.mode is Mode.BASE
@@ -467,7 +468,7 @@ class TestLedgerSeeding:
         link = LinkHealth("v")
         link.update_loss_estimate(0.2, now=0.0)
         ctl = AdaptiveController(signer, CFG, link=link)
-        applied = ctl.seed_from_link(CFG.loss_half_life_s)
+        applied = ctl.seed_from_link(LOSS_DECAY_HALF_LIFE_S)
         assert applied is not None
         assert applied.mode is Mode.MERKLE
         assert ctl.loss_ewma == pytest.approx(0.1)
@@ -502,7 +503,7 @@ class TestCorruptionAwareTuning:
         # Corruption loss is not congestion: outstanding stays open...
         assert applied.max_outstanding > 1
         # ...but the batch is capped to tighten pre-ack spacing.
-        assert applied.batch_size <= ctl.config.corruption_batch_cap
+        assert applied.batch_size <= CORRUPTION_BATCH_CAP
 
     def test_congestion_still_collapses_outstanding(self, sha1, rng):
         signer = make_signer(
@@ -528,9 +529,3 @@ class TestCorruptionAwareTuning:
         feed_traffic(signer, packets=20, retransmits=5)
         applied = ctl.poll(0.0)
         assert applied is not None and applied.max_outstanding == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveConfig(cause_split_threshold=1.5)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(corruption_batch_cap=0)

@@ -24,14 +24,8 @@ NON_DEFAULT = {
     "max_retries": 9,
     "retransmit_policy": RetransmitPolicy.GO_BACK_N,
     "adaptive_rto": False,
-    "rto_min_s": 0.02,
     "rto_max_s": 4.0,
-    "backoff_factor": 1.5,
     "backoff_jitter": 0.0,
-    "nack_bucket": 2,
-    "nack_refill_rtos": 2.0,
-    "rto_probe_after": 3,
-    "probe_budget": 4,
 }
 
 
@@ -71,8 +65,7 @@ class TestOneConfigSource:
             {"trees_per_s1": 0},
             {"max_outstanding": 0},
             {"retransmit_timeout_s": 0.0},
-            {"rto_min_s": 2.0, "rto_max_s": 1.0},
-            {"probe_budget": 0},
+            {"rto_max_s": 0.01},  # below the RTO floor
         ],
     )
     def test_invalid_channel_value_refused_at_construction(self, bad):

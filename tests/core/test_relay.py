@@ -318,6 +318,36 @@ class TestRelayEviction:
         assert sorted(channel.exchanges) == [3, 4]  # oldest evicted first
         assert harness.relay.resilience.evictions_capacity == 2
 
+    def test_byte_cap_holds_when_a1_commits(self, sha1, rng):
+        # The byte cap holds when an A1 commits, not only at the next
+        # packet. Two pipelined reliable ALPHA-C exchanges buffer
+        # 4 x 20 B of pre-signatures each (160 B under a 200 B cap); the
+        # first A1 adds 4 pre-acks and 4 pre-nacks (160 B), so the cap
+        # must shed the other exchange before handle() returns.
+        config = ChannelConfig(
+            mode=Mode.CUMULATIVE,
+            reliability=ReliabilityMode.RELIABLE,
+            batch_size=4,
+            max_outstanding=2,
+        )
+        relay_config = RelayConfig(exchange_ttl_s=None, max_buffered_bytes=200)
+        harness = Harness(sha1, rng, config=config, relay_config=relay_config)
+        for i in range(8):
+            harness.signer.submit(b"m%d" % i)
+        s1_first, s1_second = harness.signer.poll(0.0)
+        assert harness.relay.handle(s1_first, "s", "v", 0.0).forward
+        assert harness.relay.handle(s1_second, "s", "v", 1.0).forward
+        channel = harness.relay._associations[ASSOC].forward_channel
+        assert channel.buffered_bytes == 160
+        a1_raw = harness.verifier.handle_s1(decode_packet(s1_first, H), 2.0)
+        decision = harness.relay.handle(a1_raw, "v", "s", 2.0)
+        assert decision.forward and decision.reason == "a1-ok"
+        # One exchange alone may exceed the cap; two never may.
+        assert sorted(channel.exchanges) == [1]
+        assert sorted(channel.evicted) == [2]
+        assert channel.buffered_bytes == 240
+        assert harness.relay.resilience.evictions_capacity == 1
+
     def test_exchange_count_cap_counts_evictions(self, sha1, rng):
         relay_config = RelayConfig(
             exchange_ttl_s=None, max_buffered_bytes=None, max_buffered_exchanges=2

@@ -71,8 +71,6 @@ def test_soak_survives_sequential_path_deaths(paths, churn_period_s):
         retransmit_timeout_s=0.15,
         max_retries=60,
         rto_max_s=1.0,
-        rto_probe_after=2,
-        probe_budget=2,
         dead_peer_threshold=0,
         rekey_threshold=0,
         failover=True,

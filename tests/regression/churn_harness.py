@@ -105,7 +105,6 @@ def _endpoint_config(
     mode: Mode,
     batch: int,
     failover: bool,
-    spike: int = 0,
 ) -> EndpointConfig:
     return EndpointConfig(
         mode=mode,
@@ -117,13 +116,10 @@ def _endpoint_config(
         # Tight RTO ceiling + early escape: hop death is classified in
         # a few simulated seconds instead of minutes.
         rto_max_s=1.0,
-        rto_probe_after=2,
-        probe_budget=2,
         dead_peer_threshold=0,
         rekey_threshold=0,
         adaptive=False,
         failover=failover,
-        failover_spike_retransmits=spike,
         on_path_switch=route_installer(net) if failover else None,
     )
 

@@ -29,9 +29,8 @@ from tests.regression.corpus import (
 )
 from tests.regression.harness import run_wedge
 
-#: The escape hatch's K: consecutive max-RTO timeouts before probing.
-#: Matches EndpointConfig.rto_probe_after's default, which the harness
-#: runs with.
+#: The escape hatch's K: consecutive max-RTO timeouts before probing
+#: (``repro.core.signer.RTO_PROBE_AFTER``).
 PROBE_AFTER_K = 2
 
 
