@@ -233,6 +233,8 @@ class ChainVerifier:
         # S2/A2) still authenticate. Only disclosures may use this cache
         # — identity tokens (S1/A1) must strictly advance the chain, or
         # an attacker could replay public elements as fresh identities.
+        # So a committed odd-position element (an admitted token) never
+        # enters it; a committed even-position key may.
         self._derived: dict[int, bytes] = {}
 
     def verify(self, element: ChainElement, commit: bool = True) -> bool:
@@ -256,16 +258,18 @@ class ChainVerifier:
             if index < trusted_index:
                 derived[index] = value
         self._hash.counter.record_hash_batch(
-            gap, sum(len(odd) + len(v) for v in (element.value, *derived.values())),
+            gap,
+            gap * len(odd) + len(element.value) + (gap - 1) * self._hash.digest_size,
             "chain-verify",
         )
         if value != self.trusted.value:
             return False
         if commit:
             self._derived.update(derived)
-            self._derived[trusted_index] = self.trusted.value
+            if not trusted_index & 1:
+                self._derived[trusted_index] = self.trusted.value
             self.trusted = element
-            self._prune_derived()
+            self._prune_derived(gap)
         return True
 
     def verify_disclosure(self, element: ChainElement) -> bool:
@@ -307,25 +311,18 @@ class ChainVerifier:
         overtook it (:meth:`consume_derived`)."""
         return self.verify(element) or self.consume_derived(element)
 
-    def _prune_derived(self) -> None:
+    def _prune_derived(self, gap: int) -> None:
         # Entries above the horizon can never verify again (a fresh
-        # element would need gap > resync_window); entries at or below
-        # the trusted index are unreachable (derived values are always
-        # strictly above the committed element). The trusted element
-        # itself lives in ``self.trusted``, never in this cache, so the
-        # prune cannot discard it — the filter below keeps every entry
-        # that a legal disclosure or pipelined identity token can still
-        # claim, including the one exactly at the horizon (a commit with
-        # gap == resync_window). Pruning runs on every commit: a lazy
-        # size-triggered prune would let dead entries linger forever on
-        # long-lived associations that never cross the trigger, so the
-        # cache size would not be a function of the window alone.
+        # element would need gap > resync_window). Every entry lies
+        # strictly above the trusted index and at or below the horizon;
+        # a commit of ``gap`` adds entries at or below the old trusted
+        # index and lowers the horizon by ``gap``, so only the ``gap``
+        # slots just above the new horizon can hold dead entries.
+        # Popping them on every commit keeps the cache size a function
+        # of the window alone, at O(gap) cost.
         horizon = self.trusted.index + self.resync_window
-        self._derived = {
-            index: value
-            for index, value in self._derived.items()
-            if self.trusted.index < index <= horizon
-        }
+        for index in range(horizon + 1, horizon + gap + 1):
+            self._derived.pop(index, None)
 
     def require(self, element: ChainElement, commit: bool = True) -> None:
         """Like :meth:`verify` but raises on failure."""

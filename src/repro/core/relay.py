@@ -165,9 +165,7 @@ class _RelayExchange(S1Commitment):
 
     @property
     def buffered_bytes(self) -> int:
-        # Summed here rather than through super(): the byte cap
-        # re-totals each buffered exchange on every S1 and A1 it buffers.
-        return sum(len(sig) for sig in self.pre_signatures) + sum(
+        return super().buffered_bytes + sum(
             len(h) for h in self.pre_acks + self.pre_nacks
         ) + (len(self.amt_root) if self.amt_root else 0)
 
@@ -197,6 +195,10 @@ class _ChannelObserver:
         self.config = config
         self.resilience = resilience if resilience is not None else ResilienceStats()
         self.exchanges: dict[int, _RelayExchange] = {}
+        # Running sum of ``ex.buffered_bytes`` over ``exchanges``, kept
+        # where buffers change (S1 buffering, A1 commit, eviction) so the
+        # byte cap is O(1) per check instead of a re-total per packet.
+        self._buffered_bytes = 0
         # Tombstones of evicted exchanges (insertion-ordered, bounded):
         # their in-flight packets degrade to unverified forwarding
         # instead of being censored by the strict unknown-exchange drop.
@@ -246,7 +248,7 @@ class _ChannelObserver:
 
     def _evict(self, seq: int, now: float = 0.0, reason: str = "") -> None:
         """Drop buffered state for ``seq``, leaving a tombstone."""
-        del self.exchanges[seq]
+        self._buffered_bytes -= self.exchanges.pop(seq).buffered_bytes
         self._remember_tombstone(seq)
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -431,9 +433,9 @@ class _ChannelObserver:
         """Buffer what an accepted S1 commits to, then shed exchanges
         over the entry cap and the byte cap."""
         self.evicted.pop(packet.seq, None)
-        self.exchanges[packet.seq] = _RelayExchange.from_s1(
-            packet, last_seen=now, **restored
-        )
+        exchange = _RelayExchange.from_s1(packet, last_seen=now, **restored)
+        self.exchanges[packet.seq] = exchange
+        self._buffered_bytes += exchange.buffered_bytes
         while len(self.exchanges) > self.config.max_buffered_exchanges:
             self._evict(self._least_recent(), now, "entry-cap")
             self.resilience.evictions_capacity += 1
@@ -465,13 +467,12 @@ class _ChannelObserver:
         if not self.sig_verifier.admit(element):
             if packet.seq in self.evicted:
                 # Evicted exchange: its element was consumed when the
-                # original S1 verified and can never verify again.
+                # original S1 verified and can never verify again (a
+                # committed token never re-enters the derived cache).
                 # Degrade to unverified forwarding rather than
                 # censoring the retransmission.
                 return self._tombstone(packet.seq, now, "s1-evicted-unverified")
             return RelayDecision(False, "s1-bad-chain-element")
-        # The element verified after all (evicted before commit, or the
-        # derived entry survived): rebuild full state.
         self.resilience.relay_admits += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -503,11 +504,13 @@ class _ChannelObserver:
         """Buffer what an authentic A1 commits to, shedding exchanges over
         the byte cap; the destination was willing, so grow the sender's
         S1 allowance."""
+        before = exchange.buffered_bytes
         exchange.a1_seen = True
         exchange.a1_element = element
         exchange.pre_acks = list(packet.pre_acks)
         exchange.pre_nacks = list(packet.pre_nacks)
         exchange.amt_root = packet.amt_root
+        self._buffered_bytes += exchange.buffered_bytes - before
         self._enforce_byte_cap(now)
         self.s1_allowance = min(self.s1_allowance * 2, MAX_S1_ALLOWANCE)
 
@@ -595,7 +598,7 @@ class _ChannelObserver:
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(ex.buffered_bytes for ex in self.exchanges.values())
+        return self._buffered_bytes
 
 
 @dataclass

@@ -266,3 +266,16 @@ class TestResyncEdges:
         # ... which then authenticates exactly once.
         assert verifier.consume_derived(chain.element(60))
         assert not verifier.consume_derived(chain.element(60))
+
+    @pytest.mark.parametrize("tags", [SIGNATURE_TAGS, ACKNOWLEDGMENT_TAGS])
+    def test_committed_identity_token_never_readmitted(self, sha1, rng, tags):
+        # Regression: the commit of the key below a token cached the
+        # token itself (the old trusted element), so ``admit`` accepted
+        # it a second time via ``consume_derived`` — after its MAC key
+        # had been disclosed.
+        chain, verifier = make(sha1, rng, tags=tags)
+        token, key = chain.element(63), chain.element(62)
+        assert verifier.verify(token)
+        assert verifier.verify_disclosure(key)
+        assert 63 not in verifier._derived
+        assert not verifier.admit(token)

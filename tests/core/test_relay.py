@@ -152,6 +152,42 @@ class TestFiltering:
         assert not decision.forward
         assert decision.reason == "s2-bad-payload"
 
+    def test_replayed_identity_token_cannot_forge_a_message(self, sha1, rng):
+        # Regression: a commit used to cache the old trusted element even
+        # when it was an S1 token, so the token authenticated a second
+        # time — after its exchange had disclosed the MAC key below it.
+        # Replaying exchange 1's S1 under a fresh seq with a pre-signature
+        # keyed by that public key then forged a message end to end.
+        from repro.core.packets import S2Packet
+
+        harness = Harness(sha1, rng)
+        harness.signer.submit(b"first")
+        s1_raw = harness.signer.poll(0.0)[0]
+        harness.s_to_v(s1_raw)
+        a1_raw = harness.verifier.handle_s1(decode_packet(s1_raw, H), 0.0)
+        harness.v_to_s(a1_raw)
+        s2_raw = harness.signer.handle_a1(decode_packet(a1_raw, H), 0.0)[0]
+        assert harness.s_to_v(s2_raw).reason == "s2-ok"
+        harness.verifier.handle_s2(decode_packet(s2_raw, H), 0.0)
+        assert [m.message for m in harness.verifier.drain_delivered()] == [b"first"]
+        for message in (b"second", b"third"):
+            delivered, _ = harness.run_exchange([message])
+            assert delivered == [message]
+        key = decode_packet(s2_raw, H).disclosed_element  # public by now
+
+        forged_s1 = decode_packet(s1_raw, H)
+        forged_s1.seq = 999
+        forged_s1.pre_signatures = [get_hash("sha1").mac(key, b"EVIL")]
+        decision = harness.s_to_v(forged_s1.encode())
+        assert not decision.forward
+        assert decision.reason == "s1-bad-chain-element"
+        assert harness.verifier.handle_s1(forged_s1, 0.0) is None
+
+        forged_s2 = S2Packet(ASSOC, 999, forged_s1.chain_index - 1, key, 0, b"EVIL")
+        assert not harness.s_to_v(forged_s2.encode()).forward
+        harness.verifier.handle_s2(forged_s2, 0.0)
+        assert harness.verifier.drain_delivered() == []
+
     def test_unsolicited_s2_dropped_before_a1(self, sha1, rng):
         harness = Harness(sha1, rng)
         harness.signer.submit(b"m")
@@ -399,14 +435,14 @@ class TestEvictionTombstones:
         decision = harness.relay.handle(s2_raws[0], "s", "v", 40.0)
         assert decision.forward
         assert decision.reason == "s2-evicted-unverified"
-        # An S1 retransmission can even *re-verify*: the later exchange's
-        # gap walk re-derived this element, so the relay rebuilds full
-        # verified state from the packet.
+        # So does an S1 retransmission: its identity token was committed
+        # when the original S1 verified, and a committed token never
+        # re-enters the derived cache, so it can never re-verify (a
+        # replayed token would otherwise authenticate a forged S1).
         decision = harness.relay.handle(s1_raw, "s", "v", 40.0)
         assert decision.forward
-        assert decision.reason == "s1-ok"
-        # Evict it a second time; the derived entry is now consumed, so
-        # this time the retransmission degrades to the tombstone path.
+        assert decision.reason == "s1-evicted-unverified"
+        # Later exchanges do not change that.
         self.start_exchange(harness, b"fresher", now=80.0)
         assert 1 not in harness.relay._associations[ASSOC].forward_channel.exchanges
         decision = harness.relay.handle(s1_raw, "s", "v", 80.0)
