@@ -160,15 +160,14 @@ def test_e2e_mode_comparison(emit, benchmark):
 def smoke():
     """Tier-1 smoke: one lossless batch end to end, both stacks.
 
-    Returns the regression-snapshot metrics (simulated time, so they
-    are deterministic for the fixed seed): goodput, elapsed, and the
-    sender ledger's delivery-latency quantiles. The run is pipelined
-    (8 exchanges in flight) and measured on the 10 ms quantum: the
-    historical sequential smoke read exactly 65536 bps because eight
-    interlocks serialized into two 250 ms measurement ticks. The floor
-    asserted here pins the hot-path work at >= 3x that plateau —
-    ``scripts/bench_track.py --perf-smoke`` then guards the snapshot
-    ring against sliding back.
+    Returns simulated-time metrics (deterministic for the fixed seed):
+    goodput, elapsed, and the sender ledger's delivery-latency
+    quantiles, which ``tests/benchmarks/test_bench_smoke.py`` pins
+    exactly. The run is pipelined (8 exchanges in flight) and measured
+    on the 10 ms quantum: the historical sequential smoke read exactly
+    65536 bps because eight interlocks serialized into two 250 ms
+    measurement ticks. The floor asserted here keeps the hot-path work
+    at >= 3x that plateau.
     """
     import sys
 

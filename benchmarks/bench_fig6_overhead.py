@@ -104,5 +104,5 @@ def smoke():
     ratio = measured_wire_ratio(2, chunk=128)
     assert ratio > 1.0
     # Wire bytes per payload byte at batch=2, 128 B chunks: the
-    # bytes/packet column of the regression snapshot.
+    # figure pinned in tier-1 (tests/benchmarks/test_bench_smoke.py).
     return {"wire_ratio_b2_c128": round(ratio, 6)}

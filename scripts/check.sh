@@ -3,13 +3,8 @@
 # a smoke run of the host-CPU benchmark's four workloads.
 #
 #   scripts/check.sh            # what CI / a pre-commit hook should run
-#   scripts/check.sh --bench    # additionally diff bench snapshots
-#                               # (scripts/bench_track.py) after the suite
 #   scripts/check.sh --perf     # additionally run the host-CPU benchmark's
 #                               # own tests
-#   scripts/check.sh --security # additionally run the security test
-#                               # tier + the separation-grid smoke and
-#                               # gate attacker-acceptance counts
 #   CHECK_STRICT_LINT=0 scripts/check.sh   # tolerate a missing ruff
 #
 # ruff is configured in pyproject.toml ([tool.ruff]) but not bundled
@@ -21,15 +16,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUN_BENCH=0
 RUN_PERF=0
-RUN_SECURITY=0
 for arg in "$@"; do
     case "$arg" in
-        --bench) RUN_BENCH=1 ;;
         --perf) RUN_PERF=1 ;;
-        --security) RUN_SECURITY=1 ;;
-        *) echo "unknown option: $arg (supported: --bench, --perf, --security)" >&2
+        *) echo "unknown option: $arg (supported: --perf)" >&2
            exit 2 ;;
     esac
 done
@@ -59,9 +50,13 @@ fi
 # replay and the simulated-time benchmarks. The only two legitimate
 # call sites are the audited helpers in repro/obs/telemetry.py, each
 # carrying a `lint: allow-real-clock` marker; everything else must
-# route through them.
+# route through them. The pattern also catches the other stdlib clocks
+# (and their _ns forms), datetime's wall-clock constructors, and the
+# import forms that would hide a clock call from it.
 echo "== real-clock lint (src/repro/core, src/repro/obs) =="
-CLOCK_VIOLATIONS=$(grep -rnE 'time\.(time|monotonic)\(' src/repro/core src/repro/obs \
+CLOCK_PATTERN='time\.(time|monotonic|perf_counter|process_time|thread_time)(_ns)?\('
+CLOCK_PATTERN+='|datetime\.(now|utcnow|today)\(|from time import|import time as'
+CLOCK_VIOLATIONS=$(grep -rnE "$CLOCK_PATTERN" src/repro/core src/repro/obs \
     | grep -v '# lint: allow-real-clock' || true)
 if [ -n "$CLOCK_VIOLATIONS" ]; then
     echo "real-clock calls outside the allowlist:" >&2
@@ -106,35 +101,9 @@ EOF
 echo "== host-CPU benchmark smoke =="
 python3 -m perf run --smoke
 
-if [ "$RUN_BENCH" = "1" ]; then
-    # The suite above just wrote fresh results/bench/BENCH_*.json
-    # snapshots; diff them against the previous generation, and gate
-    # the e2e goodput and flow-scaling grid saturation goodput against
-    # the median of their history ring (>10% below median fails).
-    # Both are simulated-time figures: behaviour pins, not performance.
-    # Host-CPU performance is perf/'s job (--perf).
-    echo "== bench regression tracking + perf smoke =="
-    python scripts/bench_track.py --perf-smoke
-fi
-
 if [ "$RUN_PERF" = "1" ]; then
     # perf/ drives the library through its public endpoint API, and the
     # tier-1 run (testpaths = tests) never imports it.
     echo "== host-CPU benchmark tests =="
     python -m pytest perf/tests -q
-fi
-
-if [ "$RUN_SECURITY" = "1" ]; then
-    # The separation tier pins every (scheme, attack) grid cell to its
-    # exact drop location or documented acceptance; the grid smoke
-    # refreshes the bench_attack_filtering snapshot; the tracker gate
-    # then enforces the two security invariants (ALPHA accepts nothing,
-    # no scheme's attacker-acceptance count climbs between runs).
-    echo "== security tier =="
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest tests/security -q
-    echo "== separation-grid smoke + acceptance gate =="
-    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest \
-        tests/benchmarks/test_bench_smoke.py -q \
-        -k bench_attack_filtering
-    python scripts/bench_track.py --security-smoke
 fi

@@ -617,21 +617,11 @@ class ProMacAdapter(BaselineAdapter):
     name = "PROMAC"
     drain_rounds = DEFAULT_WINDOW - 1
 
-    def __init__(
-        self,
-        seed: int | str = 0,
-        hops: int = 5,
-        window: int = DEFAULT_WINDOW,
-        fragment_bytes: int = DEFAULT_FRAGMENT_BYTES,
-    ) -> None:
+    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         super().__init__(seed, hops)
         key = self.rng.random_bytes(self.hash.digest_size)
-        self.window = window
-        self.fragment_bytes = fragment_bytes
-        self._signer = ProMacSigner(self.hash, key, window, fragment_bytes)
-        self.verifier = ProMacVerifier(
-            self.verify_hash, key, window, fragment_bytes
-        )
+        self._signer = ProMacSigner(self.hash, key)
+        self.verifier = ProMacVerifier(self.verify_hash, key)
 
     def protect(self, message: bytes, now: float) -> bytes:
         return self._signer.protect(message)
@@ -660,13 +650,13 @@ class ProMacAdapter(BaselineAdapter):
         return _var_span(payload, 4)
 
     def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        return aggregate_tag_regions(payload, self.fragment_bytes)
+        return aggregate_tag_regions(payload)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         out = Writer()
         out.u32(50_000)
         out.var_bytes(b"forged-promac")
-        out.raw(rng.random_bytes(self.fragment_bytes))
+        out.raw(rng.random_bytes(DEFAULT_FRAGMENT_BYTES))
         out.u8(0)
         return out.getvalue()
 
@@ -677,28 +667,18 @@ class ChainedModeAdapter(BaselineAdapter):
     name = "CSM"
     drain_rounds = DEFAULT_GENERATION_SIZE - 1
 
-    def __init__(
-        self,
-        seed: int | str = 0,
-        hops: int = 5,
-        generation_size: int = DEFAULT_GENERATION_SIZE,
-    ) -> None:
+    def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         super().__init__(seed, hops)
-        self.generation_size = generation_size
         key_rng = self.rng.fork("csm-keys")
         keys = [
             key_rng.random_bytes(self.hash.digest_size) for _ in range(hops)
         ]
-        self._signer = ChainedModeSigner(self.hash, keys[0], generation_size)
+        self._signer = ChainedModeSigner(self.hash, keys[0])
         self.relays = [
-            ChainedModeRelay(
-                self.verify_hash, keys[i], keys[i + 1], generation_size
-            )
+            ChainedModeRelay(self.verify_hash, keys[i], keys[i + 1])
             for i in range(hops - 1)
         ]
-        self._receiver = ChainedModeVerifier(
-            self.verify_hash, keys[-1], generation_size
-        )
+        self._receiver = ChainedModeVerifier(self.verify_hash, keys[-1])
 
     def protect(self, message: bytes, now: float) -> bytes:
         return self._signer.protect(message)

@@ -2,7 +2,7 @@
 
 Every test here pins a deterministic adversarial outcome — where an
 attack is caught (which hop, or the receiver), or that its acceptance
-is a *documented* blind spot. ``scripts/check.sh --security`` runs this
-tier together with the separation-grid smoke and the attacker-acceptance
-gate in ``scripts/bench_track.py --security-smoke``.
+is a *documented* blind spot. The tier runs in every tier-1 run;
+``test_separation_grid.py`` pins all 48 cells of the grid exactly, so
+ALPHA accepting anything, or any scheme accepting more, fails it.
 """
