@@ -41,17 +41,8 @@ HOPS = 5
 N_MESSAGES = 8
 N_ATTACK = 50
 
-#: Grid axes. "none" is the cost/goodput control column, not an attack.
-SCHEMES = [
-    "ALPHA",
-    "HMAC-E2E",
-    "PK-SIGN",
-    "TESLA",
-    "GUY-FAWKES",
-    "LHAP",
-    "PROMAC",
-    "CSM",
-]
+#: Grid axes: ALPHA, then every registered baseline.
+SCHEMES = ["ALPHA", *scheme_adapters()]
 ATTACKS = ["forge", "tamper", "insider", "replay", "tag-corrupt", "reorder"]
 
 
@@ -205,14 +196,9 @@ def _run_baseline_cell(scheme: str, attack: str, seed) -> dict:
         chain.inject_at(end * 0.5, lambda now: adapter.forge(rng, now))
         chain.inject_at(end + 0.025, lambda now: adapter.forge(rng, now))
     elif attack == "tamper":
-
-        def message_regions(payload):
-            span = adapter.message_region(payload)
-            return [span] if span is not None else []
-
         SelectiveTagCorruptor(
             chain.relays[0],
-            message_regions,
+            adapter.message_region,
             kind=BaselineChain.KIND,
             rng=rng,
             max_frames=2,

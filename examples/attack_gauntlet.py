@@ -59,8 +59,6 @@ def scenario_insider_tampering():
           f"{r3.engine.stats.get('s2-bad-payload', 0)}; victim received: {len(v.received)}")
     # The same attack against the baselines:
     sha1 = get_hash("sha1")
-    hmac_channel = HmacEndToEnd(sha1, b"e2e-key")
-    packet = hmac_channel.protect(b"account balance: 100")
     print("               HMAC-E2E: receiver detects it, but NO relay could have "
           f"(relay_verifiable={HmacEndToEnd.relay_can_verify()})")
     rng = DRBG(9)

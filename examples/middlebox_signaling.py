@@ -56,7 +56,7 @@ def main() -> None:
     for name, box in boxes.items():
         box.process()
     mb1_stats = boxes["mb1"].engine.stats
-    print(f"\nafter injecting 5 forged locator updates:")
+    print("\nafter injecting 5 forged locator updates:")
     print(f"  mb1 dropped {mb1_stats.get('dropped', 0)} packets "
           f"({mb1_stats.get('s2-unknown-exchange', 0)} unknown-exchange S2s)")
     print(f"  mb2 saw {boxes['mb2'].engine.stats.get('dropped', 0)} drops "

@@ -19,7 +19,7 @@ from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core import analysis
 from repro.crypto.drbg import DRBG
 from repro.devices import get_profile
-from repro.netsim import Network, TraceCollector
+from repro.netsim import Network
 from repro.netsim.link import MESH_LINK
 
 
@@ -72,14 +72,13 @@ def main() -> None:
         [get_profile("ar2315"), get_profile("geode-lx800")], leaves_list=(32,)
     )
     row = rows[0]
-    print(f"\nCPU-bound relay verification ceiling for 32-leaf trees (Table 6):")
+    print("\nCPU-bound relay verification ceiling for 32-leaf trees (Table 6):")
     print(f"  AR2315 (La Fonera):   {row.throughput_bps['ar2315'] / 1e6:6.1f} Mbit/s")
     print(f"  Geode LX800:          {row.throughput_bps['geode-lx800'] / 1e6:6.1f} Mbit/s")
     print("our simulated goodput is network-bound, not CPU-bound — the paper's "
           "point is that ALPHA verification keeps up with the radio")
 
     # On-path accounting on one mid-grid relay.
-    mid = "n1_0" if "n1_0" in relays else next(iter(relays))
     onpath = [n for n in path[1:-1]]
     stats = relays[onpath[0]].engine.stats
     print(f"\nrelay {onpath[0]}: {stats.get('s2-ok', 0)} verified S2 blocks, "

@@ -35,7 +35,7 @@ fi
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
-    ruff check src tests benchmarks scripts
+    ruff check src tests benchmarks scripts examples
 elif [ "${CHECK_STRICT_LINT:-1}" != "0" ]; then
     echo "== ruff not installed (strict lint is the default): failing =="
     echo "== set CHECK_STRICT_LINT=0 to tolerate offline images =="

@@ -26,6 +26,10 @@ simulation and on paper-style estimate tables:
 :class:`~repro.baselines.base.BaselineAdapter` /
 :class:`~repro.baselines.base.BaselineChain` layer that runs every
 baseline on the netsim chain topology for the schemes × attacks grid.
+Each adapter subclass is the one definition of its scheme, feature-matrix
+row included: :func:`~repro.baselines.base.scheme_adapters` is the only
+registry, and :func:`~repro.baselines.base.feature_matrix` is ALPHA's
+row followed by the adapters' rows.
 """
 
 from repro.baselines.base import (

@@ -6,13 +6,13 @@ can verify, whether insiders are contained, whether time synchronisation
 is needed, and when a receiver can verify. The attack benchmarks assert
 this matrix empirically.
 
-The second half of the module wires every baseline onto the simulator:
-a :class:`BaselineAdapter` per scheme (sender, optional per-hop relay
-judgement, receiver) and a :class:`BaselineChain` harness that runs an
-adapter over the paper's Figure-1 chain topology, so the schemes ×
-attacks grid in ``benchmarks/bench_attack_filtering.py`` and the
-``tests/security/`` separation tier drive ALPHA and all baselines
-through the *same* frame-level attacks.
+The rest of the module wires every baseline onto the simulator: a
+:class:`BaselineAdapter` per scheme (its feature-matrix row, sender,
+optional per-hop relay judgement, receiver) and a :class:`BaselineChain`
+harness that runs an adapter over the paper's Figure-1 chain topology,
+so the schemes × attacks grid in ``benchmarks/bench_attack_filtering.py``
+and the ``tests/security/`` separation tier drive ALPHA and all
+baselines through the *same* frame-level attacks.
 """
 
 from __future__ import annotations
@@ -62,12 +62,8 @@ class SchemeProperties:
     #: "immediate", "one-packet-lag", "disclosure-interval", "rtt",
     #: "window" (progressive: full strength only after the window).
     verification_delay: str
-    #: Per-message hash-equivalent operations on the *sender*
-    #: (public-key ops expressed separately).
-    sender_hash_ops: float = 0.0
+    #: Per-message public-key operations on the *sender*.
     sender_pk_ops: float = 0.0
-    #: Per-message signature bytes on the wire.
-    signature_bytes: int = 0
     #: How much in-transit reordering verification survives:
     #: "any" (order-free), "generation" (within a coded generation),
     #: "window" (within the progressive window), "exchange" (within an
@@ -81,96 +77,17 @@ class SchemeProperties:
 
 
 def feature_matrix() -> list[SchemeProperties]:
-    """The qualitative comparison table (paper Section 2 distilled)."""
-    return [
-        SchemeProperties(
-            name="ALPHA",
-            relay_verifiable=True,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="rtt",
-            sender_hash_ops=4.0,
-            signature_bytes=2 * 20,
-            reorder_tolerance="exchange",
-        ),
-        SchemeProperties(
-            name="HMAC-E2E",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="immediate",
-            sender_hash_ops=1.0,
-            signature_bytes=20,
-        ),
-        SchemeProperties(
-            name="PK-SIGN",
-            relay_verifiable=True,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="immediate",
-            sender_pk_ops=1.0,
-            signature_bytes=128,
-        ),
-        SchemeProperties(
-            name="TESLA",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=True,
-            verification_delay="disclosure-interval",
-            sender_hash_ops=2.0,
-            signature_bytes=2 * 20,
-        ),
-        SchemeProperties(
-            name="GUY-FAWKES",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="one-packet-lag",
-            sender_hash_ops=2.0,
-            signature_bytes=2 * 20,
-            reorder_tolerance="none",
-        ),
-        SchemeProperties(
-            name="LHAP",
-            relay_verifiable=True,
-            insider_protection=False,
-            needs_time_sync=True,
-            verification_delay="immediate",
-            sender_hash_ops=1.0,
-            signature_bytes=20,
-            # Token chains tolerate forward gaps (a lost token is skipped)
-            # but a token arriving *after* a later one is unverifiable.
-            reorder_tolerance="window",
-        ),
-        SchemeProperties(
-            # Progressive MACs (arXiv 2103.08560): truncated fragments
-            # aggregate to full strength over a window; acceptance is
-            # provisional until then (the Reality-Sandwich gap).
-            name="PROMAC",
-            relay_verifiable=False,
-            insider_protection=True,
-            needs_time_sync=False,
-            verification_delay="window",
-            sender_hash_ops=1.0,
-            signature_bytes=4 * 2,
-            reorder_tolerance="window",
-            provisional_window=3,
-        ),
-        SchemeProperties(
-            # Chained secure mode with network coding (arXiv
-            # 2006.00310): per-hop chained MACs over coded generations.
-            # Hop-verifiable and order-free inside a generation, but a
-            # compromised relay holds the downstream link key.
-            name="CSM",
-            relay_verifiable=True,
-            insider_protection=False,
-            needs_time_sync=False,
-            verification_delay="immediate",
-            sender_hash_ops=1.5,
-            signature_bytes=20,
-            reorder_tolerance="generation",
-        ),
-    ]
+    """The qualitative comparison table (paper Section 2 distilled):
+    ALPHA's row, then the row each baseline adapter declares."""
+    alpha = SchemeProperties(
+        name="ALPHA",
+        relay_verifiable=True,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="rtt",
+        reorder_tolerance="exchange",
+    )
+    return [alpha, *(adapter.row for adapter in scheme_adapters().values())]
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +100,42 @@ def feature_matrix() -> list[SchemeProperties]:
 #: the experiment's own messages.
 FLUSH_MARKER = b"\x00repro-flush"
 
+Spans = list[tuple[int, int]]
 
-def _var_span(payload: bytes, offset: int) -> tuple[int, int] | None:
-    """Span of a ``var_bytes`` field whose u16 length sits at ``offset``."""
+
+def _var_span(payload: bytes, offset: int) -> Spans:
+    """Span of a non-empty ``var_bytes`` field whose u16 length sits at
+    ``offset``; ``[]`` when the payload is too short to hold it."""
     if len(payload) < offset + 2:
-        return None
+        return []
     length = int.from_bytes(payload[offset : offset + 2], "big")
     start = offset + 2
     end = start + length
     if end > len(payload) or length == 0:
-        return None
-    return (start, end)
+        return []
+    return [(start, end)]
 
 
-def _flip_last_byte(payload: bytes, span: tuple[int, int] | None) -> bytes:
+def _span_after(payload: bytes, spans: Spans, skip: int, length: int) -> Spans:
+    """The ``length`` bytes that start ``skip`` bytes after ``spans``."""
+    if not spans:
+        return []
+    start = spans[0][1] + skip
+    end = start + length
+    return [(start, end)] if end <= len(payload) else []
+
+
+def _flip_last_byte(payload: bytes, spans: Spans) -> bytes:
     """The canonical insider mutation: invert the last message byte."""
-    if span is None:
+    if not spans:
         return payload
     out = bytearray(payload)
-    out[span[1] - 1] ^= 0xFF
+    out[spans[0][1] - 1] ^= 0xFF
     return bytes(out)
+
+
+def _flip_message(message: bytes) -> bytes:
+    return _flip_last_byte(message, [(0, len(message))])
 
 
 class BaselineAdapter:
@@ -215,14 +148,24 @@ class BaselineAdapter:
     *attack surface* methods (``message_region`` / ``tag_regions`` /
     ``forge``) so one attacker implementation can target every scheme.
 
+    A subclass is the one definition of its scheme: it declares its
+    feature-matrix :attr:`row`, where its length-prefixed message sits
+    (:attr:`message_offset`) and its drain settings, builds a
+    ``_signer`` and a ``_receiver`` engine, and overrides only the hooks
+    where the scheme really differs. The defaults below assume a signer
+    with ``protect(message)`` and a receiver with ``handle_packet``,
+    ``verified`` and ``rejected``.
+
     Sender-side cryptographic work is tallied on :attr:`counter`
     (relays and the receiver hash on an uncounted front-end), so the
     grid's per-message cost column measures the sender exactly like the
     paper's Table 1 does for ALPHA.
     """
 
-    #: Feature-matrix name; must match a :func:`feature_matrix` row.
-    name = "?"
+    #: This scheme's :func:`feature_matrix` row.
+    row: SchemeProperties
+    #: Byte offset of the u16 length prefix of the message field.
+    message_offset = 4
     #: End-of-run flush packets needed (see :meth:`flush_packets`).
     drain_rounds = 0
     drain_spacing = 0.05
@@ -236,12 +179,12 @@ class BaselineAdapter:
         #: Uncounted twin for relay/receiver roles, so :attr:`counter`
         #: stays a pure sender-cost measurement.
         self.verify_hash = get_hash("sha1")
-        self.rng = DRBG(seed, personalization=b"baseline:" + self.name.encode())
+        self.rng = DRBG(seed, personalization=b"baseline:" + self.row.name.encode())
 
     # -- protocol roles ------------------------------------------------------
 
     def protect(self, message: bytes, now: float) -> bytes:
-        raise NotImplementedError
+        return self._signer.protect(message)
 
     def relay_judge(
         self, payload: bytes, hop: int, now: float
@@ -275,20 +218,22 @@ class BaselineAdapter:
         """Hand one payload to the receiver. A payload the receiver
         cannot parse may raise; :class:`BaselineChain` counts that as
         one ``receiver_errors``."""
-        raise NotImplementedError
+        self._receiver.handle_packet(payload)
 
     def flush_packets(self, now: float) -> list[bytes]:
         """Trailing packets that settle receiver state (key disclosures,
-        window/generation padding). Called :attr:`drain_rounds` times."""
-        return []
+        window/generation padding). Called :attr:`drain_rounds` times;
+        by default one marker message."""
+        return [self._signer.protect(FLUSH_MARKER)]
 
     # -- attack surface ------------------------------------------------------
 
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        raise NotImplementedError
+    def message_region(self, payload: bytes) -> Spans:
+        return _var_span(payload, self.message_offset)
 
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        raise NotImplementedError
+    def tag_regions(self, payload: bytes) -> Spans:
+        """By default the trailing digest-sized tag."""
+        return mac_region(payload, self.hash.digest_size)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         """A from-thin-air packet with valid framing but no key material."""
@@ -298,7 +243,7 @@ class BaselineAdapter:
 
     def accepted_messages(self) -> list[bytes]:
         """Messages the application consumed (possibly provisionally)."""
-        raise NotImplementedError
+        return self._strip_markers([v.message for v in self._receiver.verified])
 
     def authenticated_messages(self) -> list[bytes]:
         """Messages whose authentication reached the scheme's full
@@ -307,7 +252,7 @@ class BaselineAdapter:
         return self.accepted_messages()
 
     def receiver_rejects(self) -> int:
-        raise NotImplementedError
+        return self._receiver.rejected
 
     def retractions(self) -> int:
         """Messages consumed and later proven wrong (ProMAC's gap)."""
@@ -321,35 +266,22 @@ class BaselineAdapter:
 class HmacAdapter(BaselineAdapter):
     """End-to-end shared-secret HMAC (keyless relays)."""
 
-    name = "HMAC-E2E"
+    row = SchemeProperties(
+        name="HMAC-E2E",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="immediate",
+    )
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         super().__init__(seed, hops)
         key = self.rng.random_bytes(self.hash.digest_size)
-        self._sender = HmacEndToEnd(self.hash, key)
+        self._signer = HmacEndToEnd(self.hash, key)
         self._receiver = HmacEndToEnd(self.verify_hash, key)
-        self._accepted: list[bytes] = []
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._sender.protect(message)
 
     def receive(self, payload: bytes, now: float) -> None:
-        got = self._receiver.verify(payload)
-        if got is not None:
-            self._accepted.append(got.message)
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers(self._accepted)
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        h = self.hash.digest_size
-        return [(len(payload) - h, len(payload))] if len(payload) > h else []
+        self._receiver.verify(payload)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         body = Writer().u32(0xF0F0).var_bytes(b"forged-hmac").getvalue()
@@ -359,7 +291,14 @@ class HmacAdapter(BaselineAdapter):
 class PkSignAdapter(BaselineAdapter):
     """Per-packet public-key signatures; every relay verifies."""
 
-    name = "PK-SIGN"
+    row = SchemeProperties(
+        name="PK-SIGN",
+        relay_verifiable=True,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="immediate",
+        sender_pk_ops=1.0,
+    )
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         super().__init__(seed, hops)
@@ -370,10 +309,6 @@ class PkSignAdapter(BaselineAdapter):
         blob = self._signer.public_blob()
         self._relay_views = [PkVerifier(blob) for _ in range(hops - 1)]
         self._receiver = PkVerifier(blob)
-        self._accepted: list[bytes] = []
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
 
     def relay_judge(
         self, payload: bytes, hop: int, now: float
@@ -383,25 +318,11 @@ class PkSignAdapter(BaselineAdapter):
         return True, None, "verified"
 
     def receive(self, payload: bytes, now: float) -> None:
-        got = self._receiver.verify(payload)
-        if got is not None:
-            self._accepted.append(got.message)
+        self._receiver.verify(payload)
 
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers(self._accepted)
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        span = self.message_region(payload)
-        if span is None:
-            return []
-        sig = _var_span(payload, span[1])
-        return [sig] if sig is not None else []
+    def tag_regions(self, payload: bytes) -> Spans:
+        spans = self.message_region(payload)
+        return _var_span(payload, spans[0][1]) if spans else []
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         out = Writer()
@@ -414,7 +335,13 @@ class PkSignAdapter(BaselineAdapter):
 class TeslaAdapter(BaselineAdapter):
     """TESLA delayed key disclosure on simulator time."""
 
-    name = "TESLA"
+    row = SchemeProperties(
+        name="TESLA",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=True,
+        verification_delay="disclosure-interval",
+    )
     drain_rounds = 6
     drain_spacing = 0.25
 
@@ -443,22 +370,13 @@ class TeslaAdapter(BaselineAdapter):
         disclosure = self._signer.idle_disclosure(now)
         return [disclosure] if disclosure is not None else []
 
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([v.message for v in self._receiver.verified])
-
     def receiver_rejects(self) -> int:
         return self._receiver.rejected + self._receiver.dropped_unsafe
 
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        span = self.message_region(payload)
-        if span is None:
-            return []
-        h = self.hash.digest_size
-        end = span[1] + h
-        return [(span[1], end)] if end <= len(payload) else []
+    def tag_regions(self, payload: bytes) -> Spans:
+        return _span_after(
+            payload, self.message_region(payload), 0, self.hash.digest_size
+        )
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         interval = self.schedule.interval_of(now)
@@ -470,9 +388,20 @@ class TeslaAdapter(BaselineAdapter):
 
 
 class GuyFawkesAdapter(BaselineAdapter):
-    """Guy Fawkes interactive stream signatures (strict order)."""
+    """Guy Fawkes interactive stream signatures (strict order).
 
-    name = "GUY-FAWKES"
+    One trailing marker packet discloses the previous key, releasing
+    the last real message from the one-packet verification lag.
+    """
+
+    row = SchemeProperties(
+        name="GUY-FAWKES",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="one-packet-lag",
+        reorder_tolerance="none",
+    )
     drain_rounds = 1
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
@@ -482,38 +411,10 @@ class GuyFawkesAdapter(BaselineAdapter):
             self.verify_hash, self._signer.bootstrap_commitment()
         )
 
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
-
-    def receive(self, payload: bytes, now: float) -> None:
-        self._receiver.handle_packet(payload)
-
-    def flush_packets(self, now: float) -> list[bytes]:
-        # One trailing packet discloses the previous key, releasing the
-        # last real message from the one-packet verification lag.
-        return [self._signer.protect(FLUSH_MARKER)]
-
-    @property
-    def desynchronized(self) -> bool:
-        return self._receiver.desynchronized
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([v.message for v in self._receiver.verified])
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        span = self.message_region(payload)
-        if span is None:
-            return []
-        h = self.hash.digest_size
+    def tag_regions(self, payload: bytes) -> Spans:
         # Skip the next-key commitment; target the MAC.
-        start, end = span[1] + h, span[1] + 2 * h
-        return [(start, end)] if end <= len(payload) else []
+        h = self.hash.digest_size
+        return _span_after(payload, self.message_region(payload), h, h)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         h = self.hash.digest_size
@@ -529,7 +430,17 @@ class GuyFawkesAdapter(BaselineAdapter):
 class LhapAdapter(BaselineAdapter):
     """LHAP per-hop token chains; relays re-token what they forward."""
 
-    name = "LHAP"
+    row = SchemeProperties(
+        name="LHAP",
+        relay_verifiable=True,
+        insider_protection=False,
+        needs_time_sync=True,
+        verification_delay="immediate",
+        # Token chains tolerate forward gaps (a lost token is skipped)
+        # but a token arriving *after* a later one is unverifiable.
+        reorder_tolerance="window",
+    )
+    message_offset = 0
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         super().__init__(seed, hops)
@@ -545,17 +456,18 @@ class LhapAdapter(BaselineAdapter):
             self._nodes[downstream].learn_neighbour(
                 upstream, self._nodes[upstream].chain.anchor
             )
+        self._receiver = self._nodes["v"]
         self._accepted: list[bytes] = []
 
     def _encode(self, message: bytes, token: bytes) -> bytes:
         return Writer().var_bytes(message).raw(token).getvalue()
 
     def _decode(self, payload: bytes) -> tuple[bytes, bytes]:
-        h = self.hash.digest_size
-        span = _var_span(payload, 0)
-        if span is None or len(payload) != span[1] + h:
+        spans = self.message_region(payload)
+        if not spans or len(payload) != spans[0][1] + self.hash.digest_size:
             raise ValueError("malformed LHAP packet")
-        return payload[span[0] : span[1]], payload[span[1] :]
+        start, end = spans[0]
+        return payload[start:end], payload[end:]
 
     def protect(self, message: bytes, now: float) -> bytes:
         return self._encode(*self._nodes["s"].attach_token(message))
@@ -581,29 +493,20 @@ class LhapAdapter(BaselineAdapter):
             message, _token = self._decode(payload)
         except ValueError:
             return False, None, "malformed"
-        mutated = _flip_last_byte(message, (0, len(message)))
         me = self._nodes[self._names[hop]]
         # The insider's own chain is all downstream checks: the rewrite
         # travels fully authenticated (the paper's Section 2.2 gap).
-        return True, [self._encode(*me.attach_token(mutated))], "insider-retokened"
+        return True, [self._encode(*me.attach_token(_flip_message(message)))], (
+            "insider-retokened"
+        )
 
     def receive(self, payload: bytes, now: float) -> None:
         message, token = self._decode(payload)
-        if self._nodes["v"].verify_from(self._names[-2], message, token):
+        if self._receiver.verify_from(self._names[-2], message, token):
             self._accepted.append(message)
 
     def accepted_messages(self) -> list[bytes]:
         return self._strip_markers(self._accepted)
-
-    def receiver_rejects(self) -> int:
-        return self._nodes["v"].rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 0)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        h = self.hash.digest_size
-        return [(len(payload) - h, len(payload))] if len(payload) > h else []
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         return self._encode(
@@ -612,44 +515,42 @@ class LhapAdapter(BaselineAdapter):
 
 
 class ProMacAdapter(BaselineAdapter):
-    """ProMAC progressive fragments with provisional acceptance."""
+    """ProMAC progressive fragments with provisional acceptance.
 
-    name = "PROMAC"
+    Marker packets carry the back-fragments that bring the last real
+    messages of the stream to full MAC strength.
+    """
+
+    row = SchemeProperties(
+        # Progressive MACs (arXiv 2103.08560): truncated fragments
+        # aggregate to full strength over a window; acceptance is
+        # provisional until then (the Reality-Sandwich gap).
+        name="PROMAC",
+        relay_verifiable=False,
+        insider_protection=True,
+        needs_time_sync=False,
+        verification_delay="window",
+        reorder_tolerance="window",
+        provisional_window=DEFAULT_WINDOW - 1,
+    )
     drain_rounds = DEFAULT_WINDOW - 1
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
         super().__init__(seed, hops)
         key = self.rng.random_bytes(self.hash.digest_size)
         self._signer = ProMacSigner(self.hash, key)
-        self.verifier = ProMacVerifier(self.verify_hash, key)
-
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
-
-    def receive(self, payload: bytes, now: float) -> None:
-        self.verifier.handle_packet(payload)
-
-    def flush_packets(self, now: float) -> list[bytes]:
-        # Marker packets carry the back-fragments that bring the last
-        # real messages of the stream to full MAC strength.
-        return [self._signer.protect(FLUSH_MARKER)]
+        self._receiver = ProMacVerifier(self.verify_hash, key)
 
     def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([m for _, m in self.verifier.accepted])
+        return self._strip_markers([m for _, m in self._receiver.accepted])
 
     def authenticated_messages(self) -> list[bytes]:
-        return self._strip_markers([m for _, m in self.verifier.finalized])
-
-    def receiver_rejects(self) -> int:
-        return self.verifier.rejected
+        return self._strip_markers([m for _, m in self._receiver.finalized])
 
     def retractions(self) -> int:
-        return self.verifier.accepted_then_retracted
+        return self._receiver.accepted_then_retracted
 
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 4)
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
+    def tag_regions(self, payload: bytes) -> Spans:
         return aggregate_tag_regions(payload)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
@@ -664,7 +565,19 @@ class ProMacAdapter(BaselineAdapter):
 class ChainedModeAdapter(BaselineAdapter):
     """CSM chained per-hop MACs over coded generations."""
 
-    name = "CSM"
+    row = SchemeProperties(
+        # Chained secure mode with network coding (arXiv
+        # 2006.00310): per-hop chained MACs over coded generations.
+        # Hop-verifiable and order-free inside a generation, but a
+        # compromised relay holds the downstream link key.
+        name="CSM",
+        relay_verifiable=True,
+        insider_protection=False,
+        needs_time_sync=False,
+        verification_delay="immediate",
+        reorder_tolerance="generation",
+    )
+    message_offset = 6  # u32 generation | u16 index | var_bytes
     drain_rounds = DEFAULT_GENERATION_SIZE - 1
 
     def __init__(self, seed: int | str = 0, hops: int = 5) -> None:
@@ -680,46 +593,21 @@ class ChainedModeAdapter(BaselineAdapter):
         ]
         self._receiver = ChainedModeVerifier(self.verify_hash, keys[-1])
 
-    def protect(self, message: bytes, now: float) -> bytes:
-        return self._signer.protect(message)
-
     def relay_judge(
         self, payload: bytes, hop: int, now: float
     ) -> tuple[bool, list[bytes] | None, str]:
-        forward, reason, outs = self.relays[hop - 1].handle(payload)
-        if not forward:
-            return False, None, reason
-        return True, outs, reason
+        return self.relays[hop - 1].handle(payload)
 
     def insider_judge(
         self, payload: bytes, hop: int, now: float
     ) -> tuple[bool, list[bytes] | None, str]:
-        forward, reason, outs = self.relays[hop - 1].handle_as_insider(
-            payload, lambda m: _flip_last_byte(m, (0, len(m)))
-        )
-        if not forward:
-            return False, None, reason
-        return True, outs, reason
-
-    def receive(self, payload: bytes, now: float) -> None:
-        self._receiver.handle_packet(payload)
+        return self.relays[hop - 1].handle_as_insider(payload, _flip_message)
 
     def flush_packets(self, now: float) -> list[bytes]:
+        # Pad only a generation the stream left open.
         if self._signer.pending_in_generation == 0:
             return []
-        return [self._signer.protect(FLUSH_MARKER)]
-
-    def accepted_messages(self) -> list[bytes]:
-        return self._strip_markers([v.message for v in self._receiver.verified])
-
-    def receiver_rejects(self) -> int:
-        return self._receiver.rejected
-
-    def message_region(self, payload: bytes) -> tuple[int, int] | None:
-        return _var_span(payload, 6)  # u32 generation | u16 index | var_bytes
-
-    def tag_regions(self, payload: bytes) -> list[tuple[int, int]]:
-        return mac_region(payload, self.hash.digest_size)
+        return super().flush_packets(now)
 
     def forge(self, rng: DRBG, now: float) -> bytes:
         out = Writer()
@@ -733,9 +621,9 @@ class ChainedModeAdapter(BaselineAdapter):
 
 
 def scheme_adapters() -> dict[str, type[BaselineAdapter]]:
-    """Baseline name -> adapter class, for grid/bench iteration."""
+    """Baseline name -> adapter class: the one registry of baselines."""
     return {
-        adapter.name: adapter
+        adapter.row.name: adapter
         for adapter in (
             HmacAdapter,
             PkSignAdapter,
@@ -762,7 +650,7 @@ class BaselineChain:
     :class:`~repro.core.relay.RelayAdapter`), and delivers frames
     reaching ``v`` to the adapter's receiver. Per-relay drops are
     tallied by reason so the grid can report *where* an attack died;
-    buffered-future holds (CSM) count as held, not dropped.
+    buffered-future holds (CSM) are not drops.
     """
 
     KIND = "baseline"
@@ -782,7 +670,6 @@ class BaselineChain:
         self.relays = [self.net.nodes[f"r{i}"] for i in range(1, hops)]
         #: Per-relay drop tallies: ``drops[hop - 1][reason] = count``.
         self.drops: list[dict[str, int]] = [{} for _ in self.relays]
-        self.held = [0 for _ in self.relays]
         self.sent_payloads: list[bytes] = []
         self.wire_bytes = 0
         self.receiver_errors = 0
@@ -806,9 +693,7 @@ class BaselineChain:
                     frame.payload, hop, now
                 )
             if not forward:
-                if reason == "buffered-future":
-                    self.held[hop - 1] += 1
-                else:
+                if reason != "buffered-future":
                     bucket = self.drops[hop - 1]
                     bucket[reason] = bucket.get(reason, 0) + 1
                 return False

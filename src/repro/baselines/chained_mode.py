@@ -33,7 +33,7 @@ value is the same no matter how the generation arrived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.wire import Reader, Writer
 from repro.crypto.hashes import HashFunction
@@ -143,7 +143,6 @@ class _ChainObserver:
         #: chain catches up: generation -> list of raw packets.
         self._future: dict[int, list[bytes]] = {}
         self.rejected = 0
-        self.replays = 0
 
     def judge(self, packet: bytes) -> tuple[bool, str, list[ChainedVerified]]:
         """(ok, reason, verified-now) — may flush buffered packets."""
@@ -159,7 +158,6 @@ class _ChainObserver:
             return False, "malformed", []
         chain = self._chain
         if generation < chain.generation:
-            self.replays += 1
             self.rejected += 1
             return False, "stale-generation", []
         if generation > chain.generation:
@@ -169,7 +167,6 @@ class _ChainObserver:
             self._future.setdefault(generation, []).append(packet)
             return False, "buffered-future", []
         if index in self._seen or index >= chain.generation_size:
-            self.replays += 1
             self.rejected += 1
             return False, "replayed-index", []
         expected = chain.mac(self._key, generation, index, message)
@@ -200,53 +197,36 @@ class ChainedModeRelay:
         downstream_key: bytes,
         generation_size: int = DEFAULT_GENERATION_SIZE,
     ) -> None:
-        self._hash = hash_fn
         self._observer = _ChainObserver(hash_fn, upstream_key, generation_size)
         self._downstream = ChainedModeSigner(
             hash_fn, downstream_key, generation_size
         )
-        self.forwarded = 0
-        self.dropped = 0
-        self.held = 0
 
-    @property
-    def rejected(self) -> int:
-        return self._observer.rejected
-
-    def handle(self, packet: bytes) -> tuple[bool, str, list[bytes]]:
-        """(forward?, reason, rewritten packets to send downstream).
+    def handle(self, packet: bytes) -> tuple[bool, list[bytes], str]:
+        """(forward?, rewritten packets to send downstream, reason).
 
         A verified packet is re-MACed with the downstream link key; a
         completed generation may flush buffered early arrivals, so one
-        input can produce several outputs.
+        input can produce several outputs. A ``buffered-future`` hold
+        returns ``False`` with no outputs, like a drop.
         """
         ok, reason, verified = self._observer.judge(packet)
-        if not ok:
-            if reason == "buffered-future":
-                self.held += 1
-                return False, reason, []
-            self.dropped += 1
-            return False, reason, []
-        out = [self._downstream.protect(item.message) for item in verified]
-        self.forwarded += len(out)
-        return True, reason, out
+        outs = [self._downstream.protect(item.message) for item in verified]
+        return ok, outs, reason
 
     def handle_as_insider(
         self, packet: bytes, mutate
-    ) -> tuple[bool, str, list[bytes]]:
+    ) -> tuple[bool, list[bytes], str]:
         """What a *compromised* relay can do: verify upstream as usual,
         then re-MAC ``mutate(message)`` with its legitimate downstream
         key. Downstream hops verify the rewrite happily — the insider
         gap the feature matrix records (``insider_protection=False``).
         """
         ok, reason, verified = self._observer.judge(packet)
-        if not ok:
-            return False, reason, []
         outs = [
             self._downstream.protect(mutate(item.message)) for item in verified
         ]
-        self.forwarded += len(outs)
-        return True, "insider-rewritten", outs
+        return ok, outs, "insider-rewritten" if ok else reason
 
 
 class ChainedModeVerifier:
@@ -265,44 +245,8 @@ class ChainedModeVerifier:
     def rejected(self) -> int:
         return self._observer.rejected
 
-    @property
-    def replays(self) -> int:
-        return self._observer.replays
-
     def handle_packet(self, packet: bytes) -> tuple[bool, str]:
         ok, reason, verified = self._observer.judge(packet)
         self.verified.extend(verified)
         return ok, reason
 
-
-@dataclass
-class ChainedModePath:
-    """A full sender → relays → receiver key layout for one path."""
-
-    signer: ChainedModeSigner
-    relays: list[ChainedModeRelay]
-    receiver: ChainedModeVerifier
-    link_keys: list[bytes] = field(default_factory=list)
-
-    @classmethod
-    def build(
-        cls,
-        hash_fn: HashFunction,
-        rng,
-        hops: int,
-        generation_size: int = DEFAULT_GENERATION_SIZE,
-    ) -> "ChainedModePath":
-        """``hops`` links ⇒ ``hops - 1`` relays, one key per link."""
-        if hops < 1:
-            raise ValueError("a path needs at least one hop")
-        keys = [rng.random_bytes(hash_fn.digest_size) for _ in range(hops)]
-        relays = [
-            ChainedModeRelay(hash_fn, keys[i], keys[i + 1], generation_size)
-            for i in range(hops - 1)
-        ]
-        return cls(
-            signer=ChainedModeSigner(hash_fn, keys[0], generation_size),
-            relays=relays,
-            receiver=ChainedModeVerifier(hash_fn, keys[-1], generation_size),
-            link_keys=keys,
-        )

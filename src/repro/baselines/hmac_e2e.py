@@ -32,6 +32,7 @@ class HmacEndToEnd:
         self._key = key
         self._send_seq = 0
         self._seen: set[int] = set()
+        self.verified: list[HmacVerified] = []
         self.rejected = 0
 
     def protect(self, message: bytes) -> bytes:
@@ -62,7 +63,9 @@ class HmacEndToEnd:
             self.rejected += 1
             return None
         self._seen.add(seq)
-        return HmacVerified(seq, message)
+        verified = HmacVerified(seq, message)
+        self.verified.append(verified)
+        return verified
 
     @staticmethod
     def relay_can_verify() -> bool:

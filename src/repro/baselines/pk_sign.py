@@ -52,6 +52,7 @@ class PkVerifier:
     def __init__(self, public_blob: bytes) -> None:
         self._public_blob = public_blob
         self._seen: set[int] = set()
+        self.verified: list[PkVerified] = []
         self.rejected = 0
 
     def verify(self, packet: bytes) -> PkVerified | None:
@@ -73,7 +74,9 @@ class PkVerifier:
             self.rejected += 1
             return None
         self._seen.add(seq)
-        return PkVerified(seq, message)
+        verified = PkVerified(seq, message)
+        self.verified.append(verified)
+        return verified
 
     @staticmethod
     def relay_can_verify() -> bool:

@@ -345,12 +345,3 @@ class TestFeatureMatrix:
         assert not csm.insider_protection  # ...and can therefore re-MAC
         assert csm.reorder_tolerance == "generation"
         assert matrix["ALPHA"].provisional_window == 0  # nothing to retract
-
-    def test_every_baseline_row_has_an_adapter(self):
-        from repro.baselines import scheme_adapters
-
-        matrix = {p.name for p in feature_matrix()}
-        adapters = set(scheme_adapters())
-        assert adapters == matrix - {"ALPHA"}
-        for name, cls in scheme_adapters().items():
-            assert cls.name == name

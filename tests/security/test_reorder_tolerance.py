@@ -15,7 +15,8 @@ behind each at the engine level:
   itself survives — partial loss, not desync.
 """
 
-from repro.baselines.base import ChainedModeAdapter
+from repro.attacks import RelayReorderer
+from repro.baselines.base import BaselineChain, ChainedModeAdapter
 from repro.baselines.guy_fawkes import GuyFawkesSigner, GuyFawkesVerifier
 from repro.baselines.lhap import LhapNode
 from repro.baselines.promac import ProMacSigner, ProMacVerifier
@@ -44,6 +45,28 @@ def test_csm_cross_generation_gap_still_bounded():
     assert not forward and reason == "buffered-future"
     forward, _, reason = adapter.relay_judge(ahead[12], 1, 0.0)  # generation 3
     assert not forward and reason == "generation-gap"
+
+
+def test_csm_generation_split_across_a_reorder_window_fans_out():
+    """A window of 6 at r1 straddles the 4-packet generation boundary:
+    early generation-1 packets are held at r1 until generation 0
+    completes, then leave r1 as several packets at once. The chain
+    must send each one downstream and count the holds as no drop."""
+    chain = BaselineChain(ChainedModeAdapter(seed=0, hops=5), seed=0)
+    reorderer = RelayReorderer(
+        chain.relays[0],
+        window=6,
+        kind=BaselineChain.KIND,
+        rng=DRBG(0, personalization=b"csm-fan-out"),
+    )
+    messages = [b"msg-%02d" % i for i in range(8)]
+    end = chain.send_stream(messages)
+    chain.net.simulator.schedule_at(end + 0.02, reorderer.stop)
+    chain.drain_from(end + 0.1)
+    chain.run()
+    assert reorderer.flushes == 2
+    assert sorted(chain.adapter.accepted_messages()) == messages
+    assert chain.drop_reasons() == {}
 
 
 def test_promac_orphan_fragments_buffer_until_their_message():
