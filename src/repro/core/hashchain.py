@@ -245,8 +245,24 @@ class ChainVerifier:
         The gap walk runs on the raw hash callable and is charged to the
         counter in one bulk record (identical tallies to per-call).
         """
-        trusted_index = self.trusted.index
+        trusted = self.trusted
+        trusted_index = trusted.index
         gap = trusted_index - element.index
+        if gap == 1:
+            # The in-order case: one hash, one compare, and the one
+            # prune slot a gap-1 commit kills. Nothing is derived.
+            tag = self.tags[0] if trusted_index & 1 else self.tags[1]
+            self._hash.counter.record_hash(
+                len(tag) + len(element.value), "chain-verify"
+            )
+            if self._hash.raw(tag + element.value) != trusted.value:
+                return False
+            if commit:
+                if not trusted_index & 1:
+                    self._derived[trusted_index] = trusted.value
+                self.trusted = element
+                self._derived.pop(trusted_index + self.resync_window, None)
+            return True
         if gap <= 0 or gap > self.resync_window:
             return False
         raw = self._hash.raw
@@ -262,12 +278,12 @@ class ChainVerifier:
             gap * len(odd) + len(element.value) + (gap - 1) * self._hash.digest_size,
             "chain-verify",
         )
-        if value != self.trusted.value:
+        if value != trusted.value:
             return False
         if commit:
             self._derived.update(derived)
             if not trusted_index & 1:
-                self._derived[trusted_index] = self.trusted.value
+                self._derived[trusted_index] = trusted.value
             self.trusted = element
             self._prune_derived(gap)
         return True

@@ -549,11 +549,11 @@ class HandshakePacket:
 
 AnyPacket = S1Packet | A1Packet | S2Packet | A2Packet | HandshakePacket
 
+#: Valid wire type bytes, so a decode checks the type without ``PacketType(raw)``.
+_TYPE_BYTES = frozenset(int(packet_type) for packet_type in PacketType)
+#: Wire type byte -> body decoder; the handshake types are absent.
 _BODY_DECODERS = {
-    PacketType.S1: S1Packet.decode_body,
-    PacketType.A1: A1Packet.decode_body,
-    PacketType.S2: S2Packet.decode_body,
-    PacketType.A2: A2Packet.decode_body,
+    int(cls.TYPE): cls.decode_body for cls in (S1Packet, A1Packet, S2Packet, A2Packet)
 }
 
 
@@ -576,14 +576,27 @@ def decode_packet(data: bytes, hash_size: int) -> AnyPacket:
 
     ``hash_size`` is the digest width of the association's negotiated
     hash (ignored for the self-describing handshake packets).
+
+    A well-formed header is read in one ``unpack_from``; on any header
+    fault the field-by-field :func:`_read_header` parse runs instead, so
+    the error raised is the same as :func:`peek_type`'s.
     """
-    reader = Reader(data)
-    packet_type, assoc_id, seq = _read_header(reader)
-    if packet_type in (PacketType.HS1, PacketType.HS2):
+    if len(data) >= _HEADER.size:
+        magic, version, raw_type, assoc_id, seq = _HEADER.unpack_from(data)
+    else:
+        magic = version = raw_type = None
+    if magic == MAGIC and version == VERSION and raw_type in _TYPE_BYTES:
+        reader = Reader(data, _HEADER.size)
+    else:
+        reader = Reader(data)
+        packet_type, assoc_id, seq = _read_header(reader)
+        raw_type = int(packet_type)
+    decode_body = _BODY_DECODERS.get(raw_type)
+    if decode_body is None:
         packet = HandshakePacket.decode_body(
-            reader, assoc_id, seq, is_response=packet_type is PacketType.HS2
+            reader, assoc_id, seq, is_response=raw_type == PacketType.HS2
         )
     else:
-        packet = _BODY_DECODERS[packet_type](reader, assoc_id, seq, hash_size)
+        packet = decode_body(reader, assoc_id, seq, hash_size)
     reader.expect_end()
     return packet

@@ -162,6 +162,9 @@ class _RelayExchange(S1Commitment):
     ack_key_value: bytes | None = None
     #: Simulated time of the last packet that touched this exchange.
     last_seen: float = 0.0
+    #: :attr:`buffered_bytes` as the channel's running total counts it,
+    #: kept by the channel so an eviction does not re-sum the buffers.
+    held_bytes: int = 0
 
     @property
     def buffered_bytes(self) -> int:
@@ -208,6 +211,11 @@ class _ChannelObserver:
         #: again, their packets pass through unverified; a recovering
         #: entry that outlives the exchange TTL degrades to a tombstone.
         self.recovering: dict[int, dict] = {}
+        # A lower bound on every ``last_seen`` in ``exchanges`` and every
+        # ``restored_at`` in ``recovering`` (infinite when both are
+        # empty). While ``now - _oldest <= ttl`` nothing can expire, so
+        # :meth:`prune` skips its scan.
+        self._oldest = float("inf")
         self.s1_allowance = config.initial_s1_allowance
 
     def prune(self, now: float) -> None:
@@ -216,10 +224,11 @@ class _ChannelObserver:
         Called before every packet is judged, so stale exchanges age
         out no matter what a flooding sender does. The byte ceiling is
         enforced where buffers grow (S1 buffering, A1 commit), so
-        occupancy never exceeds it between packets.
+        occupancy never exceeds it between packets. Returns at once
+        while the ``_oldest`` watermark proves nothing has expired.
         """
         ttl = self.config.exchange_ttl_s
-        if ttl is not None:
+        if ttl is not None and now - self._oldest > ttl:
             expired = [
                 seq
                 for seq, exchange in self.exchanges.items()
@@ -239,6 +248,16 @@ class _ChannelObserver:
             for seq in stale:
                 del self.recovering[seq]
                 self._remember_tombstone(seq)
+            self._oldest = min(
+                [ex.last_seen for ex in self.exchanges.values()]
+                + [record["restored_at"] for record in self.recovering.values()],
+                default=float("inf"),
+            )
+
+    def _seen_at(self, now: float) -> None:
+        """Keep ``_oldest`` a lower bound after a stamp of ``now``."""
+        if now < self._oldest:
+            self._oldest = now
 
     def _remember_tombstone(self, seq: int) -> None:
         self.evicted.pop(seq, None)
@@ -248,7 +267,7 @@ class _ChannelObserver:
 
     def _evict(self, seq: int, now: float = 0.0, reason: str = "") -> None:
         """Drop buffered state for ``seq``, leaving a tombstone."""
-        self._buffered_bytes -= self.exchanges.pop(seq).buffered_bytes
+        self._buffered_bytes -= self.exchanges.pop(seq).held_bytes
         self._remember_tombstone(seq)
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -286,6 +305,7 @@ class _ChannelObserver:
 
     def _touch(self, exchange: _RelayExchange, now: float) -> None:
         exchange.last_seen = now
+        self._seen_at(now)
 
     def _tombstone(self, seq: int, now: float, reason: str) -> RelayDecision:
         """Forward a tombstoned exchange's packet unverified, counted."""
@@ -380,6 +400,7 @@ class _ChannelObserver:
             self._remember_tombstone(seq)
         for entry in record["exchanges"]:
             self.recovering[entry["seq"]] = dict(entry, restored_at=now)
+        self._seen_at(now)
 
     def _reanchor_s1(
         self, record: dict, packet: S1Packet, wire_size: int, now: float
@@ -434,8 +455,10 @@ class _ChannelObserver:
         over the entry cap and the byte cap."""
         self.evicted.pop(packet.seq, None)
         exchange = _RelayExchange.from_s1(packet, last_seen=now, **restored)
+        exchange.held_bytes = exchange.buffered_bytes
         self.exchanges[packet.seq] = exchange
-        self._buffered_bytes += exchange.buffered_bytes
+        self._buffered_bytes += exchange.held_bytes
+        self._seen_at(now)
         while len(self.exchanges) > self.config.max_buffered_exchanges:
             self._evict(self._least_recent(), now, "entry-cap")
             self.resilience.evictions_capacity += 1
@@ -504,13 +527,14 @@ class _ChannelObserver:
         """Buffer what an authentic A1 commits to, shedding exchanges over
         the byte cap; the destination was willing, so grow the sender's
         S1 allowance."""
-        before = exchange.buffered_bytes
         exchange.a1_seen = True
         exchange.a1_element = element
         exchange.pre_acks = list(packet.pre_acks)
         exchange.pre_nacks = list(packet.pre_nacks)
         exchange.amt_root = packet.amt_root
-        self._buffered_bytes += exchange.buffered_bytes - before
+        held = exchange.buffered_bytes
+        self._buffered_bytes += held - exchange.held_bytes
+        exchange.held_bytes = held
         self._enforce_byte_cap(now)
         self.s1_allowance = min(self.s1_allowance * 2, MAX_S1_ALLOWANCE)
 
@@ -796,25 +820,19 @@ class RelayEngine:
         return channel
 
     def handle(self, data: bytes, src: str, dst: str, now: float) -> RelayDecision:
-        """Decide whether to forward one transit packet."""
-        try:
-            packet_type = peek_type(data)
-        except PacketError:
-            return self._count(RelayDecision(True, "not-alpha"))
-        if packet_type is PacketType.HS1:
-            return self._count(self._on_hs1(data, src))
-        if packet_type is PacketType.HS2:
-            return self._count(self._on_hs2(data, src))
+        """Decide whether to forward one transit packet.
+
+        The packet is decoded once; only bytes that do not decode are
+        classified again, by header alone (:meth:`_undecodable`).
+        """
         try:
             packet = decode_packet(data, self._hash.digest_size)
         except PacketError:
-            self.resilience.corrupt_drops += 1
-            if self._obs.enabled:
-                self._obs.tracer.emit(
-                    now, self.name, EventKind.PARSE_DROP, info="relay"
-                )
-                self._obs.registry.counter("relay.parse_drops").inc()
-            return self._count(RelayDecision(False, "malformed"))
+            return self._count(self._undecodable(data, now))
+        if type(packet) is HandshakePacket:
+            if packet.is_response:
+                return self._count(self._on_hs2(packet, src))
+            return self._count(self._on_hs1(packet, src))
         assoc = self._associations.get(packet.assoc_id)
         if assoc is None:
             if not self.config.forward_unknown:
@@ -824,7 +842,7 @@ class RelayEngine:
             # S1s on fresh association ids gets clamped at the first
             # relay (Section 3.5).
             if (
-                isinstance(packet, S1Packet)
+                type(packet) is S1Packet
                 and len(data) > self.config.initial_s1_allowance
             ):
                 return self._count(RelayDecision(False, "s1-over-allowance"))
@@ -852,6 +870,23 @@ class RelayEngine:
 
     # -- internals -------------------------------------------------------------
 
+    def _undecodable(self, data: bytes, now: float) -> RelayDecision:
+        """Judge bytes :func:`decode_packet` rejected, by their header:
+        a non-ALPHA header passes, a broken ALPHA packet drops."""
+        try:
+            packet_type = peek_type(data)
+        except PacketError:
+            return RelayDecision(True, "not-alpha")
+        if packet_type is PacketType.HS1:
+            return RelayDecision(False, "malformed-hs1")
+        if packet_type is PacketType.HS2:
+            return RelayDecision(False, "malformed-hs2")
+        self.resilience.corrupt_drops += 1
+        if self._obs.enabled:
+            self._obs.tracer.emit(now, self.name, EventKind.PARSE_DROP, info="relay")
+            self._obs.registry.counter("relay.parse_drops").inc()
+        return RelayDecision(False, "malformed")
+
     def _dispatch(
         self, assoc: _RelayAssociation, packet, src: str, wire_size: int, now: float
     ) -> RelayDecision:
@@ -863,33 +898,23 @@ class RelayEngine:
             # Source-spoofed or rerouted traffic; judge by packet type
             # against the forward channel as a conservative default.
             from_initiator = True
-        if isinstance(packet, S1Packet):
+        kind = type(packet)
+        if kind is S1Packet:
             channel = assoc.forward_channel if from_initiator else assoc.reverse_channel
             return channel.on_s1(packet, wire_size, now)
-        if isinstance(packet, S2Packet):
+        if kind is S2Packet:
             channel = assoc.forward_channel if from_initiator else assoc.reverse_channel
             return channel.on_s2(packet, now)
-        if isinstance(packet, A1Packet):
-            channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
+        channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
+        if kind is A1Packet:
             return channel.on_a1(packet, now)
-        if isinstance(packet, A2Packet):
-            channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
-            return channel.on_a2(packet, now)
-        return RelayDecision(True, "handshake")
+        return channel.on_a2(packet, now)
 
-    def _on_hs1(self, data: bytes, src: str) -> RelayDecision:
-        try:
-            packet = decode_packet(data, self._hash.digest_size)
-        except PacketError:
-            return RelayDecision(False, "malformed-hs1")
+    def _on_hs1(self, packet: HandshakePacket, src: str) -> RelayDecision:
         self._pending_hs1[packet.assoc_id] = (src, packet)
         return RelayDecision(True, "hs1-observed")
 
-    def _on_hs2(self, data: bytes, src: str) -> RelayDecision:
-        try:
-            packet = decode_packet(data, self._hash.digest_size)
-        except PacketError:
-            return RelayDecision(False, "malformed-hs2")
+    def _on_hs2(self, packet: HandshakePacket, src: str) -> RelayDecision:
         pending = self._pending_hs1.get(packet.assoc_id)
         if pending is None:
             return RelayDecision(True, "hs2-without-hs1")

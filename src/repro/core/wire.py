@@ -106,10 +106,10 @@ class Reader:
 
     __slots__ = ("_data", "_len", "_offset", "_is_bytes")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, offset: int = 0) -> None:
         self._data = data
         self._len = len(data)
-        self._offset = 0
+        self._offset = offset
         # bytes slices already materialize; memoryview/bytearray slices
         # need an explicit bytes() so no field aliases a mutable or
         # short-lived buffer.

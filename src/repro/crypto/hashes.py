@@ -23,6 +23,7 @@ Available algorithms:
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -141,6 +142,10 @@ class HashFunction:
         self.digest_size = digest_size
         self._raw = raw
         self.counter = counter if counter is not None else OpCounter()
+        self.block_size = _BLOCK_SIZES.get(name.split("-")[0], 64)
+        # Untruncated hashlib-backed hashes MAC through the C HMAC; see
+        # :meth:`mac` for why every other variant cannot.
+        self._stdlib_hmac = name if name in _STDLIB_HMAC else None
 
     def digest(self, data: bytes, label: str | None = None) -> bytes:
         """Hash ``data``, counting one fixed-input hash operation."""
@@ -172,16 +177,19 @@ class HashFunction:
 
         ALPHA keys its MACs with undisclosed hash-chain elements; we use
         HMAC over the bound hash algorithm (the paper names HMAC [3] as
-        its MAC).
+        its MAC). ``sha1`` and ``sha256`` run the standard library's C
+        HMAC, which is byte-identical. Every other variant runs the
+        from-definition :func:`~repro.crypto.mac.hmac_raw`: the standard
+        library knows neither MMO nor the pure-Python SHA-1, and HMAC
+        over a *truncated* inner hash is a different function from
+        stdlib HMAC (the golden corpus pins those bytes).
         """
+        self.counter.record_mac(len(message), label)
+        if self._stdlib_hmac is not None:
+            return hmac.digest(key, message, self._stdlib_hmac)
         from repro.crypto.mac import hmac_raw
 
-        self.counter.record_mac(len(message), label)
         return hmac_raw(self._raw, self.block_size, key, message)
-
-    @property
-    def block_size(self) -> int:
-        return _BLOCK_SIZES.get(self.name.split("-")[0], 64)
 
     def with_counter(self, counter: OpCounter) -> "HashFunction":
         """Return a sibling bound to a different counter."""
@@ -212,6 +220,8 @@ def _sha1_pure_raw(data: bytes) -> bytes:
 
 
 _BLOCK_SIZES = {"sha1": 64, "sha256": 64, "mmo": 16, "sha1p": 64}
+#: Names whose HMAC :meth:`HashFunction.mac` delegates to :func:`hmac.digest`.
+_STDLIB_HMAC = frozenset({"sha1", "sha256"})
 
 _ALGORITHMS: dict[str, tuple[int, Callable[[bytes], bytes]]] = {
     "sha1": (20, _sha1_raw),

@@ -2,13 +2,18 @@
 
 The paper protects message bodies with "a keyed-Hash Message
 Authentication Code (HMAC) [3]" whose key is an undisclosed hash-chain
-element. We implement HMAC from its definition rather than wrapping
-:mod:`hmac` so the construction also works over the Matyas–Meyer–Oseas
-hash (16-byte block size), which the standard library does not know.
+element. :func:`hmac_raw` implements HMAC from its definition, so the
+construction also works where :mod:`hmac` cannot: over the
+Matyas–Meyer–Oseas hash (16-byte block size), over the pure-Python
+SHA-1 (``sha1p``), and over truncated variants such as ``sha1-8``,
+whose inner hash is truncated too. :meth:`HashFunction.mac` runs
+untruncated ``sha1`` and ``sha256`` through the standard library's C
+HMAC instead, which yields the same bytes.
 """
 
 from __future__ import annotations
 
+import hmac
 from typing import Callable
 
 from repro.crypto.hashes import HashFunction, get_hash
@@ -57,10 +62,4 @@ class HmacFunction:
 
     def verify(self, key: bytes, message: bytes, tag: bytes, label: str | None = None) -> bool:
         """Constant-time comparison of a recomputed tag against ``tag``."""
-        expected = self.compute(key, message, label)
-        if len(expected) != len(tag):
-            return False
-        result = 0
-        for a, b in zip(expected, tag):
-            result |= a ^ b
-        return result == 0
+        return hmac.compare_digest(self.compute(key, message, label), tag)
