@@ -126,7 +126,12 @@ def test_table1_regeneration(emit, benchmark):
     benchmark(one_exchange)
 
 def smoke():
-    """Tier-1 smoke: one measured exchange through the registry path."""
+    """Tier-1 smoke: one measured exchange through the registry path.
+
+    Runs the BASE row and the ALPHA-M n=16 row, whose relay and
+    verifier counts depend on the Merkle verify cache (PROTOCOL.md
+    §14.3), so a change in what the cache saves moves a pin.
+    """
     import sys
 
     from benchmarks.conftest import scaled_down
@@ -134,12 +139,14 @@ def smoke():
     with scaled_down(
         sys.modules[__name__], WARMUP_EXCHANGES=1, MEASURED_EXCHANGES=1
     ):
-        out = measure_mode(Mode.BASE, 1)
-    assert out["signer"]["mac_per_msg"] > 0
-    assert out["verifier"]["fixed_per_msg"] > 0
-    return {
-        "signer_mac_per_msg": out["signer"]["mac_per_msg"],
-        "signer_fixed_per_msg": out["signer"]["fixed_per_msg"],
-        "verifier_mac_per_msg": out["verifier"]["mac_per_msg"],
-        "verifier_fixed_per_msg": out["verifier"]["fixed_per_msg"],
+        base = measure_mode(Mode.BASE, 1)
+        merkle = measure_mode(Mode.MERKLE, 16)
+    assert base["signer"]["mac_per_msg"] > 0
+    assert base["verifier"]["fixed_per_msg"] > 0
+    metrics = ("mac_per_msg", "fixed_per_msg")
+    out = {
+        f"{role}_{m}": base[role][m] for role in ("signer", "verifier") for m in metrics
     }
+    for role in ROLES:
+        out.update({f"alpha_m_{role}_{m}": merkle[role][m] for m in metrics})
+    return out

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 from repro.core.modes import Mode
 from repro.core.packets import (
     PacketError,
-    PacketType,
     S1Packet,
     S2Packet,
     decode_packet,
-    peek_type,
 )
 from repro.crypto.drbg import DRBG
 from repro.netsim.node import Node
@@ -43,16 +41,6 @@ class Wiretap:
 
     def payloads(self, kind: str | None = None) -> list[bytes]:
         return [f.payload for f in self.frames if kind is None or f.kind == kind]
-
-    def packets_of_type(self, packet_type: PacketType, hash_size: int = 20) -> list:
-        out = []
-        for frame in self.frames:
-            try:
-                if peek_type(frame.payload) is packet_type:
-                    out.append(decode_packet(frame.payload, hash_size))
-            except PacketError:
-                continue
-        return out
 
 
 class PacketForger:

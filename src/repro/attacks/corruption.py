@@ -46,14 +46,14 @@ def alpha_s2_tag_region(payload: bytes) -> list[tuple[int, int]]:
     against. Non-S2 packets yield no region (the corruptor skips them).
     """
     from repro.core.exceptions import PacketError
-    from repro.core.packets import _DISCLOSE_PREFIX, PacketType, peek_type
+    from repro.core.packets import _HEADER, PacketType, peek_type
 
     try:
         if peek_type(payload) is not PacketType.S2:
             return []
     except PacketError:
         return []
-    start = _DISCLOSE_PREFIX.size
+    start = _HEADER.size + 4  # past the disclosed_index u32
     end = min(start + 20, len(payload))
     return [(start, end)] if end > start else []
 

@@ -157,10 +157,6 @@ class HashOpCounts:
     ack_nack: float
 
     @property
-    def total_fixed(self) -> float:
-        return self.signature_fixed + self.hc_create + self.hc_verify + self.ack_nack
-
-    @property
     def runtime_fixed(self) -> float:
         """Fixed-size hashes on the packet path (chain creation excluded,
         matching the paper's off-line ``+`` convention)."""

@@ -22,10 +22,8 @@ contiguous immutable ``bytes`` buffer, ``digest_size`` bytes per
 position, built by a single tight loop over the raw hash callable at
 construction time (the work is charged to the operation counter in one
 bulk record — same tallies, none of the per-call bookkeeping).
-:meth:`HashChain.element` slices the buffer; :meth:`HashChain.view`
-exposes a zero-copy ``memoryview`` slice for consumers that only need
-the value transiently. :class:`ChainElement` is a ``NamedTuple`` so the
-pairs the hot path does allocate are tuple-cheap.
+:meth:`HashChain.element` slices the buffer. :class:`ChainElement` is a
+``NamedTuple`` so the pairs the hot path does allocate are tuple-cheap.
 """
 
 from __future__ import annotations
@@ -120,7 +118,6 @@ class HashChain:
         self._seed = seed
         self._width = hash_fn.digest_size
         self._buf = _build_chain(hash_fn, seed, length, tags)
-        self._view = memoryview(self._buf)
         # Position of the most recently disclosed element; starts at the
         # anchor, which is public by definition.
         self._cursor = length
@@ -149,18 +146,6 @@ class HashChain:
         start = (index - 1) * self._width
         return self._buf[start : start + self._width]
 
-    def view(self, index: int) -> memoryview:
-        """Zero-copy ``memoryview`` of an element (positions 1..n).
-
-        For transient consumers (wire encode, constant-time compares)
-        that never let the value escape; position 0 (the seed, which may
-        have a different width) is only reachable via :meth:`value_at`.
-        """
-        if not 1 <= index <= self.length:
-            raise IndexError(f"chain position {index} out of range 1..{self.length}")
-        start = (index - 1) * self._width
-        return self._view[start : start + self._width]
-
     def element(self, index: int) -> ChainElement:
         """Access an element by position (owner-side only)."""
         return ChainElement(index, self.value_at(index))
@@ -187,18 +172,6 @@ class HashChain:
         return (
             ChainElement(cursor - 1, self._buf[top - width : top]),
             ChainElement(cursor - 2, key),
-        )
-
-    def peek_exchange(self) -> tuple[ChainElement, ChainElement]:
-        """Like :meth:`next_exchange` without consuming the elements."""
-        cursor = self._cursor
-        if cursor < 2:
-            raise ChainExhaustedError(
-                f"chain exhausted after {self.length // 2} exchanges"
-            )
-        return (
-            ChainElement(cursor - 1, self.value_at(cursor - 1)),
-            ChainElement(cursor - 2, self.value_at(cursor - 2)),
         )
 
 
@@ -472,10 +445,3 @@ class CheckpointedHashChain:
         key = self.element(self._cursor - 2)
         self._cursor -= 2
         return s1, key
-
-    def peek_exchange(self) -> tuple[ChainElement, ChainElement]:
-        if self._cursor < 2:
-            raise ChainExhaustedError(
-                f"chain exhausted after {self.length // 2} exchanges"
-            )
-        return self.element(self._cursor - 1), self.element(self._cursor - 2)

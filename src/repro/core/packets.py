@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.core.exceptions import PacketError
 from repro.core.modes import Mode
-from repro.core.wire import U16, U32, Reader, Writer
+from repro.core.wire import Reader, Writer
 
 # The ledger digest lives with the ledger (repro.obs.linkhealth): the
 # obs package must stay importable without repro.core (the engines all
@@ -37,64 +37,8 @@ from repro.obs.linkhealth import LedgerSummary
 MAGIC = 0xA1FA
 VERSION = 1
 
-# -- hot-path encode machinery (PROTOCOL.md §14) -------------------------------
-#
-# S1/A1/S2/A2 encode through precompiled ``struct.Struct`` header
-# formats packed directly into one reusable scratch buffer: the exact
-# packet size is computed up front, the fixed-layout prefix lands in a
-# single ``pack_into``, and hash-width fields are copied once by slice
-# assignment. No Writer part-list, no per-field ``struct.pack``
-# allocations, no join. The scratch grows monotonically and is reused
-# across calls (the engines are sans-IO and single-threaded per
-# process; the returned ``bytes`` is an immutable snapshot, so reuse
-# can never alias a live packet). Byte layout is IDENTICAL to the
-# Writer path — the golden corpus (tests/golden/) pins that.
-
 #: magic u16 | version u8 | type u8 | assoc_id u64 | seq u32
 _HEADER = struct.Struct(">HBBQI")
-#: header + mode u8 | flags u8 | chain_index u32  (S1 fixed prefix)
-_S1_PREFIX = struct.Struct(">HBBQIBBI")
-#: header + flags u8 | ack_index u32  (A1 fixed prefix)
-_A1_PREFIX = struct.Struct(">HBBQIBI")
-#: header + disclosed_index u32  (S2/A2 fixed prefix)
-_DISCLOSE_PREFIX = struct.Struct(">HBBQII")
-
-_scratch = bytearray(2048)
-
-
-def _scratch_for(size: int) -> bytearray:
-    global _scratch
-    if len(_scratch) < size:
-        _scratch = bytearray(max(size, 2 * len(_scratch)))
-    return _scratch
-
-
-def _put_hash_list(
-    buf: bytearray, offset: int, hashes: list[bytes], width: int
-) -> int:
-    """Write a 16-bit counted fixed-width list; returns the new offset."""
-    if len(hashes) > 0xFFFF:
-        raise ValueError(f"hash list too long: {len(hashes)}")
-    U16.pack_into(buf, offset, len(hashes))
-    offset += 2
-    for value in hashes:
-        if len(value) != width:
-            raise ValueError(
-                f"hash width mismatch: expected {width}, got {len(value)}"
-            )
-        buf[offset : offset + width] = value
-        offset += width
-    return offset
-
-
-def _put_var_bytes(buf: bytearray, offset: int, data: bytes) -> int:
-    """Write a 16-bit length-prefixed field; returns the new offset."""
-    if len(data) > 0xFFFF:
-        raise ValueError(f"var_bytes field too long: {len(data)}")
-    U16.pack_into(buf, offset, len(data))
-    offset += 2
-    buf[offset : offset + len(data)] = data
-    return offset + len(data)
 
 
 class PacketType(enum.IntEnum):
@@ -163,21 +107,12 @@ class S1Packet:
     TYPE = PacketType.S1
 
     def encode(self) -> bytes:
-        h = len(self.chain_element)
-        sigs = self.pre_signatures
-        size = _S1_PREFIX.size + h + 4 + len(sigs) * h
-        buf = _scratch_for(size)
-        _S1_PREFIX.pack_into(
-            buf, 0, MAGIC, VERSION, int(self.TYPE), self.assoc_id, self.seq,
-            int(self.mode), FLAG_RELIABLE if self.reliable else 0,
-            self.chain_index,
-        )
-        offset = _S1_PREFIX.size
-        buf[offset : offset + h] = self.chain_element
-        offset += h
-        U16.pack_into(buf, offset, self.message_count)
-        offset = _put_hash_list(buf, offset + 2, sigs, h)
-        return bytes(memoryview(buf)[:offset])
+        writer = _header(self.TYPE, self.assoc_id, self.seq)
+        writer.u8(int(self.mode)).u8(FLAG_RELIABLE if self.reliable else 0)
+        writer.u32(self.chain_index).raw(self.chain_element)
+        writer.u16(self.message_count)
+        writer.hash_list(self.pre_signatures, len(self.chain_element))
+        return writer.getvalue()
 
     @classmethod
     def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "S1Packet":
@@ -250,40 +185,24 @@ class A1Packet:
     def encode(self) -> bytes:
         h = len(self.ack_element)
         flags = 0
-        size = _A1_PREFIX.size + h + 4 + h
         if self.pre_acks or self.pre_nacks:
             if len(self.pre_acks) != len(self.pre_nacks):
                 raise PacketError("pre-acks and pre-nacks must pair up")
             flags |= FLAG_PRE_ACK_PAIR
-            size += 4 + (len(self.pre_acks) + len(self.pre_nacks)) * h
         if self.amt_root is not None:
             flags |= FLAG_AMT_ROOT
-            size += len(self.amt_root)
         if self.telemetry is not None:
             flags |= FLAG_TELEMETRY
-            size += LedgerSummary.SIZE
-        buf = _scratch_for(size)
-        _A1_PREFIX.pack_into(
-            buf, 0, MAGIC, VERSION, int(self.TYPE), self.assoc_id, self.seq,
-            flags, self.ack_index,
-        )
-        offset = _A1_PREFIX.size
-        buf[offset : offset + h] = self.ack_element
-        offset += h
-        U32.pack_into(buf, offset, self.echo_sig_index)
-        offset += 4
-        buf[offset : offset + h] = self.echo_sig_element
-        offset += h
+        writer = _header(self.TYPE, self.assoc_id, self.seq)
+        writer.u8(flags).u32(self.ack_index).raw(self.ack_element)
+        writer.u32(self.echo_sig_index).raw(self.echo_sig_element)
         if flags & FLAG_PRE_ACK_PAIR:
-            offset = _put_hash_list(buf, offset, self.pre_acks, h)
-            offset = _put_hash_list(buf, offset, self.pre_nacks, h)
-        if flags & FLAG_AMT_ROOT:
-            root = self.amt_root
-            buf[offset : offset + len(root)] = root
-            offset += len(root)
-        if flags & FLAG_TELEMETRY:
-            offset = self.telemetry.encode_into(buf, offset)
-        return bytes(memoryview(buf)[:offset])
+            writer.hash_list(self.pre_acks, h).hash_list(self.pre_nacks, h)
+        if self.amt_root is not None:
+            writer.raw(self.amt_root)
+        if self.telemetry is not None:
+            writer.raw(self.telemetry.encode())
+        return writer.getvalue()
 
     @classmethod
     def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "A1Packet":
@@ -338,23 +257,11 @@ class S2Packet:
     TYPE = PacketType.S2
 
     def encode(self) -> bytes:
-        h = len(self.disclosed_element)
-        size = (
-            _DISCLOSE_PREFIX.size + h + 4 + len(self.message)
-            + 2 + len(self.auth_path) * h
-        )
-        buf = _scratch_for(size)
-        _DISCLOSE_PREFIX.pack_into(
-            buf, 0, MAGIC, VERSION, int(self.TYPE), self.assoc_id, self.seq,
-            self.disclosed_index,
-        )
-        offset = _DISCLOSE_PREFIX.size
-        buf[offset : offset + h] = self.disclosed_element
-        offset += h
-        U16.pack_into(buf, offset, self.msg_index)
-        offset = _put_var_bytes(buf, offset + 2, self.message)
-        offset = _put_hash_list(buf, offset, self.auth_path, h)
-        return bytes(memoryview(buf)[:offset])
+        writer = _header(self.TYPE, self.assoc_id, self.seq)
+        writer.u32(self.disclosed_index).raw(self.disclosed_element)
+        writer.u16(self.msg_index).var_bytes(self.message)
+        writer.hash_list(self.auth_path, len(self.disclosed_element))
+        return writer.getvalue()
 
     @classmethod
     def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "S2Packet":
@@ -398,25 +305,13 @@ class A2Packet:
 
     def encode(self) -> bytes:
         h = len(self.disclosed_element)
-        size = _DISCLOSE_PREFIX.size + h + 2 + sum(
-            7 + len(v.secret) + len(v.path) * h for v in self.verdicts
-        )
-        buf = _scratch_for(size)
-        _DISCLOSE_PREFIX.pack_into(
-            buf, 0, MAGIC, VERSION, int(self.TYPE), self.assoc_id, self.seq,
-            self.disclosed_index,
-        )
-        offset = _DISCLOSE_PREFIX.size
-        buf[offset : offset + h] = self.disclosed_element
-        offset += h
-        U16.pack_into(buf, offset, len(self.verdicts))
-        offset += 2
+        writer = _header(self.TYPE, self.assoc_id, self.seq)
+        writer.u32(self.disclosed_index).raw(self.disclosed_element)
+        writer.u16(len(self.verdicts))
         for verdict in self.verdicts:
-            U16.pack_into(buf, offset, verdict.msg_index)
-            buf[offset + 2] = 1 if verdict.is_ack else 0
-            offset = _put_var_bytes(buf, offset + 3, verdict.secret)
-            offset = _put_hash_list(buf, offset, verdict.path, h)
-        return bytes(memoryview(buf)[:offset])
+            writer.u16(verdict.msg_index).u8(1 if verdict.is_ack else 0)
+            writer.var_bytes(verdict.secret).hash_list(verdict.path, h)
+        return writer.getvalue()
 
     @classmethod
     def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "A2Packet":

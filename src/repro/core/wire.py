@@ -8,17 +8,14 @@ width. Reads validate bounds and raise
 :class:`~repro.core.exceptions.PacketError`) on truncation so malformed
 network input can never surface as an :class:`IndexError`.
 
-Hot-path design (PROTOCOL.md §14): integer fields are decoded with
-precompiled :class:`struct.Struct` instances via ``unpack_from`` at an
-explicit offset — no intermediate slice objects, no per-call format
-parsing. The :class:`Reader` accepts any buffer (``bytes``,
-``bytearray``, ``memoryview``) and never copies it; only fields that
-escape the parser (``raw``/``var_bytes``/``hash_list`` results) are
-materialized as ``bytes``, exactly one copy each, because decoded
-packets outlive the datagram buffer they were sliced from. The
-:class:`Writer` keeps the flexible part-list API for cold paths
-(handshakes); packet hot paths use the precompiled header structs in
-:mod:`repro.core.packets` instead.
+Codec design (PROTOCOL.md §14.2): every packet type encodes through
+:class:`Writer` and decodes through :class:`Reader`. The reader holds
+its input as ``bytes`` -- the caller's object itself when it already
+is ``bytes``, one copy otherwise -- so every field it returns is
+immutable and outlives the datagram buffer it came from. Integer
+fields use precompiled :class:`struct.Struct` codecs: the writer
+packs each one, and the reader unpacks in place at an explicit
+offset with ``unpack_from``.
 """
 
 from __future__ import annotations
@@ -27,9 +24,9 @@ import struct
 
 from repro.core.exceptions import PacketError, WireError
 
-#: Precompiled big-endian integer codecs, shared by Writer, Reader, and
-#: the packet-header fast paths. Compiling once removes the per-call
-#: format-string parse that dominated ``struct.pack(">H", ...)``.
+#: Precompiled big-endian integer codecs, shared by Writer and Reader.
+#: Compiling once removes the per-call format-string parse of
+#: ``struct.pack(">H", ...)``.
 U8 = struct.Struct(">B")
 U16 = struct.Struct(">H")
 U32 = struct.Struct(">I")
@@ -94,47 +91,34 @@ class Writer:
 class Reader:
     """Bounds-checked big-endian byte consumer.
 
-    Zero-copy: the input buffer is held by reference (``bytes``,
-    ``bytearray`` and ``memoryview`` all work) and integers are
-    unpacked in place at the running offset. ``raw``/``var_bytes``
-    materialize their result as ``bytes`` — decoded fields escape into
-    packet objects that outlive the datagram buffer, so that single
-    copy is the contract, not an accident. For ``bytes`` input the
-    slice itself is that copy; for ``memoryview`` input the zero-copy
-    sub-view is converted explicitly.
+    The input is held as ``bytes``: a ``bytes`` argument is kept as is,
+    and a ``bytearray`` or ``memoryview`` is copied once, so no decoded
+    field can alias a mutable or short-lived buffer. Integers are
+    unpacked in place at the running offset; ``raw``/``var_bytes``/
+    ``hash_list`` return ``bytes`` slices.
     """
 
-    __slots__ = ("_data", "_len", "_offset", "_is_bytes")
+    __slots__ = ("_data", "_len", "_offset")
 
     def __init__(self, data: bytes, offset: int = 0) -> None:
-        self._data = data
+        self._data = data = bytes(data)
         self._len = len(data)
         self._offset = offset
-        # bytes slices already materialize; memoryview/bytearray slices
-        # need an explicit bytes() so no field aliases a mutable or
-        # short-lived buffer.
-        self._is_bytes = type(data) is bytes
 
     def _take(self, n: int) -> bytes:
         offset = self._offset
         end = offset + n
         if end > self._len:
             raise WireError(offset, n, self._len - offset)
-        chunk = self._data[offset:end]
         self._offset = end
-        if self._is_bytes:
-            return chunk
-        return bytes(chunk)
+        return self._data[offset:end]
 
     def u8(self) -> int:
         offset = self._offset
         if offset >= self._len:
             raise WireError(offset, 1, 0)
         self._offset = offset + 1
-        value = self._data[offset]
-        # bytes/bytearray index to int; a memoryview of a non-byte
-        # format would not, but the codec only ever sees byte buffers.
-        return value if type(value) is int else value[0]
+        return self._data[offset]
 
     def u16(self) -> int:
         offset = self._offset
@@ -175,9 +159,7 @@ class Reader:
             raise WireError(short, width, self._len - short)
         data = self._data
         self._offset = end
-        if self._is_bytes:
-            return [data[i : i + width] for i in range(offset, end, width)]
-        return [bytes(data[i : i + width]) for i in range(offset, end, width)]
+        return [data[i : i + width] for i in range(offset, end, width)]
 
     def expect_end(self) -> None:
         """Raise unless every byte has been consumed."""

@@ -105,22 +105,14 @@ class LedgerSummary:
 
     SIZE = _LEDGER_SUMMARY.size
 
-    def encode_into(self, buf: bytearray, offset: int) -> int:
-        """Pack into ``buf`` at ``offset``; returns the new offset."""
-        _LEDGER_SUMMARY.pack_into(
-            buf, offset,
+    def encode(self) -> bytes:
+        """The 16-byte wire field, each counter saturated to u32."""
+        return _LEDGER_SUMMARY.pack(
             _saturate(self.corrupt_arrivals),
             _saturate(self.verified),
             _saturate(self.dropped),
             _saturate(self.rtt_us),
         )
-        return offset + _LEDGER_SUMMARY.size
-
-    def encode(self) -> bytes:
-        """Standalone encoding (cold paths: handshakes, tests)."""
-        buf = bytearray(_LEDGER_SUMMARY.size)
-        self.encode_into(buf, 0)
-        return bytes(buf)
 
     @classmethod
     def decode(cls, reader) -> "LedgerSummary":

@@ -39,10 +39,6 @@ class TestEquivalence:
             assert verifier.verify(s1)
             assert verifier.verify(key)
 
-    def test_peek_matches_next(self, sha1, rng):
-        chain = CheckpointedHashChain(sha1, rng.random_bytes(20), 32)
-        assert chain.peek_exchange() == chain.next_exchange()
-
     def test_exhaustion(self, sha1, rng):
         chain = CheckpointedHashChain(sha1, rng.random_bytes(20), 4)
         chain.next_exchange()

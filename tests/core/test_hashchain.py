@@ -78,11 +78,6 @@ class TestOwnerDisclosure:
         with pytest.raises(ChainExhaustedError):
             chain.next_exchange()
 
-    def test_peek_does_not_consume(self, sha1, rng):
-        chain, _ = make(sha1, rng, length=4)
-        assert chain.peek_exchange() == chain.peek_exchange()
-        assert chain.peek_exchange() == chain.next_exchange()
-
     def test_element_bounds(self, sha1, rng):
         chain, _ = make(sha1, rng, length=4)
         with pytest.raises(IndexError):

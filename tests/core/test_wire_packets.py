@@ -183,3 +183,76 @@ class TestPacketCodec:
     def test_mmo_hash_size_packets(self):
         packet = S1Packet(1, 2, Mode.BASE, 63, b"\x01" * 16, [b"\x02" * 16], 1)
         assert decode_packet(packet.encode(), 16) == packet
+
+
+SHORT = b"short"
+#: One entry past the 16-bit count/length prefix.
+TOO_MANY = [h(1)] * 0x10000
+TOO_LONG = b"x" * 0x10000
+
+
+def s1(sigs):
+    return S1Packet(1, 2, Mode.CUMULATIVE, 63, h(1), sigs, 2)
+
+
+def a1(acks, nacks):
+    return A1Packet(1, 2, 63, h(8), 63, h(1), pre_acks=acks, pre_nacks=nacks)
+
+
+def s2(message=b"m", path=()):
+    return S2Packet(1, 2, 62, h(12), 0, message, auth_path=list(path))
+
+
+def a2(secret=b"s", path=()):
+    return A2Packet(1, 2, 62, h(15), [AckVerdict(0, True, secret, list(path))])
+
+
+class TestEncodeErrorContract:
+    """What ``encode()`` raises for a packet it cannot put on the wire.
+
+    A field that does not fit its 16-bit prefix, or a hash-list entry
+    whose width differs from the packet's chain element, is a caller bug
+    (``ValueError``); pre-acks without matching pre-nacks are a protocol
+    violation (``PacketError``). Neither may ever yield bytes.
+    """
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            s1([h(2), SHORT]),
+            a1([SHORT], [h(9)]),
+            a1([h(9)], [SHORT]),
+            s2(path=[h(13), SHORT]),
+            a2(path=[SHORT]),
+        ],
+        ids=["S1-sig", "A1-ack", "A1-nack", "S2-path", "A2-path"],
+    )
+    def test_wrong_width_hash_list_entry(self, packet):
+        with pytest.raises(ValueError, match="hash width mismatch"):
+            packet.encode()
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            s1(TOO_MANY),
+            a1(TOO_MANY, TOO_MANY),
+            s2(message=TOO_LONG),
+            s2(path=TOO_MANY),
+            a2(secret=TOO_LONG),
+            a2(path=TOO_MANY),
+        ],
+        ids=["S1-sigs", "A1-acks", "S2-message", "S2-path", "A2-secret", "A2-path"],
+    )
+    def test_field_over_16_bits(self, packet):
+        with pytest.raises(ValueError, match="too long"):
+            packet.encode()
+
+    @pytest.mark.parametrize(
+        "acks, nacks",
+        [([], [h(10)]), ([h(9), h(9)], [h(10)])],
+        ids=["nacks-only", "two-to-one"],
+    )
+    def test_a1_unpaired_pre_acks(self, acks, nacks):
+        # Acks without nacks: TestPacketCodec.test_a1_unpaired_preacks_rejected_on_encode.
+        with pytest.raises(PacketError, match="pair up"):
+            a1(acks, nacks).encode()

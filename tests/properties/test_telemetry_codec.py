@@ -36,15 +36,6 @@ def test_roundtrip_exact(summary):
     assert LedgerSummary.decode(Reader(encoded)) == summary
 
 
-@given(summary=summaries, pad=st.integers(min_value=0, max_value=32))
-@settings(max_examples=100, deadline=None)
-def test_encode_into_matches_encode_at_any_offset(summary, pad):
-    buf = bytearray(pad + LedgerSummary.SIZE)
-    end = summary.encode_into(buf, pad)
-    assert end == pad + LedgerSummary.SIZE
-    assert bytes(buf[pad:end]) == summary.encode()
-
-
 @given(summary=summaries)
 @settings(max_examples=50, deadline=None)
 def test_every_truncation_raises_wire_error(summary):

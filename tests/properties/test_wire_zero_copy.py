@@ -1,9 +1,9 @@
-"""Zero-copy Reader properties: buffer-type independence (§14).
+"""Reader properties: buffer-type independence (§14.2).
 
-The hot-path :class:`~repro.core.wire.Reader` holds its input by
-reference and slices ``bytes``, ``bytearray``, and ``memoryview``
-buffers without copying. That optimization must be observationally
-invisible. Hypothesis drives three differential properties:
+:class:`~repro.core.wire.Reader` accepts ``bytes``, ``bytearray`` and
+``memoryview`` buffers; it keeps ``bytes`` as is and copies any other
+buffer once. The buffer type must be observationally invisible.
+Hypothesis drives three differential properties:
 
 1. Decode agreement — ``decode_packet`` over a ``memoryview`` (plain,
    or a zero-copy window into a larger buffer) yields the identical
@@ -39,7 +39,7 @@ class CopyingReader:
     """Executable spec: the pre-§14 reader that sliced eagerly.
 
     Every field is cut out of an immutable ``bytes`` copy of the input.
-    The zero-copy :class:`Reader` must be indistinguishable from this.
+    The :class:`Reader` must be indistinguishable from this.
     """
 
     def __init__(self, data: bytes) -> None:
