@@ -39,12 +39,12 @@ def measure_mode(mode: Mode, batch: int) -> dict:
     # the paper's "+" entries mark it off-line.
     for _ in range(WARMUP_EXCHANGES):
         run_exchange(channel, [message] * batch)
-    before = channel.registry.snapshot()
+    before = channel.obs.registry.snapshot()
     for _ in range(MEASURED_EXCHANGES):
         delivered = run_exchange(channel, [message] * batch)
         assert delivered == batch
     total_messages = MEASURED_EXCHANGES * batch
-    delta = channel.registry.snapshot().diff(before)
+    delta = channel.obs.registry.snapshot().diff(before)
     out = {}
     for role in ROLES:
         labels = delta[f"{role}.labels"]

@@ -83,11 +83,11 @@ def test_wsn_regeneration(emit, benchmark):
     # (one message MAC + amortized chain verification).
     channel = build_channel(mode=Mode.CUMULATIVE, batch_size=5, hash_name="mmo")
     run_exchange(channel, [b"\xEE" * 64] * 5)
-    before = channel.relay_counter.snapshot()
+    before = channel.obs.registry.snapshot()
     run_exchange(channel, [b"\xEE" * 64] * 5)
-    delta = channel.relay_counter.diff(before)
-    assert delta.mac_ops == 5  # one MAC per S2
-    assert delta.hash_ops <= 4  # S1+S2+A1+A2-side chain checks per batch
+    delta = channel.obs.registry.snapshot().diff(before)
+    assert delta["relay.mac_ops"] == 5  # one MAC per S2
+    assert delta["relay.hash_ops"] <= 4  # S1+S2+A1+A2-side chain checks per batch
 
     # Benchmark: the MMO hash over the paper's 84-byte measurement point.
     benchmark(mmo_digest, b"\xAB" * 84)

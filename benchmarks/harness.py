@@ -1,13 +1,14 @@
 """Direct-drive protocol harness shared by the benchmarks.
 
 Runs signer/verifier/relay engines against each other in memory (no
-simulator), with a *separate hash-operation counter per role* so the
-Table 1 benchmarks measure each role's cryptographic work exactly.
+simulator) on :class:`~repro.obs.canonical.CanonicalChannel`, with a
+*separate hash-operation counter per role* so the Table 1 benchmarks
+measure each role's cryptographic work exactly.
 
-Each channel carries a :class:`~repro.obs.MetricsRegistry` with the
-per-role :class:`~repro.crypto.hashes.OpCounter` blocks *bound* into it
-(``signer.hash_ops``, ``relay.mac_bytes``, ``verifier.labels``, ...),
-so benchmarks read one registry snapshot instead of juggling three
+Each channel's :class:`~repro.obs.MetricsRegistry` (``channel.obs.registry``)
+has the per-role :class:`~repro.crypto.hashes.OpCounter` blocks *bound*
+into it (``signer.hash_ops``, ``relay.mac_bytes``, ``verifier.labels``,
+...), so benchmarks read one registry snapshot instead of juggling three
 ad-hoc counters — and the crypto hot path is untouched: bound samples
 are pulled lazily at snapshot time. Pass ``observe=True`` to also
 enable event tracing in the engines (benchmarks leave it off so the
@@ -16,41 +17,17 @@ timed path stays bare).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.hashchain import (
-    ACKNOWLEDGMENT_TAGS,
-    ChainVerifier,
-    HashChain,
-)
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core.packets import decode_packet
-from repro.core.relay import RelayEngine
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
-from repro.crypto.hashes import OpCounter, get_hash
+from repro.crypto.hashes import OpCounter
 from repro.obs import MetricsRegistry, Observability
+from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 0xBE7C
 
 #: OpCounter fields exported per role through the registry.
 _OP_FIELDS = ("hash_ops", "hash_bytes", "mac_ops", "mac_bytes", "labels")
-
-
-@dataclass
-class Channel:
-    """One simplex channel with per-role counters and an on-path relay."""
-
-    signer: SignerSession
-    verifier: VerifierSession
-    relay: RelayEngine
-    signer_counter: OpCounter
-    verifier_counter: OpCounter
-    relay_counter: OpCounter
-    hash_size: int
-    registry: MetricsRegistry
-    obs: Observability
 
 
 def build_channel(
@@ -61,20 +38,12 @@ def build_channel(
     chain_length: int = 4096,
     seed: int | str = 0,
     observe: bool = False,
-) -> Channel:
-    rng = DRBG(seed, personalization=b"bench-harness")
-    signer_counter = OpCounter()
-    verifier_counter = OpCounter()
-    relay_counter = OpCounter()
+) -> CanonicalChannel:
+    counters = {role: OpCounter() for role in ("signer", "verifier", "relay")}
     # The registry is always live (it is the pull substrate the Table 1
     # benches diff); the tracer/engine-event side is opt-in.
     registry = MetricsRegistry(enabled=True)
-    obs = Observability(enabled=observe, registry=registry)
-    for role, counter in (
-        ("signer", signer_counter),
-        ("verifier", verifier_counter),
-        ("relay", relay_counter),
-    ):
+    for role, counter in counters.items():
         for field in _OP_FIELDS:
             registry.bind(
                 f"{role}.{field}",
@@ -82,79 +51,23 @@ def build_channel(
                 if field == "labels"
                 else (lambda c=counter, f=field: getattr(c, f)),
             )
-    signer_hash = get_hash(hash_name, signer_counter)
-    verifier_hash = get_hash(hash_name, verifier_counter)
-    relay_hash = get_hash(hash_name, relay_counter)
-    h = signer_hash.digest_size
-
-    sig_chain = HashChain(signer_hash, rng.random_bytes(h), chain_length)
-    ack_chain = HashChain(
-        verifier_hash, rng.random_bytes(h), chain_length, tags=ACKNOWLEDGMENT_TAGS
-    )
-    config = ChannelConfig(mode=mode, reliability=reliability, batch_size=batch_size)
-    signer = SignerSession(
-        signer_hash,
-        sig_chain,
-        ChainVerifier(signer_hash, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-        config,
-        ASSOC,
-        obs=obs,
-        node="signer",
-    )
-    verifier = VerifierSession(
-        verifier_hash,
-        ack_chain,
-        ChainVerifier(verifier_hash, sig_chain.anchor),
-        ASSOC,
-        rng.fork("verifier"),
-        obs=obs,
-        node="verifier",
-    )
-    relay = RelayEngine(relay_hash, obs=obs, name="relay")
-    relay.provision(
+    return CanonicalChannel(
+        DRBG(seed, personalization=b"bench-harness"),
+        ChannelConfig(mode=mode, reliability=reliability, batch_size=batch_size),
+        obs=Observability(enabled=observe, registry=registry),
+        hash_name=hash_name,
+        chain_length=chain_length,
+        counters=counters,
         assoc_id=ASSOC,
-        initiator="s",
-        responder="v",
-        initiator_sig_anchor=sig_chain.anchor,
-        initiator_ack_anchor=ack_chain.anchor,
-        responder_sig_anchor=sig_chain.anchor,
-        responder_ack_anchor=ack_chain.anchor,
-    )
-    return Channel(
-        signer=signer,
-        verifier=verifier,
-        relay=relay,
-        signer_counter=signer_counter,
-        verifier_counter=verifier_counter,
-        relay_counter=relay_counter,
-        hash_size=h,
-        registry=registry,
-        obs=obs,
     )
 
 
-def run_exchange(channel: Channel, messages: list[bytes], now: float = 0.0) -> int:
+def run_exchange(
+    channel: CanonicalChannel, messages: list[bytes], now: float = 0.0
+) -> int:
     """Push one batch through signer -> relay -> verifier (-> A2 back).
 
     Returns the number of messages the verifier delivered.
     """
-    for message in messages:
-        channel.signer.submit(message)
-    s1_raw = channel.signer.poll(now)[0]
-    assert channel.relay.handle(s1_raw, "s", "v", now).forward
-    a1_raw = channel.verifier.handle_s1(
-        decode_packet(s1_raw, channel.hash_size), now
-    )
-    assert channel.relay.handle(a1_raw, "v", "s", now).forward
-    s2_raws = channel.signer.handle_a1(
-        decode_packet(a1_raw, channel.hash_size), now
-    )
-    for raw in s2_raws:
-        assert channel.relay.handle(raw, "s", "v", now).forward
-        a2_raw = channel.verifier.handle_s2(
-            decode_packet(raw, channel.hash_size), now
-        )
-        if a2_raw is not None:
-            assert channel.relay.handle(a2_raw, "v", "s", now).forward
-            channel.signer.handle_a2(decode_packet(a2_raw, channel.hash_size), now)
-    return len(channel.verifier.drain_delivered())
+    delivered, _ = channel.exchange(messages, now)
+    return len(delivered)

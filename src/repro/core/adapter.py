@@ -178,13 +178,11 @@ class RelayAdapter:
                 config=old.config,
                 obs=old._obs,
                 name=old.name,
-                ledger=old.ledger,
                 now=now,
             )
         else:
             self.engine = RelayEngine(
-                old._hash, old.config, obs=old._obs, name=old.name,
-                ledger=old.ledger,
+                old._hash, old.config, obs=old._obs, name=old.name
             )
         self.node.up = True
         return self.engine

@@ -43,10 +43,13 @@ from repro.core.signer import check_a2_key, verify_verdict
 from repro.core.verifier import S1Commitment, check_s2_key, verify_s2
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs.linkhealth import HealthLedger
 
 #: Ceiling on the per-association S1 size allowance (bytes).
 MAX_S1_ALLOWANCE = 65535
+#: Ceiling on HS1s awaiting their HS2. Past it the oldest pending HS1 is
+#: forgotten, so a flood of HS1s with fresh association ids costs the
+#: relay bounded memory (that association then stays unprovisioned).
+MAX_PENDING_HS1 = 1024
 
 
 @dataclass(frozen=True)
@@ -648,7 +651,6 @@ class RelayEngine:
         config: RelayConfig | None = None,
         obs: Observability | None = None,
         name: str = "",
-        ledger: HealthLedger | None = None,
         hop: int = 0,
     ) -> None:
         self._hash = hash_fn
@@ -666,11 +668,6 @@ class RelayEngine:
         self.stats: dict[str, int] = {}
         #: Shared by every channel observer: evictions, corrupt drops.
         self.resilience = ResilienceStats()
-        #: Optional link-health ledger (PROTOCOL.md §11): verification
-        #: drops are attributed to the upstream hop they arrived from —
-        #: a relay seeing damaged packets from one neighbour is evidence
-        #: about *that* link.
-        self.ledger = ledger
         self.extracted: list[ExtractedMessage] = []
 
     def provision(
@@ -747,7 +744,6 @@ class RelayEngine:
         config: RelayConfig | None = None,
         obs: Observability | None = None,
         name: str = "",
-        ledger: HealthLedger | None = None,
         now: float = 0.0,
     ) -> "RelayEngine":
         """Rebuild an engine from a :meth:`snapshot` journal.
@@ -765,7 +761,6 @@ class RelayEngine:
             config=config,
             obs=obs,
             name=name or journal.get("name", ""),
-            ledger=ledger,
             hop=journal.get("hop", 0),
         )
         recovering = 0
@@ -850,8 +845,6 @@ class RelayEngine:
         decision = self._dispatch(assoc, packet, src, len(data), now)
         if decision.extracted:
             self.extracted.extend(decision.extracted)
-        if not decision.forward and self.ledger is not None:
-            self.ledger.link(src).on_relay_drop()
         if self._obs.enabled:
             kind = EventKind.RELAY_FORWARD if decision.forward else EventKind.RELAY_DROP
             info = decision.reason
@@ -911,7 +904,11 @@ class RelayEngine:
         return channel.on_a2(packet, now)
 
     def _on_hs1(self, packet: HandshakePacket, src: str) -> RelayDecision:
-        self._pending_hs1[packet.assoc_id] = (src, packet)
+        pending = self._pending_hs1
+        pending.pop(packet.assoc_id, None)  # a repeat counts as the newest
+        if len(pending) >= MAX_PENDING_HS1:
+            del pending[next(iter(pending))]
+        pending[packet.assoc_id] = (src, packet)
         return RelayDecision(True, "hs1-observed")
 
     def _on_hs2(self, packet: HandshakePacket, src: str) -> RelayDecision:

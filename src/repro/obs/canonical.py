@@ -31,13 +31,16 @@ into one path (PROTOCOL.md §16).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
+
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core.packets import decode_packet
-from repro.core.relay import RelayEngine
+from repro.core.packets import S1Packet, decode_packet
+from repro.core.relay import RelayConfig, RelayDecision, RelayEngine
 from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.verifier import DeliveredMessage, VerifierSession
 from repro.crypto.drbg import DRBG
+from repro.crypto.hashes import OpCounter, get_hash
 from repro.obs import Observability
 
 #: Association id used by every canonical replay.
@@ -61,75 +64,174 @@ MULTIHOP_EXCHANGE = "multihop"
 
 
 class CanonicalChannel:
-    """A signer/relay/verifier triple sharing one observability context."""
+    """Signer → relays → verifier on one association, driven by hand.
+
+    The one hand-driven channel of the code base: the canonical
+    replays, the benchmark harness and the session-level test fixtures
+    all build and walk it. It draws the signature chain and then the
+    acknowledgment chain from ``rng``, crosses the anchors, and
+    statically provisions ``relays`` relays on the path (one relay is
+    the unplaced ``relay``; several are ``relay1``..``relayk`` at hops
+    1..k). On the wire the signer is ``s`` and the verifier ``v``; in
+    the trace they are ``signer`` and ``verifier``.
+
+    Each wire leg takes ``hop_delay_s`` (0 by default), so a walk with
+    a clock step reads like a packet capture of the path. Every walk
+    requires each relay to forward each packet.
+    """
 
     def __init__(
         self,
-        mode: Mode,
-        reliability: ReliabilityMode,
-        batch_size: int,
-        obs: Observability,
+        rng: DRBG,
+        config: ChannelConfig | None = None,
+        *,
+        relays: int = 1,
+        relay_config: RelayConfig | None = None,
+        obs: Observability | None = None,
         hash_name: str = "sha1",
         chain_length: int = 64,
-        seed: int | str = 0,
-        relay_count: int = 1,
+        counters: Mapping[str, OpCounter] | None = None,
+        accept_policy: Callable[[S1Packet], bool] | None = None,
+        assoc_id: int = CANONICAL_ASSOC,
+        hop_delay_s: float = 0.0,
     ) -> None:
-        from repro.crypto.hashes import get_hash
-
-        self.obs = obs
-        rng = DRBG(seed, personalization=b"canonical")
-        hash_fn = get_hash(hash_name)
-        self.hash_size = hash_fn.digest_size
-        sig_chain = HashChain(hash_fn, rng.random_bytes(self.hash_size), chain_length)
-        ack_chain = HashChain(
-            hash_fn,
-            rng.random_bytes(self.hash_size),
-            chain_length,
-            tags=ACKNOWLEDGMENT_TAGS,
+        counters = counters or {}
+        signer_hash, verifier_hash, relay_hash = (
+            get_hash(hash_name, counters.get(role))
+            for role in ("signer", "verifier", "relay")
         )
-        config = ChannelConfig(
-            mode=mode, reliability=reliability, batch_size=batch_size
+        h = signer_hash.digest_size
+        sig_chain = HashChain(signer_hash, rng.random_bytes(h), chain_length)
+        ack_chain = HashChain(
+            verifier_hash, rng.random_bytes(h), chain_length, tags=ACKNOWLEDGMENT_TAGS
         )
         self.signer = SignerSession(
-            hash_fn,
+            signer_hash,
             sig_chain,
-            ChainVerifier(hash_fn, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-            config,
-            CANONICAL_ASSOC,
-            peer="verifier",
+            ChainVerifier(signer_hash, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
+            config if config is not None else ChannelConfig(),
+            assoc_id,
+            peer="v",
             obs=obs,
             node="signer",
         )
         self.verifier = VerifierSession(
-            hash_fn,
+            verifier_hash,
             ack_chain,
-            ChainVerifier(hash_fn, sig_chain.anchor),
-            CANONICAL_ASSOC,
+            ChainVerifier(verifier_hash, sig_chain.anchor),
+            assoc_id,
             rng.fork("verifier"),
+            accept_policy=accept_policy,
             obs=obs,
             node="verifier",
         )
-        if relay_count == 1:
-            # Historical single-relay shape: unplaced (hop=0), so the
-            # four fixed-mode replays keep their exact trace strings.
-            self.relays = [RelayEngine(hash_fn, obs=obs, name="relay")]
+        if relays == 1:
+            # Unplaced (hop=0), so single-relay traces keep their shape.
+            placed = [("relay", 0)]
         else:
-            self.relays = [
-                RelayEngine(hash_fn, obs=obs, name=f"relay{i}", hop=i)
-                for i in range(1, relay_count + 1)
-            ]
-        self.relay = self.relays[0]
+            placed = [(f"relay{i}", i) for i in range(1, relays + 1)]
+        self.relays = [
+            RelayEngine(relay_hash, relay_config, obs=obs, name=name, hop=hop)
+            for name, hop in placed
+        ]
         for relay in self.relays:
             relay.provision(
-                assoc_id=CANONICAL_ASSOC,
-                initiator="signer",
-                responder="verifier",
+                assoc_id=assoc_id,
+                initiator="s",
+                responder="v",
                 initiator_sig_anchor=sig_chain.anchor,
                 initiator_ack_anchor=ack_chain.anchor,
+                # One chain pair serves both directions: the reverse
+                # channel carries no data here.
                 responder_sig_anchor=sig_chain.anchor,
                 responder_ack_anchor=ack_chain.anchor,
                 hash_name=hash_name,
             )
+        self.obs = obs
+        self.hash_size = h
+        self.hop_delay_s = hop_delay_s
+        #: Every relay decision the walks took since :meth:`exchange` began.
+        self.decisions: list[RelayDecision] = []
+
+    @classmethod
+    def around(
+        cls, signer: SignerSession, verifier: VerifierSession, hash_size: int
+    ) -> CanonicalChannel:
+        """A relay-less channel that walks sessions built elsewhere."""
+        channel = cls.__new__(cls)
+        channel.signer, channel.verifier, channel.relays = signer, verifier, []
+        channel.obs, channel.hash_size, channel.hop_delay_s = None, hash_size, 0.0
+        channel.decisions = []
+        return channel
+
+    @property
+    def relay(self) -> RelayEngine:
+        """The first relay after the signer (replaceable, e.g. by a restart)."""
+        return self.relays[0]
+
+    @relay.setter
+    def relay(self, engine: RelayEngine) -> None:
+        self.relays[0] = engine
+
+    def to_verifier(self, raw: bytes, now: float = 0.0) -> float:
+        """Carry ``raw`` from the signer through every relay; returns the arrival."""
+        return self._cross(raw, "s", "v", self.relays, now)
+
+    def to_signer(self, raw: bytes, now: float = 0.0) -> float:
+        """Carry ``raw`` from the verifier back through every relay."""
+        return self._cross(raw, "v", "s", self.relays[::-1], now)
+
+    def _cross(self, raw, src, dst, relays, now) -> float:
+        for relay in relays:
+            now += self.hop_delay_s
+            decision = relay.handle(raw, src, dst, now)
+            assert decision.forward, f"{relay.name} dropped: {decision.reason}"
+            self.decisions.append(decision)
+        return now + self.hop_delay_s
+
+    def start(
+        self, now: float = 0.0, s1: bytes | None = None, a1_via_relays: bool = True
+    ) -> tuple[list[bytes], float]:
+        """The S1/A1 interlock; returns the S2s in hand and the time.
+
+        ``s1`` defaults to the one S1 the signer sends at ``now``. With
+        ``a1_via_relays`` off the A1 reaches the signer around the
+        relays, which then hold exactly one S1's worth of state.
+        """
+        if s1 is None:
+            (s1,) = self.signer.poll(now)
+        now = self.to_verifier(s1, now)
+        a1 = self.verifier.handle_s1(decode_packet(s1, self.hash_size), now)
+        assert a1 is not None, "the verifier refused the S1"
+        if a1_via_relays:
+            now = self.to_signer(a1, now)
+        return self.signer.handle_a1(decode_packet(a1, self.hash_size), now), now
+
+    def finish(
+        self, s2s: list[bytes], now: float = 0.0
+    ) -> tuple[list[DeliveredMessage], float]:
+        """Walk each S2 to the verifier and any A2 back; returns deliveries and time."""
+        for s2 in s2s:
+            now = self.to_verifier(s2, now)
+            a2 = self.verifier.handle_s2(decode_packet(s2, self.hash_size), now)
+            if a2 is not None:
+                now = self.to_signer(a2, now)
+                self.signer.handle_a2(decode_packet(a2, self.hash_size), now)
+        return self.verifier.drain_delivered(), now
+
+    def exchange(
+        self, messages: list[bytes], now: float = 0.0
+    ) -> tuple[list[DeliveredMessage], list[RelayDecision]]:
+        """Submit ``messages`` and walk their whole exchange.
+
+        Returns the delivered messages and every relay decision the
+        exchange took, in order.
+        """
+        for message in messages:
+            self.signer.submit(message)
+        self.decisions = []
+        delivered, _ = self.finish(*self.start(now))
+        return delivered, self.decisions
 
 
 def run_canonical(
@@ -155,39 +257,9 @@ def run_canonical(
             f"unknown canonical exchange {name!r}; pick one of "
             f"{sorted([*CANONICAL_EXCHANGES, ADAPTIVE_EXCHANGE, MULTIHOP_EXCHANGE])}"
         ) from None
-    if obs is None:
-        obs = Observability()
-    channel = CanonicalChannel(mode, reliability, count, obs, seed=seed)
-    messages = [b"alpha-%d" % i for i in range(count)]
-
-    t = 0.0
-    for message in messages:
-        channel.signer.submit(message)
-    s1 = channel.signer.poll(t)[0]
-    t += hop_delay_s
-    assert channel.relay.handle(s1, "signer", "verifier", t).forward
-    t += hop_delay_s
-    a1 = channel.verifier.handle_s1(decode_packet(s1, channel.hash_size), t)
-    assert a1 is not None
-    t += hop_delay_s
-    assert channel.relay.handle(a1, "verifier", "signer", t).forward
-    t += hop_delay_s
-    s2s = channel.signer.handle_a1(decode_packet(a1, channel.hash_size), t)
-    assert len(s2s) == count
-    for s2 in s2s:
-        t += hop_delay_s
-        assert channel.relay.handle(s2, "signer", "verifier", t).forward
-        t += hop_delay_s
-        a2 = channel.verifier.handle_s2(decode_packet(s2, channel.hash_size), t)
-        if a2 is not None:
-            t += hop_delay_s
-            assert channel.relay.handle(a2, "verifier", "signer", t).forward
-            t += hop_delay_s
-            channel.signer.handle_a2(decode_packet(a2, channel.hash_size), t)
-    delivered = channel.verifier.drain_delivered()
-    assert [m.message for m in delivered] == messages
-    assert channel.signer.idle
-    return obs
+    config = ChannelConfig(mode=mode, reliability=reliability, batch_size=count)
+    channel = _channel(config, 1, obs, hop_delay_s, seed)
+    return _replay(channel, [b"alpha-%d" % i for i in range(count)])
 
 
 def run_multihop_canonical(
@@ -203,39 +275,33 @@ def run_multihop_canonical(
     context, so the rendered timeline reads as one multi-hop packet
     capture: four legs per direction, S1 → A1 → S2 → A2.
     """
-    if obs is None:
-        obs = Observability()
-    channel = CanonicalChannel(
-        Mode.BASE, ReliabilityMode.RELIABLE, 1, obs, seed=seed, relay_count=2
+    config = ChannelConfig(reliability=ReliabilityMode.RELIABLE, batch_size=1)
+    return _replay(_channel(config, 2, obs, hop_delay_s, seed), [b"alpha-multihop"])
+
+
+def _channel(
+    config: ChannelConfig,
+    relays: int,
+    obs: Observability | None,
+    hop_delay_s: float,
+    seed: int | str,
+) -> CanonicalChannel:
+    """A replay's channel: seeded chains, one shared observability context."""
+    return CanonicalChannel(
+        DRBG(seed, personalization=b"canonical"),
+        config,
+        relays=relays,
+        obs=obs if obs is not None else Observability(),
+        hop_delay_s=hop_delay_s,
     )
-    h = channel.hash_size
 
-    def forward(payload: bytes, src: str, dst: str, t: float) -> float:
-        """Walk the packet through the relay chain in path order."""
-        chain = channel.relays if src == "signer" else list(reversed(channel.relays))
-        for relay in chain:
-            assert relay.handle(payload, src, dst, t).forward
-            t += hop_delay_s
-        return t
 
-    message = b"alpha-multihop"
-    channel.signer.submit(message)
-    t = 0.0
-    s1 = channel.signer.poll(t)[0]
-    t = forward(s1, "signer", "verifier", t + hop_delay_s)
-    a1 = channel.verifier.handle_s1(decode_packet(s1, h), t)
-    assert a1 is not None
-    t = forward(a1, "verifier", "signer", t + hop_delay_s)
-    (s2,) = channel.signer.handle_a1(decode_packet(a1, h), t)
-    t = forward(s2, "signer", "verifier", t + hop_delay_s)
-    a2 = channel.verifier.handle_s2(decode_packet(s2, h), t)
-    assert a2 is not None
-    t = forward(a2, "verifier", "signer", t + hop_delay_s)
-    channel.signer.handle_a2(decode_packet(a2, h), t)
-    delivered = channel.verifier.drain_delivered()
-    assert [m.message for m in delivered] == [message]
+def _replay(channel: CanonicalChannel, messages: list[bytes]) -> Observability:
+    """One exchange of ``messages``, which must all arrive."""
+    delivered, _ = channel.exchange(messages)
+    assert [m.message for m in delivered] == messages
     assert channel.signer.idle
-    return obs
+    return channel.obs
 
 
 def run_adaptive_canonical(
@@ -254,11 +320,8 @@ def run_adaptive_canonical(
     """
     from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 
-    if obs is None:
-        obs = Observability()
-    channel = CanonicalChannel(
-        Mode.BASE, ReliabilityMode.UNRELIABLE, 1, obs, seed=seed
-    )
+    channel = _channel(ChannelConfig(batch_size=1), 1, obs, hop_delay_s, seed)
+    obs = channel.obs
     controller = AdaptiveController(
         channel.signer,
         AdaptiveConfig(
@@ -271,24 +334,13 @@ def run_adaptive_canonical(
         obs=obs,
         node="signer",
     )
-    h = channel.hash_size
     delivered = []
 
     def run_legs(s1: bytes, t: float) -> float:
         """One exchange's remaining legs: relay, A1, all the S2s."""
-        assert channel.relay.handle(s1, "signer", "verifier", t).forward
-        t += hop_delay_s
-        a1 = channel.verifier.handle_s1(decode_packet(s1, h), t)
-        assert a1 is not None
-        t += hop_delay_s
-        assert channel.relay.handle(a1, "verifier", "signer", t).forward
-        t += hop_delay_s
-        for s2 in channel.signer.handle_a1(decode_packet(a1, h), t):
-            t += hop_delay_s
-            assert channel.relay.handle(s2, "signer", "verifier", t).forward
-            t += hop_delay_s
-            channel.verifier.handle_s2(decode_packet(s2, h), t)
-        delivered.extend(channel.verifier.drain_delivered())
+        s2s, t = channel.start(t, s1)
+        arrived, t = channel.finish(s2s, t)
+        delivered.extend(arrived)
         return t + hop_delay_s
 
     messages = [b"adaptive-%d" % i for i in range(25)]
@@ -297,7 +349,7 @@ def run_adaptive_canonical(
     channel.signer.submit(messages[0])
     controller.poll(t)
     s1 = channel.signer.poll(t)[0]
-    t = run_legs(s1, t + hop_delay_s)
+    t = run_legs(s1, t)
 
     # Act 2 — a backlog builds: switch to ALPHA-C, batch to the queue.
     for message in messages[1:9]:
@@ -306,7 +358,7 @@ def run_adaptive_canonical(
     controller.poll(t)
     assert channel.signer.config.mode is Mode.CUMULATIVE
     s1 = channel.signer.poll(t)[0]
-    t = run_legs(s1, t + hop_delay_s)
+    t = run_legs(s1, t)
 
     # Act 3 — the link turns bursty: the next S1 is lost twice on the
     # wire and only the third copy arrives. Still ALPHA-C — the
@@ -318,7 +370,7 @@ def run_adaptive_canonical(
     channel.signer.poll(t)  # first retransmission: lost as well
     t += 0.70
     s1 = channel.signer.poll(t)[0]  # second retransmission gets through
-    t = run_legs(s1, t + hop_delay_s)
+    t = run_legs(s1, t)
 
     # Act 4 — the retransmit ratio is now visible: the next backlog goes
     # out in ALPHA-M, whose S1 is one root however large the batch.
@@ -328,7 +380,7 @@ def run_adaptive_canonical(
     controller.poll(t)
     assert channel.signer.config.mode is Mode.MERKLE
     s1 = channel.signer.poll(t)[0]
-    t = run_legs(s1, t + hop_delay_s)
+    t = run_legs(s1, t)
 
     # Coda — burst over, queue drained: back to BASE.
     t += 0.01

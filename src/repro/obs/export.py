@@ -67,7 +67,6 @@ _LINK_FIELDS = (
     # scrape shows both sides of the fused loss split.
     ("peer_reports", "counter"),
     ("peer_corrupt_arrivals", "counter"),
-    ("relay_drops", "counter"),
     ("exchanges_completed", "counter"),
     ("exchanges_failed", "counter"),
     ("srtt_s", "gauge"),

@@ -141,7 +141,6 @@ class LinkHealth:
         "retransmits_timeout",
         "retransmits_nack",
         "corrupt_arrivals",
-        "relay_drops",
         "deliveries",
         "rejects",
         "exchanges_completed",
@@ -177,8 +176,6 @@ class LinkHealth:
         #: Inbound packets that arrived damaged (parse drops, bad MACs,
         #: broken chain elements) — corruption seen first-hand.
         self.corrupt_arrivals = 0
-        #: Drops reported by an on-path relay engine feeding this ledger.
-        self.relay_drops = 0
         #: Authenticated messages delivered from this peer (our verifier
         #: side); the ``verified`` tally the ledger summary carries.
         self.deliveries = 0
@@ -228,9 +225,6 @@ class LinkHealth:
 
     def on_corrupt_arrival(self) -> None:
         self.corrupt_arrivals += 1
-
-    def on_relay_drop(self) -> None:
-        self.relay_drops += 1
 
     def on_delivery(self) -> None:
         self.deliveries += 1
@@ -439,7 +433,6 @@ class LinkHealth:
             "retransmits_timeout": self.retransmits_timeout,
             "retransmits_nack": self.retransmits_nack,
             "corrupt_arrivals": self.corrupt_arrivals,
-            "relay_drops": self.relay_drops,
             "deliveries": self.deliveries,
             "rejects": self.rejects,
             "peer_reports": self.peer_reports,

@@ -34,9 +34,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
 
 class Gauge:
     """A value that goes up and down (queue depth, buffered bytes)."""
@@ -49,12 +46,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 #: Default histogram bucket boundaries, tuned for seconds-scale protocol
@@ -102,10 +93,6 @@ class Histogram:
                 return
         self.buckets[-1] += 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float | None:
         """Approximate quantile by linear interpolation inside buckets.
 
@@ -131,13 +118,6 @@ class Histogram:
             cumulative += in_bucket
         # Overflow bucket: the best statement we can make is the max.
         return self.max
-
-    def reset(self) -> None:
-        self.buckets = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
 
     def snapshot(self) -> dict:
         buckets = {}
@@ -168,9 +148,6 @@ class _NullGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:  # pragma: no cover - trivial
-        pass
-
-    def add(self, delta: float) -> None:  # pragma: no cover - trivial
         pass
 
 
@@ -304,14 +281,3 @@ class MetricsRegistry:
         for name, sample in self._bound.items():
             snap[name] = sample()
         return snap
-
-    def reset(self) -> None:
-        """Zero every owned instrument; bound samples are left alone."""
-        for counter in self._counters.values():
-            counter.reset()
-        for gauge in self._gauges.values():
-            gauge.reset()
-        for histogram in self._histograms.values():
-            histogram.reset()
-        for series in self._series.values():
-            series.reset()

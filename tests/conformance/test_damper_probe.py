@@ -22,18 +22,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.signer import (
     NACK_BUCKET,
     RTO_PROBE_AFTER,
     ChannelConfig,
-    SignerSession,
 )
-from repro.core.verifier import VerifierSession
 from repro.obs import EventKind as K
 from repro.obs import Observability
+from repro.obs.canonical import CanonicalChannel
 from repro.obs.trace import ExchangeTracer
 
 from tests.regression.harness import run_wedge
@@ -44,40 +42,17 @@ ASSOC = 7
 
 def make_traced_channel(sha1, rng, config):
     """An obs-instrumented signer/verifier pair over one chain set."""
-    obs = Observability()
-    sig_chain = HashChain(sha1, rng.random_bytes(20), 64)
-    ack_chain = HashChain(
-        sha1, rng.random_bytes(20), 64, tags=ACKNOWLEDGMENT_TAGS
+    channel = CanonicalChannel(
+        rng, config, relays=0, obs=Observability(), assoc_id=ASSOC
     )
-    signer = SignerSession(
-        hash_fn=sha1,
-        sig_chain=sig_chain,
-        ack_verifier=ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-        config=config,
-        assoc_id=ASSOC,
-        peer="v",
-        obs=obs,
-        node="signer",
-    )
-    verifier = VerifierSession(
-        hash_fn=sha1,
-        ack_chain=ack_chain,
-        sig_verifier=ChainVerifier(sha1, sig_chain.anchor),
-        assoc_id=ASSOC,
-        rng=rng.fork("secrets"),
-        obs=obs,
-        node="verifier",
-    )
-    return signer, verifier, obs
+    return channel.signer, channel.verifier, channel.obs
 
 
 def start_exchange(signer, verifier, now=0.0, message=b"payload"):
     """Submit one message and run the S1/A1 interlock at ``now``."""
     signer.submit(message)
-    s1 = decode_packet(signer.poll(now)[0], H)
-    a1 = decode_packet(verifier.handle_s1(s1, now), H)
-    s2s = [decode_packet(raw, H) for raw in signer.handle_a1(a1, now)]
-    return s1, a1, s2s
+    s2s, _ = CanonicalChannel.around(signer, verifier, H).start(now)
+    return [decode_packet(raw, H) for raw in s2s]
 
 
 class TestDamperSequence:
@@ -93,7 +68,7 @@ class TestDamperSequence:
         )
 
     def nack_for(self, signer, verifier):
-        _, _, s2s = start_exchange(signer, verifier)
+        s2s = start_exchange(signer, verifier)
         damaged = s2s[0]
         damaged.message = b"corrupted"
         a2_raw = verifier.handle_s2(damaged, 0.0)
@@ -143,7 +118,7 @@ class TestDamperSequence:
         signer, verifier, obs = make_traced_channel(
             sha1, rng, self.damper_config()
         )
-        _, _, s2s = start_exchange(signer, verifier)
+        s2s = start_exchange(signer, verifier)
         damaged = s2s[0]
         damaged.message = b"corrupted"
         answered = [

@@ -20,12 +20,10 @@ import math
 
 import pytest
 
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, verify_merkle_path
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core.packets import decode_packet
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.signer import ChannelConfig
+from repro.obs.canonical import CanonicalChannel
 
 from tests.core.test_relay_journal import ASSOC, H, Harness
 
@@ -157,31 +155,14 @@ class TestCacheSoundness:
 
 
 def make_merkle_channel(sha1, rng, batch=8):
-    sig_chain = HashChain(sha1, rng.random_bytes(H), 64)
-    ack_chain = HashChain(sha1, rng.random_bytes(H), 64,
-                          tags=ACKNOWLEDGMENT_TAGS)
-    signer = SignerSession(
-        sha1, sig_chain,
-        ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-        merkle_config(batch), ASSOC,
-    )
-    verifier = VerifierSession(
-        sha1, ack_chain, ChainVerifier(sha1, sig_chain.anchor), ASSOC,
-        rng.fork("v"),
-    )
-    return signer, verifier
+    channel = CanonicalChannel(rng, merkle_config(batch), relays=0, assoc_id=ASSOC)
+    return channel.signer, channel.verifier
 
 
 def drive_batch(signer, verifier, messages, now=0.0):
-    for m in messages:
-        signer.submit(m)
-    s1 = decode_packet(signer.poll(now)[0], H)
-    a1 = decode_packet(verifier.handle_s1(s1, now), H)
-    for raw in signer.handle_a1(a1, now):
-        a2 = verifier.handle_s2(decode_packet(raw, H), now)
-        if a2 is not None:
-            signer.handle_a2(decode_packet(a2, H), now)
-    return s1.seq, [m.message for m in verifier.drain_delivered()]
+    channel = CanonicalChannel.around(signer, verifier, H)
+    delivered, _ = channel.exchange(messages, now)
+    return delivered[0].seq, [m.message for m in delivered]
 
 
 class TestEngineCacheLifetime:

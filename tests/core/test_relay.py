@@ -2,52 +2,23 @@
 
 import pytest
 
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.relay import RelayConfig, RelayEngine
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.signer import ChannelConfig
 from repro.crypto.hashes import get_hash
+from repro.obs.canonical import CanonicalChannel
 
 H = 20
 ASSOC = 55
 
 
-class Harness:
+class Harness(CanonicalChannel):
     """A signer, a verifier, and a relay in between, driven by hand."""
 
     def __init__(self, sha1, rng, config=None, relay_config=None, obs=None):
-        if config is None:
-            config = ChannelConfig()
-        self.sha1 = sha1
-        sig_chain = HashChain(sha1, rng.random_bytes(H), 64)
-        ack_chain = HashChain(sha1, rng.random_bytes(H), 64, tags=ACKNOWLEDGMENT_TAGS)
-        self.signer = SignerSession(
-            sha1,
-            sig_chain,
-            ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-            config,
-            ASSOC,
-        )
-        self.verifier = VerifierSession(
-            sha1,
-            ack_chain,
-            ChainVerifier(sha1, sig_chain.anchor),
-            ASSOC,
-            rng.fork("v"),
-        )
-        self.relay = RelayEngine(get_hash("sha1"), relay_config, obs=obs)
-        # Static provisioning: a "reverse" chain set is irrelevant here,
-        # reuse the same anchors for the unused direction.
-        self.relay.provision(
-            assoc_id=ASSOC,
-            initiator="s",
-            responder="v",
-            initiator_sig_anchor=sig_chain.anchor,
-            initiator_ack_anchor=ack_chain.anchor,
-            responder_sig_anchor=sig_chain.anchor,
-            responder_ack_anchor=ack_chain.anchor,
+        super().__init__(
+            rng, config, relay_config=relay_config, obs=obs, assoc_id=ASSOC
         )
 
     def s_to_v(self, raw):
@@ -58,21 +29,8 @@ class Harness:
 
     def run_exchange(self, messages):
         """Full exchange through the relay; returns (delivered, decisions)."""
-        decisions = []
-        for m in messages:
-            self.signer.submit(m)
-        s1_raw = self.signer.poll(0.0)[0]
-        decisions.append(self.s_to_v(s1_raw))
-        a1_raw = self.verifier.handle_s1(decode_packet(s1_raw, H), 0.0)
-        decisions.append(self.v_to_s(a1_raw))
-        s2_raws = self.signer.handle_a1(decode_packet(a1_raw, H), 0.0)
-        for raw in s2_raws:
-            decisions.append(self.s_to_v(raw))
-            a2 = self.verifier.handle_s2(decode_packet(raw, H), 0.0)
-            if a2 is not None:
-                decisions.append(self.v_to_s(a2))
-                self.signer.handle_a2(decode_packet(a2, H), 0.0)
-        return [m.message for m in self.verifier.drain_delivered()], decisions
+        delivered, decisions = self.exchange(messages)
+        return [m.message for m in delivered], decisions
 
 
 class TestHonestTraffic:
@@ -301,6 +259,33 @@ class TestFloodMitigation:
         assert harness.relay.stats["a1-ok"] == 1
         assert harness.relay.stats["s2-ok"] == 1
         assert harness.relay.stats["forwarded"] == 3
+
+
+class TestPendingHandshakes:
+    def test_hs1_flood_is_capped_and_a_real_handshake_still_lands(self):
+        from repro.core.packets import HandshakePacket
+        from repro.core.relay import MAX_PENDING_HS1
+
+        def hs(assoc_id, is_response):
+            return HandshakePacket(
+                assoc_id, 0, is_response, "sha1", b"n" * 16,
+                b"\x01" * H, 64, b"\x02" * H, 64,
+            ).encode()
+
+        relay = RelayEngine(get_hash("sha1"))
+        for assoc_id in range(1, 2 * MAX_PENDING_HS1 + 1):
+            assert relay.handle(hs(assoc_id, False), "x", "v", 0.0).forward
+        assert len(relay._pending_hs1) == MAX_PENDING_HS1
+        # The oldest HS1s went first; the newest are still pending.
+        assert min(relay._pending_hs1) == MAX_PENDING_HS1 + 1
+
+        genuine = 2 * MAX_PENDING_HS1 + 1
+        assert relay.handle(hs(genuine, False), "s", "v", 1.0).forward
+        decision = relay.handle(hs(genuine, True), "v", "s", 1.0)
+        assert decision.reason == "hs2-observed"
+        assert genuine in relay._associations
+        assert genuine not in relay._pending_hs1
+        assert len(relay._pending_hs1) == MAX_PENDING_HS1 - 1
 
 
 class TestRelayEviction:

@@ -12,13 +12,12 @@ import json
 
 import pytest
 
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.relay import RelayConfig, RelayEngine
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.signer import ChannelConfig
 from repro.crypto.hashes import get_hash
+from repro.obs.canonical import CanonicalChannel
 
 H = 20
 ASSOC = 77
@@ -26,42 +25,14 @@ ASSOC = 77
 STRICT = RelayConfig(strict=True, forward_unknown=False)
 
 
-class Harness:
+class Harness(CanonicalChannel):
     """Signer, verifier, and a crashable strict relay, driven by hand."""
 
     def __init__(self, sha1, rng, config=None, relay_config=STRICT):
         if config is None:
             config = ChannelConfig(reliability=ReliabilityMode.RELIABLE)
-        self.sha1 = sha1
+        super().__init__(rng, config, relay_config=relay_config, assoc_id=ASSOC)
         self.relay_config = relay_config
-        sig_chain = HashChain(sha1, rng.random_bytes(H), 64)
-        ack_chain = HashChain(
-            sha1, rng.random_bytes(H), 64, tags=ACKNOWLEDGMENT_TAGS
-        )
-        self.signer = SignerSession(
-            sha1,
-            sig_chain,
-            ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-            config,
-            ASSOC,
-        )
-        self.verifier = VerifierSession(
-            sha1,
-            ack_chain,
-            ChainVerifier(sha1, sig_chain.anchor),
-            ASSOC,
-            rng.fork("v"),
-        )
-        self.relay = RelayEngine(get_hash("sha1"), relay_config)
-        self.relay.provision(
-            assoc_id=ASSOC,
-            initiator="s",
-            responder="v",
-            initiator_sig_anchor=sig_chain.anchor,
-            initiator_ack_anchor=ack_chain.anchor,
-            responder_sig_anchor=sig_chain.anchor,
-            responder_ack_anchor=ack_chain.anchor,
-        )
 
     def s_to_v(self, raw, now=0.0):
         return self.relay.handle(raw, "s", "v", now)
@@ -94,18 +65,11 @@ class Harness:
             assert self.v_to_s(a1_raw, now).forward
         return s1_raw, a1_raw
 
-    def finish_exchange(self, a1_raw, now=0.0, relay=True):
+    def finish_exchange(self, a1_raw, now=0.0):
         """Drive S2/A2 to completion; returns delivered messages."""
         s2_raws = self.signer.handle_a1(decode_packet(a1_raw, H), now)
-        for raw in s2_raws:
-            if relay:
-                assert self.s_to_v(raw, now).forward
-            a2 = self.verifier.handle_s2(decode_packet(raw, H), now)
-            if a2 is not None:
-                if relay:
-                    assert self.v_to_s(a2, now).forward
-                self.signer.handle_a2(decode_packet(a2, H), now)
-        return [m.message for m in self.verifier.drain_delivered()]
+        delivered, _ = self.finish(s2_raws, now)
+        return [m.message for m in delivered]
 
 
 class TestJournalFormat:

@@ -12,63 +12,31 @@ eviction path that forgets one counter) fails here.
 
 from __future__ import annotations
 
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
-from repro.core.packets import decode_packet
-from repro.core.relay import RelayConfig, RelayEngine
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.relay import RelayConfig
 from repro.crypto.drbg import DRBG
-from repro.crypto.hashes import get_hash
 from repro.obs import EventKind as K
 from repro.obs import Observability
+from repro.obs.canonical import CanonicalChannel
 
-H = 20
 ASSOC = 77
 
 
-class ObservedHarness:
+class ObservedHarness(CanonicalChannel):
     """Signer/verifier pair with an instrumented relay in between."""
 
     def __init__(self, relay_config: RelayConfig):
-        self.obs = Observability()
-        sha1 = get_hash("sha1")
-        rng = DRBG(b"tombstone-accounting")
-        sig_chain = HashChain(sha1, rng.random_bytes(H), 64)
-        ack_chain = HashChain(sha1, rng.random_bytes(H), 64, tags=ACKNOWLEDGMENT_TAGS)
-        self.signer = SignerSession(
-            sha1,
-            sig_chain,
-            ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-            ChannelConfig(),
-            ASSOC,
-        )
-        self.verifier = VerifierSession(
-            sha1,
-            ack_chain,
-            ChainVerifier(sha1, sig_chain.anchor),
-            ASSOC,
-            rng.fork("v"),
-        )
-        self.relay = RelayEngine(
-            get_hash("sha1"), relay_config, obs=self.obs, name="relay"
-        )
-        self.relay.provision(
+        super().__init__(
+            DRBG(b"tombstone-accounting"),
+            relay_config=relay_config,
+            obs=Observability(),
             assoc_id=ASSOC,
-            initiator="s",
-            responder="v",
-            initiator_sig_anchor=sig_chain.anchor,
-            initiator_ack_anchor=ack_chain.anchor,
-            responder_sig_anchor=sig_chain.anchor,
-            responder_ack_anchor=ack_chain.anchor,
         )
 
     def start_exchange(self, message: bytes, now: float):
         """S1 through the relay, A1 around it; returns the S2s in hand."""
         self.signer.submit(message)
-        s1_raw = self.signer.poll(now)[0]
-        assert self.relay.handle(s1_raw, "s", "v", now).forward
-        a1_raw = self.verifier.handle_s1(decode_packet(s1_raw, H), now)
-        return self.signer.handle_a1(decode_packet(a1_raw, H), now)
+        s2_raws, _ = self.start(now, a1_via_relays=False)
+        return s2_raws
 
     @property
     def channel(self):

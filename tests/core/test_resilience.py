@@ -11,38 +11,17 @@ import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import ProtocolError
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.packets import decode_packet
 from repro.core.resilience import ExchangeFailed, ResilienceStats, RttEstimator
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.signer import ChannelConfig
+from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 99
 
 
-def make_channel(sha1, rng, config=None, chain_length=64):
-    if config is None:
-        config = ChannelConfig()
-    sig_chain = HashChain(sha1, rng.random_bytes(20), chain_length)
-    ack_chain = HashChain(
-        sha1, rng.random_bytes(20), chain_length, tags=ACKNOWLEDGMENT_TAGS
-    )
-    signer = SignerSession(
-        hash_fn=sha1,
-        sig_chain=sig_chain,
-        ack_verifier=ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-        config=config,
-        assoc_id=ASSOC,
-        peer="v",
-    )
-    verifier = VerifierSession(
-        hash_fn=sha1,
-        ack_chain=ack_chain,
-        sig_verifier=ChainVerifier(sha1, sig_chain.anchor),
-        assoc_id=ASSOC,
-        rng=rng.fork("secrets"),
-    )
-    return signer, verifier
+def make_channel(sha1, rng, config=None):
+    channel = CanonicalChannel(rng, config, relays=0, assoc_id=ASSOC)
+    return channel.signer, channel.verifier
 
 
 class TestRttEstimator:

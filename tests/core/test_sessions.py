@@ -7,65 +7,32 @@ trivial to stage.
 
 import pytest
 
-from repro.core.hashchain import (
-    ACKNOWLEDGMENT_TAGS,
-    ChainVerifier,
-    HashChain,
-)
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import A1Packet, S1Packet, decode_packet
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
+from repro.core.signer import ChannelConfig
+from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 77
 
 
 def make_channel(sha1, rng, config=None, accept_policy=None, chain_length=64):
     """A signer and verifier wired to each other's anchors."""
-    if config is None:
-        config = ChannelConfig()
-    sig_chain = HashChain(sha1, rng.random_bytes(20), chain_length)
-    ack_chain = HashChain(
-        sha1, rng.random_bytes(20), chain_length, tags=ACKNOWLEDGMENT_TAGS
-    )
-    signer = SignerSession(
-        hash_fn=sha1,
-        sig_chain=sig_chain,
-        ack_verifier=ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-        config=config,
-        assoc_id=ASSOC,
-    )
-    verifier = VerifierSession(
-        hash_fn=sha1,
-        ack_chain=ack_chain,
-        sig_verifier=ChainVerifier(sha1, sig_chain.anchor),
-        assoc_id=ASSOC,
-        rng=rng.fork("secrets"),
+    channel = CanonicalChannel(
+        rng,
+        config,
+        relays=0,
+        chain_length=chain_length,
         accept_policy=accept_policy,
+        assoc_id=ASSOC,
     )
-    return signer, verifier
+    return channel.signer, channel.verifier
 
 
 def run_exchange(sha1, signer, verifier, messages, now=0.0):
     """Drive one full exchange; returns delivered messages."""
-    for message in messages:
-        signer.submit(message)
-    packets = signer.poll(now)
-    assert len(packets) == 1
-    s1 = decode_packet(packets[0], sha1.digest_size)
-    a1_bytes = verifier.handle_s1(s1, now)
-    assert a1_bytes is not None
-    a1 = decode_packet(a1_bytes, sha1.digest_size)
-    s2_packets = signer.handle_a1(a1, now)
-    a2s = []
-    for raw in s2_packets:
-        s2 = decode_packet(raw, sha1.digest_size)
-        a2 = verifier.handle_s2(s2, now)
-        if a2 is not None:
-            a2s.append(a2)
-    for raw in a2s:
-        signer.handle_a2(decode_packet(raw, sha1.digest_size), now)
-    return [m.message for m in verifier.drain_delivered()]
+    channel = CanonicalChannel.around(signer, verifier, sha1.digest_size)
+    delivered, _ = channel.exchange(messages, now)
+    return [m.message for m in delivered]
 
 
 class TestBasicExchange:

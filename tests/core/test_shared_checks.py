@@ -13,14 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
-from repro.core.relay import RelayEngine
-from repro.core.signer import ChannelConfig, SignerSession
-from repro.core.verifier import VerifierSession
-from repro.crypto.hashes import get_hash
+from repro.core.signer import ChannelConfig
 from repro.obs import EventKind, Observability
+from repro.obs.canonical import CanonicalChannel
 
 H = 20
 ASSOC = 91
@@ -38,7 +35,7 @@ _VERIFY_EVENTS = {
 }
 
 
-class Channel:
+class Channel(CanonicalChannel):
     """signer → relay → verifier, advanced stage by stage by hand."""
 
     def __init__(self, sha1, rng):
@@ -46,26 +43,7 @@ class Channel:
             mode=Mode.CUMULATIVE, batch_size=2,
             reliability=ReliabilityMode.RELIABLE,
         )
-        sig_chain = HashChain(sha1, rng.random_bytes(H), 64)
-        ack_chain = HashChain(sha1, rng.random_bytes(H), 64, tags=ACKNOWLEDGMENT_TAGS)
-        self.obs = Observability()
-        self.signer = SignerSession(
-            sha1, sig_chain,
-            ChainVerifier(sha1, ack_chain.anchor, tags=ACKNOWLEDGMENT_TAGS),
-            config, ASSOC, obs=self.obs, node="signer",
-        )
-        self.verifier = VerifierSession(
-            sha1, ack_chain, ChainVerifier(sha1, sig_chain.anchor), ASSOC,
-            rng.fork("v"), obs=self.obs, node="verifier",
-        )
-        self.relay = RelayEngine(get_hash("sha1"))
-        self.relay.provision(
-            assoc_id=ASSOC, initiator="s", responder="v",
-            initiator_sig_anchor=sig_chain.anchor,
-            initiator_ack_anchor=ack_chain.anchor,
-            responder_sig_anchor=sig_chain.anchor,
-            responder_ack_anchor=ack_chain.anchor,
-        )
+        super().__init__(rng, config, obs=Observability(), assoc_id=ASSOC)
 
     def relay_judges(self, packet) -> str:
         src, dst = ("s", "v") if packet.TYPE.name[0] == "S" else ("v", "s")

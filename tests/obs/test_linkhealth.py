@@ -101,12 +101,10 @@ class TestLinkHealth:
         link = LinkHealth("v")
         link.on_association()
         link.on_packets_sent(10)
-        link.on_relay_drop()
         snap = link.snapshot()
         assert snap["peer"] == "v"
         assert snap["associations"] == 1
         assert snap["packets_sent"] == 10
-        assert snap["relay_drops"] == 1
         assert snap["srtt_s"] is None
 
 
