@@ -73,6 +73,15 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
+# The exact-pin suites (bench PINNED tables, separation grid, relay
+# ledger, golden corpus) must not depend on set or dict ordering that
+# follows string hashing: re-run them under two fixed hash seeds.
+for seed in 0 1; do
+    echo "== exact pins under PYTHONHASHSEED=$seed =="
+    PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+        python -m pytest -x -q tests/benchmarks tests/security tests/golden
+done
+
 # perf/tracing.py patches names inside src/repro/core by module path,
 # and tier-1 (testpaths = tests) never imports perf/: this ~2 s test
 # fails when a core refactor drops or moves one of those names.

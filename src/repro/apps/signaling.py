@@ -129,7 +129,7 @@ class Middlebox:
             from repro.crypto.hashes import get_hash
 
             hash_fn = get_hash("sha1")
-        self.engine = RelayEngine(hash_fn, relay_config)
+        self.engine = RelayEngine(hash_fn, relay_config, extract=True)
         self.adapter = RelayAdapter(node, engine=self.engine)
         self.node = node
         self.locator_bindings: dict[str, str] = {}

@@ -184,6 +184,7 @@ class RelayAdapter:
             self.engine = RelayEngine(
                 old._hash, old.config, obs=old._obs, name=old.name
             )
+        self.engine.extract = old.extract
         self.node.up = True
         return self.engine
 

@@ -444,8 +444,6 @@ class HandshakePacket:
 
 AnyPacket = S1Packet | A1Packet | S2Packet | A2Packet | HandshakePacket
 
-#: Valid wire type bytes, so a decode checks the type without ``PacketType(raw)``.
-_TYPE_BYTES = frozenset(int(packet_type) for packet_type in PacketType)
 #: Wire type byte -> body decoder; the handshake types are absent.
 _BODY_DECODERS = {
     int(cls.TYPE): cls.decode_body for cls in (S1Packet, A1Packet, S2Packet, A2Packet)
@@ -466,30 +464,184 @@ def peek_assoc_id(data: bytes) -> int:
     return assoc_id
 
 
+# -- one-unpack intake (PROTOCOL.md §14.2) ------------------------------------
+#
+# A data packet is the 16-byte header, a run of fixed-width body fields,
+# and a variable tail. One precompiled Struct per (type, hash width) reads
+# the header and the fixed fields in one ``unpack_from``; the tail is
+# sliced straight out of the ``bytes``. Each ``_unpack_*`` returns
+# ``None`` on any fault, and :func:`decode_packet` then runs the
+# ``Reader`` parse, which raises: the ``Reader`` stays the one source of
+# error text and ``WireError`` geometry.
+
+#: One A2 verdict's fixed fields: msg_index u16 | is_ack u8 | secret length u16.
+_VERDICT = struct.Struct(">HBH")
+_MODES = {int(mode): mode for mode in Mode}
+
+
+def _hash_list(data: bytes, offset: int, h: int) -> tuple[list[bytes] | None, int]:
+    """The u16-counted hash list at ``offset`` and the offset after it."""
+    start = offset + 2
+    if start > len(data):
+        return None, 0
+    end = start + (data[offset] << 8 | data[offset + 1]) * h
+    if end > len(data):
+        return None, 0
+    return [data[i : i + h] for i in range(start, end, h)], end
+
+
+def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet | None:
+    """Fixed: mode u8 | flags u8 | chain_index u32 | chain_element |
+    message_count u16 | pre-signature count u16. Tail: the pre-signatures."""
+    (magic, version, _, assoc_id, seq, mode, flags, chain_index, chain_element,
+     message_count, count) = fixed.unpack_from(data)
+    start = fixed.size
+    end = start + count * h
+    mode = _MODES.get(mode)
+    if magic != MAGIC or version != VERSION or mode is None or end != len(data):
+        return None
+    packet = S1Packet(
+        assoc_id, seq, mode, chain_index, chain_element,
+        [data[i : i + h] for i in range(start, end, h)],
+        message_count, bool(flags & FLAG_RELIABLE),
+    )
+    try:
+        packet.validate()
+    except PacketError:
+        return None
+    return packet
+
+
+def _unpack_a1(data: bytes, fixed: struct.Struct, h: int) -> A1Packet | None:
+    """Fixed: flags u8 | ack_index u32 | ack_element | echo_sig_index u32 |
+    echo_sig_element. Tail, by flag: the pre-ack and pre-nack lists, the
+    AMT root, the ledger summary."""
+    (magic, version, _, assoc_id, seq, flags, ack_index, ack_element,
+     echo_sig_index, echo_sig_element) = fixed.unpack_from(data)
+    if magic != MAGIC or version != VERSION:
+        return None
+    offset = fixed.size
+    pre_acks: list[bytes] | None = []
+    pre_nacks: list[bytes] | None = []
+    amt_root = telemetry = None
+    if flags & FLAG_PRE_ACK_PAIR:
+        pre_acks, offset = _hash_list(data, offset, h)
+        if pre_acks is None:
+            return None
+        pre_nacks, offset = _hash_list(data, offset, h)
+        if pre_nacks is None or len(pre_acks) != len(pre_nacks):
+            return None
+    if flags & FLAG_AMT_ROOT:
+        amt_root = data[offset : offset + h]
+        offset += h
+    if flags & FLAG_TELEMETRY:
+        if offset + LedgerSummary.SIZE > len(data):
+            return None
+        telemetry = LedgerSummary.unpack_from(data, offset)
+        offset += LedgerSummary.SIZE
+    if offset != len(data):
+        return None
+    return A1Packet(
+        assoc_id, seq, ack_index, ack_element, echo_sig_index, echo_sig_element,
+        pre_acks, pre_nacks, amt_root, telemetry,
+    )
+
+
+def _unpack_s2(data: bytes, fixed: struct.Struct, h: int) -> S2Packet | None:
+    """Fixed: disclosed_index u32 | disclosed_element | msg_index u16 |
+    message length u16. Tail: the message, the auth path."""
+    (magic, version, _, assoc_id, seq, disclosed_index, disclosed_element,
+     msg_index, length) = fixed.unpack_from(data)
+    start = fixed.size
+    auth_path, end = _hash_list(data, start + length, h)
+    if magic != MAGIC or version != VERSION or end != len(data):
+        return None
+    return S2Packet(
+        assoc_id, seq, disclosed_index, disclosed_element, msg_index,
+        data[start : start + length], auth_path,
+    )
+
+
+def _unpack_a2(data: bytes, fixed: struct.Struct, h: int) -> A2Packet | None:
+    """Fixed: disclosed_index u32 | disclosed_element | verdict count u16.
+    Tail: the verdicts."""
+    (magic, version, _, assoc_id, seq, disclosed_index, disclosed_element,
+     count) = fixed.unpack_from(data)
+    if magic != MAGIC or version != VERSION:
+        return None
+    offset = fixed.size
+    verdicts = []
+    for _ in range(count):
+        if offset + _VERDICT.size > len(data):
+            return None
+        msg_index, is_ack, length = _VERDICT.unpack_from(data, offset)
+        start = offset + _VERDICT.size
+        path, offset = _hash_list(data, start + length, h)
+        if path is None:
+            return None
+        verdicts.append(
+            AckVerdict(msg_index, bool(is_ack), data[start : start + length], path)
+        )
+    if offset != len(data):
+        return None
+    return A2Packet(assoc_id, seq, disclosed_index, disclosed_element, verdicts)
+
+
+#: Type -> (fixed body fields after the header, ``{h}`` the hash width; unpacker).
+_LAYOUTS = {
+    PacketType.S1: ("BBI{h}sHH", _unpack_s1),
+    PacketType.A1: ("BI{h}sI{h}s", _unpack_a1),
+    PacketType.S2: ("I{h}sHH", _unpack_s2),
+    PacketType.A2: ("I{h}sH", _unpack_a2),
+}
+#: Hash width -> {type byte: (header + fixed-field Struct, unpacker)},
+#: built on the first decode at that width.
+_INTAKE: dict[int, dict[int, tuple]] = {}
+
+
+def _intake(hash_size: int) -> dict[int, tuple]:
+    intake = _INTAKE.get(hash_size)
+    if intake is None:
+        intake = _INTAKE[hash_size] = {}
+        if hash_size > 0:
+            for packet_type, (fields, unpack) in _LAYOUTS.items():
+                fixed = struct.Struct(_HEADER.format + fields.format(h=hash_size))
+                intake[int(packet_type)] = (fixed, unpack)
+    return intake
+
+
 def decode_packet(data: bytes, hash_size: int) -> AnyPacket:
     """Decode any ALPHA packet.
 
     ``hash_size`` is the digest width of the association's negotiated
     hash (ignored for the self-describing handshake packets).
 
-    A well-formed header is read in one ``unpack_from``; on any header
-    fault the field-by-field :func:`_read_header` parse runs instead, so
-    the error raised is the same as :func:`peek_type`'s.
+    S1, A1, S2 and A2 are read with one ``unpack_from`` of their
+    header and fixed fields plus slices of their tail. A handshake, or
+    a data packet with any fault, takes the ``Reader`` parse instead,
+    which raises the same error as :func:`peek_type` for a bad header.
     """
-    if len(data) >= _HEADER.size:
-        magic, version, raw_type, assoc_id, seq = _HEADER.unpack_from(data)
-    else:
-        magic = version = raw_type = None
-    if magic == MAGIC and version == VERSION and raw_type in _TYPE_BYTES:
-        reader = Reader(data, _HEADER.size)
-    else:
-        reader = Reader(data)
-        packet_type, assoc_id, seq = _read_header(reader)
-        raw_type = int(packet_type)
-    decode_body = _BODY_DECODERS.get(raw_type)
+    if type(data) is not bytes:
+        data = bytes(data)
+    if len(data) > 3:
+        entry = _intake(hash_size).get(data[3])
+        if entry is not None:
+            fixed, unpack = entry
+            if len(data) >= fixed.size:
+                packet = unpack(data, fixed, hash_size)
+                if packet is not None:
+                    return packet
+    return _decode_fields(data, hash_size)
+
+
+def _decode_fields(data: bytes, hash_size: int) -> AnyPacket:
+    """The field-by-field ``Reader`` parse of any packet."""
+    reader = Reader(data)
+    packet_type, assoc_id, seq = _read_header(reader)
+    decode_body = _BODY_DECODERS.get(int(packet_type))
     if decode_body is None:
         packet = HandshakePacket.decode_body(
-            reader, assoc_id, seq, is_response=raw_type == PacketType.HS2
+            reader, assoc_id, seq, is_response=packet_type is PacketType.HS2
         )
     else:
         packet = decode_body(reader, assoc_id, seq, hash_size)

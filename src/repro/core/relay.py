@@ -124,6 +124,11 @@ DROP_CATEGORIES: dict[str, str] = {
     "malformed-hs1": "malformed",
     "malformed-hs2": "malformed",
 }
+#: ``stats`` key of each drop reason's category, built once so a drop
+#: formats no key.
+_DROP_KEYS = {
+    reason: f"dropped.{category}" for reason, category in DROP_CATEGORIES.items()
+}
 
 
 @dataclass
@@ -133,7 +138,8 @@ class RelayDecision:
     forward: bool
     reason: str
     verified: bool = False
-    extracted: list = field(default_factory=list)
+    #: The verified payload of an S2 at an extracting relay, else empty.
+    extracted: tuple = ()
 
 
 @dataclass
@@ -171,9 +177,12 @@ class _RelayExchange(S1Commitment):
 
     @property
     def buffered_bytes(self) -> int:
-        return super().buffered_bytes + sum(
-            len(h) for h in self.pre_acks + self.pre_nacks
-        ) + (len(self.amt_root) if self.amt_root else 0)
+        return (
+            super().buffered_bytes
+            + sum(map(len, self.pre_acks))
+            + sum(map(len, self.pre_nacks))
+            + (len(self.amt_root) if self.amt_root else 0)
+        )
 
 
 class _ChannelObserver:
@@ -594,16 +603,7 @@ class _ChannelObserver:
             return RelayDecision(False, "s2-" + reason)
         if not verify_s2(self._hash, exchange, packet):
             return RelayDecision(False, "s2-bad-payload")
-        extracted = [
-            ExtractedMessage(
-                assoc_id=packet.assoc_id,
-                seq=packet.seq,
-                msg_index=packet.msg_index,
-                message=packet.message,
-                signer=self.signer_name,
-            )
-        ]
-        return RelayDecision(True, "s2-ok", verified=True, extracted=extracted)
+        return RelayDecision(True, "s2-ok", verified=True)
 
     def on_a2(self, packet: A2Packet, now: float = 0.0) -> RelayDecision:
         exchange = self.exchanges.get(packet.seq)
@@ -643,6 +643,10 @@ class RelayEngine:
     Call :meth:`handle` for every transit packet. The engine learns
     anchors by observing handshakes (dynamic bootstrapping) or via
     :meth:`provision` (static bootstrapping, e.g. WSN pre-deployment).
+
+    With ``extract`` set, every payload the relay verifies in transit
+    is kept in :attr:`extracted` until :meth:`drain_extracted` takes it
+    (e.g. a signaling middlebox); without it the relay keeps none.
     """
 
     def __init__(
@@ -652,6 +656,7 @@ class RelayEngine:
         obs: Observability | None = None,
         name: str = "",
         hop: int = 0,
+        extract: bool = False,
     ) -> None:
         self._hash = hash_fn
         self._obs = obs if obs is not None else OBS_OFF
@@ -668,6 +673,8 @@ class RelayEngine:
         self.stats: dict[str, int] = {}
         #: Shared by every channel observer: evictions, corrupt drops.
         self.resilience = ResilienceStats()
+        #: Keep each verified S2's payload for :meth:`drain_extracted`.
+        self.extract = extract
         self.extracted: list[ExtractedMessage] = []
 
     def provision(
@@ -897,7 +904,18 @@ class RelayEngine:
             return channel.on_s1(packet, wire_size, now)
         if kind is S2Packet:
             channel = assoc.forward_channel if from_initiator else assoc.reverse_channel
-            return channel.on_s2(packet, now)
+            decision = channel.on_s2(packet, now)
+            if self.extract and decision.verified:
+                decision.extracted = (
+                    ExtractedMessage(
+                        assoc_id=packet.assoc_id,
+                        seq=packet.seq,
+                        msg_index=packet.msg_index,
+                        message=packet.message,
+                        signer=channel.signer_name,
+                    ),
+                )
+            return decision
         channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
         if kind is A1Packet:
             return channel.on_a1(packet, now)
@@ -930,15 +948,17 @@ class RelayEngine:
         return RelayDecision(True, "hs2-observed")
 
     def _count(self, decision: RelayDecision) -> RelayDecision:
-        self.stats[decision.reason] = self.stats.get(decision.reason, 0) + 1
-        key = "forwarded" if decision.forward else "dropped"
-        self.stats[key] = self.stats.get(key, 0) + 1
-        if not decision.forward:
-            category = DROP_CATEGORIES.get(decision.reason, "policy")
-            cat_key = f"dropped.{category}"
-            self.stats[cat_key] = self.stats.get(cat_key, 0) + 1
-            if self._obs.enabled:
-                self._obs.registry.counter(f"relay.{cat_key}").inc()
+        stats = self.stats
+        reason = decision.reason
+        stats[reason] = stats.get(reason, 0) + 1
+        if decision.forward:
+            stats["forwarded"] = stats.get("forwarded", 0) + 1
+            return decision
+        stats["dropped"] = stats.get("dropped", 0) + 1
+        key = _DROP_KEYS.get(reason, "dropped.policy")
+        stats[key] = stats.get(key, 0) + 1
+        if self._obs.enabled:
+            self._obs.registry.counter(f"relay.{key}").inc()
         return decision
 
     def drop_breakdown(self) -> dict[str, int]:
@@ -956,7 +976,8 @@ class RelayEngine:
         }
 
     def drain_extracted(self) -> list[ExtractedMessage]:
-        """Return and clear messages this relay verified in transit."""
+        """Return and clear messages this relay verified in transit
+        (always none unless it was built with ``extract``)."""
         messages, self.extracted = self.extracted, []
         return messages
 

@@ -85,7 +85,7 @@ class S1Commitment:
     @property
     def buffered_bytes(self) -> int:
         """Pre-signature buffer footprint (Table 2's verifier column)."""
-        return sum(len(sig) for sig in self.pre_signatures)
+        return sum(map(len, self.pre_signatures))
 
 
 @dataclass

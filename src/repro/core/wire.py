@@ -9,7 +9,10 @@ width. Reads validate bounds and raise
 network input can never surface as an :class:`IndexError`.
 
 Codec design (PROTOCOL.md §14.2): every packet type encodes through
-:class:`Writer` and decodes through :class:`Reader`. The reader holds
+:class:`Writer`. Handshakes decode through :class:`Reader`; S1/A1/S2/A2
+decode in one ``unpack_from`` (:func:`repro.core.packets.decode_packet`)
+and fall back to :class:`Reader` on any fault, so its errors are the
+only ones a decode raises. The reader holds
 its input as ``bytes`` -- the caller's object itself when it already
 is ``bytes``, one copy otherwise -- so every field it returns is
 immutable and outlives the datagram buffer it came from. Integer

@@ -124,6 +124,11 @@ class LedgerSummary:
             rtt_us=reader.u32(),
         )
 
+    @classmethod
+    def unpack_from(cls, data: bytes, offset: int) -> "LedgerSummary":
+        """Read the 16-byte field at ``offset`` of a buffer long enough."""
+        return cls(*_LEDGER_SUMMARY.unpack_from(data, offset))
+
 
 class LinkHealth:
     """Health ledger for one link (this endpoint ↔ one peer).

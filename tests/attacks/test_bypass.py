@@ -9,6 +9,7 @@ from repro.attacks.bypass import (
 )
 from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
+from repro.core.relay import RelayEngine
 from repro.crypto.hashes import get_hash
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
@@ -45,7 +46,9 @@ class TestBypassAttack:
         cfg = EndpointConfig(chain_length=256)
         s = EndpointAdapter(AlphaEndpoint("s", cfg, seed=1), net.nodes["s"])
         v = EndpointAdapter(AlphaEndpoint("v", cfg, seed=2), net.nodes["v"])
-        victim_relay = RelayAdapter(net.nodes["victim"])
+        victim_relay = RelayAdapter(
+            net.nodes["victim"], engine=RelayEngine(get_hash("sha1"), extract=True)
+        )
         s.connect("v")
         net.simulator.run(until=1.0)
         rerouter = BypassRerouter(

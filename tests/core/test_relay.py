@@ -6,6 +6,7 @@ from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.relay import RelayConfig, RelayEngine
 from repro.core.signer import ChannelConfig
+from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import get_hash
 from repro.obs.canonical import CanonicalChannel
 
@@ -50,12 +51,53 @@ class TestHonestTraffic:
 
     def test_extraction(self, sha1, rng):
         harness = Harness(sha1, rng)
+        harness.relay.extract = True
         harness.run_exchange([b"signal-payload"])
         extracted = harness.relay.drain_extracted()
         assert len(extracted) == 1
         assert extracted[0].message == b"signal-payload"
         assert extracted[0].signer == "s"
         assert harness.relay.drain_extracted() == []
+
+    def test_extraction_is_opt_in(self):
+        # Two channels drawn from one seed carry identical packets; only
+        # the second relay extracts. A relay nobody drains keeps nothing.
+        config = ChannelConfig(mode=Mode.CUMULATIVE, batch_size=8)
+        channels = plain, extracting = [
+            CanonicalChannel(
+                DRBG(7, personalization=b"extract"), config, chain_length=512
+            )
+            for _ in range(2)
+        ]
+        assert plain.relay.extract is False  # the default
+        extracting.relay.extract = True
+        judged = ([], [])
+        for batch in range(125):
+            messages = [b"m%d-%d" % (batch, i) for i in range(8)]
+            for channel, record in zip(channels, judged):
+                delivered, decisions = channel.exchange(messages)
+                assert [m.message for m in delivered] == messages
+                record += [(d.forward, d.reason, d.verified) for d in decisions]
+                if channel is plain:
+                    assert all(d.extracted == () for d in decisions)
+        assert judged[0] == judged[1]
+        assert plain.relay.stats["s2-ok"] == 1000
+        assert plain.relay.extracted == []
+        assert plain.relay.drain_extracted() == []
+        assert len(extracting.relay.drain_extracted()) == 1000
+        assert plain.relay.stats == extracting.relay.stats
+
+    @pytest.mark.parametrize("journal", [True, False])
+    def test_restarted_relay_keeps_extraction(self, journal):
+        from repro.core.adapter import RelayAdapter
+        from repro.netsim import Network
+
+        net = Network.chain(2)
+        adapter = RelayAdapter(
+            net.nodes["r1"], engine=RelayEngine(get_hash("sha1"), extract=True)
+        )
+        adapter.crash(journal=journal)
+        assert adapter.restart().extract is True
 
     def test_relay_buffer_accounting(self, sha1, rng):
         config = ChannelConfig(mode=Mode.CUMULATIVE, batch_size=4)

@@ -10,32 +10,48 @@ first, decode a handshake on its own path (``malformed-hs1`` /
 every packet the decision, the ``stats`` and ``corrupt_drops`` must
 agree, and neither may raise.
 
-``decode_packet`` reads a well-formed header in one ``unpack_from``;
+``decode_packet`` reads a well-formed data packet's header and fixed
+fields in one ``unpack_from`` and slices its tail;
 :func:`reference_decode` is the field-by-field ``Reader`` parse it falls
 back to. Both must return equal packets, or raise the same error type
 with the same text.
 
 Inputs: every golden wire vector, every truncation of it, each of its
 bytes XORed with 0x01 (which turns one packet type into another: S1 into
-HS2, A1 into S2) and with 0xFF, and arbitrary bytes.
+HS2, A1 into S2) and with 0xFF, and arbitrary bytes. A generator of
+well-formed S1/A1/S2/A2 packets covers what the corpus does not: every
+A1 flag combination (unknown flag bits included), A2s with 0–4 verdicts,
+empty and 0xFFFF-byte messages, hash widths 16, 20 and 32, and
+``bytes``/``bytearray``/``memoryview`` input. Each packet, its
+truncations and its one-byte extensions must decode (or fail) exactly
+as the reference does.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import packets
 from repro.core.exceptions import PacketError
 from repro.core.hashchain import ChainElement
+from repro.core.modes import Mode
 from repro.core.packets import (
+    FLAG_AMT_ROOT,
+    FLAG_PRE_ACK_PAIR,
+    FLAG_TELEMETRY,
     MAGIC,
     VERSION,
     A1Packet,
     A2Packet,
+    AckVerdict,
     HandshakePacket,
+    LedgerSummary,
     PacketType,
     S1Packet,
     S2Packet,
@@ -234,3 +250,160 @@ def test_malformed_handshakes_provision_nothing():
     assert relay.handle(answer, "v", "s", 0.0).reason == "hs2-observed"
     assert relay.association_count() == 1
     assert relay.drop_breakdown() == {"malformed": 2}
+
+
+# -- well-formed packets ------------------------------------------------------
+
+u16s = st.integers(min_value=0, max_value=2**16 - 1)
+u32s = st.integers(min_value=0, max_value=2**32 - 1)
+headers = st.fixed_dictionaries(
+    {"assoc_id": st.integers(min_value=0, max_value=2**64 - 1), "seq": u32s}
+)
+messages = st.one_of(
+    st.just(b""), st.binary(min_size=1, max_size=64), st.just(b"\x5a" * 0xFFFF)
+)
+#: Offset of the A1 flags byte: right after the 16-byte header.
+A1_FLAGS_AT = 16
+
+
+def hash_lists(h: int, min_size: int = 0, max_size: int = 6):
+    return st.lists(
+        st.binary(min_size=h, max_size=h), min_size=min_size, max_size=max_size
+    )
+
+
+@st.composite
+def s1_packets(draw, h):
+    mode = draw(st.sampled_from(list(Mode)))
+    message_count = draw(st.integers(min_value=1, max_value=8))
+    if mode is Mode.MERKLE:
+        n_sigs = 1
+    elif mode is Mode.MERKLE_CUMULATIVE:
+        n_sigs = draw(st.integers(min_value=1, max_value=message_count))
+    else:
+        n_sigs = message_count
+    return S1Packet(
+        **draw(headers), mode=mode, chain_index=draw(u32s),
+        chain_element=draw(st.binary(min_size=h, max_size=h)),
+        pre_signatures=draw(hash_lists(h, n_sigs, n_sigs)),
+        message_count=message_count, reliable=draw(st.booleans()),
+    ).encode()
+
+
+def a1_bytes(h, flags, header, indices, elements, pairs, amt_root, telemetry):
+    """An A1 carrying ``flags`` as is: a pre-ack pair may be two empty
+    lists, and unknown flag bits (which decoders ignore) stay set."""
+    packet = A1Packet(
+        **header, ack_index=indices[0], ack_element=elements[0],
+        echo_sig_index=indices[1], echo_sig_element=elements[1],
+        pre_acks=pairs[0] if flags & FLAG_PRE_ACK_PAIR else [],
+        pre_nacks=pairs[1] if flags & FLAG_PRE_ACK_PAIR else [],
+        amt_root=amt_root if flags & FLAG_AMT_ROOT else None,
+        telemetry=telemetry if flags & FLAG_TELEMETRY else None,
+    )
+    data = bytearray(packet.encode())
+    if flags & FLAG_PRE_ACK_PAIR and not pairs[0]:
+        # Two zero counts, which the encoder never writes for no pairs.
+        fixed_end = A1_FLAGS_AT + 1 + 2 * (4 + h)
+        data[fixed_end:fixed_end] = b"\x00" * 4
+    data[A1_FLAGS_AT] = flags
+    return bytes(data)
+
+
+@st.composite
+def a1_packets(draw, h):
+    flags = draw(st.sampled_from(range(8))) | draw(st.integers(0, 31)) << 3
+    n_pairs = draw(st.integers(min_value=0, max_value=6))
+    element = st.binary(min_size=h, max_size=h)
+    return a1_bytes(
+        h, flags, draw(headers), draw(st.tuples(u32s, u32s)),
+        draw(st.tuples(element, element)),
+        draw(st.tuples(*[hash_lists(h, n_pairs, n_pairs)] * 2)),
+        draw(element), LedgerSummary(*draw(st.tuples(u32s, u32s, u32s, u32s))),
+    )
+
+
+@st.composite
+def s2_packets(draw, h):
+    return S2Packet(
+        **draw(headers), disclosed_index=draw(u32s),
+        disclosed_element=draw(st.binary(min_size=h, max_size=h)),
+        msg_index=draw(u16s), message=draw(messages), auth_path=draw(hash_lists(h)),
+    ).encode()
+
+
+@st.composite
+def a2_packets(draw, h):
+    verdicts = st.builds(
+        AckVerdict, msg_index=u16s, is_ack=st.booleans(),
+        secret=st.binary(max_size=2 * h), path=hash_lists(h, max_size=5),
+    )
+    return A2Packet(
+        **draw(headers), disclosed_index=draw(u32s),
+        disclosed_element=draw(st.binary(min_size=h, max_size=h)),
+        verdicts=draw(st.lists(verdicts, max_size=4)),
+    ).encode()
+
+
+@st.composite
+def well_formed(draw):
+    h = draw(st.sampled_from(sorted(HASHES)))
+    kind = draw(st.sampled_from([s1_packets, a1_packets, s2_packets, a2_packets]))
+    return h, draw(kind(h))
+
+
+def assert_bytes_fields(value) -> None:
+    """No decoded field may alias the input buffer: every byte string is ``bytes``."""
+    if dataclasses.is_dataclass(value):
+        for item in dataclasses.fields(value):
+            assert_bytes_fields(getattr(value, item.name))
+    elif isinstance(value, list):
+        for item in value:
+            assert_bytes_fields(item)
+    else:
+        assert not isinstance(value, (bytearray, memoryview)), type(value)
+
+
+def cut_points(data: bytes):
+    """Every truncation, except that inside a long packet's body only
+    every 997th cut is taken: all cuts there fail on the same field."""
+    if len(data) <= 1024:
+        return range(len(data))
+    head, tail = range(256), range(len(data) - 256, len(data))
+    return sorted({*head, *tail, *range(0, len(data), 997)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    packet=well_formed(),
+    buffer=st.sampled_from([bytes, bytearray, memoryview]),
+)
+def test_well_formed_packets_decode_as_the_reference(packet, buffer):
+    h, data = packet
+    # A well-formed data packet never needs the Reader fallback.
+    with mock.patch.object(packets, "_decode_fields", side_effect=AssertionError):
+        decoded = decode_packet(buffer(data), h)
+    assert decoded == reference_decode(data, h)
+    assert type(decoded) is _BODIES[PacketType(data[3])].__self__
+    assert_bytes_fields(decoded)
+    view = buffer(data)
+    for end in cut_points(data):
+        assert_same_decode(view[:end], h)
+    for extra in (b"\x00", b"\xff"):
+        assert_same_decode(buffer(data + extra), h)
+
+
+@pytest.mark.parametrize("h", sorted(HASHES))
+@pytest.mark.parametrize("pairs", [0, 3])
+@pytest.mark.parametrize("flags", [*range(8), *(0xF8 | f for f in range(8))])
+def test_every_a1_flag_combination(flags, pairs, h):
+    data = a1_bytes(
+        h, flags, {"assoc_id": 7, "seq": 1}, (3, 5), (b"\x01" * h, b"\x02" * h),
+        ([b"\x03" * h] * pairs, [b"\x04" * h] * pairs), b"\x05" * h,
+        LedgerSummary(1, 2, 3, 4),
+    )
+    with mock.patch.object(packets, "_decode_fields", side_effect=AssertionError):
+        assert decode_packet(data, h) == reference_decode(data, h)
+    for end in range(len(data)):
+        assert_same_decode(data[:end], h)
+    assert_same_decode(data + b"\x00", h)
