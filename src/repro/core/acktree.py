@@ -100,6 +100,10 @@ def verify_ack_opening(
     The leaf position encodes the ack/nack meaning, so an attacker
     cannot replay an ack opening as a nack: the recomputed root would
     differ.
+
+    ``opening`` is read only for ``msg_index``, ``is_ack``, ``secret``
+    and ``path``, so an A2's :class:`~repro.core.packets.AckVerdict`
+    passes as is.
     """
     if not 0 <= opening.msg_index < n_messages:
         return False

@@ -196,6 +196,7 @@ class ChainVerifier:
         if resync_window < 1:
             raise ValueError("resync window must be at least 1")
         self._hash = hash_fn
+        self._raw = hash_fn.raw
         self.tags = tags
         self.resync_window = resync_window
         self.trusted = anchor
@@ -228,7 +229,7 @@ class ChainVerifier:
             self._hash.counter.record_hash(
                 len(tag) + len(element.value), "chain-verify"
             )
-            if self._hash.raw(tag + element.value) != trusted.value:
+            if self._raw(tag + element.value) != trusted.value:
                 return False
             if commit:
                 if not trusted_index & 1:
@@ -238,7 +239,7 @@ class ChainVerifier:
             return True
         if gap <= 0 or gap > self.resync_window:
             return False
-        raw = self._hash.raw
+        raw = self._raw
         odd, even = self.tags
         value = element.value
         derived = {}

@@ -64,19 +64,22 @@ class MerkleTree:
         self.n_messages = len(messages)
         self.n_leaves = _ceil_pow2(len(messages))
         padded = list(messages) + [b""] * (self.n_leaves - len(messages))
+        # One raw-hash pass per row, charged in bulk with the exact
+        # per-call tallies (PROTOCOL.md §14.6): n_leaves leaf hashes over
+        # the messages (the pads are empty), then one hash per inner
+        # node over two child digests.
+        raw = hash_fn.raw
+        record = hash_fn.counter.record_hash_batch
         # levels[0] is the leaf row; levels[-1] has one or two nodes.
-        leaf_row = [
-            hash_fn.digest(block, label=f"{label_prefix}-leaf") for block in padded
-        ]
+        leaf_row = [raw(block) for block in padded]
+        record(self.n_leaves, sum(map(len, messages)), f"{label_prefix}-leaf")
         levels = [leaf_row]
+        inner = 0
         while len(levels[-1]) > 2:
             row = levels[-1]
-            levels.append(
-                [
-                    hash_fn.digest(row[i] + row[i + 1], label=f"{label_prefix}-node")
-                    for i in range(0, len(row), 2)
-                ]
-            )
+            levels.append([raw(a + b) for a, b in zip(row[::2], row[1::2])])
+            inner += len(row) // 2
+        record(inner, inner * 2 * len(leaf_row[0]), f"{label_prefix}-node")
         self._levels = levels
 
     @property
@@ -178,7 +181,14 @@ def verify_merkle_path(
     """
     if index < 0:
         return False
-    value = hash_fn.digest(message, label=f"{label_prefix}-leaf")
+    # The fold runs on the raw hash and charges each label once, in
+    # per-call order (leaf, nodes, root), with the exact per-call
+    # tallies — whether it ends at a cached node, the root, or a miss.
+    raw = hash_fn.raw
+    record = hash_fn.counter.record_hash_batch
+    node_label = f"{label_prefix}-node"
+    value = raw(message)
+    record(1, len(message), f"{label_prefix}-leaf")
     position = index
     nodes = cache._nodes if cache is not None else None
     computed: list[tuple[int, int, bytes]] | None = None
@@ -189,11 +199,11 @@ def verify_merkle_path(
         computed = [(0, position, value)]
     level = 0
     if path:
+        folded = 0  # bytes hashed by the node folds so far
         for sibling in path[:-1]:
-            if position % 2:
-                value = hash_fn.digest(sibling + value, label=f"{label_prefix}-node")
-            else:
-                value = hash_fn.digest(value + sibling, label=f"{label_prefix}-node")
+            data = sibling + value if position % 2 else value + sibling
+            folded += len(data)
+            value = raw(data)
             if computed is not None:
                 computed.append((level, position ^ 1, sibling))
             position //= 2
@@ -202,19 +212,22 @@ def verify_merkle_path(
                 if nodes.get((expected_root, level, position)) == value:
                     # The fold met a proven node: membership established,
                     # and everything below it is now proven as well.
+                    record(level, folded, node_label)
                     cache.hits += 1
                     for lvl, pos, val in computed:
                         nodes[(expected_root, lvl, pos)] = val
                     return True
                 computed.append((level, position, value))
+        record(level, folded, node_label)
         top_sibling = path[-1]
         if position % 2:
             combined = key + top_sibling + value
         else:
             combined = key + value + top_sibling
-        root = hash_fn.digest(combined, label=f"{label_prefix}-root")
     else:
-        root = hash_fn.digest(key + value, label=f"{label_prefix}-root")
+        combined = key + value
+    root = raw(combined)
+    record(1, len(combined), f"{label_prefix}-root")
     ok = root == expected_root
     if computed is not None:
         cache.misses += 1

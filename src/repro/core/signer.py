@@ -18,7 +18,7 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.acktree import AckOpening, verify_ack_opening
+from repro.core.acktree import verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
 from repro.core.merkle import MerkleTree, leaves_per_tree
 from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
@@ -1026,14 +1026,9 @@ def verify_verdict(hash_fn: HashFunction, exchange, verdict: AckVerdict) -> bool
         return False
     key = exchange.ack_key_value
     if exchange.amt_root is not None:
-        opening = AckOpening(
-            msg_index=verdict.msg_index,
-            is_ack=verdict.is_ack,
-            secret=verdict.secret,
-            path=verdict.path,
-        )
+        # An AckVerdict carries the four fields an AckOpening does.
         return verify_ack_opening(
-            hash_fn, opening, exchange.message_count, key, exchange.amt_root
+            hash_fn, verdict, exchange.message_count, key, exchange.amt_root
         )
     if verdict.msg_index >= len(exchange.pre_acks):
         return False

@@ -10,11 +10,13 @@ and free of external dependencies.
 from __future__ import annotations
 
 import hashlib
-import hmac as _stdlib_hmac
 import os
+
+from repro.crypto.hashes import IPAD, OPAD
 
 _DIGEST = hashlib.sha256
 _DIGEST_SIZE = 32
+_BLOCK_SIZE = 64
 
 
 class DRBG:
@@ -40,7 +42,13 @@ class DRBG:
         self._update(seed + b"|" + personalization)
 
     def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return _stdlib_hmac.new(key, data, _DIGEST).digest()
+        # RFC 2104 HMAC-SHA256 over hashlib, byte-identical to
+        # hmac.new(key, data, "sha256"). Keys are always 32-byte digests
+        # here, never longer than the block, so no key pre-hash.
+        key = key.ljust(_BLOCK_SIZE, b"\x00")
+        inner = _DIGEST(key.translate(IPAD))
+        inner.update(data)
+        return _DIGEST(key.translate(OPAD) + inner.digest()).digest()
 
     def _update(self, provided: bytes = b"") -> None:
         self._key = self._hmac(self._key, self._value + b"\x00" + provided)

@@ -23,7 +23,6 @@ Available algorithms:
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,13 +142,19 @@ class HashFunction:
         self._raw = raw
         self.counter = counter if counter is not None else OpCounter()
         self.block_size = _BLOCK_SIZES.get(name.split("-")[0], 64)
-        # Untruncated hashlib-backed hashes MAC through the C HMAC; see
-        # :meth:`mac` for why every other variant cannot.
-        self._stdlib_hmac = name if name in _STDLIB_HMAC else None
+        # Untruncated hashlib-backed hashes MAC over their hashlib
+        # constructor; see :meth:`mac` for why every other variant cannot.
+        self._hashlib_ctor = _HASHLIB_HMAC.get(name)
 
     def digest(self, data: bytes, label: str | None = None) -> bytes:
         """Hash ``data``, counting one fixed-input hash operation."""
-        self.counter.record_hash(len(data), label)
+        # OpCounter.record_hash inlined: this is the hottest counted call.
+        counter = self.counter
+        counter.hash_ops += 1
+        counter.hash_bytes += len(data)
+        if label is not None:
+            labels = counter.labels
+            labels[label] = labels.get(label, 0) + 1
         return self._raw(data)
 
     @property
@@ -177,19 +182,27 @@ class HashFunction:
 
         ALPHA keys its MACs with undisclosed hash-chain elements; we use
         HMAC over the bound hash algorithm (the paper names HMAC [3] as
-        its MAC). ``sha1`` and ``sha256`` run the standard library's C
-        HMAC, which is byte-identical. Every other variant runs the
-        from-definition :func:`~repro.crypto.mac.hmac_raw`: the standard
-        library knows neither MMO nor the pure-Python SHA-1, and HMAC
-        over a *truncated* inner hash is a different function from
-        stdlib HMAC (the golden corpus pins those bytes).
+        its MAC). ``sha1`` and ``sha256`` compute RFC 2104 directly over
+        their :mod:`hashlib` constructor, ``H(k^opad | H(k^ipad | m))``
+        with the pads from the import-time :data:`IPAD`/:data:`OPAD`
+        translate tables; that is byte-identical to :func:`hmac.digest`
+        and cheaper than it. Every other variant runs the
+        from-definition :func:`~repro.crypto.mac.hmac_raw` over the raw
+        callable: hashlib knows neither MMO nor the pure-Python SHA-1,
+        and HMAC over a *truncated* inner hash is a different function
+        from HMAC over the full one (the golden corpus pins those bytes).
+        No keyed state is cached: ALPHA's MAC keys change every exchange.
         """
         self.counter.record_mac(len(message), label)
-        if self._stdlib_hmac is not None:
-            return hmac.digest(key, message, self._stdlib_hmac)
-        from repro.crypto.mac import hmac_raw
-
-        return hmac_raw(self._raw, self.block_size, key, message)
+        ctor = self._hashlib_ctor
+        if ctor is None:
+            return _mac.hmac_raw(self._raw, self.block_size, key, message)
+        if len(key) > 64:
+            key = ctor(key).digest()
+        key = key.ljust(64, b"\x00")
+        inner = ctor(key.translate(IPAD))
+        inner.update(message)
+        return ctor(key.translate(OPAD) + inner.digest()).digest()
 
     def with_counter(self, counter: OpCounter) -> "HashFunction":
         """Return a sibling bound to a different counter."""
@@ -220,8 +233,16 @@ def _sha1_pure_raw(data: bytes) -> bytes:
 
 
 _BLOCK_SIZES = {"sha1": 64, "sha256": 64, "mmo": 16, "sha1p": 64}
-#: Names whose HMAC :meth:`HashFunction.mac` delegates to :func:`hmac.digest`.
-_STDLIB_HMAC = frozenset({"sha1", "sha256"})
+#: Names whose HMAC :meth:`HashFunction.mac` computes over the hashlib
+#: constructor itself (both have a 64-byte block).
+_HASHLIB_HMAC = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
+
+#: RFC 2104 pad tables: ``key.translate(IPAD)`` is ``key`` XOR 0x36 in
+#: every byte, ``key.translate(OPAD)`` XOR 0x5C. Shared by every HMAC in
+#: the package (:meth:`HashFunction.mac`, :func:`~repro.crypto.mac.hmac_raw`
+#: and the DRBG).
+IPAD = bytes(b ^ 0x36 for b in range(256))
+OPAD = bytes(b ^ 0x5C for b in range(256))
 
 _ALGORITHMS: dict[str, tuple[int, Callable[[bytes], bytes]]] = {
     "sha1": (20, _sha1_raw),
@@ -260,3 +281,8 @@ def get_hash(name: str, counter: OpCounter | None = None) -> HashFunction:
         raw = lambda data: full_raw(data)[:truncated]  # noqa: E731
         digest_size = truncated
     return HashFunction(name, digest_size, raw, counter)
+
+
+# Bound last: repro.crypto.mac imports this module. ``mac`` reads
+# ``_mac.hmac_raw`` per call, so it stays a patchable module attribute.
+from repro.crypto import mac as _mac  # noqa: E402

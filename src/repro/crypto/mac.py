@@ -6,9 +6,12 @@ element. :func:`hmac_raw` implements HMAC from its definition, so the
 construction also works where :mod:`hmac` cannot: over the
 Matyas–Meyer–Oseas hash (16-byte block size), over the pure-Python
 SHA-1 (``sha1p``), and over truncated variants such as ``sha1-8``,
-whose inner hash is truncated too. :meth:`HashFunction.mac` runs
-untruncated ``sha1`` and ``sha256`` through the standard library's C
-HMAC instead, which yields the same bytes.
+whose inner hash is truncated too. :meth:`HashFunction.mac` computes
+untruncated ``sha1`` and ``sha256`` the same way directly over their
+:mod:`hashlib` constructors, which skips the raw callable and the
+message copy. Both paths, and the DRBG, take their pads from the
+:data:`~repro.crypto.hashes.IPAD`/:data:`~repro.crypto.hashes.OPAD`
+translate tables.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ from __future__ import annotations
 import hmac
 from typing import Callable
 
-from repro.crypto.hashes import HashFunction, get_hash
-
-_IPAD = 0x36
-_OPAD = 0x5C
+from repro.crypto.hashes import IPAD, OPAD, HashFunction, get_hash
 
 
 def hmac_raw(
@@ -32,8 +32,8 @@ def hmac_raw(
     if len(key) > block_size:
         key = raw_hash(key)
     key = key.ljust(block_size, b"\x00")
-    inner = raw_hash(bytes(k ^ _IPAD for k in key) + message)
-    return raw_hash(bytes(k ^ _OPAD for k in key) + inner)
+    inner = raw_hash(key.translate(IPAD) + message)
+    return raw_hash(key.translate(OPAD) + inner)
 
 
 def hmac_digest(hash_name: str, key: bytes, message: bytes) -> bytes:

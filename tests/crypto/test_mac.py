@@ -1,10 +1,17 @@
-"""``HashFunction.mac``: C HMAC for sha1/sha256, ``hmac_raw`` elsewhere.
+"""``HashFunction.mac``: hashlib HMAC for sha1/sha256, ``hmac_raw`` elsewhere.
 
-Untruncated ``sha1`` and ``sha256`` MAC through :func:`hmac.digest`;
-every other hash (MMO, the pure-Python ``sha1p``, truncated ``sha1-N``)
-runs the from-definition :func:`repro.crypto.mac.hmac_raw`. The bytes and
-the operation tallies must be the same either way.
+Untruncated ``sha1`` and ``sha256`` compute RFC 2104 directly over their
+hashlib constructor; every other hash (MMO, the pure-Python ``sha1p``,
+truncated ``sha1-N``) runs the from-definition
+:func:`repro.crypto.mac.hmac_raw` over the raw callable. Both take their
+pads from the same translate tables, so each is also checked against an
+oracle that shares nothing with it: the standard library's
+:func:`hmac.digest` for the hashlib path, and a per-byte-XOR HMAC kept in
+this file for ``hmac_raw``. The bytes and the operation tallies must be
+the same either way.
 """
+
+import hmac
 
 import pytest
 
@@ -25,6 +32,58 @@ def test_c_hmac_matches_hmac_raw(name, key_length):
         assert fn.mac(key, message) == hmac_raw(
             fn.digest_uncounted, fn.block_size, key, message
         )
+
+
+def per_byte_hmac(raw_hash, block_size, key, message):
+    """RFC 2104 written out with a per-byte XOR, independent of the pad tables."""
+    if len(key) > block_size:
+        key = raw_hash(key)
+    key = bytes(key).ljust(block_size, b"\x00")
+    inner = raw_hash(bytes(k ^ 0x36 for k in key) + message)
+    return raw_hash(bytes(k ^ 0x5C for k in key) + inner)
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_length", KEY_LENGTHS)
+def test_hashlib_hmac_matches_stdlib_hmac(name, key_length):
+    fn = get_hash(name)
+    key = bytes((7 * i + 3) % 256 for i in range(key_length))
+    for message in MESSAGES:
+        expected = hmac.digest(key, message, name)
+        assert fn.mac(key, message) == expected
+        assert fn.mac(bytearray(key), message) == expected
+
+
+#: The raw path runs pure-Python MMO and SHA-1, so its messages stay short.
+RAW_MESSAGES = [b"", b"m", bytes(range(256))]
+
+
+@pytest.mark.parametrize("name", ["mmo", "sha1p", "sha1-8"])
+@pytest.mark.parametrize("key_length", KEY_LENGTHS)
+def test_hmac_raw_matches_per_byte_reference(name, key_length):
+    fn = get_hash(name)
+    key = bytes((5 * i + 1) % 256 for i in range(key_length))
+    for message in RAW_MESSAGES:
+        expected = per_byte_hmac(fn.digest_uncounted, fn.block_size, key, message)
+        assert fn.mac(key, message) == expected
+        assert fn.mac(bytearray(key), message) == expected
+        assert hmac_raw(fn.raw, fn.block_size, key, message) == expected
+
+
+def test_hmac_known_answers():
+    # Pinned from the stdlib-HMAC implementation these paths replaced;
+    # the sha1 vector is the widely published one for this key and text.
+    fox = b"The quick brown fox jumps over the lazy dog"
+    assert get_hash("sha1").mac(b"key", fox).hex() == (
+        "de7c9b85b8b78aa6bc8a7a36f70a90701c9db4d9"
+    )
+    assert get_hash("sha256").mac(b"k" * 100, b"msg").hex() == (
+        "bd56a1782c2830e8abc6ed866a57a1230661e650b84c62f7ee3accc5fa5af491"
+    )
+    assert get_hash("mmo").mac(b"k" * 20, b"msg").hex() == (
+        "b733114eca80905a1c93c11e4412b5c8"
+    )
+    assert get_hash("sha1-8").mac(b"k" * 70, b"msg").hex() == "c5ca7aba803dc679"
 
 
 @pytest.mark.parametrize("name", ["sha1", "sha256", "mmo", "sha1p", "sha1-8"])
