@@ -7,34 +7,19 @@ requirements "render memory exhaustion attacks more difficult". This
 bench measures one relay's memory and per-packet CPU as the number of
 concurrent associations through it grows.
 
-Two scaling sections extend the original sub-5 ms microbench
-(PROTOCOL.md §15):
-
-- **flows × relays grid** — flows are spread over a relay mesh by the
-  :class:`~benchmarks.directory.RelayDirectory`; each relay is a queued
-  server with a fixed per-frame service time, so the grid exposes a
-  real saturation knee (goodput stops scaling with offered flows) in
-  *simulated* time — deterministic, and pinned exactly in tier-1.
-- **idle-association scaling** — one endpoint holding 10k established
-  associations, measuring poll cost with everything idle. The deadline
-  heap makes this O(due timers): 10× more idle associations must cost
-  <2× per poll turn, where the historical full scan cost 10×.
+A **flows × relays grid** extends the original sub-5 ms microbench:
+flows are spread round-robin over a relay mesh, and each relay is a
+queued server with a fixed per-frame service time, so the grid exposes
+a real saturation knee (goodput stops scaling with offered flows) in
+*simulated* time — deterministic, and pinned exactly in tier-1.
 """
 
-import time
-
 from benchmarks.conftest import format_table
-from benchmarks.directory import RelayDirectory
 from repro.core.adapter import EndpointAdapter, RelayAdapter
-from repro.core.bootstrap import ChainSet, build_handshake
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
-from repro.crypto.drbg import DRBG
-from repro.crypto.hashes import get_hash
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
-from repro.obs import Observability, telemetry
-from repro.transports import Reactor, UdpTransport
 
 FLOW_COUNTS = (1, 4, 8, 16)
 BATCH = 8
@@ -48,10 +33,6 @@ GRID_MSGS = 6
 #: hop-by-hop verify + re-sign). 2 ms ≈ a 500 frame/s relay.
 GRID_SERVICE_S = 0.002
 GRID_BUDGET_S = 30.0
-
-# Idle-association scaling.
-IDLE_COUNTS = (1_000, 10_000)
-IDLE_POLLS = 2_000
 
 
 def run_flows(n_flows: int, mode: Mode, seed=0):
@@ -174,27 +155,23 @@ def _queued_server(node, service_s: float):
 
 
 def run_grid_cell(n_flows: int, n_relays: int, seed=0):
-    """n flows spread over a directory-coordinated relay mesh.
+    """n flows spread round-robin over a single-hop relay mesh.
 
-    Relays register with the directory; each client fetches its ranked
-    single-hop path (least loaded relay first) and wires its route
-    through the assigned relay. Returns simulated-time goodput.
+    Flow ``i`` routes through ``relay{i % n_relays}``, so every relay
+    carries the same load to within one flow. Returns simulated-time
+    goodput.
     """
     net = Network(seed=seed)
-    directory = RelayDirectory(ttl_s=3600.0)
     relays = {}
     for r in range(n_relays):
         name = f"relay{r}"
         net.add_node(name)
         _queued_server(net.nodes[name], GRID_SERVICE_S)
         relays[name] = RelayAdapter(net.nodes[name])
-        directory.register(name, now=0.0)
     cfg = EndpointConfig(chain_length=64, rekey_threshold=0)
     assignments = []
     for i in range(n_flows):
-        (path,) = directory.paths(f"src{i}", f"dst{i}", now=0.0,
-                                  hops=1, count=1)
-        relay = path.hops[0]
+        relay = f"relay{i % n_relays}"
         assignments.append(relay)
         net.add_node(f"src{i}")
         net.add_node(f"dst{i}")
@@ -251,74 +228,6 @@ def saturation_point(goodputs: dict[int, float]) -> int:
     return last_scaling
 
 
-def run_idle_scaling(n_assocs: int, polls: int, seed=0):
-    """One endpoint, ``n_assocs`` established idle associations.
-
-    Associations are installed responder-side from crafted HS1 packets
-    (no peer endpoints needed), then the endpoint is polled repeatedly
-    at a fixed instant: nothing is due, so the deadline heap should
-    answer in O(1) regardless of how many associations exist.
-    """
-    config = EndpointConfig(chain_length=16, rekey_threshold=0)
-    hub = AlphaEndpoint("hub", config, seed=seed)
-    hash_fn = get_hash(config.hash_name)
-    rng = DRBG(f"idle-bench-{seed}")
-    now = 0.0
-    for i in range(n_assocs):
-        chains = ChainSet.create(hash_fn, rng.fork(f"c{i}"),
-                                 config.chain_length)
-        packet = build_handshake(
-            assoc_id=i + 1, chains=chains, hash_name=config.hash_name,
-            rng=rng.fork(f"hs{i}"), is_response=False,
-        )
-        hub.on_packet(packet.encode(), f"client{i}", now)
-    assert len(hub._by_id) == n_assocs
-    hub.poll(now)  # drain the install-time dirty set once
-    t0 = time.perf_counter()
-    for _ in range(polls):
-        hub.poll(now)
-    elapsed = time.perf_counter() - t0
-    return {
-        "associations": n_assocs,
-        "poll_us": elapsed / polls * 1e6,
-    }
-
-
-def run_reactor_telemetry(messages: int = 8, seed=0):
-    """Real-socket loopback drive with event-loop telemetry enabled.
-
-    Two endpoints share one enabled observability context and one
-    reactor. The responder joins the loop *late*, so the initiator's
-    handshake retransmit deadline genuinely fires — that is what puts
-    honest samples in ``telemetry.heap.lag_ms`` (a clean loopback
-    exchange never lets a deadline pass). Asserts the loop recorded
-    turns and heap-lag samples (PROTOCOL.md §16).
-    """
-    obs = Observability()
-    cfg = EndpointConfig(chain_length=64, retransmit_timeout_s=0.02)
-    lag = obs.registry.histogram(telemetry.HEAP_LAG_MS, telemetry.MS_BOUNDS)
-    with Reactor(obs=obs) as reactor:
-        ta = reactor.add(
-            UdpTransport(AlphaEndpoint("a", cfg, seed=f"{seed}a", obs=obs))
-        )
-        tb = UdpTransport(AlphaEndpoint("b", cfg, seed=f"{seed}b", obs=obs))
-        ta.register_peer("b", tb.address)
-        tb.register_peer("a", ta.address)
-        ta.connect("b")
-        # The HS1 lands in b's kernel buffer unanswered until b joins.
-        assert reactor.run_until(lambda: lag.count > 0), "no deadline fired"
-        reactor.add(tb)
-        assert reactor.run_until(
-            lambda: ta.endpoint.association("b").established
-            and tb.endpoint.association("a").established
-        )
-        for i in range(messages):
-            ta.send("b", b"telemetry-%d" % i)
-        assert reactor.run_until(lambda: len(tb.received) == messages)
-    turns = obs.registry.histogram(telemetry.TURN_MS, telemetry.MS_BOUNDS)
-    assert turns.count > 0 and lag.count > 0
-
-
 def test_grid_saturation(emit):
     goodput_by_flows = {relays: {} for relays in GRID_RELAYS}
     rows = []
@@ -347,35 +256,20 @@ def test_grid_saturation(emit):
         for relays, flows in saturation.items()
     )
     emit("x5_grid_saturation", table + "\n" + notes)
-    # More relays push the knee outward: the directory actually spreads
-    # load, so the 4-relay mesh must not saturate before the 1-relay one.
+    # More relays push the knee outward: the round-robin spreads load,
+    # so the 4-relay mesh must not saturate before the 1-relay one.
     assert saturation[GRID_RELAYS[-1]] >= saturation[GRID_RELAYS[0]]
     # And a loaded single relay must be measurably saturated inside the
     # grid (otherwise the grid proves nothing about the knee).
     assert saturation[GRID_RELAYS[0]] < GRID_FLOWS[-1]
 
 
-def test_idle_association_scaling(emit):
-    results = [run_idle_scaling(n, IDLE_POLLS, seed=7) for n in IDLE_COUNTS]
-    rows = [[r["associations"], f"{r['poll_us']:.2f}"] for r in results]
-    emit(
-        "x5_idle_scaling",
-        format_table(["idle associations", "poll (us)"], rows),
-    )
-    # The acceptance datapoint: 10x the idle associations, <2x the poll
-    # cost. The historical full scan was 10x here by construction.
-    base, big = results[0], results[-1]
-    assert big["associations"] >= 10_000
-    assert big["poll_us"] < 2 * max(base["poll_us"], 0.5)
-
-
 def smoke():
-    """Tier-1 smoke: star relay, directory grid, and idle-poll scaling.
+    """Tier-1 smoke: star relay and relay grid.
 
     Runs every measurement path at toy scale and returns the grid's
     simulated-time figures, which ``tests/benchmarks/test_bench_smoke.py``
-    pins exactly. The idle-poll and reactor-telemetry drives are host
-    wall-clock, so they run for bit-rot only and return nothing here.
+    pins exactly.
     """
     out = run_flows(1, Mode.CUMULATIVE, seed=3)
     assert out["delivered"] == out["expected"]
@@ -389,17 +283,12 @@ def smoke():
         GRID_RELAYS=(2,),
         GRID_MSGS=3,
         GRID_BUDGET_S=20.0,
-        IDLE_COUNTS=(100, 400),
-        IDLE_POLLS=200,
     ):
         cell = run_grid_cell(module.GRID_FLOWS[-1], module.GRID_RELAYS[0],
                              seed=5)
         assert cell["delivered"] == cell["expected"], cell
-        # Directory assignment really spread the flows across the mesh.
+        # The assignment really spread the flows across the mesh.
         assert all(n > 0 for n in cell["spread"].values())
-        for n in module.IDLE_COUNTS:
-            run_idle_scaling(n, module.IDLE_POLLS, seed=7)
-    run_reactor_telemetry(messages=4, seed=13)
     return {
         "grid_goodput_msgs_per_s": cell["goodput_msgs_per_s"],
         "grid_delivered": cell["delivered"],

@@ -47,10 +47,10 @@ fi
 # Sans-IO clock lint: the protocol engines (src/repro/core) and the
 # observability layer (src/repro/obs) are driven exclusively by an
 # injected `now` — a real clock call in either breaks deterministic
-# replay and the simulated-time benchmarks. The only two legitimate
-# call sites are the audited helpers in repro/obs/telemetry.py, each
-# carrying a `lint: allow-real-clock` marker; everything else must
-# route through them. The pattern also catches the other stdlib clocks
+# replay and the simulated-time benchmarks. The one legitimate call
+# site is the audited helper in repro/obs/telemetry.py, carrying a
+# `lint: allow-real-clock` marker; everything else must route through
+# it. The pattern also catches the other stdlib clocks
 # (and their _ns forms), datetime's wall-clock constructors, and the
 # import forms that would hide a clock call from it.
 echo "== real-clock lint (src/repro/core, src/repro/obs) =="
@@ -64,8 +64,8 @@ if [ -n "$CLOCK_VIOLATIONS" ]; then
     exit 1
 fi
 ALLOWED=$(grep -c '# lint: allow-real-clock' src/repro/obs/telemetry.py || true)
-if [ "$ALLOWED" != "2" ]; then
-    echo "expected exactly 2 allowlisted real-clock sites in" >&2
+if [ "$ALLOWED" != "1" ]; then
+    echo "expected exactly 1 allowlisted real-clock site in" >&2
     echo "src/repro/obs/telemetry.py, found ${ALLOWED:-0}" >&2
     exit 1
 fi

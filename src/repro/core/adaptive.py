@@ -307,6 +307,14 @@ class AdaptiveController:
 
     # -- the loop --------------------------------------------------------------
 
+    @property
+    def next_tick(self) -> float:
+        """Earliest instant :meth:`poll` does work (0.0 before the first
+        tick)."""
+        if self._last_tick is None:
+            return 0.0
+        return self._last_tick + self.config.decision_interval_s
+
     def poll(self, now: float) -> ChannelConfig | None:
         """One controller tick; returns the new config when re-tuned.
 
@@ -314,8 +322,7 @@ class AdaptiveController:
         ``decision_interval_s``. The returned config (if any) has
         already been applied via :meth:`SignerSession.reconfigure`.
         """
-        interval = self.config.decision_interval_s
-        if self._last_tick is not None and now - self._last_tick < interval:
+        if now < self.next_tick:
             return None
         self._last_tick = now
         self._sample(now)

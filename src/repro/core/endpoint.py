@@ -21,7 +21,6 @@ simulator. Applications typically use exactly four methods::
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -54,7 +53,6 @@ from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction, OpCounter, get_hash
 from repro.crypto.signatures import SignatureScheme
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs import telemetry
 from repro.obs.linkhealth import HealthLedger
 
 
@@ -150,17 +148,6 @@ class Association:
     #: The signer's completed-exchange count when the active path was
     #: last credited with progress (``PathManager.note_success``).
     completions_seen: int = 0
-    #: Earliest deadline currently armed for this association on the
-    #: endpoint's timer heap (``None`` when no timer is armed). Purely
-    #: a push-suppression mark: later deadlines than this may linger as
-    #: stale heap entries, which cost one spurious no-op service each.
-    armed_deadline: float | None = None
-    #: Monotonic installation order on the owning endpoint. Poll turns
-    #: service due associations in this order so a turn emits packets
-    #: exactly as a scan of every association (dict insertion order)
-    #: would — packet order is behaviour wherever the link draws
-    #: per-packet randomness.
-    install_seq: int = 0
 
 
 @dataclass
@@ -200,29 +187,11 @@ class AlphaEndpoint:
         self.hash_fn: HashFunction = get_hash(self.config.hash_name, counter)
         self._by_peer: dict[str, Association] = {}
         self._by_id: dict[int, Association] = {}
-        #: Deadline heap (PROTOCOL.md §15): ``(deadline, assoc_id)``
-        #: entries, earliest first. Stale entries (deleted associations,
-        #: superseded deadlines) are dropped lazily on pop.
-        self._timers: list[tuple[float, int]] = []
-        #: Associations with non-timer work pending (fresh sends, packet
-        #: activity, retirement) that the next :meth:`poll` must service
-        #: regardless of any armed deadline.
-        self._dirty: set[int] = set()
         #: The channel half of the config, as the plain type that
         #: ``set_channel_config`` and the adaptive controller produce.
         self._channel_config = ChannelConfig(
             **{f.name: getattr(self.config, f.name) for f in fields(ChannelConfig)}
         )
-        #: Deadline-heap service lag histogram (``telemetry.heap.lag_ms``,
-        #: PROTOCOL.md §16): how far past its armed deadline a timer pops.
-        #: Measured purely in the injected clock domain — the real-clock
-        #: lint over ``repro.core`` stays airtight. The instrument is the
-        #: registry's shared null when observability is off.
-        self._heap_lag = self.obs.registry.histogram(
-            telemetry.HEAP_LAG_MS, telemetry.MS_BOUNDS
-        )
-        #: Installation counter backing ``Association.install_seq``.
-        self._installs = 0
         #: Endpoint-level resilience counters (handshake failures, dead
         #: peers, parse drops); per-signer counters are folded in by
         #: :meth:`resilience_stats`.
@@ -265,7 +234,6 @@ class AlphaEndpoint:
             # Reconnecting after dead-peer detection: retire the DOWN
             # association and let the fresh handshake supersede it.
             existing.retired = True
-            self._mark_dirty(existing)
             del self._by_peer[peer]
         assoc_id = self.rng.random_int(63)
         assoc = self._open_handshake(assoc_id, peer, now, f"hs:{peer}")
@@ -301,7 +269,6 @@ class AlphaEndpoint:
         if not assoc.established:
             raise ProtocolError(f"association with {peer} not yet established")
         assoc.signer.reconfigure(config)
-        self._mark_dirty(assoc)
 
     def send(self, peer: str, message: bytes) -> None:
         """Queue a message for integrity-protected delivery to ``peer``."""
@@ -314,7 +281,6 @@ class AlphaEndpoint:
             assoc.pending_sends.append(message)
             return
         assoc.signer.submit(message)
-        self._mark_dirty(assoc)
 
     def peer_down(self, peer: str) -> bool:
         """True once dead-peer detection declared ``peer`` unreachable."""
@@ -359,9 +325,7 @@ class AlphaEndpoint:
         assoc = self._by_id.get(packet.assoc_id)
         if assoc is None or not assoc.established or assoc.peer != src:
             return out
-        if assoc.supersedes is not None:
-            self._dirty.add(assoc.supersedes)
-            assoc.supersedes = None
+        assoc.supersedes = None
         if isinstance(packet, S1Packet):
             a1 = assoc.verifier.handle_s1(packet, now)
             if a1 is not None:
@@ -379,79 +343,44 @@ class AlphaEndpoint:
             for s2 in assoc.signer.handle_a2(packet, now):
                 out.replies.append((src, s2))
         self._collect_signer_output(assoc, now, out)
-        # Packet activity moved deadlines and may have completed
-        # exchanges: the next poll turn must re-check rekey thresholds
-        # and retirement drain for this association.
-        self._mark_dirty(assoc)
         return out
 
     def poll(self, now: float) -> EndpointOutput:
-        """Drive due timers and dirty associations.
+        """Service every association, in installation order.
 
-        Only associations whose armed deadline has passed — plus those
-        marked dirty by packet activity, sends, or retirement — are
-        serviced; everything else is untouched, so the cost of a poll
-        turn is driven by due work, not by how many associations exist.
-        The protocol behaves exactly as if every association were
-        serviced every turn; the timer-heap differential property suite
-        holds it to that reference scan.
+        Servicing an association with nothing due is a no-op: the
+        signer's and the controller's own polls are deadline-gated and
+        draw no randomness on that path. The order is behaviour wherever
+        the link draws per-packet randomness.
         """
         out = EndpointOutput()
-        due: dict[int, Association] = {}
-        observe_lag = self.obs.enabled
-        while self._timers and self._timers[0][0] <= now:
-            deadline, assoc_id = heapq.heappop(self._timers)
-            assoc = self._by_id.get(assoc_id)
-            if assoc is None:
-                continue  # association already drained; stale entry
-            if observe_lag:
-                self._heap_lag.observe((now - deadline) * 1000.0)
-            if assoc.armed_deadline is not None and deadline >= assoc.armed_deadline:
-                assoc.armed_deadline = None
-            due[assoc_id] = assoc
-        if self._dirty:
-            for assoc_id in self._dirty:
-                assoc = self._by_id.get(assoc_id)
-                if assoc is not None:
-                    due[assoc_id] = assoc
-            self._dirty.clear()
-        if self.config.adaptive:
-            # Controllers are time-sampled feedback loops calibrated
-            # against a tick every poll turn, as the reference scan does
-            # (a cheap early return inside the decision interval). A
-            # retune makes the association due so the new channel config
-            # shapes exchanges started this turn.
-            for assoc in list(self._by_id.values()):
-                if (
-                    assoc.controller is None
-                    or not assoc.established
-                    or assoc.assoc_id in due
-                ):
-                    continue
-                if assoc.controller.poll(now) is not None:
-                    due[assoc.assoc_id] = assoc
-        # Installation order, not heap-pop order: the reference scan
-        # iterates ``_by_id`` insertion order, and a turn's packet order
-        # is behaviour wherever the link draws per-packet randomness.
-        for assoc in sorted(due.values(), key=lambda a: a.install_seq):
+        for assoc in list(self._by_id.values()):
             self._service_association(assoc, now, out)
         return out
 
     def next_deadline(self) -> float | None:
-        """Earliest armed timer, or ``None`` when nothing is scheduled.
+        """Earliest instant :meth:`poll` has work, or ``None`` when no
+        association has any until new input arrives.
 
-        Event loops (the reactor, ``UdpTransport.pump``) use this to
-        bound their select timeout. May be conservatively early when a
-        stale heap entry survives — never late.
+        Never late: a poll strictly before it emits no packet, delivery
+        or failure, so an event loop may sleep or jump its clock here.
         """
-        if self._dirty:
-            return 0.0
-        return self._timers[0][0] if self._timers else None
-
-    def needs_service(self, now: float) -> bool:
-        """True when :meth:`poll` at ``now`` would have work to do."""
-        deadline = self.next_deadline()
-        return deadline is not None and deadline <= now
+        deadlines = []
+        for assoc in self._by_id.values():
+            if not assoc.established:
+                if assoc.initiator:
+                    deadlines.append(assoc.hs_deadline)
+                continue
+            if self._rekey_due(assoc):
+                return 0.0
+            deadline = assoc.signer.next_deadline()
+            if deadline is not None:
+                deadlines.append(deadline)
+            if assoc.drain_deadline is not None:
+                deadlines.append(assoc.drain_deadline)
+            if assoc.controller is not None:
+                deadlines.append(assoc.controller.next_tick)
+        return min(deadlines, default=None)
 
     def _service_association(
         self, assoc: Association, now: float, out: EndpointOutput
@@ -476,11 +405,10 @@ class AlphaEndpoint:
                         assoc.assoc_id,
                         info=f"hs1 try={assoc.hs_retries}",
                     )
-            if assoc.initiator:
-                self._arm(assoc, assoc.hs_deadline)
             return
         self._collect_signer_output(assoc, now, out)
-        self._maybe_rekey(assoc, now, out)
+        if self._rekey_due(assoc):
+            self._initiate_replacement(assoc, now, out, label="rekey")
         if assoc.retired and assoc.signer.idle and self._peer_done(assoc, now):
             # Preserve the drained association's counters before it goes.
             self._drained.merge(assoc.signer.stats)
@@ -493,13 +421,6 @@ class AlphaEndpoint:
             # signer/verifier state in memory forever.
             if self._by_peer.get(assoc.peer) is assoc:
                 del self._by_peer[assoc.peer]
-            return
-        self._arm(assoc, assoc.signer.next_deadline())
-        self._arm(assoc, assoc.drain_deadline)
-        if assoc.controller is not None:
-            # Adaptive associations keep a heartbeat so the controller
-            # still ticks on its decision interval while idle.
-            self._arm(assoc, now + assoc.controller.config.decision_interval_s)
 
     def _peer_done(self, assoc: Association, now: float) -> bool:
         """True once the peer can no longer be using a retired
@@ -516,28 +437,6 @@ class AlphaEndpoint:
             config = self.config
             assoc.drain_deadline = now + (config.max_retries + 1) * config.rto_max_s
         return now >= assoc.drain_deadline
-
-    # -- deadline heap plumbing --------------------------------------------------
-
-    def _admit(self, assoc: Association) -> None:
-        """Insert into ``_by_id``, stamping the installation order."""
-        self._installs += 1
-        assoc.install_seq = self._installs
-        self._by_id[assoc.assoc_id] = assoc
-
-    def _arm(self, assoc: Association, deadline: float | None) -> None:
-        """Push a timer unless an equal-or-earlier one is already armed."""
-        if deadline is None:
-            return
-        armed = assoc.armed_deadline
-        if armed is not None and armed <= deadline:
-            return
-        assoc.armed_deadline = deadline
-        heapq.heappush(self._timers, (deadline, assoc.assoc_id))
-
-    def _mark_dirty(self, assoc: Association) -> None:
-        """Queue the association for service on the next poll turn."""
-        self._dirty.add(assoc.assoc_id)
 
     @property
     def busy(self) -> bool:
@@ -578,8 +477,7 @@ class AlphaEndpoint:
             hs_bytes=packet.encode(),
             hs_deadline=now + self.config.retransmit_timeout_s,
         )
-        self._admit(assoc)
-        self._arm(assoc, assoc.hs_deadline)
+        self._by_id[assoc_id] = assoc
         return assoc
 
     def _install_association(
@@ -607,9 +505,8 @@ class AlphaEndpoint:
                 if previous.signer is not None:
                     assoc.pending_sends.extend(previous.signer._queue)
                     previous.signer._queue.clear()
-                self._mark_dirty(previous)
             self._by_peer[peer] = assoc
-            self._admit(assoc)
+            self._by_id[assoc_id] = assoc
         link = self.links.link(peer) if self._track_links else None
         if link is not None:
             link.on_association()
@@ -679,7 +576,6 @@ class AlphaEndpoint:
             # Seed after the pending sends are queued, so the inherited
             # configuration's batch size sees the real backlog.
             assoc.controller.seed_from_link(now)
-        self._mark_dirty(assoc)
         return assoc
 
     def _on_handshake(
@@ -752,8 +648,9 @@ class AlphaEndpoint:
                 now, self.name, EventKind.HS_SEND, packet.assoc_id, info="hs2"
             )
 
-    def _maybe_rekey(self, assoc: Association, now: float, out: EndpointOutput) -> None:
-        """Initiate a replacement handshake before the chains run dry."""
+    def _rekey_due(self, assoc: Association) -> bool:
+        """True when ``assoc`` should start a replacement handshake
+        before its chains run dry."""
         if (
             self.config.rekey_threshold <= 0
             or not assoc.established
@@ -762,19 +659,18 @@ class AlphaEndpoint:
             or not assoc.initiator
             or assoc.replacement_id is not None
         ):
-            return
+            return False
         signature, acknowledgment = assoc.chains.signature, assoc.chains.acknowledgment
         remaining = min(
             signature.remaining_exchanges, acknowledgment.remaining_exchanges
         )
         if remaining > self.config.rekey_threshold:
-            return
-        if (
+            return False
+        # Untouched chains: a replacement would re-key forever.
+        return not (
             signature.remaining == signature.length
             and acknowledgment.remaining == acknowledgment.length
-        ):
-            return  # untouched: a replacement would re-key forever
-        self._initiate_replacement(assoc, now, out, label="rekey")
+        )
 
     def _initiate_replacement(
         self, assoc: Association, now: float, out: EndpointOutput, label: str
@@ -808,8 +704,6 @@ class AlphaEndpoint:
         while current.signer._queue:
             assoc.signer.submit(current.signer._queue.popleft())
         current.retired = True
-        self._mark_dirty(current)
-        self._mark_dirty(assoc)
         self._by_peer[assoc.peer] = assoc
 
     def _collect_signer_output(
@@ -934,7 +828,6 @@ class AlphaEndpoint:
             while assoc.signer._queue:
                 replacement.pending_sends.append(assoc.signer._queue.popleft())
             assoc.retired = True
-            self._mark_dirty(assoc)
             if self._by_peer.get(assoc.peer) is assoc:
                 self._by_peer[assoc.peer] = replacement
         else:
@@ -983,12 +876,11 @@ class AlphaEndpoint:
         parent = self._by_peer.get(assoc.peer)
         if parent is not None and parent.replacement_id == assoc.assoc_id:
             # The failed handshake was a re-key replacement: clear the
-            # marker so _maybe_rekey can try again, instead of leaving
+            # marker so the re-key check can try again, instead of leaving
             # the association wedged on a replacement that will never
             # establish (it would otherwise ride its chains to
             # exhaustion and stall every queued message).
             parent.replacement_id = None
-            self._mark_dirty(parent)
 
     def resilience_stats(self) -> ResilienceStats:
         """Aggregate counters: endpoint-level, drained, and live signers.

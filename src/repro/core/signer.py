@@ -269,8 +269,7 @@ class SignerSession:
         and nothing startable queued — polling before new input arrives
         would be a no-op. ``0.0`` flags work that is startable *now*
         (queued messages with a free exchange slot and chain runway).
-        The endpoint's deadline heap schedules from this, so an idle
-        association costs nothing per poll turn.
+        ``AlphaEndpoint.next_deadline`` is built from this.
         """
         if (
             self._queue

@@ -1,99 +1,23 @@
-"""Event-loop health telemetry: turn duration, heap lag, drain bounds.
+"""The one real clock the sans-IO layers may reach.
 
 The protocol engines under :mod:`repro.core` are sans-IO: every method
 takes an injected ``now`` and ``scripts/check.sh`` rejects any real
-clock call in ``src/repro/core`` or ``src/repro/obs``. Measuring the
-event loop *itself* — how long a reactor turn really took, how far
-behind its deadlines an endpoint is running — is the one job that
-legitimately needs wall time. This module is where that exception
-lives: :func:`live_clock` and :func:`wall_stamp` are the only two
-allowlisted real-clock call sites in the tree (each marked
-``lint: allow-real-clock``), and every other module routes through
-them.
-
-Instruments (PROTOCOL.md §16), all plain registry histograms so the
-export pipeline (Prometheus text, JSONL, reports) picks them up with
-no extra plumbing:
-
-- ``telemetry.reactor.turn_ms``   — wall-clock duration of one
-  :meth:`~repro.transports.reactor.Reactor.run_once` turn, select
-  included;
-- ``telemetry.reactor.ready``     — sockets readable per select wakeup;
-- ``telemetry.reactor.drain``     — datagrams drained per turn (bounded
-  by each transport's per-turn budget: a histogram hugging the budget
-  means kernel buffers are backing up);
-- ``telemetry.heap.lag_ms``       — how far past its armed deadline a
-  timer fired, measured in the endpoint's *own* clock domain
-  (simulated or live, whatever drives ``poll``), observed as each due
-  entry pops off the deadline heap.
-
-The first three are recorded by the reactor with whatever clock it was
-built with — :func:`live_clock` by default, an injected fake in tests,
-so the instrumentation itself stays deterministic under test. Heap lag
-is recorded inside ``AlphaEndpoint.poll`` with no real clock at all.
+clock call in ``src/repro/core`` or ``src/repro/obs``. A transport on
+real sockets still needs wall time to drive them. :func:`live_clock`
+is that exception: the only allowlisted real-clock call site in the
+tree (marked ``lint: allow-real-clock``).
 """
 
 from __future__ import annotations
 
 import time
 
-#: Metric names, importable so tests and docs cannot drift from the
-#: emitting call sites.
-TURN_MS = "telemetry.reactor.turn_ms"
-READY_SET = "telemetry.reactor.ready"
-DRAIN_BOUND = "telemetry.reactor.drain"
-HEAP_LAG_MS = "telemetry.heap.lag_ms"
-
-#: Millisecond-scale bounds for loop-turn and deadline-lag histograms.
-#: A healthy loopback turn sits under 1 ms; the tail buckets exist to
-#: make a stalled loop (GC pause, blocking call snuck into a handler)
-#: unmistakable rather than averaged away.
-MS_BOUNDS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 100.0, 1000.0)
-
-#: Count-scale bounds for ready-set size and per-turn drain counts.
-COUNT_BOUNDS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0)
-
 
 def live_clock() -> float:
-    """Monotonic wall clock for measuring real event-loop turns.
+    """Monotonic wall clock for driving endpoints over real sockets.
 
-    The default ``clock`` of the reactor and the UDP transport; tests
-    inject a fake instead. Allowlisted: one of exactly two real-clock
-    call sites permitted by the check.sh lint.
+    The default ``clock`` of the UDP transport; tests inject a fake
+    instead. Allowlisted: the one real-clock call site permitted by the
+    check.sh lint.
     """
     return time.monotonic()  # lint: allow-real-clock
-
-
-def wall_stamp() -> float:
-    """Absolute wall-clock timestamp for export/bench record stamping.
-
-    Never used to drive protocol behaviour — only to label snapshots
-    that leave the process. Allowlisted: the second of exactly two
-    real-clock call sites permitted by the check.sh lint.
-    """
-    return time.time()  # lint: allow-real-clock
-
-
-class EventLoopTelemetry:
-    """Facade binding the reactor's loop instruments to one registry.
-
-    Constructed from an :class:`~repro.obs.Observability`; when that
-    context is disabled every instrument is the registry's shared null
-    and :attr:`enabled` lets the reactor skip the clock reads entirely,
-    keeping the disabled cost to one attribute load per turn.
-    """
-
-    __slots__ = ("enabled", "turn_ms", "ready", "drain")
-
-    def __init__(self, obs) -> None:
-        self.enabled = obs.enabled
-        registry = obs.registry
-        self.turn_ms = registry.histogram(TURN_MS, MS_BOUNDS)
-        self.ready = registry.histogram(READY_SET, COUNT_BOUNDS)
-        self.drain = registry.histogram(DRAIN_BOUND, COUNT_BOUNDS)
-
-    def record_turn(self, turn_s: float, ready: int, drained: int) -> None:
-        """One reactor turn: duration (seconds), wakeups, datagrams."""
-        self.turn_ms.observe(turn_s * 1000.0)
-        self.ready.observe(ready)
-        self.drain.observe(drained)

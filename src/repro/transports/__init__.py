@@ -11,13 +11,12 @@ provided:
   test suite). This is what a deployment on actual wireless interfaces
   would start from.
 
-:mod:`repro.transports.reactor` multiplexes many UDP transports on a
-single ``selectors`` loop, scheduling timer work from the endpoints'
-deadline heaps (PROTOCOL.md §15).
+Both are driven by the caller's loop: each turn feeds received packets
+to the endpoint and polls it, and ``AlphaEndpoint.next_deadline`` says
+how long the loop may wait before the next poll has work.
 """
 
 from repro.transports.memory import MemoryNetwork
-from repro.transports.reactor import Reactor
 from repro.transports.udp import UdpTransport
 
-__all__ = ["MemoryNetwork", "Reactor", "UdpTransport"]
+__all__ = ["MemoryNetwork", "UdpTransport"]

@@ -5,17 +5,8 @@ using :mod:`selectors` (no asyncio, no threads). Peer names map to
 ``(host, port)`` addresses via an explicit directory — ALPHA identities
 are hash chains, not addresses, so the mapping is pure transport
 plumbing (and may change mid-association, e.g. after a HIP-style
-locator update).
-
-A transport can be driven two ways:
-
-- standalone, via :meth:`UdpTransport.pump` — one select + read + timer
-  turn, the historical single-endpoint loop;
-- multiplexed, by registering it with a
-  :class:`~repro.transports.reactor.Reactor`, which owns one selector
-  across many transports and calls :meth:`service_socket` /
-  :meth:`service_timers` as readiness and deadlines demand
-  (PROTOCOL.md §15).
+locator update). Each :meth:`UdpTransport.pump` turn is one select,
+a bounded read and one endpoint poll.
 
 The test suite exercises this over loopback; a real deployment would
 bind it to a mesh interface. Relays would run
@@ -35,6 +26,12 @@ from repro.obs.telemetry import live_clock
 
 _MAX_DATAGRAM = 65507
 
+#: Per-turn read budget: a datagram flood can make the socket readable
+#: forever, and an unbounded drain would starve the endpoint's timers
+#: (retransmits, handshake deadlines). Excess datagrams stay in the
+#: kernel buffer for the next turn.
+MAX_DATAGRAMS_PER_TURN = 64
+
 
 class UdpTransport:
     """Binds an endpoint to a UDP socket and pumps it."""
@@ -44,20 +41,12 @@ class UdpTransport:
         endpoint: AlphaEndpoint,
         bind: tuple[str, int] = ("127.0.0.1", 0),
         clock=live_clock,
-        max_datagrams_per_turn: int = 64,
     ) -> None:
-        if max_datagrams_per_turn < 1:
-            raise ValueError("need a positive per-turn datagram budget")
         self.endpoint = endpoint
         #: The endpoint's observability context (tracer + registry);
         #: disabled unless the endpoint enabled it.
         self.obs = endpoint.obs
         self._clock = clock
-        #: Per-turn read budget: a datagram flood can make the socket
-        #: readable forever, and an unbounded drain would starve the
-        #: endpoint's timers (retransmits, handshake deadlines). Excess
-        #: datagrams stay in the kernel buffer for the next turn.
-        self.max_datagrams_per_turn = max_datagrams_per_turn
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._socket.bind(bind)
         self._socket.setblocking(False)
@@ -77,10 +66,6 @@ class UdpTransport:
     @property
     def address(self) -> tuple[str, int]:
         return self._socket.getsockname()
-
-    def fileno(self) -> int:
-        """The socket's file descriptor (for external selector loops)."""
-        return self._socket.fileno()
 
     def register_peer(self, name: str, address: tuple[str, int]) -> None:
         """Teach the transport where a named peer currently lives."""
@@ -109,21 +94,8 @@ class UdpTransport:
         if self.closed:
             raise RuntimeError("transport is closed")
         processed = 0
-        if self._selector.select(timeout_s):
-            processed = self.service_socket()
-        self.service_timers()
-        return processed
-
-    def service_socket(self) -> int:
-        """Drain up to the per-turn budget of ready datagrams.
-
-        Reactor-facing half of :meth:`pump`: called when the socket is
-        readable; never blocks. Returns the number of datagrams read.
-        """
-        if self.closed:
-            raise RuntimeError("transport is closed")
-        processed = 0
-        while processed < self.max_datagrams_per_turn:
+        ready = self._selector.select(timeout_s)
+        while ready and processed < MAX_DATAGRAMS_PER_TURN:
             try:
                 data, address = self._socket.recvfrom(_MAX_DATAGRAM)
             except BlockingIOError:
@@ -168,17 +140,8 @@ class UdpTransport:
                     self.obs.registry.counter("udp.malformed_drops").inc()
                 continue
             self._dispatch(out)
-        return processed
-
-    def service_timers(self) -> None:
-        """Run the endpoint's timer turn and transmit what it produced."""
-        if self.closed:
-            raise RuntimeError("transport is closed")
         self._dispatch(self.endpoint.poll(self._clock()))
-
-    def next_deadline(self) -> float | None:
-        """Earliest endpoint timer — the reactor's select-timeout bound."""
-        return self.endpoint.next_deadline()
+        return processed
 
     def run_until(self, predicate, timeout_s: float = 5.0, step_s: float = 0.02) -> bool:
         """Pump until ``predicate()`` is true or the deadline passes."""

@@ -1,7 +1,6 @@
 """Association lifecycle regressions: leaks, exhaustion, rekey wedges.
 
-Three bugs the 10k-association event loop made fatal instead of merely
-embarrassing:
+Three bugs that each stall or leak a long-running endpoint:
 
 - drained retired associations were deleted from ``_by_id`` only,
   leaving them pinned in ``_by_peer`` forever;
@@ -70,7 +69,6 @@ class TestDrainReleasesBothMaps:
         establish(a, b)
         assoc = a.association("b")
         assoc.retired = True
-        a._mark_dirty(assoc)
         a.poll(1.0)
         assert assoc.assoc_id not in a._by_id
         assert "b" not in a._by_peer

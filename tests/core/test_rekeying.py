@@ -213,7 +213,6 @@ class TestRekeyUnderEagerPolling:
         assert a.on_packet(a1, "b", 0.0).replies  # the S2, never delivered
         old = b._by_peer.pop("a")
         old.retired = True
-        b._mark_dirty(old)
         b.poll(0.0)
         # Kept for the peer's exchange, until the drain deadline: the
         # peer's retry schedule at the RTO ceiling, (2 + 1) x 1 s.

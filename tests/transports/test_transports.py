@@ -7,6 +7,7 @@ from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
 from repro.crypto.hashes import get_hash
 from repro.transports import MemoryNetwork, UdpTransport
+from repro.transports.udp import MAX_DATAGRAMS_PER_TURN
 
 
 class TestMemoryNetwork:
@@ -336,8 +337,7 @@ class TestUdpFloodBudget:
         from repro.core.endpoint import AlphaEndpoint
 
         victim = UdpTransport(
-            AlphaEndpoint("victim", EndpointConfig(chain_length=64), seed=31),
-            max_datagrams_per_turn=16,
+            AlphaEndpoint("victim", EndpointConfig(chain_length=64), seed=31)
         )
         import socket
 
@@ -352,7 +352,7 @@ class TestUdpFloodBudget:
             while _time.monotonic() < deadline:
                 if victim.pump(0.05) > 0:
                     break
-            assert 0 < victim.stats.unknown_source_drops <= 16
+            assert 0 < victim.stats.unknown_source_drops <= MAX_DATAGRAMS_PER_TURN
             # Subsequent turns drain the rest; nothing is lost, only
             # deferred to later turns.
             victim.run_until(
@@ -370,9 +370,7 @@ class TestUdpFloodBudget:
         config = EndpointConfig(
             chain_length=64, retransmit_timeout_s=0.05, max_retries=3
         )
-        ta = UdpTransport(
-            AlphaEndpoint("a", config, seed=33), max_datagrams_per_turn=8
-        )
+        ta = UdpTransport(AlphaEndpoint("a", config, seed=33))
         try:
             # Handshake toward a peer that never answers, while a
             # stranger floods the socket: HS1 retries must still burn
@@ -385,7 +383,8 @@ class TestUdpFloodBudget:
             flooder = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 
             def flood_and_check():
-                for _ in range(32):
+                # More than one turn's budget, so the budget binds.
+                for _ in range(2 * MAX_DATAGRAMS_PER_TURN):
                     flooder.sendto(b"noise", ta.address)
                 return any(
                     f.reason == "handshake-timeout" for _p, f in ta.failures
@@ -397,9 +396,3 @@ class TestUdpFloodBudget:
             sink.close()
         finally:
             ta.close()
-
-    def test_budget_must_be_positive(self):
-        from repro.core.endpoint import AlphaEndpoint
-
-        with pytest.raises(ValueError):
-            UdpTransport(AlphaEndpoint("x", seed=1), max_datagrams_per_turn=0)
