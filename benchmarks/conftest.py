@@ -3,9 +3,14 @@
 Each ``bench_*`` file regenerates one artifact of the paper's evaluation
 (a table or a figure) and times its dominant operation with
 pytest-benchmark. Regenerated tables are printed *and* written under
-``results/`` so a run leaves a reviewable record:
+``results/`` so a run leaves a reviewable record. One command runs every
+bench:
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks/ -s
+
+Not ``--benchmark-only``: that flag skips each test without a
+``benchmark`` fixture, and the flow-scaling and attack-filtering grids
+take none.
 """
 
 from __future__ import annotations

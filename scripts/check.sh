@@ -75,14 +75,17 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
 # The exact-pin suites (bench PINNED tables, separation grid, relay
 # ledger, golden corpus, the HMAC/DRBG byte pins that every wire secret
-# comes from, and the Merkle/AMT tally identity) must not depend on set
-# or dict ordering that follows string hashing: re-run them under two
-# fixed hash seeds.
+# comes from, the Merkle/AMT tally identity, and the relay's eviction
+# order and byte total against their plain rules) must not depend on
+# set or dict ordering that follows string hashing: re-run them under
+# two fixed hash seeds.
 for seed in 0 1; do
     echo "== exact pins under PYTHONHASHSEED=$seed =="
     PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python -m pytest -x -q tests/benchmarks tests/security tests/golden \
-        tests/crypto tests/properties/test_merkle_tally_identity.py
+        tests/crypto tests/properties/test_merkle_tally_identity.py \
+        tests/properties/test_relay_ttl_watermark.py \
+        tests/core/test_relay_byte_total.py
 done
 
 # perf/tracing.py patches names inside src/repro/core by module path,

@@ -226,10 +226,14 @@ class ChainVerifier:
             # The in-order case: one hash, one compare, and the one
             # prune slot a gap-1 commit kills. Nothing is derived.
             tag = self.tags[0] if trusted_index & 1 else self.tags[1]
-            self._hash.counter.record_hash(
-                len(tag) + len(element.value), "chain-verify"
-            )
-            if self._raw(tag + element.value) != trusted.value:
+            value = element.value
+            # OpCounter.record_hash inlined, as in HashFunction.digest.
+            counter = self._hash.counter
+            counter.hash_ops += 1
+            counter.hash_bytes += len(tag) + len(value)
+            labels = counter.labels
+            labels["chain-verify"] = labels.get("chain-verify", 0) + 1
+            if self._raw(tag + value) != trusted.value:
                 return False
             if commit:
                 if not trusted_index & 1:

@@ -17,7 +17,9 @@ limit and later increase the maximum size of S1 packets per sender"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 # perf/tracing.py patches verify_ack_opening and verify_merkle_path here too.
 from repro.core.acktree import verify_ack_opening  # noqa: F401
@@ -131,15 +133,50 @@ _DROP_KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RelayDecision:
-    """Outcome of :meth:`RelayEngine.handle` for one packet."""
+    """Outcome of :meth:`RelayEngine.handle` for one packet.
+
+    Immutable: each fixed outcome is one shared instance, so judging a
+    packet allocates no decision.
+    """
 
     forward: bool
     reason: str
     verified: bool = False
     #: The verified payload of an S2 at an extracting relay, else empty.
     extracted: tuple = ()
+
+
+def _shared(forward: bool, verified: bool, *reasons: str) -> dict[str, RelayDecision]:
+    return {reason: RelayDecision(forward, reason, verified) for reason in reasons}
+
+
+#: The shared decision of every fixed outcome, by reason. Only an
+#: extracting relay's verified S2 gets a fresh one, which carries the
+#: payload.
+_VERIFIED = _shared(
+    True, True, "s1-ok", "s1-reanchored", "a1-ok", "a1-rejournaled", "s2-ok", "a2-ok"
+)
+_UNVERIFIED = _shared(
+    True,
+    False,
+    "s1-retransmit",
+    "a1-retransmit",
+    "a2-prejournal",
+    "unknown-association",
+    "not-alpha",
+    "hs1-observed",
+    "hs2-observed",
+    "hs2-without-hs1",
+    "s1-evicted-unverified",
+    *(
+        f"{kind}-{outcome}"
+        for kind in ("a1", "s2", "a2")
+        for outcome in ("evicted-unverified", "recovering", "unverified")
+    ),
+)
+_DROPPED = _shared(False, False, *DROP_CATEGORIES, "s1-mismatch", "unknown-association")
 
 
 @dataclass
@@ -153,7 +190,7 @@ class ExtractedMessage:
     signer: str
 
 
-@dataclass
+@dataclass(slots=True)
 class _RelayExchange(S1Commitment):
     a1_seen: bool = False
     #: The A1's ack-chain element, kept for the crash journal: a
@@ -165,8 +202,8 @@ class _RelayExchange(S1Commitment):
     #: lost: the journaled ``(index, value)`` the next witnessed A1 must
     #: match to re-populate the pre-ack state.
     expected_a1: tuple[int, bytes] | None = None
-    pre_acks: list[bytes] = field(default_factory=list)
-    pre_nacks: list[bytes] = field(default_factory=list)
+    pre_acks: Sequence[bytes] = ()
+    pre_nacks: Sequence[bytes] = ()
     amt_root: bytes | None = None
     ack_key_value: bytes | None = None
     #: Simulated time of the last packet that touched this exchange.
@@ -177,10 +214,11 @@ class _RelayExchange(S1Commitment):
 
     @property
     def buffered_bytes(self) -> int:
+        # Spelled out: zero-argument super() fails in a slotted dataclass.
         return (
-            super().buffered_bytes
-            + sum(map(len, self.pre_acks))
-            + sum(map(len, self.pre_nacks))
+            len(b"".join(self.pre_signatures))
+            + len(b"".join(self.pre_acks))
+            + len(b"".join(self.pre_nacks))
             + (len(self.amt_root) if self.amt_root else 0)
         )
 
@@ -210,6 +248,10 @@ class _ChannelObserver:
         self.config = config
         self.resilience = resilience if resilience is not None else ResilienceStats()
         self.exchanges: dict[int, _RelayExchange] = {}
+        # ``(last_seen, seq)`` of every buffered exchange, kept sorted
+        # where exchanges are buffered, touched and evicted, so the
+        # capacity-eviction victim is always ``_order[0]``.
+        self._order: list[tuple[float, int]] = []
         # Running sum of ``ex.buffered_bytes`` over ``exchanges``, kept
         # where buffers change (S1 buffering, A1 commit, eviction) so the
         # byte cap is O(1) per check instead of a re-total per packet.
@@ -266,11 +308,6 @@ class _ChannelObserver:
                 default=float("inf"),
             )
 
-    def _seen_at(self, now: float) -> None:
-        """Keep ``_oldest`` a lower bound after a stamp of ``now``."""
-        if now < self._oldest:
-            self._oldest = now
-
     def _remember_tombstone(self, seq: int) -> None:
         self.evicted.pop(seq, None)
         self.evicted[seq] = None
@@ -279,7 +316,9 @@ class _ChannelObserver:
 
     def _evict(self, seq: int, now: float = 0.0, reason: str = "") -> None:
         """Drop buffered state for ``seq``, leaving a tombstone."""
-        self._buffered_bytes -= self.exchanges.pop(seq).held_bytes
+        exchange = self.exchanges.pop(seq)
+        self._order.remove((exchange.last_seen, seq))
+        self._buffered_bytes -= exchange.held_bytes
         self._remember_tombstone(seq)
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -289,17 +328,19 @@ class _ChannelObserver:
             self._obs.registry.counter("relay.evictions").inc()
 
     def _enforce_byte_cap(self, now: float = 0.0) -> None:
-        """Evict oldest exchanges until under the byte ceiling.
+        """Evict least recently touched exchanges until under the byte
+        ceiling; returns at once while the running total is under it.
 
         Never evicts the last remaining exchange: one in-progress
         exchange must always fit, or the channel could not make
         progress at all.
         """
         cap = self.config.max_buffered_bytes
-        if cap is not None:
-            while len(self.exchanges) > 1 and self.buffered_bytes > cap:
-                self._evict(self._least_recent(), now, "byte-cap")
-                self.resilience.evictions_capacity += 1
+        if cap is None or self._buffered_bytes <= cap:
+            return
+        while len(self.exchanges) > 1 and self._buffered_bytes > cap:
+            self._evict(self._least_recent(), now, "byte-cap")
+            self.resilience.evictions_capacity += 1
 
     def _least_recent(self) -> int:
         """Sequence number of the least recently touched exchange.
@@ -308,16 +349,21 @@ class _ChannelObserver:
         the peer is actively retransmitting (and therefore the worst
         possible eviction victim), so capacity eviction is keyed on
         ``last_seen`` with the sequence number only as a deterministic
-        tie-break.
+        tie-break: the head of ``_order``.
         """
-        return min(
-            self.exchanges,
-            key=lambda seq: (self.exchanges[seq].last_seen, seq),
-        )
+        return self._order[0][1]
 
     def _touch(self, exchange: _RelayExchange, now: float) -> None:
+        """Stamp ``exchange`` at ``now``, keeping ``_order`` sorted and
+        ``_oldest`` a lower bound."""
+        last_seen = exchange.last_seen
+        if now != last_seen:
+            order = self._order
+            order.remove((last_seen, exchange.seq))
+            insort(order, (now, exchange.seq))
         exchange.last_seen = now
-        self._seen_at(now)
+        if now < self._oldest:
+            self._oldest = now
 
     def _tombstone(self, seq: int, now: float, reason: str) -> RelayDecision:
         """Forward a tombstoned exchange's packet unverified, counted."""
@@ -328,7 +374,7 @@ class _ChannelObserver:
                 seq, info=reason,
             )
             self._obs.registry.counter("relay.tombstone_forwards").inc()
-        return RelayDecision(True, reason)
+        return _UNVERIFIED[reason]
 
     def _passthrough(self, seq: int, now: float, reason: str) -> RelayDecision:
         """Degraded restart mode: forward a recovering exchange's packet
@@ -340,7 +386,7 @@ class _ChannelObserver:
                 seq, info=reason,
             )
             self._obs.registry.counter("relay.restore_passthrough").inc()
-        return RelayDecision(True, reason)
+        return _UNVERIFIED[reason]
 
     # -- crash journal (PROTOCOL.md §13) ---------------------------------------
 
@@ -412,7 +458,8 @@ class _ChannelObserver:
             self._remember_tombstone(seq)
         for entry in record["exchanges"]:
             self.recovering[entry["seq"]] = dict(entry, restored_at=now)
-        self._seen_at(now)
+        if now < self._oldest:
+            self._oldest = now
 
     def _reanchor_s1(
         self, record: dict, packet: S1Packet, wire_size: int, now: float
@@ -428,7 +475,7 @@ class _ChannelObserver:
         would have dropped a mismatched resend.
         """
         if wire_size > self.s1_allowance:
-            return RelayDecision(False, "s1-over-allowance")
+            return _DROPPED["s1-over-allowance"]
         digest = self._hash.digest(
             b"".join(packet.pre_signatures), label="relay-journal"
         )
@@ -441,12 +488,14 @@ class _ChannelObserver:
             and packet.message_count == record["message_count"]
         )
         if not same:
-            return RelayDecision(False, "s1-journal-mismatch")
-        restored = {}
+            return _DROPPED["s1-journal-mismatch"]
+        exchange = _RelayExchange.from_s1(
+            packet, ChainElement(packet.chain_index, packet.chain_element)
+        )
         if record.get("key_value"):
-            restored["key_value"] = bytes.fromhex(record["key_value"])
+            exchange.key_value = bytes.fromhex(record["key_value"])
         if record.get("a1_value") is not None:
-            restored["expected_a1"] = (
+            exchange.expected_a1 = (
                 record["a1_index"],
                 bytes.fromhex(record["a1_value"]),
             )
@@ -458,46 +507,49 @@ class _ChannelObserver:
                 packet.seq, info=f"s1 index={packet.chain_index}",
             )
             self._obs.registry.counter("relay.reanchors").inc()
-        return self._buffer_s1(packet, "s1-reanchored", now, **restored)
+        self._buffer_s1(exchange, now)
+        return _VERIFIED["s1-reanchored"]
 
-    def _buffer_s1(
-        self, packet: S1Packet, reason: str, now: float, **restored
-    ) -> RelayDecision:
-        """Buffer what an accepted S1 commits to, then shed exchanges
-        over the entry cap and the byte cap."""
-        self.evicted.pop(packet.seq, None)
-        exchange = _RelayExchange.from_s1(packet, last_seen=now, **restored)
-        exchange.held_bytes = exchange.buffered_bytes
-        self.exchanges[packet.seq] = exchange
-        self._buffered_bytes += exchange.held_bytes
-        self._seen_at(now)
-        while len(self.exchanges) > self.config.max_buffered_exchanges:
+    def _buffer_s1(self, exchange: _RelayExchange, now: float) -> None:
+        """Buffer an accepted S1's exchange, then shed exchanges over the
+        entry cap and the byte cap."""
+        seq = exchange.seq
+        self.evicted.pop(seq, None)
+        exchange.last_seen = now
+        # A fresh record holds only its pre-signatures.
+        held = exchange.held_bytes = len(b"".join(exchange.pre_signatures))
+        exchanges = self.exchanges
+        exchanges[seq] = exchange
+        insort(self._order, (now, seq))
+        self._buffered_bytes += held
+        if now < self._oldest:
+            self._oldest = now
+        while len(exchanges) > self.config.max_buffered_exchanges:
             self._evict(self._least_recent(), now, "entry-cap")
             self.resilience.evictions_capacity += 1
         self._enforce_byte_cap(now)
-        return RelayDecision(True, reason, verified=True)
 
     def on_s1(self, packet: S1Packet, wire_size: int, now: float = 0.0) -> RelayDecision:
         record = self.recovering.get(packet.seq)
         if record is not None:
             return self._reanchor_s1(record, packet, wire_size, now)
         if wire_size > self.s1_allowance:
-            return RelayDecision(False, "s1-over-allowance")
+            return _DROPPED["s1-over-allowance"]
         existing = self.exchanges.get(packet.seq)
         if existing is not None:
             # Retransmission of a buffered exchange: identical content
             # verifies trivially against the buffer.
-            same = (
+            if (
                 existing.s1_element.value == packet.chain_element
                 and existing.pre_signatures == packet.pre_signatures
-            )
-            if same:
+            ):
                 self._touch(existing, now)
-            return RelayDecision(same, "s1-retransmit" if same else "s1-mismatch")
+                return _UNVERIFIED["s1-retransmit"]
+            return _DROPPED["s1-mismatch"]
         if packet.chain_index % 2 == 0:
             # Reformatting-attack defence: S1 tokens are odd-position
             # elements by construction (Section 3.2.1).
-            return RelayDecision(False, "s1-even-position")
+            return _DROPPED["s1-even-position"]
         element = ChainElement(packet.chain_index, packet.chain_element)
         if not self.sig_verifier.admit(element):
             if packet.seq in self.evicted:
@@ -507,7 +559,7 @@ class _ChannelObserver:
                 # Degrade to unverified forwarding rather than
                 # censoring the retransmission.
                 return self._tombstone(packet.seq, now, "s1-evicted-unverified")
-            return RelayDecision(False, "s1-bad-chain-element")
+            return _DROPPED["s1-bad-chain-element"]
         self.resilience.relay_admits += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -516,7 +568,8 @@ class _ChannelObserver:
                 info=f"bytes={sum(len(sig) for sig in packet.pre_signatures)}",
             )
             self._obs.registry.counter("relay.admits").inc()
-        return self._buffer_s1(packet, "s1-ok", now)
+        self._buffer_s1(_RelayExchange.from_s1(packet, element), now)
+        return _VERIFIED["s1-ok"]
 
     def _unknown_exchange(self, kind: str, seq: int, now: float) -> RelayDecision:
         """Judge a ``kind`` packet (``a1``, ``s2``, ``a2``) of an
@@ -526,8 +579,8 @@ class _ChannelObserver:
         if seq in self.evicted:
             return self._tombstone(seq, now, f"{kind}-evicted-unverified")
         if self.config.strict:
-            return RelayDecision(False, f"{kind}-unknown-exchange")
-        return RelayDecision(True, f"{kind}-unverified")
+            return _DROPPED[f"{kind}-unknown-exchange"]
+        return _UNVERIFIED[f"{kind}-unverified"]
 
     def _commit_a1(
         self,
@@ -538,22 +591,28 @@ class _ChannelObserver:
     ) -> None:
         """Buffer what an authentic A1 commits to, shedding exchanges over
         the byte cap; the destination was willing, so grow the sender's
-        S1 allowance."""
+        S1 allowance.
+
+        An exchange commits one A1 at most, so its pre-ack, pre-nack
+        and AMT root bytes add to the running total. The lists are the
+        decoded packet's own, which dies with :meth:`RelayEngine.handle`.
+        """
         exchange.a1_seen = True
         exchange.a1_element = element
-        exchange.pre_acks = list(packet.pre_acks)
-        exchange.pre_nacks = list(packet.pre_nacks)
-        exchange.amt_root = packet.amt_root
-        held = exchange.buffered_bytes
-        self._buffered_bytes += held - exchange.held_bytes
-        exchange.held_bytes = held
+        pre_acks = exchange.pre_acks = packet.pre_acks
+        pre_nacks = exchange.pre_nacks = packet.pre_nacks
+        amt_root = exchange.amt_root = packet.amt_root
+        added = len(b"".join(pre_acks)) + len(b"".join(pre_nacks))
+        if amt_root:
+            added += len(amt_root)
+        exchange.held_bytes += added
+        self._buffered_bytes += added
         self._enforce_byte_cap(now)
         self.s1_allowance = min(self.s1_allowance * 2, MAX_S1_ALLOWANCE)
 
     def on_a1(self, packet: A1Packet, now: float = 0.0) -> RelayDecision:
         if packet.ack_index % 2 == 0:
-            return RelayDecision(False, "a1-even-position")
-        element = ChainElement(packet.ack_index, packet.ack_element)
+            return _DROPPED["a1-even-position"]
         exchange = self.exchanges.get(packet.seq)
         if exchange is None:
             return self._unknown_exchange("a1", packet.seq, now)
@@ -561,7 +620,8 @@ class _ChannelObserver:
         if exchange.a1_seen:
             # Duplicate A1 (answering an S1 retransmission): the chain
             # element was already consumed, just pass it along.
-            return RelayDecision(True, "a1-retransmit")
+            return _UNVERIFIED["a1-retransmit"]
+        element = ChainElement(packet.ack_index, packet.ack_element)
         if exchange.expected_a1 is not None and (
             (packet.ack_index, packet.ack_element) == exchange.expected_a1
             and packet.echo_sig_element == exchange.s1_element.value
@@ -577,13 +637,13 @@ class _ChannelObserver:
                     now, self._node, EventKind.RELAY_REANCHOR, self.assoc_id,
                     packet.seq, info=f"a1 index={packet.ack_index}",
                 )
-            return RelayDecision(True, "a1-rejournaled", verified=True)
+            return _VERIFIED["a1-rejournaled"]
         if not self.ack_verifier.admit(element):
-            return RelayDecision(False, "a1-bad-chain-element")
+            return _DROPPED["a1-bad-chain-element"]
         if packet.echo_sig_element != exchange.s1_element.value:
-            return RelayDecision(False, "a1-wrong-echo")
+            return _DROPPED["a1-wrong-echo"]
         self._commit_a1(exchange, packet, element, now)
-        return RelayDecision(True, "a1-ok", verified=True)
+        return _VERIFIED["a1-ok"]
 
     def on_s2(self, packet: S2Packet, now: float = 0.0) -> RelayDecision:
         exchange = self.exchanges.get(packet.seq)
@@ -591,19 +651,19 @@ class _ChannelObserver:
             return self._unknown_exchange("s2", packet.seq, now)
         self._touch(exchange, now)
         if (
-            self.config.require_a1_for_s2
-            and not exchange.a1_seen
+            not exchange.a1_seen
+            and self.config.require_a1_for_s2
             and exchange.expected_a1 is None
         ):
             # A journaled A1 (expected_a1 pending re-journal) counts as
             # solicited: the pre-crash relay witnessed the willingness.
-            return RelayDecision(False, "s2-unsolicited")
+            return _DROPPED["s2-unsolicited"]
         reason = check_s2_key(self.sig_verifier, exchange, packet)
         if reason is not None:
-            return RelayDecision(False, "s2-" + reason)
+            return _DROPPED["s2-" + reason]
         if not verify_s2(self._hash, exchange, packet):
-            return RelayDecision(False, "s2-bad-payload")
-        return RelayDecision(True, "s2-ok", verified=True)
+            return _DROPPED["s2-bad-payload"]
+        return _VERIFIED["s2-ok"]
 
     def on_a2(self, packet: A2Packet, now: float = 0.0) -> RelayDecision:
         exchange = self.exchanges.get(packet.seq)
@@ -617,11 +677,11 @@ class _ChannelObserver:
             return self._passthrough(packet.seq, now, "a2-prejournal")
         reason = check_a2_key(self.ack_verifier, exchange, packet)
         if reason is not None:
-            return RelayDecision(False, "a2-" + reason)
+            return _DROPPED["a2-" + reason]
         for verdict in packet.verdicts:
             if not verify_verdict(self._hash, exchange, verdict):
-                return RelayDecision(False, "a2-bad-verdict")
-        return RelayDecision(True, "a2-ok", verified=True)
+                return _DROPPED["a2-bad-verdict"]
+        return _VERIFIED["a2-ok"]
 
     @property
     def buffered_bytes(self) -> int:
@@ -831,35 +891,58 @@ class RelayEngine:
             packet = decode_packet(data, self._hash.digest_size)
         except PacketError:
             return self._count(self._undecodable(data, now))
-        if type(packet) is HandshakePacket:
+        kind = type(packet)
+        if kind is HandshakePacket:
             if packet.is_response:
                 return self._count(self._on_hs2(packet, src))
             return self._count(self._on_hs1(packet, src))
         assoc = self._associations.get(packet.assoc_id)
         if assoc is None:
             if not self.config.forward_unknown:
-                return self._count(RelayDecision(False, "unknown-association"))
+                return self._count(_DROPPED["unknown-association"])
             # Even for unknown associations, S1-class packets only pass
             # at the *initial* size allowance: an attacker flooding large
             # S1s on fresh association ids gets clamped at the first
             # relay (Section 3.5).
-            if (
-                type(packet) is S1Packet
-                and len(data) > self.config.initial_s1_allowance
-            ):
-                return self._count(RelayDecision(False, "s1-over-allowance"))
-            return self._count(RelayDecision(True, "unknown-association"))
-        decision = self._dispatch(assoc, packet, src, len(data), now)
-        if decision.extracted:
-            self.extracted.extend(decision.extracted)
+            if kind is S1Packet and len(data) > self.config.initial_s1_allowance:
+                return self._count(_DROPPED["s1-over-allowance"])
+            return self._count(_UNVERIFIED["unknown-association"])
+        forward_channel = assoc.forward_channel
+        reverse_channel = assoc.reverse_channel
+        forward_channel.prune(now)
+        reverse_channel.prune(now)
+        if src == assoc.responder and src != assoc.initiator:
+            signing, acking = reverse_channel, forward_channel
+        else:
+            # The initiator; source-spoofed or rerouted traffic is judged
+            # by packet type against the forward channel as a
+            # conservative default.
+            signing, acking = forward_channel, reverse_channel
+        if kind is S2Packet:
+            decision = signing.on_s2(packet, now)
+            if self.extract and decision.verified:
+                message = ExtractedMessage(
+                    assoc_id=packet.assoc_id,
+                    seq=packet.seq,
+                    msg_index=packet.msg_index,
+                    message=packet.message,
+                    signer=signing.signer_name,
+                )
+                self.extracted.append(message)
+                decision = RelayDecision(True, decision.reason, True, (message,))
+        elif kind is S1Packet:
+            decision = signing.on_s1(packet, len(data), now)
+        elif kind is A1Packet:
+            decision = acking.on_a1(packet, now)
+        else:
+            decision = acking.on_a2(packet, now)
         if self._obs.enabled:
-            kind = EventKind.RELAY_FORWARD if decision.forward else EventKind.RELAY_DROP
+            event = EventKind.RELAY_FORWARD if decision.forward else EventKind.RELAY_DROP
             info = decision.reason
             if self.hop:
                 info = f"hop={self.hop} {info}"
             self._obs.tracer.emit(
-                now, self.name, kind, packet.assoc_id,
-                getattr(packet, "seq", 0),
+                now, self.name, event, packet.assoc_id, packet.seq,
                 msg_index=getattr(packet, "msg_index", -1),
                 info=info,
             )
@@ -876,50 +959,16 @@ class RelayEngine:
         try:
             packet_type = peek_type(data)
         except PacketError:
-            return RelayDecision(True, "not-alpha")
+            return _UNVERIFIED["not-alpha"]
         if packet_type is PacketType.HS1:
-            return RelayDecision(False, "malformed-hs1")
+            return _DROPPED["malformed-hs1"]
         if packet_type is PacketType.HS2:
-            return RelayDecision(False, "malformed-hs2")
+            return _DROPPED["malformed-hs2"]
         self.resilience.corrupt_drops += 1
         if self._obs.enabled:
             self._obs.tracer.emit(now, self.name, EventKind.PARSE_DROP, info="relay")
             self._obs.registry.counter("relay.parse_drops").inc()
-        return RelayDecision(False, "malformed")
-
-    def _dispatch(
-        self, assoc: _RelayAssociation, packet, src: str, wire_size: int, now: float
-    ) -> RelayDecision:
-        assoc.forward_channel.prune(now)
-        assoc.reverse_channel.prune(now)
-        from_initiator = src == assoc.initiator
-        from_responder = src == assoc.responder
-        if not from_initiator and not from_responder:
-            # Source-spoofed or rerouted traffic; judge by packet type
-            # against the forward channel as a conservative default.
-            from_initiator = True
-        kind = type(packet)
-        if kind is S1Packet:
-            channel = assoc.forward_channel if from_initiator else assoc.reverse_channel
-            return channel.on_s1(packet, wire_size, now)
-        if kind is S2Packet:
-            channel = assoc.forward_channel if from_initiator else assoc.reverse_channel
-            decision = channel.on_s2(packet, now)
-            if self.extract and decision.verified:
-                decision.extracted = (
-                    ExtractedMessage(
-                        assoc_id=packet.assoc_id,
-                        seq=packet.seq,
-                        msg_index=packet.msg_index,
-                        message=packet.message,
-                        signer=channel.signer_name,
-                    ),
-                )
-            return decision
-        channel = assoc.reverse_channel if from_initiator else assoc.forward_channel
-        if kind is A1Packet:
-            return channel.on_a1(packet, now)
-        return channel.on_a2(packet, now)
+        return _DROPPED["malformed"]
 
     def _on_hs1(self, packet: HandshakePacket, src: str) -> RelayDecision:
         pending = self._pending_hs1
@@ -927,12 +976,12 @@ class RelayEngine:
         if len(pending) >= MAX_PENDING_HS1:
             del pending[next(iter(pending))]
         pending[packet.assoc_id] = (src, packet)
-        return RelayDecision(True, "hs1-observed")
+        return _UNVERIFIED["hs1-observed"]
 
     def _on_hs2(self, packet: HandshakePacket, src: str) -> RelayDecision:
         pending = self._pending_hs1.get(packet.assoc_id)
         if pending is None:
-            return RelayDecision(True, "hs2-without-hs1")
+            return _UNVERIFIED["hs2-without-hs1"]
         initiator, hs1 = pending
         del self._pending_hs1[packet.assoc_id]
         self.provision(
@@ -945,7 +994,7 @@ class RelayEngine:
             responder_ack_anchor=ChainElement(packet.ack_chain_length, packet.ack_anchor),
             hash_name=packet.hash_name,
         )
-        return RelayDecision(True, "hs2-observed")
+        return _UNVERIFIED["hs2-observed"]
 
     def _count(self, decision: RelayDecision) -> RelayDecision:
         stats = self.stats

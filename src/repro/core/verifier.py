@@ -50,12 +50,17 @@ class DeliveredMessage:
     message: bytes
 
 
-@dataclass
+#: The modes whose S1 commits to Merkle roots rather than one MAC per message.
+_MERKLE_MODES = (Mode.MERKLE, Mode.MERKLE_CUMULATIVE)
+
+
+@dataclass(slots=True)
 class S1Commitment:
     """What one S1 commits to, as buffered by every role checking its S2s.
 
     The verifier and each relay extend this record with their own state;
-    :func:`check_s2_key` and :func:`verify_s2` read it.
+    :func:`check_s2_key` and :func:`verify_s2` read it. Records are
+    slotted: one is built per S1 at every relay on the path.
     """
 
     seq: int
@@ -65,30 +70,38 @@ class S1Commitment:
     pre_signatures: list[bytes]
     s1_element: ChainElement
     key_value: bytes | None = None  # pinned by the first valid S2 disclosure
-    #: Proven Merkle interior nodes for this batch (PROTOCOL.md §14);
-    #: dies with the exchange, so batch boundaries invalidate it. Never
+    #: Proven Merkle interior nodes for this batch (PROTOCOL.md §14), or
+    #: ``None`` in BASE and ALPHA-C, whose S2 check never reads it; dies
+    #: with the exchange, so batch boundaries invalidate it. Never
     #: journaled: a restored relay re-proves from the re-presented S1.
-    merkle_cache: MerkleVerifyCache = field(default_factory=MerkleVerifyCache)
+    merkle_cache: MerkleVerifyCache | None = None
 
     @classmethod
-    def from_s1(cls, packet: S1Packet, **state):
+    def from_s1(cls, packet: S1Packet, element: ChainElement):
+        """The record of ``packet``, whose verified token is ``element``.
+
+        The record holds the packet's own pre-signature list: no role
+        mutates one.
+        """
+        mode = packet.mode
         return cls(
-            seq=packet.seq,
-            mode=packet.mode,
-            reliable=packet.reliable,
-            message_count=packet.message_count,
-            pre_signatures=list(packet.pre_signatures),
-            s1_element=ChainElement(packet.chain_index, packet.chain_element),
-            **state,
+            packet.seq,
+            mode,
+            packet.reliable,
+            packet.message_count,
+            packet.pre_signatures,
+            element,
+            None,
+            MerkleVerifyCache() if mode in _MERKLE_MODES else None,
         )
 
     @property
     def buffered_bytes(self) -> int:
         """Pre-signature buffer footprint (Table 2's verifier column)."""
-        return sum(map(len, self.pre_signatures))
+        return len(b"".join(self.pre_signatures))
 
 
-@dataclass
+@dataclass(slots=True)
 class _VerifierExchange(S1Commitment):
     a1_bytes: bytes = b""
     #: The decoded A1, kept so a resend can refresh the advisory
@@ -194,7 +207,7 @@ class VerifierSession:
                 )
                 self._obs.registry.counter("verifier.s1_refused").inc()
             return None
-        exchange = _VerifierExchange.from_s1(packet)
+        exchange = _VerifierExchange.from_s1(packet, element)
         a1_element, ack_key = self.ack_chain.next_exchange()
         exchange.ack_element = a1_element
         exchange.ack_key_element = ack_key
@@ -202,7 +215,7 @@ class VerifierSession:
         pre_nacks: list[bytes] = []
         amt_root = None
         if packet.reliable:
-            if packet.mode in (Mode.MERKLE, Mode.MERKLE_CUMULATIVE):
+            if packet.mode in _MERKLE_MODES:
                 exchange.amt = AckTree(
                     self._hash, packet.message_count, ack_key.value, self._rng
                 )
@@ -470,7 +483,7 @@ def verify_s2(hash_fn: HashFunction, exchange: S1Commitment, packet: S2Packet) -
     if not 0 <= packet.msg_index < exchange.message_count:
         return False
     key = exchange.key_value
-    if exchange.mode in (Mode.MERKLE, Mode.MERKLE_CUMULATIVE):
+    if exchange.mode in _MERKLE_MODES:
         if not packet.message:
             return False  # padding leaves are not real messages
         roots = exchange.pre_signatures

@@ -193,7 +193,13 @@ class HashFunction:
         from HMAC over the full one (the golden corpus pins those bytes).
         No keyed state is cached: ALPHA's MAC keys change every exchange.
         """
-        self.counter.record_mac(len(message), label)
+        # OpCounter.record_mac inlined, as in :meth:`digest`.
+        counter = self.counter
+        counter.mac_ops += 1
+        counter.mac_bytes += len(message)
+        if label is not None:
+            labels = counter.labels
+            labels[label] = labels.get(label, 0) + 1
         ctor = self._hashlib_ctor
         if ctor is None:
             return _mac.hmac_raw(self._raw, self.block_size, key, message)

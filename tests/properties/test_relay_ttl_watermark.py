@@ -1,16 +1,25 @@
-"""Differential property test: the relay's TTL watermark vs a full scan.
+"""Differential property test: the relay's bookkeeping vs the plain rules.
 
-Each relay channel keeps ``_oldest``, a lower bound on every buffered
-exchange's ``last_seen`` and every recovering record's ``restored_at``.
-``prune`` returns at once while ``now - _oldest <= ttl``, because then
-nothing can have expired; otherwise it scans as before and recomputes
-the bound (PROTOCOL.md §14.5). The reference here,
-:class:`FullScanChannel`, scans on every call. Two relays, one of each,
+Each relay channel keeps three pieces of bookkeeping so that a packet
+costs O(1) of it (PROTOCOL.md §14.5):
+
+- ``_oldest``, a lower bound on every buffered exchange's ``last_seen``
+  and every recovering record's ``restored_at``: ``prune`` returns at
+  once while ``now - _oldest <= ttl``, because then nothing can have
+  expired; otherwise it scans and recomputes the bound;
+- ``_order``, the ``(last_seen, seq)`` of every buffered exchange kept
+  sorted, whose head is the capacity-eviction victim;
+- ``_buffered_bytes``, the running byte total the byte cap reads.
+
+The reference here, :class:`ReferenceChannel`, keeps the plain rules:
+it scans for expired state on every call, picks the victim as the
+``min`` of ``(last_seen, seq)`` over the buffered exchanges, and
+re-totals the buffers on every byte-cap check. Two relays, one of each,
 judge the same random S1/A1/S2 sequence with a clock that also runs
 backwards, a crash journal restore part way, and all three eviction
 causes (TTL, entry cap, byte cap). After every step the decisions, the
-buffered exchanges, the tombstone order, the recovering records and the
-eviction counters must agree.
+buffered exchanges, the tombstone order, the recovering records, the
+byte totals and the resilience counters must agree.
 """
 
 from __future__ import annotations
@@ -43,8 +52,9 @@ CONFIG = RelayConfig(
 )
 
 
-class FullScanChannel(_ChannelObserver):
-    """Reference: the TTL scan on every packet, no watermark."""
+class ReferenceChannel(_ChannelObserver):
+    """Reference: a TTL scan on every packet, a ``min`` for the victim,
+    and a re-total of the buffers for the byte cap."""
 
     def prune(self, now):
         ttl = self.config.exchange_ttl_s
@@ -65,16 +75,32 @@ class FullScanChannel(_ChannelObserver):
             del self.recovering[seq]
             self._remember_tombstone(seq)
 
+    def _least_recent(self):
+        return min(
+            self.exchanges, key=lambda seq: (self.exchanges[seq].last_seen, seq)
+        )
 
-class FullScanRelay(RelayEngine):
-    """A relay whose channels are :class:`FullScanChannel`."""
+    @property
+    def buffered_bytes(self):
+        return sum(exchange.buffered_bytes for exchange in self.exchanges.values())
+
+    def _enforce_byte_cap(self, now=0.0):
+        cap = self.config.max_buffered_bytes
+        if cap is not None:
+            while len(self.exchanges) > 1 and self.buffered_bytes > cap:
+                self._evict(self._least_recent(), now, "byte-cap")
+                self.resilience.evictions_capacity += 1
+
+
+class ReferenceRelay(RelayEngine):
+    """A relay whose channels are :class:`ReferenceChannel`."""
 
     def provision(self, *args, **kwargs):
-        with mock.patch.object(relay_module, "_ChannelObserver", FullScanChannel):
+        with mock.patch.object(relay_module, "_ChannelObserver", ReferenceChannel):
             super().provision(*args, **kwargs)
 
     def _restore_channel(self, *args):
-        with mock.patch.object(relay_module, "_ChannelObserver", FullScanChannel):
+        with mock.patch.object(relay_module, "_ChannelObserver", ReferenceChannel):
             return super()._restore_channel(*args)
 
 
@@ -135,19 +161,23 @@ def channels(engine: RelayEngine):
 
 
 def state(engine: RelayEngine):
+    """Everything both relays must agree on, bar the byte totals."""
     return [
         (
             [(seq, ex.last_seen) for seq, ex in channel.exchanges.items()],
             list(channel.evicted),
             channel.recovering,
-            channel.buffered_bytes,
         )
         for channel in channels(engine)
-    ], (
-        engine.resilience.evictions_ttl,
-        engine.resilience.evictions_capacity,
-        engine.stats,
-    )
+    ], engine.resilience.as_dict(), engine.stats
+
+
+def assert_agree(fast: RelayEngine, reference: RelayEngine, where) -> None:
+    assert state(fast) == state(reference), where
+    # The running totals against the reference's re-total of its buffers.
+    assert [channel._buffered_bytes for channel in channels(fast)] == [
+        channel.buffered_bytes for channel in channels(reference)
+    ], where
 
 
 def assert_watermark_holds(engine: RelayEngine) -> None:
@@ -166,7 +196,7 @@ def run(traffic: Traffic, shapes, schedule):
     """Drive both relays through ``schedule``; returns every fast relay
     in the order restores replaced them."""
     fast = provisioned(RelayEngine, traffic)
-    reference = provisioned(FullScanRelay, traffic)
+    reference = provisioned(ReferenceRelay, traffic)
     lives = [fast]
     now = 0.0
     for operation, seq, index, step in schedule:
@@ -174,7 +204,7 @@ def run(traffic: Traffic, shapes, schedule):
         count, reliable = shapes[seq - 1]
         if operation == "restore":
             fast = restored(RelayEngine, fast, now)
-            reference = restored(FullScanRelay, reference, now)
+            reference = restored(ReferenceRelay, reference, now)
             lives.append(fast)
         else:
             if operation == "s1":
@@ -186,8 +216,10 @@ def run(traffic: Traffic, shapes, schedule):
             dst = "v" if src == "s" else "s"
             got = fast.handle(data, src, dst, now)
             want = reference.handle(data, src, dst, now)
-            assert (got.forward, got.reason) == (want.forward, want.reason)
-        assert state(fast) == state(reference), (operation, seq, now)
+            assert (got.forward, got.reason, got.verified) == (
+                want.forward, want.reason, want.verified
+            )
+        assert_agree(fast, reference, (operation, seq, now))
         assert_watermark_holds(fast)
     return lives
 
@@ -201,8 +233,12 @@ steps = st.lists(
         st.sampled_from(["s1", "s1", "a1", "s2", "s2", "restore"]),
         st.integers(min_value=1, max_value=EXCHANGES),
         st.integers(min_value=0, max_value=3),  # S2 message index
-        # Steps within the TTL, past it, and backwards.
-        st.sampled_from([0.0, 0.5, 1.0, 3.0, 6.0, 9.0, TTL + 1, -3.0, -TTL - 2]),
+        # Steps within the TTL, past it, and backwards; a zero step is
+        # drawn often, so exchanges tie on ``last_seen`` and the victim
+        # falls to the ``seq`` tie-break.
+        st.sampled_from(
+            [0.0, 0.0, 0.0, 0.5, 1.0, 3.0, 6.0, 9.0, TTL + 1, -3.0, -TTL - 2]
+        ),
     ),
     min_size=1,
     max_size=50,
@@ -236,3 +272,23 @@ def test_every_eviction_cause_and_a_restore_agree():
     assert fast.stats["s2-recovering"] == 1
     forward, _ = channels(fast)
     assert 5 in forward.evicted and not forward.recovering
+
+
+def test_victim_ties_break_on_seq():
+    """Exchanges stamped at one instant evict lowest ``seq`` first, and a
+    touch at another instant re-sorts an exchange among the ties."""
+    schedule = [
+        ("s1", 1, 0, 0.0), ("s1", 2, 0, 0.0), ("s1", 3, 0, 0.0),
+        ("s1", 4, 0, 0.0),  # entry cap: seq 1 goes, not the new seq 4
+        ("a1", 3, 0, 1.0),
+        ("a1", 2, 0, 0.0),  # seq 2 joins seq 3 at 1.0, ahead of it
+        ("s1", 5, 0, 0.0),  # seq 4, alone at 0.0, goes
+        ("s1", 6, 0, 0.0),  # seq 2, the lowest of three tied, goes
+        ("s1", 7, 0, -2.0),  # clock back: seq 7 is the oldest, so it goes
+    ]
+    shapes = [(1, False)] * EXCHANGES
+    (fast,) = run(Traffic(b"ties"), shapes, schedule)
+    forward, _ = channels(fast)
+    assert list(forward.evicted) == [1, 4, 2, 7]
+    assert sorted(forward.exchanges) == [3, 5, 6]
+    assert fast.stats["a1-ok"] == 2
