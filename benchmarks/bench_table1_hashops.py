@@ -128,9 +128,10 @@ def test_table1_regeneration(emit, benchmark):
 def smoke():
     """Tier-1 smoke: one measured exchange through the registry path.
 
-    Runs the BASE row and the ALPHA-M n=16 row, whose relay and
-    verifier counts depend on the Merkle verify cache (PROTOCOL.md
-    §14.3), so a change in what the cache saves moves a pin.
+    Runs the BASE row and the ALPHA-M n=16 row, whose counts at every
+    role depend on the Merkle verify cache (PROTOCOL.md §14.3): the
+    verifier checks S2 paths through it, the signer AMT openings, and
+    each relay both. A change in what the cache saves moves a pin.
     """
     import sys
 

@@ -85,7 +85,8 @@ for seed in 0 1; do
         python -m pytest -x -q tests/benchmarks tests/security tests/golden \
         tests/crypto tests/properties/test_merkle_tally_identity.py \
         tests/properties/test_relay_ttl_watermark.py \
-        tests/core/test_relay_byte_total.py
+        tests/core/test_relay_byte_total.py \
+        tests/core/test_merkle_cache.py tests/core/test_amt_cache.py
 done
 
 # perf/tracing.py patches names inside src/repro/core by module path,

@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.merkle import MerkleTree, verify_merkle_path
+from repro.core.merkle import (
+    MerkleTree,
+    MerkleVerifyCache,
+    tree_depth,
+    verify_merkle_path,
+)
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 
@@ -94,21 +99,31 @@ def verify_ack_opening(
     n_messages: int,
     key: bytes,
     expected_root: bytes,
+    cache: MerkleVerifyCache | None = None,
 ) -> bool:
     """Signer/relay-side check of a disclosed (n)ack leaf.
 
     The leaf position encodes the ack/nack meaning, so an attacker
     cannot replay an ack opening as a nack: the recomputed root would
-    differ.
+    differ. The path must be as long as a ``2n``-leaf tree is deep: one
+    sibling short, a leaf blob that is an inner node's preimage would
+    fold to the root.
+
+    With the exchange's :class:`~repro.core.merkle.MerkleVerifyCache`
+    the fold stops at the first node an earlier opening proved under
+    ``expected_root`` (PROTOCOL.md §14.3).
 
     ``opening`` is read only for ``msg_index``, ``is_ack``, ``secret``
     and ``path``, so an A2's :class:`~repro.core.packets.AckVerdict`
     passes as is.
     """
-    if not 0 <= opening.msg_index < n_messages:
+    index = opening.msg_index
+    if not 0 <= index < n_messages:
         return False
-    leaf = opening.msg_index if opening.is_ack else n_messages + opening.msg_index
-    blob = _leaf_blob(opening.msg_index, opening.secret)
+    if len(opening.path) != tree_depth(2 * n_messages):
+        return False
+    leaf = index if opening.is_ack else n_messages + index
     return verify_merkle_path(
-        hash_fn, blob, leaf, opening.path, key, expected_root, label_prefix="amt"
+        hash_fn, _leaf_blob(index, opening.secret), leaf, opening.path, key,
+        expected_root, "amt", cache,
     )

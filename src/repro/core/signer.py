@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.acktree import verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
-from repro.core.merkle import MerkleTree, leaves_per_tree
+from repro.core.merkle import MerkleTree, MerkleVerifyCache, leaves_per_tree
 from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
 from repro.core.resilience import (
@@ -147,6 +147,9 @@ class _Exchange:
     pre_acks: list[bytes] = field(default_factory=list)
     pre_nacks: list[bytes] = field(default_factory=list)
     amt_root: bytes | None = None
+    #: Proven AMT nodes (PROTOCOL.md §14.3), built when the A1 carries
+    #: an AMT root; dies with the exchange and is never journaled.
+    merkle_cache: MerkleVerifyCache | None = None
     a1_ack_element: ChainElement | None = None
     # Reliability bookkeeping.
     acked: set[int] = field(default_factory=set)
@@ -455,6 +458,8 @@ class SignerSession:
             exchange.pre_acks = list(packet.pre_acks)
             exchange.pre_nacks = list(packet.pre_nacks)
             exchange.amt_root = packet.amt_root
+            if packet.amt_root is not None:
+                exchange.merkle_cache = MerkleVerifyCache()
         s2_packets = self._build_s2_packets(exchange)
         self.stats.packets_sent += len(s2_packets)
         if self.link is not None:
@@ -1018,8 +1023,9 @@ def verify_verdict(hash_fn: HashFunction, exchange, verdict: AckVerdict) -> bool
 
     ``exchange`` carries ``message_count`` and the A1 commitment
     (``amt_root``, or the flat ``pre_acks``/``pre_nacks``) plus the
-    ``ack_key_value`` that :func:`check_a2_key` pinned. A verdict for an
-    index outside the exchange never verifies.
+    ``ack_key_value`` that :func:`check_a2_key` pinned, and the
+    ``merkle_cache`` that AMT openings are checked through. A verdict
+    for an index outside the exchange never verifies.
     """
     if not 0 <= verdict.msg_index < exchange.message_count:
         return False
@@ -1027,7 +1033,8 @@ def verify_verdict(hash_fn: HashFunction, exchange, verdict: AckVerdict) -> bool
     if exchange.amt_root is not None:
         # An AckVerdict carries the four fields an AckOpening does.
         return verify_ack_opening(
-            hash_fn, verdict, exchange.message_count, key, exchange.amt_root
+            hash_fn, verdict, exchange.message_count, key, exchange.amt_root,
+            exchange.merkle_cache,
         )
     if verdict.msg_index >= len(exchange.pre_acks):
         return False

@@ -19,7 +19,12 @@ from typing import Callable
 
 from repro.core.acktree import AckTree
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
-from repro.core.merkle import MerkleVerifyCache, leaves_per_tree, verify_merkle_path
+from repro.core.merkle import (
+    MerkleVerifyCache,
+    leaves_per_tree,
+    tree_depth,
+    verify_merkle_path,
+)
 from repro.core.modes import Mode
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
 from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG
@@ -487,9 +492,15 @@ def verify_s2(hash_fn: HashFunction, exchange: S1Commitment, packet: S2Packet) -
         if not packet.message:
             return False  # padding leaves are not real messages
         roots = exchange.pre_signatures
-        tree, leaf = divmod(
-            packet.msg_index, leaves_per_tree(exchange.message_count, len(roots))
-        )
+        per_tree = leaves_per_tree(exchange.message_count, len(roots))
+        tree, leaf = divmod(packet.msg_index, per_tree)
+        # The path must be as deep as the tree covering the index (the
+        # last C+M tree may be short): leaves and inner nodes hash
+        # alike, so a path one sibling short would let an inner node's
+        # preimage pose as a message.
+        in_tree = min(per_tree, exchange.message_count - tree * per_tree)
+        if len(packet.auth_path) != tree_depth(in_tree):
+            return False
         return verify_merkle_path(
             hash_fn,
             packet.message,

@@ -59,9 +59,9 @@ PINNED = {
         "goodput_bps": 131072.0,
     },
     "bench_table1_hashops": {
-        "alpha_m_relay_fixed_per_msg": 7.1875,
+        "alpha_m_relay_fixed_per_msg": 3.1875,
         "alpha_m_relay_mac_per_msg": 1.0,
-        "alpha_m_signer_fixed_per_msg": 7.0625,
+        "alpha_m_signer_fixed_per_msg": 3.0625,
         "alpha_m_signer_mac_per_msg": 1.0,
         "alpha_m_verifier_fixed_per_msg": 5.0,
         "alpha_m_verifier_mac_per_msg": 1.0,
