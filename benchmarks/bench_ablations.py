@@ -231,11 +231,11 @@ def test_ablation_pipelining(emit, benchmark):
     the speedup is close to the outstanding-exchange count until the
     queue drains faster than the RTT.
     """
-    from repro.core.adapter import EndpointAdapter, RelayAdapter
     from repro.core.endpoint import AlphaEndpoint, EndpointConfig
     from repro.core.signer import ChannelConfig
     from repro.netsim import Network
     from repro.netsim.link import LinkConfig
+    from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
     def run(max_outstanding, seed=0, n=16):
         net = Network.chain(4, config=LinkConfig(latency_s=0.01), seed=seed)

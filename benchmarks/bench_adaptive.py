@@ -15,12 +15,12 @@ Merkle batches once the retransmit ratio climbs.
 """
 
 from benchmarks.conftest import format_table
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 HOPS = 3
 N_MESSAGES = 32

@@ -29,13 +29,13 @@ from repro.attacks import (
     alpha_s2_tag_region,
 )
 from repro.baselines import BaselineChain, scheme_adapters
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.packets import PacketError, PacketType, peek_type
 from repro.core.relay import RelayConfig
 from repro.crypto.drbg import DRBG
 from repro.netsim import Network
 from repro.netsim.packet import Frame
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 HOPS = 5
 N_MESSAGES = 8

@@ -12,13 +12,13 @@ analytic ceiling.
 import pytest
 
 from benchmarks.conftest import format_table
-from repro.core import analysis
-from repro.core.adapter import EndpointAdapter, RelayAdapter
+from repro import analysis
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.devices import get_profile
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 LEAVES = (16, 64, 256)
 

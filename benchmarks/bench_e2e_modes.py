@@ -11,12 +11,13 @@ degrades unreliable delivery linearly while reliable mode holds at 100%.
 
 
 from benchmarks.conftest import format_table
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import Frame
+from repro.obs import Observability
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 HOPS = 4
 N_MESSAGES = 40
@@ -38,10 +39,14 @@ def run_alpha(
         chain_length=2048,
         retransmit_timeout_s=0.15,
         max_retries=40,
-        observe=observe,
     )
-    s = EndpointAdapter(AlphaEndpoint("s", cfg, seed=f"{seed}s"), net.nodes["s"])
-    v = EndpointAdapter(AlphaEndpoint("v", cfg, seed=f"{seed}v"), net.nodes["v"])
+
+    def endpoint(name):
+        obs = Observability() if observe else None
+        return AlphaEndpoint(name, cfg, seed=f"{seed}{name}", obs=obs)
+
+    s = EndpointAdapter(endpoint("s"), net.nodes["s"])
+    v = EndpointAdapter(endpoint("v"), net.nodes["v"])
     for i in range(1, HOPS):
         RelayAdapter(net.nodes[f"r{i}"])
     s.connect("v")

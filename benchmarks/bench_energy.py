@@ -9,7 +9,6 @@ energy model — µJ per delivered authenticated byte, per mode.
 
 
 from benchmarks.conftest import format_table
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.crypto.hashes import get_hash
@@ -17,6 +16,7 @@ from repro.devices import get_profile
 from repro.devices.energy import SENSOR_ENERGY
 from repro.netsim import Network, TraceCollector
 from repro.netsim.link import SENSOR_LINK
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 HOPS = 3
 N_MESSAGES = 30

@@ -15,7 +15,6 @@ profile) before the in-flight S1s are re-presented through the backup.
 """
 
 from benchmarks.conftest import format_table
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
@@ -23,6 +22,7 @@ from repro.crypto.hashes import get_hash
 from repro.netsim import Network
 from repro.netsim.faults import FaultSchedule
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 N_MESSAGES = 24
 MESSAGE_SIZE = 64

@@ -9,7 +9,7 @@ paper highlights. The rendered series is written as a CSV-ish table.
 
 
 from benchmarks.conftest import format_table
-from repro.core import analysis
+from repro import analysis
 from repro.core.merkle import MerkleTree, path_overhead_bytes
 from repro.crypto.hashes import get_hash
 

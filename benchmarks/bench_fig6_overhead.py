@@ -9,13 +9,13 @@ import math
 
 
 from benchmarks.conftest import format_table
-from repro.core import analysis
-from repro.core.adapter import EndpointAdapter
+from repro import analysis
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.netsim import Network, TraceCollector
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import HEADER_BYTES
+from repro.transports.netsim import EndpointAdapter
 
 
 def measured_wire_ratio(batch: int, chunk: int = 1004) -> float:

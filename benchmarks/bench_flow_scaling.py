@@ -15,11 +15,11 @@ a real saturation knee (goodput stops scaling with offered flows) in
 """
 
 from benchmarks.conftest import format_table
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 FLOW_COUNTS = (1, 4, 8, 16)
 BATCH = 8

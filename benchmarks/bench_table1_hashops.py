@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import format_table
 from benchmarks.harness import build_channel, run_exchange
-from repro.core import analysis
+from repro import analysis
 from repro.core.modes import Mode, ReliabilityMode
 
 MODES = [

@@ -11,7 +11,7 @@ behind the paper's Section 3.1.1 claim.
 
 from benchmarks.conftest import format_table
 from benchmarks.harness import build_channel
-from repro.core import analysis
+from repro import analysis
 from repro.core.modes import Mode
 from repro.core.packets import decode_packet
 

@@ -9,7 +9,7 @@ AMT-vs-flat-pre-acks ablation the paper's Section 3.3.3 motivates.
 
 from benchmarks.conftest import format_table
 from benchmarks.harness import build_channel
-from repro.core import analysis
+from repro import analysis
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 

@@ -22,7 +22,7 @@ import time
 
 from benchmarks.conftest import format_table
 from benchmarks.harness import build_channel
-from repro.core import analysis
+from repro import analysis
 from repro.core.modes import ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.crypto.drbg import DRBG

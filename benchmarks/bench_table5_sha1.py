@@ -12,7 +12,7 @@ import time
 import pytest
 
 from benchmarks.conftest import format_table
-from repro.core import analysis
+from repro import analysis
 from repro.crypto.hashes import get_hash
 from repro.devices import get_profile, host_calibrated_profile
 

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from benchmarks.conftest import format_table
-from repro.core import analysis
+from repro import analysis
 from repro.core.merkle import MerkleTree, verify_merkle_path
 from repro.crypto.hashes import OpCounter, get_hash
 from repro.devices import get_profile

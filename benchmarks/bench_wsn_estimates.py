@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import format_table
 from benchmarks.harness import build_channel, run_exchange
-from repro.core import analysis
+from repro import analysis
 from repro.core.modes import Mode
 from repro.crypto.mmo import mmo_digest
 from repro.devices import get_profile

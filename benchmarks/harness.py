@@ -1,7 +1,7 @@
 """Direct-drive protocol harness shared by the benchmarks.
 
 Runs signer/verifier/relay engines against each other in memory (no
-simulator) on :class:`~repro.obs.canonical.CanonicalChannel`, with a
+simulator) on :class:`~repro.canonical.CanonicalChannel`, with a
 *separate hash-operation counter per role* so the Table 1 benchmarks
 measure each role's cryptographic work exactly.
 
@@ -17,12 +17,12 @@ timed path stays bare).
 
 from __future__ import annotations
 
+from repro.canonical import CanonicalChannel
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import OpCounter
 from repro.obs import MetricsRegistry, Observability
-from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 0xBE7C
 

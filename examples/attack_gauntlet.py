@@ -9,12 +9,12 @@ from repro.attacks import PacketForger, ReplayAttacker, S1Flooder, TamperingRela
 from repro.attacks.reformatting import demonstrate
 from repro.baselines.hmac_e2e import HmacEndToEnd
 from repro.baselines.lhap import LhapNode
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.relay import RelayConfig
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import get_hash
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def build_path(seed=0, relay_config=None):

@@ -7,11 +7,11 @@ Reproduces the paper's Figure 1 scenario: a signer ``s``, a verifier
     python examples/quickstart.py
 """
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def main() -> None:

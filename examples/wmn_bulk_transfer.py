@@ -13,14 +13,14 @@ computational capabilities" the paper advertises.
 
 import time
 
+from repro import analysis
 from repro.apps.streaming import AdaptivePolicy, StreamingSink, StreamingSource
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core import analysis
 from repro.crypto.drbg import DRBG
 from repro.devices import get_profile
 from repro.netsim import Network
 from repro.netsim.link import MESH_LINK
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def main() -> None:

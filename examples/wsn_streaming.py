@@ -9,16 +9,16 @@ digests), 100-byte packet payloads, static pre-deployment bootstrapping
     python examples/wsn_streaming.py
 """
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
+from repro import analysis
 from repro.core.bootstrap import establish_static, provision_relays
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core import analysis
 from repro.crypto.hashes import get_hash
 from repro.devices import get_profile
 from repro.devices.energy import SENSOR_ENERGY
 from repro.netsim import Network, TraceCollector
 from repro.netsim.link import SENSOR_LINK
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def main() -> None:

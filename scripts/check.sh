@@ -44,19 +44,22 @@ else
     echo "== ruff not installed; skipping lint (CHECK_STRICT_LINT=0) =="
 fi
 
-# Sans-IO clock lint: the protocol engines (src/repro/core) and the
-# observability layer (src/repro/obs) are driven exclusively by an
-# injected `now` — a real clock call in either breaks deterministic
-# replay and the simulated-time benchmarks. The one legitimate call
+# Sans-IO clock lint: the protocol engines (src/repro/core), the
+# observability layer (src/repro/obs), the engine-to-medium adapters
+# (src/repro/transports) and the hand-driven canonical channel
+# (src/repro/canonical.py) are driven exclusively by an injected `now`
+# — a real clock call in any of them breaks deterministic replay and
+# the simulated-time benchmarks. The one legitimate call
 # site is the audited helper in repro/obs/telemetry.py, carrying a
 # `lint: allow-real-clock` marker; everything else must route through
 # it. The pattern also catches the other stdlib clocks
 # (and their _ns forms), datetime's wall-clock constructors, and the
 # import forms that would hide a clock call from it.
-echo "== real-clock lint (src/repro/core, src/repro/obs) =="
+CLOCK_PATHS=(src/repro/core src/repro/obs src/repro/transports src/repro/canonical.py)
+echo "== real-clock lint (${CLOCK_PATHS[*]}) =="
 CLOCK_PATTERN='time\.(time|monotonic|perf_counter|process_time|thread_time)(_ns)?\('
 CLOCK_PATTERN+='|datetime\.(now|utcnow|today)\(|from time import|import time as'
-CLOCK_VIOLATIONS=$(grep -rnE "$CLOCK_PATTERN" src/repro/core src/repro/obs \
+CLOCK_VIOLATIONS=$(grep -rnE "$CLOCK_PATTERN" "${CLOCK_PATHS[@]}" \
     | grep -v '# lint: allow-real-clock' || true)
 if [ -n "$CLOCK_VIOLATIONS" ]; then
     echo "real-clock calls outside the allowlist:" >&2

@@ -26,7 +26,7 @@ import sys
 
 
 def _cmd_tables() -> int:
-    from repro.core import analysis
+    from repro import analysis
     from repro.devices import get_profile
 
     print("Equation 1 / Figure 5 — signed bytes per S1 (1280 B packets):")
@@ -45,10 +45,10 @@ def _cmd_tables() -> int:
 
 
 def _cmd_demo() -> int:
-    from repro.core.adapter import EndpointAdapter, RelayAdapter
     from repro.core.endpoint import AlphaEndpoint, EndpointConfig
     from repro.core.modes import Mode, ReliabilityMode
     from repro.netsim import Network
+    from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
     net = Network.chain(4)
     config = EndpointConfig(
@@ -72,12 +72,12 @@ def _cmd_demo() -> int:
 
 
 def _cmd_adapt() -> int:
-    from repro.core.adapter import EndpointAdapter, RelayAdapter
     from repro.core.adaptive import AdaptiveConfig
     from repro.core.endpoint import AlphaEndpoint, EndpointConfig
     from repro.core.modes import Mode, ReliabilityMode
     from repro.netsim import Network
     from repro.netsim.link import LinkConfig
+    from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
     # Gilbert-Elliott bursts, ~20% average loss: hostile enough that the
     # controller has a reason to leave BASE and pick ALPHA-M.
@@ -123,7 +123,7 @@ def _cmd_adapt() -> int:
 
 
 def _cmd_wsn() -> int:
-    from repro.core import analysis
+    from repro import analysis
     from repro.devices import get_profile
 
     cc = get_profile("cc2430")
@@ -170,7 +170,7 @@ def _cmd_selftest() -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.canonical import (
+    from repro.canonical import (
         ADAPTIVE_EXCHANGE,
         CANONICAL_EXCHANGES,
         MULTIHOP_EXCHANGE,
@@ -204,16 +204,16 @@ def _mixed_loss_run(seed: int | str = 11):
     packets before they can earn a nack) carrying both congestion-style
     loss and corruption, between adaptive reliable endpoints sharing one
     observability context. Returns ``(obs, sender_endpoint)`` — the
-    sender's :class:`~repro.obs.linkhealth.HealthLedger` holds the
+    sender's :class:`~repro.core.linkhealth.HealthLedger` holds the
     per-link story the report/export commands render.
     """
-    from repro.core.adapter import EndpointAdapter
     from repro.core.adaptive import AdaptiveConfig
     from repro.core.endpoint import AlphaEndpoint, EndpointConfig
     from repro.core.modes import ReliabilityMode
     from repro.netsim import Network
     from repro.netsim.link import LinkConfig
     from repro.obs import Observability
+    from repro.transports.netsim import EndpointAdapter
 
     obs = Observability()
     link = LinkConfig(latency_s=0.003, loss_rate=0.04, corrupt_rate=0.04)

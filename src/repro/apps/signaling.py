@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.relay import RelayConfig, RelayEngine
 from repro.core.wire import Reader, Writer
 from repro.netsim.node import Node
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 #: Known signaling verbs (free-form strings are allowed; these are the
 #: ones the paper's scenarios motivate).

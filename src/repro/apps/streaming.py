@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.adapter import EndpointAdapter
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import ChannelConfig
 from repro.core.wire import Reader, Writer
+from repro.transports.netsim import EndpointAdapter
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ resulting trace is deterministic, so the conformance suite can assert
 the *exact* event sequence, and ``python -m repro trace`` can print it
 as a worked timeline.
 
-The four canonical exchanges (ISSUE/tentpole vocabulary):
+The four canonical exchanges:
 
 - ``basic``     — base mode, unreliable: S1 → A1 → S2 (Figure 2).
 - ``reliable``  — base mode, reliable: S1 → A1 → S2 → A2 (Figure 3).
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 
+from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import S1Packet, decode_packet
@@ -318,8 +319,6 @@ def run_adaptive_canonical(
     back to BASE. Deterministic, so the conformance suite asserts the
     decision sequence and ``python -m repro trace adaptive`` prints it.
     """
-    from repro.core.adaptive import AdaptiveConfig, AdaptiveController
-
     channel = _channel(ChannelConfig(batch_size=1), 1, obs, hop_delay_s, seed)
     obs = channel.obs
     controller = AdaptiveController(

@@ -1,4 +1,4 @@
-"""ALPHA: the paper's contribution.
+"""ALPHA: the paper's contribution, as a sans-IO protocol.
 
 Layering, bottom to top:
 
@@ -6,15 +6,20 @@ Layering, bottom to top:
    chains), :mod:`repro.core.merkle` (keyed Merkle trees for ALPHA-M),
    :mod:`repro.core.acktree` (the Acknowledgment Merkle Tree).
 2. Wire formats — :mod:`repro.core.wire` (codec helpers),
-   :mod:`repro.core.packets` (S1/A1/S2/A2 and handshake packets).
+   :mod:`repro.core.packets` (S1/A1/S2/A2 and handshake packets, and
+   the ledger summary they carry).
 3. Protocol engines — :mod:`repro.core.signer`,
    :mod:`repro.core.verifier`, :mod:`repro.core.relay`: sans-IO state
-   machines that consume and produce packet objects.
-4. Session plumbing — :mod:`repro.core.association`,
-   :mod:`repro.core.bootstrap`, :mod:`repro.core.endpoint` (the public
-   entry point), :mod:`repro.core.adapter` (glue onto the simulator).
-5. Models — :mod:`repro.core.analysis`: the closed forms behind the
-   paper's tables and figures.
+   machines that consume and produce packet bytes, with
+   :mod:`repro.core.resilience` and the per-link
+   :mod:`repro.core.linkhealth` ledger they feed.
+4. Session plumbing — :mod:`repro.core.bootstrap`,
+   :mod:`repro.core.adaptive`, :mod:`repro.core.endpoint` (the public
+   entry point).
+
+It imports only itself, :mod:`repro.crypto` and the :mod:`repro.obs`
+flag, event and metric types (``tests/test_layering.py``); carriers,
+the cost model and the canonical channel sit above it.
 """
 
 from repro.core.modes import Mode, ReliabilityMode

@@ -44,10 +44,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from repro.core.linkhealth import LinkHealth
 from repro.core.modes import Mode
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs.linkhealth import LinkHealth
 
 #: Queue hysteresis band (messages waiting): enter a batched mode at
 #: ``QUEUE_ENTER``, return to BASE only once the queue has drained to

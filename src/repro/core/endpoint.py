@@ -9,7 +9,7 @@ context of Section 3.1.
 
 The endpoint is sans-IO like the sessions underneath: ``connect``,
 ``send``, ``on_packet`` and ``poll`` exchange ``(peer, payload)`` pairs,
-and a transport adapter (:mod:`repro.core.adapter`) moves them over the
+and a transport adapter (:mod:`repro.transports.netsim`) moves them over the
 simulator. Applications typically use exactly four methods::
 
     ep = AlphaEndpoint("s", EndpointConfig(mode=Mode.CUMULATIVE))
@@ -33,6 +33,7 @@ from repro.core.bootstrap import (
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.exceptions import AlphaError, ProtocolError
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier
+from repro.core.linkhealth import HealthLedger
 from repro.core.packets import (
     A1Packet,
     A2Packet,
@@ -53,7 +54,6 @@ from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction, OpCounter, get_hash
 from repro.crypto.signatures import SignatureScheme
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs.linkhealth import HealthLedger
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,6 @@ class EndpointConfig(ChannelConfig):
     #: S1; returning False withholds the A1, so relays never forward the
     #: sender's data packets. ``None`` accepts everything.
     accept_policy: Callable | None = None
-    #: Enable the observability layer (metrics registry + exchange
-    #: tracer, PROTOCOL.md §9). Off by default: the disabled cost is one
-    #: boolean check per instrumented call site. An explicit ``obs``
-    #: argument to :class:`AlphaEndpoint` overrides this flag.
-    observe: bool = False
     #: Attach an :class:`~repro.core.adaptive.AdaptiveController` to
     #: every association's signer: mode, batch size, and pipelining
     #: depth then track the observed loss/queue/RTT signals instead of
@@ -176,12 +171,7 @@ class AlphaEndpoint:
     ) -> None:
         self.name = name
         self.config = config if config is not None else EndpointConfig()
-        if obs is not None:
-            self.obs = obs
-        elif self.config.observe:
-            self.obs = Observability()
-        else:
-            self.obs = OBS_OFF
+        self.obs = obs if obs is not None else OBS_OFF
         self.rng = DRBG(seed if seed is not None else f"endpoint:{name}")
         self.identity = identity
         self.hash_fn: HashFunction = get_hash(self.config.hash_name, counter)

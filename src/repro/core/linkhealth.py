@@ -34,16 +34,17 @@ Classifier rules (PROTOCOL.md §11):
 - what remains of the timeout-triggered retransmits after that
   correction is **congestion**.
 
-Every entry is bounded: plain counters, two EWMAs, and one fixed-bucket
-histogram per link, so a ledger over any number of associations stays a
-few hundred bytes per peer.
+The ledger is protocol state, not just telemetry: its dominant cause
+steers the signer's nack damper and probe escape, the adaptive
+controller, and the endpoint's escape re-bootstrap. Every entry is
+bounded: plain counters, two EWMAs, and one fixed-bucket histogram per
+link, so a ledger over any number of associations stays a few hundred
+bytes per peer.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
+from repro.core.packets import LedgerSummary
 from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 
 #: EWMA gain for the cross-association SRTT/RTTVAR mirror. Smoother
@@ -61,73 +62,6 @@ DOMINANT_SHARE = 0.6
 #: pessimistically, so the stale estimate halves every interval since
 #: the last controller update.
 LOSS_DECAY_HALF_LIFE_S = 60.0
-
-#: Ledger summary layout:
-#: corrupt_arrivals u32 | verified u32 | dropped u32 | rtt_us u32
-_LEDGER_SUMMARY = struct.Struct(">IIII")
-
-_U32_MAX = 0xFFFFFFFF
-
-
-def _saturate(value: int) -> int:
-    """Clamp a counter into u32 range (ledgers count forever; the wire
-    field is a bounded snapshot and saturation is fine for a ratio)."""
-    if value < 0:
-        return 0
-    return value if value <= _U32_MAX else _U32_MAX
-
-
-@dataclass
-class LedgerSummary:
-    """A receiver's health-ledger digest, piggybacked on A1/HS2.
-
-    Fixed 16-byte wire field (PROTOCOL.md §16) carrying the receiver's
-    view of the link back to the signer: how many of the signer's
-    packets arrived damaged (``corrupt_arrivals``), how many messages
-    were authenticated end-to-end (``verified``), how many arrivals
-    were rejected for any reason (``dropped``), and the receiver's
-    smoothed RTT in microseconds (0 = no sample yet). All counters are
-    cumulative since the ledger entry was created, so the decoder
-    merges by elementwise max, not addition. The field is advisory — it is
-    NOT covered by the protected-handshake signature and only ever
-    biases loss attribution, never authentication decisions.
-
-    Defined here rather than in :mod:`repro.core.packets` (which
-    re-exports it) so the obs package stays importable without
-    repro.core — every protocol engine imports obs, not vice versa.
-    The ``decode`` reader is duck-typed for the same reason.
-    """
-
-    corrupt_arrivals: int
-    verified: int = 0
-    dropped: int = 0
-    rtt_us: int = 0
-
-    SIZE = _LEDGER_SUMMARY.size
-
-    def encode(self) -> bytes:
-        """The 16-byte wire field, each counter saturated to u32."""
-        return _LEDGER_SUMMARY.pack(
-            _saturate(self.corrupt_arrivals),
-            _saturate(self.verified),
-            _saturate(self.dropped),
-            _saturate(self.rtt_us),
-        )
-
-    @classmethod
-    def decode(cls, reader) -> "LedgerSummary":
-        """Read from a :class:`repro.core.wire.Reader`-shaped object."""
-        return cls(
-            corrupt_arrivals=reader.u32(),
-            verified=reader.u32(),
-            dropped=reader.u32(),
-            rtt_us=reader.u32(),
-        )
-
-    @classmethod
-    def unpack_from(cls, data: bytes, offset: int) -> "LedgerSummary":
-        """Read the 16-byte field at ``offset`` of a buffer long enough."""
-        return cls(*_LEDGER_SUMMARY.unpack_from(data, offset))
 
 
 class LinkHealth:

@@ -28,12 +28,6 @@ from repro.core.exceptions import PacketError
 from repro.core.modes import Mode
 from repro.core.wire import Reader, Writer
 
-# The ledger digest lives with the ledger (repro.obs.linkhealth): the
-# obs package must stay importable without repro.core (the engines all
-# import obs), so the wire layer imports the type, not the other way
-# around. Re-exported here because it IS a wire field.
-from repro.obs.linkhealth import LedgerSummary
-
 MAGIC = 0xA1FA
 VERSION = 1
 
@@ -84,6 +78,63 @@ def _read_header(reader: Reader) -> tuple[PacketType, int, int]:
     assoc_id = reader.u64()
     seq = reader.u32()
     return packet_type, assoc_id, seq
+
+
+#: Ledger summary layout:
+#: corrupt_arrivals u32 | verified u32 | dropped u32 | rtt_us u32
+_LEDGER_SUMMARY = struct.Struct(">IIII")
+
+_U32_MAX = 0xFFFFFFFF
+
+
+def _saturate(value: int) -> int:
+    """Clamp a counter into u32 range (ledgers count forever; the wire
+    field is a bounded snapshot and saturation is fine for a ratio)."""
+    if value < 0:
+        return 0
+    return value if value <= _U32_MAX else _U32_MAX
+
+
+@dataclass
+class LedgerSummary:
+    """A receiver's health-ledger digest, piggybacked on A1/HS2.
+
+    Fixed 16-byte wire field (PROTOCOL.md §16) carrying the receiver's
+    view of the link back to the signer: how many of the signer's
+    packets arrived damaged (``corrupt_arrivals``), how many messages
+    were authenticated end-to-end (``verified``), how many arrivals
+    were rejected for any reason (``dropped``), and the receiver's
+    smoothed RTT in microseconds (0 = no sample yet). All counters are
+    cumulative since the ledger entry was created, so the decoder
+    merges by elementwise max, not addition. The field is advisory — it is
+    NOT covered by the protected-handshake signature and only ever
+    biases loss attribution, never authentication decisions.
+    """
+
+    corrupt_arrivals: int
+    verified: int = 0
+    dropped: int = 0
+    rtt_us: int = 0
+
+    SIZE = _LEDGER_SUMMARY.size
+
+    def encode(self) -> bytes:
+        """The 16-byte wire field, each counter saturated to u32."""
+        return _LEDGER_SUMMARY.pack(
+            _saturate(self.corrupt_arrivals),
+            _saturate(self.verified),
+            _saturate(self.dropped),
+            _saturate(self.rtt_us),
+        )
+
+    @classmethod
+    def decode(cls, reader: Reader) -> "LedgerSummary":
+        return cls(reader.u32(), reader.u32(), reader.u32(), reader.u32())
+
+    @classmethod
+    def unpack_from(cls, data: bytes, offset: int) -> "LedgerSummary":
+        """Read the 16-byte field at ``offset`` of a buffer long enough."""
+        return cls(*_LEDGER_SUMMARY.unpack_from(data, offset))
 
 
 @dataclass

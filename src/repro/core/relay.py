@@ -394,10 +394,11 @@ class _ChannelObserver:
         """Compact, JSON-serializable journal of this channel.
 
         Per exchange only the anchors are kept — the committed S1 chain
-        element, a digest pinning the committed pre-signatures, and the
-        A1 ack element once seen — never the pre-signature/pre-ack
-        buffers themselves, so the journal stays O(digest) per exchange
-        where the live buffer is O(n · h).
+        element, a digest pinning the committed pre-signatures, the A1
+        ack element once seen, and the S2 and A2 keys once pinned —
+        never the pre-signature/pre-ack buffers themselves, so the
+        journal stays O(digest) per exchange where the live buffer is
+        O(n · h).
         """
         records: list[dict] = []
         for seq in sorted(set(self.exchanges) | set(self.recovering)):
@@ -430,6 +431,8 @@ class _ChannelObserver:
                 record["a1_value"] = exchange.expected_a1[1].hex()
             if exchange.key_value is not None:
                 record["key_value"] = exchange.key_value.hex()
+            if exchange.ack_key_value is not None:
+                record["ack_key_value"] = exchange.ack_key_value.hex()
             records.append(record)
         return {
             "signer": self.signer_name,
@@ -494,6 +497,10 @@ class _ChannelObserver:
         )
         if record.get("key_value"):
             exchange.key_value = bytes.fromhex(record["key_value"])
+        if record.get("ack_key_value"):
+            # The pinned A2 key's chain element was consumed pre-crash,
+            # so later A2s can only be checked against the journal.
+            exchange.ack_key_value = bytes.fromhex(record["ack_key_value"])
         if record.get("a1_value") is not None:
             exchange.expected_a1 = (
                 record["a1_index"],

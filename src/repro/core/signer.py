@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.acktree import verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
+from repro.core.linkhealth import LinkHealth
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, leaves_per_tree
 from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
@@ -32,7 +33,6 @@ from repro.core.resilience import (
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs.linkhealth import LinkHealth
 
 #: Fixed strings distinguishing pre-acks from pre-nacks
 #: (paper Section 3.2.2: "e.g., 0 and 1").

@@ -19,6 +19,7 @@ from typing import Callable
 
 from repro.core.acktree import AckTree
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
+from repro.core.linkhealth import LinkHealth
 from repro.core.merkle import (
     MerkleVerifyCache,
     leaves_per_tree,
@@ -31,7 +32,6 @@ from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs.linkhealth import LinkHealth
 
 _SECRET_SIZE = 16
 

@@ -26,7 +26,6 @@ and allocates nothing.
 
 from __future__ import annotations
 
-from repro.obs.linkhealth import HealthLedger, LedgerSummary, LinkHealth
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -79,7 +78,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "TimeSeries",
-    "HealthLedger",
-    "LedgerSummary",
-    "LinkHealth",
 ]

@@ -15,7 +15,9 @@ Metric names are dotted internally (``signer.s1_sent``); Prometheus
 accepts ``[a-zA-Z_:][a-zA-Z0-9_:]*``, so :func:`_prom_name` maps every
 illegal character to ``_`` and prefixes the ``alpha_`` namespace.
 Per-link ledger values export with a ``peer`` label rather than a
-name-embedded peer, which is the label-cardinality-correct shape.
+name-embedded peer, which is the label-cardinality-correct shape. A
+``ledger`` (a ``repro.core.linkhealth.HealthLedger``) is read through
+its entries' attributes and ``snapshot()``: obs imports no core code.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import re
 
-from repro.obs.linkhealth import MIN_SPLIT_EVENTS, HealthLedger
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 _ILLEGAL = re.compile(r"[^a-zA-Z0-9_:]")
@@ -79,7 +80,7 @@ _LINK_FIELDS = (
 
 
 def to_prometheus(
-    registry: MetricsRegistry, ledger: HealthLedger | None = None
+    registry: MetricsRegistry, ledger=None
 ) -> str:
     """Render the registry (and optionally a ledger) as Prometheus text."""
     lines: list[str] = []
@@ -120,7 +121,7 @@ def to_prometheus(
 
 def to_jsonl(
     registry: MetricsRegistry,
-    ledger: HealthLedger | None = None,
+    ledger=None,
     tracer=None,
 ) -> str:
     """One self-describing JSON object per line.
@@ -169,7 +170,7 @@ def _fmt(value: object, places: int = 4) -> str:
 
 def render_report(
     registry: MetricsRegistry | None = None,
-    ledger: HealthLedger | None = None,
+    ledger=None,
     tracer=None,
 ) -> str:
     """Human-readable link-health + metrics report."""
@@ -199,10 +200,7 @@ def render_report(
                 f" {_fmt(p99 * 1e3 if p99 is not None else None, 2):>7}"
             )
         if not all(link.split_confident for link in ledger):
-            out.append(
-                f"(cong/corr split unconfident on links with"
-                f" < {MIN_SPLIT_EVENTS} loss events)"
-            )
+            out.append("(cong/corr split unconfident: too few loss events on a link)")
         out.append("")
     if registry is not None:
         snap = registry.snapshot()

@@ -1,6 +1,6 @@
-"""Transports: running ALPHA endpoints outside the simulator.
+"""Transports: the adapters that carry ALPHA's engines over a medium.
 
-The protocol engines are sans-IO, so any byte carrier works. Two are
+The protocol engines are sans-IO, so any byte carrier works. Three are
 provided:
 
 - :mod:`repro.transports.memory` — a synchronous in-memory pipe with
@@ -10,10 +10,14 @@ provided:
   runs endpoints over real sockets (demonstrated over loopback in the
   test suite). This is what a deployment on actual wireless interfaces
   would start from.
+- :mod:`repro.transports.netsim` — :class:`EndpointAdapter` and
+  :class:`RelayAdapter` run endpoints and relays on the discrete-event
+  simulator's nodes, driven by its scheduler.
 
-Both are driven by the caller's loop: each turn feeds received packets
-to the endpoint and polls it, and ``AlphaEndpoint.next_deadline`` says
-how long the loop may wait before the next poll has work.
+The first two are driven by the caller's loop: each turn feeds received
+packets to the endpoint and polls it, and
+``AlphaEndpoint.next_deadline`` says how long the loop may wait before
+the next poll has work.
 """
 
 from repro.transports.memory import MemoryNetwork

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.core.endpoint import AlphaEndpoint, EndpointOutput
 from repro.core.relay import RelayConfig, RelayEngine
+from repro.crypto.hashes import get_hash
 from repro.netsim.node import Node
 from repro.netsim.packet import Frame
 
@@ -125,11 +126,9 @@ class RelayAdapter:
         device_profile=None,
     ) -> None:
         if engine is None:
-            if hash_fn is None:
-                from repro.crypto.hashes import get_hash
-
-                hash_fn = get_hash("sha1")
-            engine = RelayEngine(hash_fn, config)
+            engine = RelayEngine(
+                hash_fn if hash_fn is not None else get_hash("sha1"), config
+            )
         self.engine = engine
         self.node = node
         self.device_profile = device_profile

@@ -11,11 +11,11 @@ from repro.apps.signaling import (
     SignalingMessage,
 )
 from repro.apps.streaming import AdaptivePolicy, StreamingSink, StreamingSource
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.crypto.drbg import DRBG
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 class TestSignalingMessage:

@@ -11,11 +11,11 @@ from repro.attacks import (
     Wiretap,
 )
 from repro.attacks.reformatting import demonstrate
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.core.relay import RelayConfig
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def protected_path(hops=4, config=None, relay_config=None, seed=0):

@@ -7,13 +7,13 @@ from repro.attacks.bypass import (
     PathGuard,
     install_path_guards,
 )
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.relay import RelayEngine
 from repro.crypto.hashes import get_hash
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import Frame
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def diamond_network(seed=0):

@@ -20,7 +20,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
+from repro.canonical import run_canonical
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
@@ -30,7 +30,7 @@ from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.obs import EventKind as K
 from repro.obs import Observability
-from repro.obs.canonical import run_canonical
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def run_switching(loss, seed, messages=24):

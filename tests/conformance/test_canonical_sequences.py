@@ -20,7 +20,7 @@ import re
 import pytest
 
 from repro.obs import EventKind as K
-from repro.obs.canonical import (
+from repro.canonical import (
     CANONICAL_ASSOC,
     CANONICAL_EXCHANGES,
     MULTIHOP_EXCHANGE,

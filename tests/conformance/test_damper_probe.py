@@ -29,9 +29,9 @@ from repro.core.signer import (
     RTO_PROBE_AFTER,
     ChannelConfig,
 )
+from repro.canonical import CanonicalChannel
 from repro.obs import EventKind as K
 from repro.obs import Observability
-from repro.obs.canonical import CanonicalChannel
 from repro.obs.trace import ExchangeTracer
 
 from tests.regression.harness import run_wedge

@@ -22,7 +22,6 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
@@ -31,6 +30,7 @@ from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.obs import EventKind as K
 from repro.obs import Observability
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def run_lossy(mode, seed, messages=8, batch=4, loss=0.12):

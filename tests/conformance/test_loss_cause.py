@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.obs import Observability
+from repro.transports.netsim import EndpointAdapter
 
 
 def run_schedule(
@@ -64,7 +64,6 @@ def run_schedule(
             warmup_intervals=1,
             switch_cooldown_s=1.0,
         ),
-        observe=observe,
     )
     sender = EndpointAdapter(
         AlphaEndpoint("s", config, seed="seed-s", obs=obs), net.nodes["s"]

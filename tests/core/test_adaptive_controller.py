@@ -21,10 +21,10 @@ from repro.core.hashchain import (
     ChainVerifier,
     HashChain,
 )
+from repro.core.linkhealth import LOSS_DECAY_HALF_LIFE_S, LinkHealth
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import EventKind, Observability
-from repro.obs.linkhealth import LOSS_DECAY_HALF_LIFE_S, LinkHealth
 
 H = 20
 

@@ -15,13 +15,13 @@ import dataclasses
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.acktree import AckTree, verify_ack_opening
 from repro.core.merkle import MerkleVerifyCache
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
-from repro.obs.canonical import CanonicalChannel
 
 from tests.core.test_relay_journal import ASSOC, H, Harness
 

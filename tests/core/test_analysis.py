@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.core import analysis
+from repro import analysis
 from repro.core.merkle import MerkleTree
 from repro.devices import get_profile
 

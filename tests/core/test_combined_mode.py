@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import S1Packet, decode_packet
 from repro.core.signer import ChannelConfig
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.core.test_sessions import make_channel
 

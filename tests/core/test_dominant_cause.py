@@ -12,9 +12,10 @@ import pytest
 from repro.core.adaptive import AdaptiveController
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig, EndpointOutput
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
+from repro.core.linkhealth import DOMINANT_SHARE, LinkHealth
+from repro.core.packets import LedgerSummary
 from repro.core.signer import ChannelConfig, SignerSession
-from repro.obs import EventKind
-from repro.obs.linkhealth import DOMINANT_SHARE, LedgerSummary, LinkHealth
+from repro.obs import EventKind, Observability
 
 H = 20
 
@@ -55,9 +56,9 @@ def make_signer(sha1, rng, link):
 def escape_outcome(nacks, timeouts):
     """Drive the endpoint's terminal rto-escape handling; returns the
     REBOOTSTRAP infos and the failure reasons it produced."""
-    config = EndpointConfig(observe=True)
-    a = AlphaEndpoint("a", config, seed=1)
-    b = AlphaEndpoint("b", config, seed=2)
+    config = EndpointConfig()
+    a = AlphaEndpoint("a", config, seed=1, obs=Observability())
+    b = AlphaEndpoint("b", config, seed=2, obs=Observability())
     _, hs1 = a.connect("b")
     out = b.on_packet(hs1, "a", 0.0)
     a.on_packet(out.replies[0][1], "b", 0.0)

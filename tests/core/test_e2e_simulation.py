@@ -7,11 +7,11 @@ multiple concurrent associations.
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def build_chain(hops=4, link=None, config_s=None, config_v=None, seed=0):

@@ -1,7 +1,6 @@
 """Endpoint and session edge cases: eviction, multi-peer, MMO end-to-end."""
 
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.bootstrap import establish_static
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
@@ -9,6 +8,7 @@ from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.crypto.hashes import get_hash
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.core.test_sessions import make_channel
 

@@ -20,10 +20,10 @@ import math
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, verify_merkle_path
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import ChannelConfig
-from repro.obs.canonical import CanonicalChannel
 
 from tests.core.test_relay_journal import ASSOC, H, Harness
 

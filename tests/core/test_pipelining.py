@@ -10,13 +10,13 @@ speedup.
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode
 from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.core.test_sessions import make_channel
 

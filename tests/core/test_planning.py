@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.analysis import plan_chain
+from repro.analysis import plan_chain
 
 
 class TestPlanChain:

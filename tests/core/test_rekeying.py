@@ -9,10 +9,10 @@ from collections import deque
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import ReliabilityMode
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def pump(a, b, rounds=200, step=0.02):

@@ -2,13 +2,13 @@
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.relay import RelayConfig, RelayEngine
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import get_hash
-from repro.obs.canonical import CanonicalChannel
 
 H = 20
 ASSOC = 55
@@ -89,8 +89,8 @@ class TestHonestTraffic:
 
     @pytest.mark.parametrize("journal", [True, False])
     def test_restarted_relay_keeps_extraction(self, journal):
-        from repro.core.adapter import RelayAdapter
         from repro.netsim import Network
+        from repro.transports.netsim import RelayAdapter
 
         net = Network.chain(2)
         adapter = RelayAdapter(

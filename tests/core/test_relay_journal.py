@@ -12,12 +12,12 @@ import json
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.relay import RelayConfig, RelayEngine
 from repro.core.signer import ChannelConfig
 from repro.crypto.hashes import get_hash
-from repro.obs.canonical import CanonicalChannel
 
 H = 20
 ASSOC = 77
@@ -253,3 +253,35 @@ class TestTombstonesAcrossRestart:
         harness.crash_restart(now=1.0)
         restored = harness.relay._associations[ASSOC].forward_channel
         assert restored.s1_allowance == grown
+
+
+class TestA2KeyAcrossRestart:
+    @pytest.mark.parametrize("mode", [Mode.CUMULATIVE, Mode.MERKLE])
+    def test_a2s_after_restart_verify_against_journaled_key(
+        self, sha1, rng, mode
+    ):
+        """A crash after 4 of 8 S2/A2 pairs: the A2 key pinned pre-crash
+        is journaled, so the genuine A2s of the other 4 still verify."""
+        config = ChannelConfig(
+            mode=mode, batch_size=8, reliability=ReliabilityMode.RELIABLE
+        )
+        harness = Harness(sha1, rng, config)
+        messages = [b"m%d" % i for i in range(8)]
+        s1_raw, a1_raw = harness.open_exchange(messages, through_a1=True)
+        s2_raws = harness.signer.handle_a1(decode_packet(a1_raw, H), 0.0)
+        assert len(s2_raws) == 8
+
+        def s2_a2(s2_raw, now):
+            assert harness.s_to_v(s2_raw, now).reason == "s2-ok"
+            a2_raw = harness.verifier.handle_s2(decode_packet(s2_raw, H), now)
+            decision = harness.v_to_s(a2_raw, now)
+            harness.signer.handle_a2(decode_packet(a2_raw, H), now)
+            return decision.reason
+
+        assert [s2_a2(raw, 0.0) for raw in s2_raws[:4]] == ["a2-ok"] * 4
+        harness.crash_restart(now=1.0)
+        assert harness.s_to_v(s1_raw, 1.0).reason == "s1-reanchored"
+        assert harness.v_to_s(a1_raw, 1.0).reason == "a1-rejournaled"
+        assert [s2_a2(raw, 1.0) for raw in s2_raws[4:]] == ["a2-ok"] * 4
+        reports = harness.signer.drain_reports()
+        assert sorted(r.message for r in reports if r.delivered) == messages

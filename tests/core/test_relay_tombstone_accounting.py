@@ -12,11 +12,11 @@ eviction path that forgets one counter) fails here.
 
 from __future__ import annotations
 
+from repro.canonical import CanonicalChannel
 from repro.core.relay import RelayConfig
 from repro.crypto.drbg import DRBG
 from repro.obs import EventKind as K
 from repro.obs import Observability
-from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 77
 

@@ -9,12 +9,12 @@ surfaces all of it.
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import ProtocolError
 from repro.core.packets import decode_packet
 from repro.core.resilience import ExchangeFailed, ResilienceStats, RttEstimator
 from repro.core.signer import ChannelConfig
-from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 99
 

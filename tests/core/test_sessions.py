@@ -7,10 +7,10 @@ trivial to stage.
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import A1Packet, S1Packet, decode_packet
 from repro.core.signer import ChannelConfig
-from repro.obs.canonical import CanonicalChannel
 
 ASSOC = 77
 

@@ -13,11 +13,11 @@ from dataclasses import replace
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.obs import EventKind, Observability
-from repro.obs.canonical import CanonicalChannel
 
 H = 20
 ASSOC = 91

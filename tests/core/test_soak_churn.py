@@ -13,7 +13,6 @@ consumed chain elements.
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
@@ -22,6 +21,7 @@ from repro.netsim import Network
 from repro.netsim.faults import FaultSchedule
 from repro.netsim.link import LinkConfig
 from repro.obs import Observability
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.regression.churn_harness import (
     _provision_backup,

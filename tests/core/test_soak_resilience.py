@@ -13,12 +13,12 @@ import itertools
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.faults import FaultSchedule
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.regression.corpus import EVENT_BUDGET, TIME_BUDGET_S
 from tests.regression.harness import run_wedge

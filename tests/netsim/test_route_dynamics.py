@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.relay import RelayConfig
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.netsim.packet import Frame
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 def diamond():

@@ -6,9 +6,9 @@ import json
 
 import pytest
 
+from repro.core.linkhealth import HealthLedger
 from repro.obs import EventKind, Observability
 from repro.obs.export import render_report, to_jsonl, to_prometheus
-from repro.obs.linkhealth import HealthLedger
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.linkhealth import MIN_SPLIT_EVENTS, HealthLedger, LinkHealth
+from repro.core.linkhealth import MIN_SPLIT_EVENTS, HealthLedger, LinkHealth
 from repro.obs.metrics import MetricsRegistry
 
 

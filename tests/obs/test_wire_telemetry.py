@@ -19,15 +19,18 @@ from repro.core.packets import (
     LedgerSummary,
     decode_packet,
 )
+from repro.obs import Observability
 
 H = 20  # SHA-1 digest width used by the default config
 
 
-def drive_pair(config, messages=2, steps=400):
+def drive_pair(config, messages=2, steps=400, observe=False):
     """Shuttle two endpoints to completion; returns (wires, delivered)."""
     nodes = {
-        "a": AlphaEndpoint("a", config, seed=1),
-        "b": AlphaEndpoint("b", config, seed=2),
+        name: AlphaEndpoint(
+            name, config, seed=seed, obs=Observability() if observe else None
+        )
+        for name, seed in (("a", 1), ("b", 2))
     }
     t = 0.0
     _, hs1 = nodes["a"].connect("b", now=t)
@@ -91,9 +94,7 @@ class TestZeroOverheadWhenUnobserved:
         assert fields and all(field is None for field in fields)
 
     def test_observed_endpoints_exchange_and_fuse_summaries(self):
-        nodes, wires = drive_pair(
-            EndpointConfig(chain_length=64, observe=True)
-        )
+        nodes, wires = drive_pair(EndpointConfig(chain_length=64), observe=True)
         fields = summary_fields(wires)
         assert any(field is not None for field in fields)
         # The signer merged the verifier's view into its link ledger.

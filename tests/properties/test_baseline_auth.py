@@ -26,10 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.attacks import SelectiveTagCorruptor, whole_payload
 from repro.baselines import scheme_adapters
-from repro.core.adapter import EndpointAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.crypto.drbg import DRBG
 from repro.netsim import Network
+from repro.transports.netsim import EndpointAdapter
 
 SCHEMES = sorted(scheme_adapters())
 HOPS = 3  # sender, two relays, receiver — enough to exercise re-keying
@@ -162,7 +162,7 @@ def test_alpha_never_consumes_corrupted_bytes(seed, max_frames, flips):
     sent — the corrupted frames die at the first honest relay (or, for
     handshake/ack damage, the exchange simply fails).
     """
-    from repro.core.adapter import RelayAdapter
+    from repro.transports.netsim import RelayAdapter
 
     net = Network.chain(4, seed=7)
     cfg = EndpointConfig(chain_length=256)

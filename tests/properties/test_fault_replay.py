@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.netsim import Network
 from repro.netsim.faults import FaultSchedule
 from repro.netsim.link import LinkConfig
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
 @st.composite

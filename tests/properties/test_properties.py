@@ -9,7 +9,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import analysis
+from repro import analysis
 from repro.core.acktree import AckOpening, AckTree, verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
 from repro.core.merkle import MerkleTree, verify_merkle_path

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.wire import Reader, WireError
-from repro.obs.linkhealth import LedgerSummary
+from repro.core.packets import LedgerSummary
 
 u32s = st.integers(min_value=0, max_value=2**32 - 1)
 summaries = st.builds(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayConfig, RelayEngine
@@ -38,6 +37,7 @@ from repro.netsim import Network
 from repro.netsim.faults import FaultSchedule
 from repro.netsim.link import LinkConfig
 from repro.obs import EventKind, Observability
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 #: Per-hop latencies: the primary path must win the shortest-path tie.
 PRIMARY_LATENCY_S = 0.003

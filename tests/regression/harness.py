@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.adapter import EndpointAdapter, RelayAdapter
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
@@ -20,6 +19,7 @@ from repro.crypto.hashes import get_hash
 from repro.netsim import Network
 from repro.netsim.link import LinkConfig
 from repro.obs import Observability
+from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 #: The link the wedges were found on: fast, mildly jittered, with 12%
 #: independent loss and 12% corruption per packet in each direction.

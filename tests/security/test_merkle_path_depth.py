@@ -18,6 +18,7 @@ index. The same rule guards the Acknowledgment Merkle Tree, whose
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.acktree import AckOpening, AckTree, verify_ack_opening
 from repro.core.merkle import MerkleVerifyCache
 from repro.core.modes import Mode, ReliabilityMode
@@ -25,7 +26,6 @@ from repro.core.packets import S2Packet, decode_packet
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction, get_hash
-from repro.obs.canonical import CanonicalChannel
 
 RELIABILITIES = (ReliabilityMode.UNRELIABLE, ReliabilityMode.RELIABLE)
 

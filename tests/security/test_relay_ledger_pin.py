@@ -11,11 +11,11 @@ verdict bookkeeping (``RelayEngine._count``) must keep every figure.
 
 import pytest
 
+from repro.canonical import CanonicalChannel
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
-from repro.obs.canonical import CanonicalChannel
 
 #: Exchanges walked per mode.
 EXCHANGES = 2
