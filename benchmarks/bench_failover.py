@@ -113,7 +113,7 @@ def run_failover(period_s=None, crash_only=False, failover=True, seed=3):
     ``period_s`` plants the alternating-kill churn schedule;
     ``crash_only`` is the acceptance scenario — one permanent primary-
     relay crash with the warm backup; ``failover=False`` runs the same
-    schedule without a path manager (the pre-Section-13 contrast).
+    schedule with no path registered (the pre-Section-13 contrast).
     """
     net = _build_diamond(seed)
     config = EndpointConfig(
@@ -127,7 +127,6 @@ def run_failover(period_s=None, crash_only=False, failover=True, seed=3):
         dead_peer_threshold=0,
         rekey_threshold=0,
         adaptive=False,
-        failover=failover,
         max_failovers=16,
         on_path_switch=(
             (lambda peer, old, new: _install_path(net, "s", peer, new.hops))

@@ -7,8 +7,6 @@ this host, and derive the implied ALPHA-C verification ceilings the
 paper computes from them in Section 4.1.2.
 """
 
-import time
-
 import pytest
 
 from benchmarks.conftest import format_table

@@ -78,8 +78,10 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
 # The exact-pin suites (bench PINNED tables, separation grid, relay
 # ledger, golden corpus, the HMAC/DRBG byte pins that every wire secret
-# comes from, the Merkle/AMT tally identity, and the relay's eviction
-# order and byte total against their plain rules) must not depend on
+# comes from, the Merkle/AMT tally identity, the data-packet decode
+# errors and their WireError geometry against a field-by-field
+# reference, and the relay's eviction order and byte total against
+# their plain rules) must not depend on
 # set or dict ordering that follows string hashing: re-run them under
 # two fixed hash seeds.
 for seed in 0 1; do
@@ -87,6 +89,7 @@ for seed in 0 1; do
     PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
         python -m pytest -x -q tests/benchmarks tests/security tests/golden \
         tests/crypto tests/properties/test_merkle_tally_identity.py \
+        tests/properties/test_relay_intake.py \
         tests/properties/test_relay_ttl_watermark.py \
         tests/core/test_relay_byte_total.py \
         tests/core/test_merkle_cache.py tests/core/test_amt_cache.py

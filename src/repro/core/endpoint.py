@@ -21,6 +21,8 @@ simulator. Applications typically use exactly four methods::
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -94,12 +96,8 @@ class EndpointConfig(ChannelConfig):
     adaptive: bool = False
     #: Controller tuning; ``None`` uses the AdaptiveConfig defaults.
     adaptive_config: AdaptiveConfig | None = None
-    #: Mid-association path failover (PROTOCOL.md §13): attach a
-    #: :class:`~repro.core.resilience.PathManager` and, when a hop is
-    #: classified dead, promote a registered backup path and re-present
-    #: the in-flight S1s through it instead of failing terminally.
-    failover: bool = False
-    #: Per-peer failover budget (see PathManager).
+    #: Per-peer mid-association failover budget (PROTOCOL.md §13; see
+    #: PathManager).
     max_failovers: int = 8
     #: Routing callback invoked as ``(peer, old, new)`` with the demoted
     #: and promoted :class:`PathCandidate` on every switch — the
@@ -206,12 +204,11 @@ class AlphaEndpoint:
         self._track_links = self.config.adaptive or self.obs.enabled
         #: Ranked alternate relay paths per peer (PROTOCOL.md §13).
         #: Populated by the application/transport via
-        #: ``endpoint.paths.register(peer, path_id, hops)``.
-        self.paths: PathManager | None = (
-            PathManager(self.config.max_failovers)
-            if self.config.failover
-            else None
-        )
+        #: ``endpoint.paths.register(peer, path_id, hops)``. When a hop
+        #: is classified dead, a registered backup path is promoted and
+        #: the in-flight S1s are re-presented through it; with no path
+        #: registered the association fails as if there were no manager.
+        self.paths = PathManager(self.config.max_failovers)
 
     # -- association management ------------------------------------------------
 
@@ -520,15 +517,18 @@ class AlphaEndpoint:
         # the replacement association to migrate; with it off, exhaustion
         # must still raise out of poll() (there is no rescue coming).
         assoc.signer.defer_exhaustion = self.config.rekey_threshold > 0
-        if self.paths is not None:
-            # Terminal rto-escape interception: the signer consults this
-            # before failing an exchange; a successful path switch lets
-            # it re-present the in-flight S1s instead (it calls its own
-            # represent(), so the hook only moves the route).
-            assoc.signer.escape_hook = (
-                lambda cause, hook_now, a=assoc:
-                    self._switch_path(a, hook_now, cause)
-            )
+        # Terminal rto-escape interception: the signer consults this
+        # before failing an exchange; a successful path switch lets it
+        # re-present the in-flight S1s instead (it calls its own
+        # represent(), so the hook only moves the route). The hook holds
+        # the endpoint weakly and the association not at all, so no
+        # reference cycle runs through the signer: a dropped endpoint or
+        # a retired association, chains and all, is freed at once
+        # instead of waiting for the cycle collector.
+        assoc.signer.escape_hook = functools.partial(
+            AlphaEndpoint._switch_path, weakref.proxy(self),
+            assoc.peer, assoc.assoc_id,
+        )
         if self.config.adaptive:
             assoc.controller = AdaptiveController(
                 assoc.signer,
@@ -714,8 +714,7 @@ class AlphaEndpoint:
                 escaped = True
         completed = assoc.signer.exchanges_completed
         if (
-            self.paths is not None
-            and completed > assoc.completions_seen
+            completed > assoc.completions_seen
             and not assoc.retired
             and not assoc.down
         ):
@@ -725,33 +724,32 @@ class AlphaEndpoint:
         self._check_dead_peer(assoc, now, out, force=escaped)
 
     def _switch_path(
-        self, assoc: Association, now: float, cause: str
+        self, peer: str, assoc_id: int, cause: str, now: float
     ) -> bool:
-        """Promote the best backup path for ``assoc``'s peer."""
+        """Promote the best backup path to ``peer``."""
         paths = self.paths
-        if paths is None or not paths.candidates(assoc.peer):
+        if not paths.candidates(peer):
             return False
-        old = paths.active(assoc.peer)
-        new = paths.fail_over(assoc.peer)
+        old = paths.active(peer)
+        new = paths.fail_over(peer)
         if new is None:
             self.stats.failovers_exhausted += 1
             if self.obs.enabled:
                 self.obs.tracer.emit(
-                    now, self.name, EventKind.FAILOVER_EXHAUSTED,
-                    assoc.assoc_id,
-                    info=f"cause={cause} spent={paths.failover_count(assoc.peer)}",
+                    now, self.name, EventKind.FAILOVER_EXHAUSTED, assoc_id,
+                    info=f"cause={cause} spent={paths.failover_count(peer)}",
                 )
                 self.obs.registry.counter("resilience.failover.exhausted").inc()
             return False
         self.stats.failovers += 1
         if self.obs.enabled:
             self.obs.tracer.emit(
-                now, self.name, EventKind.FAILOVER, assoc.assoc_id,
+                now, self.name, EventKind.FAILOVER, assoc_id,
                 info=f"cause={cause} from={old.path_id} to={new.path_id}",
             )
             self.obs.registry.counter("resilience.failover.switches").inc()
         if self.config.on_path_switch is not None:
-            self.config.on_path_switch(assoc.peer, old, new)
+            self.config.on_path_switch(peer, old, new)
         return True
 
     def _check_dead_peer(
@@ -771,7 +769,7 @@ class AlphaEndpoint:
         # Hop death is not peer death: with a backup path registered,
         # move the association and re-present its in-flight S1s instead
         # of declaring the peer gone.
-        if self._switch_path(assoc, now, "dead-peer"):
+        if self._switch_path(assoc.peer, assoc.assoc_id, "dead-peer", now):
             assoc.signer.consecutive_failures = 0
             for payload in assoc.signer.represent(now):
                 out.replies.append((assoc.peer, payload))

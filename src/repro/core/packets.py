@@ -21,10 +21,13 @@ length-prefixed) because they travel before negotiation completes.
 from __future__ import annotations
 
 import enum
+import functools
+import re
 import struct
 from dataclasses import dataclass, field
+from typing import NoReturn
 
-from repro.core.exceptions import PacketError
+from repro.core.exceptions import PacketError, WireError
 from repro.core.modes import Mode
 from repro.core.wire import Reader, Writer
 
@@ -165,31 +168,6 @@ class S1Packet:
         writer.hash_list(self.pre_signatures, len(self.chain_element))
         return writer.getvalue()
 
-    @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "S1Packet":
-        mode_raw = reader.u8()
-        try:
-            mode = Mode(mode_raw)
-        except ValueError:
-            raise PacketError(f"unknown mode {mode_raw}") from None
-        flags = reader.u8()
-        chain_index = reader.u32()
-        chain_element = reader.raw(hash_size)
-        message_count = reader.u16()
-        pre_signatures = reader.hash_list(hash_size)
-        packet = cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            mode=mode,
-            chain_index=chain_index,
-            chain_element=chain_element,
-            pre_signatures=pre_signatures,
-            message_count=message_count,
-            reliable=bool(flags & FLAG_RELIABLE),
-        )
-        packet.validate()
-        return packet
-
     def validate(self) -> None:
         if self.message_count < 1:
             raise PacketError("S1 must cover at least one message")
@@ -255,39 +233,6 @@ class A1Packet:
             writer.raw(self.telemetry.encode())
         return writer.getvalue()
 
-    @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "A1Packet":
-        flags = reader.u8()
-        ack_index = reader.u32()
-        ack_element = reader.raw(hash_size)
-        echo_sig_index = reader.u32()
-        echo_sig_element = reader.raw(hash_size)
-        pre_acks: list[bytes] = []
-        pre_nacks: list[bytes] = []
-        amt_root = None
-        telemetry = None
-        if flags & FLAG_PRE_ACK_PAIR:
-            pre_acks = reader.hash_list(hash_size)
-            pre_nacks = reader.hash_list(hash_size)
-            if len(pre_acks) != len(pre_nacks):
-                raise PacketError("pre-acks and pre-nacks must pair up")
-        if flags & FLAG_AMT_ROOT:
-            amt_root = reader.raw(hash_size)
-        if flags & FLAG_TELEMETRY:
-            telemetry = LedgerSummary.decode(reader)
-        return cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            ack_index=ack_index,
-            ack_element=ack_element,
-            echo_sig_index=echo_sig_index,
-            echo_sig_element=echo_sig_element,
-            pre_acks=pre_acks,
-            pre_nacks=pre_nacks,
-            amt_root=amt_root,
-            telemetry=telemetry,
-        )
-
 
 @dataclass
 class S2Packet:
@@ -313,23 +258,6 @@ class S2Packet:
         writer.u16(self.msg_index).var_bytes(self.message)
         writer.hash_list(self.auth_path, len(self.disclosed_element))
         return writer.getvalue()
-
-    @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "S2Packet":
-        disclosed_index = reader.u32()
-        disclosed_element = reader.raw(hash_size)
-        msg_index = reader.u16()
-        message = reader.var_bytes()
-        auth_path = reader.hash_list(hash_size)
-        return cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            disclosed_index=disclosed_index,
-            disclosed_element=disclosed_element,
-            msg_index=msg_index,
-            message=message,
-            auth_path=auth_path,
-        )
 
 
 @dataclass
@@ -363,26 +291,6 @@ class A2Packet:
             writer.u16(verdict.msg_index).u8(1 if verdict.is_ack else 0)
             writer.var_bytes(verdict.secret).hash_list(verdict.path, h)
         return writer.getvalue()
-
-    @classmethod
-    def decode_body(cls, reader: Reader, assoc_id: int, seq: int, hash_size: int) -> "A2Packet":
-        disclosed_index = reader.u32()
-        disclosed_element = reader.raw(hash_size)
-        count = reader.u16()
-        verdicts = []
-        for _ in range(count):
-            msg_index = reader.u16()
-            is_ack = bool(reader.u8())
-            secret = reader.var_bytes()
-            path = reader.hash_list(hash_size)
-            verdicts.append(AckVerdict(msg_index, is_ack, secret, path))
-        return cls(
-            assoc_id=assoc_id,
-            seq=seq,
-            disclosed_index=disclosed_index,
-            disclosed_element=disclosed_element,
-            verdicts=verdicts,
-        )
 
 
 @dataclass
@@ -495,11 +403,6 @@ class HandshakePacket:
 
 AnyPacket = S1Packet | A1Packet | S2Packet | A2Packet | HandshakePacket
 
-#: Wire type byte -> body decoder; the handshake types are absent.
-_BODY_DECODERS = {
-    int(cls.TYPE): cls.decode_body for cls in (S1Packet, A1Packet, S2Packet, A2Packet)
-}
-
 
 def peek_type(data: bytes) -> PacketType:
     """Classify a packet without decoding its body."""
@@ -515,33 +418,75 @@ def peek_assoc_id(data: bytes) -> int:
     return assoc_id
 
 
-# -- one-unpack intake (PROTOCOL.md §14.2) ------------------------------------
+# -- one-pass intake (PROTOCOL.md §14.2) --------------------------------------
 #
 # A data packet is the 16-byte header, a run of fixed-width body fields,
 # and a variable tail. One precompiled Struct per (type, hash width) reads
 # the header and the fixed fields in one ``unpack_from``; the tail is
-# sliced straight out of the ``bytes``. Each ``_unpack_*`` returns
-# ``None`` on any fault, and :func:`decode_packet` then runs the
-# ``Reader`` parse, which raises: the ``Reader`` stays the one source of
-# error text and ``WireError`` geometry.
+# sliced straight out of the ``bytes``. Every check is an inline
+# comparison. The branch that fails raises the first fault in wire
+# order, with the text and ``WireError`` geometry a field-by-field read
+# gives, through the helpers below; a well-formed packet calls none.
 
 #: One A2 verdict's fixed fields: msg_index u16 | is_ack u8 | secret length u16.
 _VERDICT = struct.Struct(">HBH")
 _MODES = {int(mode): mode for mode in Mode}
+#: Offset of S1's mode byte, the first field after the header.
+_MODE_AT = _HEADER.size
 
 
-def _hash_list(data: bytes, offset: int, h: int) -> tuple[list[bytes] | None, int]:
+@functools.cache
+def _field_sizes(fmt: str) -> tuple[int, ...]:
+    """The byte width of each field of a big-endian ``Struct`` format."""
+    return tuple(struct.calcsize(">" + f) for f in re.findall(r"\d*\D", fmt[1:]))
+
+
+def _check_fixed(data: bytes) -> None:
+    """Raise for a bad magic, version or S1 mode among the bytes present."""
+    if len(data) >= 2 and data[0] << 8 | data[1] != MAGIC:
+        raise PacketError(f"bad magic 0x{data[0] << 8 | data[1]:04x}")
+    if len(data) >= 3 and data[2] != VERSION:
+        raise PacketError(f"unsupported version {data[2]}")
+    if (
+        len(data) > _MODE_AT and data[3] == PacketType.S1
+        and data[_MODE_AT] not in _MODES
+    ):
+        raise PacketError(f"unknown mode {data[_MODE_AT]}")
+
+
+def _short_field(data: bytes, offset: int, layout: struct.Struct) -> NoReturn:
+    """Raise for the first field of ``layout`` at ``offset`` that ``data``
+    cuts short (the caller knows one does)."""
+    for size in _field_sizes(layout.format):
+        if offset + size > len(data):
+            break
+        offset += size
+    raise WireError(offset, size, len(data) - offset)
+
+
+def _short_list(data: bytes, start: int, h: int) -> NoReturn:
+    """Raise for the first element of the hash list at ``start`` that
+    ``data`` cuts short."""
+    short = start + (len(data) - start) // h * h
+    raise WireError(short, h, len(data) - short)
+
+
+def _trailing(data: bytes, end: int) -> NoReturn:
+    raise PacketError(f"{len(data) - end} trailing bytes after packet")
+
+
+def _hash_list(data: bytes, offset: int, h: int) -> tuple[list[bytes], int]:
     """The u16-counted hash list at ``offset`` and the offset after it."""
     start = offset + 2
     if start > len(data):
-        return None, 0
+        raise WireError(offset, 2, len(data) - offset)
     end = start + (data[offset] << 8 | data[offset + 1]) * h
     if end > len(data):
-        return None, 0
+        _short_list(data, start, h)
     return [data[i : i + h] for i in range(start, end, h)], end
 
 
-def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet | None:
+def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet:
     """Fixed: mode u8 | flags u8 | chain_index u32 | chain_element |
     message_count u16 | pre-signature count u16. Tail: the pre-signatures."""
     (magic, version, _, assoc_id, seq, mode, flags, chain_index, chain_element,
@@ -549,92 +494,95 @@ def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet | None:
     start = fixed.size
     end = start + count * h
     mode = _MODES.get(mode)
-    if magic != MAGIC or version != VERSION or mode is None or end != len(data):
-        return None
+    if magic != MAGIC or version != VERSION or mode is None or end > len(data):
+        _check_fixed(data)
+        _short_list(data, start, h)
     packet = S1Packet(
         assoc_id, seq, mode, chain_index, chain_element,
         [data[i : i + h] for i in range(start, end, h)],
         message_count, bool(flags & FLAG_RELIABLE),
     )
-    try:
-        packet.validate()
-    except PacketError:
-        return None
+    packet.validate()
+    if end != len(data):
+        _trailing(data, end)
     return packet
 
 
-def _unpack_a1(data: bytes, fixed: struct.Struct, h: int) -> A1Packet | None:
+def _unpack_a1(data: bytes, fixed: struct.Struct, h: int) -> A1Packet:
     """Fixed: flags u8 | ack_index u32 | ack_element | echo_sig_index u32 |
     echo_sig_element. Tail, by flag: the pre-ack and pre-nack lists, the
     AMT root, the ledger summary."""
     (magic, version, _, assoc_id, seq, flags, ack_index, ack_element,
      echo_sig_index, echo_sig_element) = fixed.unpack_from(data)
     if magic != MAGIC or version != VERSION:
-        return None
+        _check_fixed(data)
     offset = fixed.size
-    pre_acks: list[bytes] | None = []
-    pre_nacks: list[bytes] | None = []
+    pre_acks: list[bytes] = []
+    pre_nacks: list[bytes] = []
     amt_root = telemetry = None
     if flags & FLAG_PRE_ACK_PAIR:
         pre_acks, offset = _hash_list(data, offset, h)
-        if pre_acks is None:
-            return None
         pre_nacks, offset = _hash_list(data, offset, h)
-        if pre_nacks is None or len(pre_acks) != len(pre_nacks):
-            return None
+        if len(pre_acks) != len(pre_nacks):
+            raise PacketError("pre-acks and pre-nacks must pair up")
     if flags & FLAG_AMT_ROOT:
+        if offset + h > len(data):
+            raise WireError(offset, h, len(data) - offset)
         amt_root = data[offset : offset + h]
         offset += h
     if flags & FLAG_TELEMETRY:
         if offset + LedgerSummary.SIZE > len(data):
-            return None
+            _short_field(data, offset, _LEDGER_SUMMARY)
         telemetry = LedgerSummary.unpack_from(data, offset)
         offset += LedgerSummary.SIZE
     if offset != len(data):
-        return None
+        _trailing(data, offset)
     return A1Packet(
         assoc_id, seq, ack_index, ack_element, echo_sig_index, echo_sig_element,
         pre_acks, pre_nacks, amt_root, telemetry,
     )
 
 
-def _unpack_s2(data: bytes, fixed: struct.Struct, h: int) -> S2Packet | None:
+def _unpack_s2(data: bytes, fixed: struct.Struct, h: int) -> S2Packet:
     """Fixed: disclosed_index u32 | disclosed_element | msg_index u16 |
     message length u16. Tail: the message, the auth path."""
     (magic, version, _, assoc_id, seq, disclosed_index, disclosed_element,
      msg_index, length) = fixed.unpack_from(data)
     start = fixed.size
-    auth_path, end = _hash_list(data, start + length, h)
-    if magic != MAGIC or version != VERSION or end != len(data):
-        return None
+    stop = start + length
+    if magic != MAGIC or version != VERSION or stop > len(data):
+        _check_fixed(data)
+        raise WireError(start, length, len(data) - start)
+    auth_path, end = _hash_list(data, stop, h)
+    if end != len(data):
+        _trailing(data, end)
     return S2Packet(
         assoc_id, seq, disclosed_index, disclosed_element, msg_index,
-        data[start : start + length], auth_path,
+        data[start:stop], auth_path,
     )
 
 
-def _unpack_a2(data: bytes, fixed: struct.Struct, h: int) -> A2Packet | None:
+def _unpack_a2(data: bytes, fixed: struct.Struct, h: int) -> A2Packet:
     """Fixed: disclosed_index u32 | disclosed_element | verdict count u16.
     Tail: the verdicts."""
     (magic, version, _, assoc_id, seq, disclosed_index, disclosed_element,
      count) = fixed.unpack_from(data)
     if magic != MAGIC or version != VERSION:
-        return None
+        _check_fixed(data)
     offset = fixed.size
     verdicts = []
     for _ in range(count):
         if offset + _VERDICT.size > len(data):
-            return None
+            _short_field(data, offset, _VERDICT)
         msg_index, is_ack, length = _VERDICT.unpack_from(data, offset)
         start = offset + _VERDICT.size
-        path, offset = _hash_list(data, start + length, h)
-        if path is None:
-            return None
-        verdicts.append(
-            AckVerdict(msg_index, bool(is_ack), data[start : start + length], path)
-        )
+        stop = start + length
+        if stop > len(data):
+            raise WireError(start, length, len(data) - start)
+        path, offset = _hash_list(data, stop, h)
+        verdicts.append(AckVerdict(msg_index, bool(is_ack), data[start:stop], path))
     if offset != len(data):
-        return None
+        _trailing(data, offset)
     return A2Packet(assoc_id, seq, disclosed_index, disclosed_element, verdicts)
 
 
@@ -662,15 +610,16 @@ def _intake(hash_size: int) -> dict[int, tuple]:
 
 
 def decode_packet(data: bytes, hash_size: int) -> AnyPacket:
-    """Decode any ALPHA packet.
+    """Decode any ALPHA packet, or raise the first fault in wire order.
 
     ``hash_size`` is the digest width of the association's negotiated
     hash (ignored for the self-describing handshake packets).
 
-    S1, A1, S2 and A2 are read with one ``unpack_from`` of their
-    header and fixed fields plus slices of their tail. A handshake, or
-    a data packet with any fault, takes the ``Reader`` parse instead,
-    which raises the same error as :func:`peek_type` for a bad header.
+    S1, A1, S2 and A2 are read in one pass: one ``unpack_from`` of
+    their header and fixed fields plus slices of their tail. Only a
+    handshake, or a header whose type has no layout at ``hash_size``,
+    takes the ``Reader`` parse, which raises the same error as
+    :func:`peek_type` for a bad header.
     """
     if type(data) is not bytes:
         data = bytes(data)
@@ -679,22 +628,22 @@ def decode_packet(data: bytes, hash_size: int) -> AnyPacket:
         if entry is not None:
             fixed, unpack = entry
             if len(data) >= fixed.size:
-                packet = unpack(data, fixed, hash_size)
-                if packet is not None:
-                    return packet
-    return _decode_fields(data, hash_size)
+                return unpack(data, fixed, hash_size)
+            _check_fixed(data)
+            _short_field(data, 0, fixed)
+        return _decode_handshake(data, hash_size)
+    _check_fixed(data)
+    _short_field(data, 0, _HEADER)
 
 
-def _decode_fields(data: bytes, hash_size: int) -> AnyPacket:
-    """The field-by-field ``Reader`` parse of any packet."""
+def _decode_handshake(data: bytes, hash_size: int) -> HandshakePacket:
+    """The ``Reader`` parse of an HS1/HS2; any other header raises."""
     reader = Reader(data)
     packet_type, assoc_id, seq = _read_header(reader)
-    decode_body = _BODY_DECODERS.get(int(packet_type))
-    if decode_body is None:
-        packet = HandshakePacket.decode_body(
-            reader, assoc_id, seq, is_response=packet_type is PacketType.HS2
-        )
-    else:
-        packet = decode_body(reader, assoc_id, seq, hash_size)
+    if packet_type is not PacketType.HS1 and packet_type is not PacketType.HS2:
+        raise PacketError(f"no {packet_type.name} layout at hash width {hash_size}")
+    packet = HandshakePacket.decode_body(
+        reader, assoc_id, seq, is_response=packet_type is PacketType.HS2
+    )
     reader.expect_end()
     return packet

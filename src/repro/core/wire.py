@@ -1,24 +1,24 @@
 """Binary codec helpers.
 
-Small, explicit big-endian writer/reader pair used by
-:mod:`repro.core.packets`. Variable-length fields are 16-bit
-length-prefixed; hash lists are 16-bit counted with a fixed element
-width. Reads validate bounds and raise
+Small, explicit big-endian writer/reader pair. Variable-length fields
+are 16-bit length-prefixed; hash lists are 16-bit counted with a fixed
+element width. Reads validate bounds and raise
 :class:`~repro.core.exceptions.WireError` (a
 :class:`~repro.core.exceptions.PacketError`) on truncation so malformed
 network input can never surface as an :class:`IndexError`.
 
-Codec design (PROTOCOL.md §14.2): every packet type encodes through
-:class:`Writer`. Handshakes decode through :class:`Reader`; S1/A1/S2/A2
-decode in one ``unpack_from`` (:func:`repro.core.packets.decode_packet`)
-and fall back to :class:`Reader` on any fault, so its errors are the
-only ones a decode raises. The reader holds
-its input as ``bytes`` -- the caller's object itself when it already
-is ``bytes``, one copy otherwise -- so every field it returns is
-immutable and outlives the datagram buffer it came from. Integer
-fields use precompiled :class:`struct.Struct` codecs: the writer
-packs each one, and the reader unpacks in place at an explicit
-offset with ``unpack_from``.
+Codec design (PROTOCOL.md §14.2): every ALPHA packet type encodes
+through :class:`Writer`. :class:`Reader` is the decoder for
+self-describing formats: the handshakes,
+:func:`repro.core.packets.peek_type`, the baselines and the apps.
+S1/A1/S2/A2 do not use it; they decode in one pass
+(:func:`repro.core.packets.decode_packet`) that raises the error this
+reader would. The reader holds its input as ``bytes`` -- the caller's
+object itself when it already is ``bytes``, one copy otherwise -- so
+every field it returns is immutable and outlives the datagram buffer
+it came from. Integer fields use precompiled :class:`struct.Struct`
+codecs: the writer packs each one, and the reader unpacks in place at
+an explicit offset with ``unpack_from``.
 """
 
 from __future__ import annotations

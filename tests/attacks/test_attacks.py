@@ -12,7 +12,6 @@ from repro.attacks import (
 )
 from repro.attacks.reformatting import demonstrate
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core.modes import Mode
 from repro.core.relay import RelayConfig
 from repro.netsim import Network
 from repro.transports.netsim import EndpointAdapter, RelayAdapter

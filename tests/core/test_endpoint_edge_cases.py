@@ -1,5 +1,7 @@
 """Endpoint and session edge cases: eviction, multi-peer, MMO end-to-end."""
 
+import gc
+import weakref
 
 from repro.core.bootstrap import establish_static
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
@@ -97,6 +99,25 @@ class TestMultiPeerEndpoint:
         hub.set_channel_config("b", ChannelConfig(mode=Mode.BASE))
         assert hub.association("a").signer.config.mode is Mode.MERKLE
         assert hub.association("b").signer.config.mode is Mode.BASE
+
+
+class TestNoReferenceCycle:
+    def test_dropped_endpoints_are_freed_without_the_cycle_collector(self):
+        # Every signer carries the endpoint's path-failover hook. Were it
+        # a strong reference, each endpoint and its chains would live on
+        # in a cycle until the collector ran.
+        gc.disable()
+        try:
+            a = AlphaEndpoint("a", EndpointConfig(chain_length=128), seed=5)
+            b = AlphaEndpoint("b", EndpointConfig(chain_length=128), seed=6)
+            establish_static(a, b)
+            a.paths.register("b", "via-r1", ("r1",))
+            a.paths.register("b", "via-r2", ("r2",))
+            refs = [weakref.ref(a), weakref.ref(b)]
+            del a, b
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestMmoEndToEnd:

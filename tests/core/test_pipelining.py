@@ -11,7 +11,6 @@ speedup.
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core.modes import Mode
 from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.netsim import Network

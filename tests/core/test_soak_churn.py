@@ -73,7 +73,6 @@ def test_soak_survives_sequential_path_deaths(paths, churn_period_s):
         rto_max_s=1.0,
         dead_peer_threshold=0,
         rekey_threshold=0,
-        failover=True,
         max_failovers=4 * paths,
         on_path_switch=route_installer(net),
     )

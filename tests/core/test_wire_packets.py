@@ -1,7 +1,12 @@
 """Wire codec helpers and packet formats."""
 
+import json
+import pathlib
+from unittest import mock
+
 import pytest
 
+from repro.core import packets
 from repro.core.exceptions import PacketError
 from repro.core.modes import Mode
 from repro.core.packets import (
@@ -256,3 +261,34 @@ class TestEncodeErrorContract:
         # Acks without nacks: TestPacketCodec.test_a1_unpaired_preacks_rejected_on_encode.
         with pytest.raises(PacketError, match="pair up"):
             a1(acks, nacks).encode()
+
+
+CORPUS = pathlib.Path(__file__).parents[1] / "golden" / "wire_vectors.jsonl"
+DATA_VECTORS = [
+    vector
+    for vector in map(json.loads, CORPUS.read_text(encoding="utf-8").splitlines()[1:])
+    if vector["type"] in ("S1Packet", "A1Packet", "S2Packet", "A2Packet")
+]
+
+
+class TestOnePassDecode:
+    """S1/A1/S2/A2 decode in one pass: neither a well-formed data packet
+    nor a broken one builds a ``Reader``. The error each raises is checked
+    against a field-by-field reference in
+    ``tests/properties/test_relay_intake.py``."""
+
+    @pytest.mark.parametrize("vector", DATA_VECTORS, ids=lambda v: v["name"])
+    def test_data_packets_build_no_reader(self, vector):
+        data, h = bytes.fromhex(vector["hex"]), vector["hash_size"]
+        with mock.patch.object(packets, "Reader", side_effect=AssertionError):
+            assert decode_packet(data, h).encode() == data
+            for end in range(len(data)):
+                with pytest.raises(PacketError):
+                    decode_packet(data[:end], h)
+            for extra in (b"\x00", b"\xff"):
+                with pytest.raises(PacketError, match="1 trailing bytes"):
+                    decode_packet(data + extra, h)
+
+    def test_data_packet_at_a_width_with_no_layout(self):
+        with pytest.raises(PacketError, match="no S1 layout at hash width 0"):
+            decode_packet(sample_packets()[0].encode(), 0)

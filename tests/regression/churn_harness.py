@@ -119,7 +119,6 @@ def _endpoint_config(
         dead_peer_threshold=0,
         rekey_threshold=0,
         adaptive=False,
-        failover=failover,
         on_path_switch=route_installer(net) if failover else None,
     )
 
@@ -240,8 +239,8 @@ def run_relay_crash(
 ) -> ChurnRun:
     """Primary relay crashes permanently mid-exchange; no restart ever.
 
-    ``failover=False`` runs the identical schedule without a path
-    manager — the pre-failover baseline the corpus must prove fails.
+    ``failover=False`` runs the identical schedule with no backup path
+    registered — the pre-failover baseline the corpus must prove fails.
     """
 
     def plant(net, relays):
