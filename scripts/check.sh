@@ -80,8 +80,9 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # ledger, golden corpus, the HMAC/DRBG byte pins that every wire secret
 # comes from, the Merkle/AMT tally identity, the data-packet decode
 # errors and their WireError geometry against a field-by-field
-# reference, and the relay's eviction order and byte total against
-# their plain rules) must not depend on
+# reference, the data-packet encode bytes and errors against a
+# field-by-field Writer reference, and the relay's eviction order and
+# byte total against their plain rules) must not depend on
 # set or dict ordering that follows string hashing: re-run them under
 # two fixed hash seeds.
 for seed in 0 1; do
@@ -90,6 +91,7 @@ for seed in 0 1; do
         python -m pytest -x -q tests/benchmarks tests/security tests/golden \
         tests/crypto tests/properties/test_merkle_tally_identity.py \
         tests/properties/test_relay_intake.py \
+        tests/properties/test_encode_differential.py \
         tests/properties/test_relay_ttl_watermark.py \
         tests/core/test_relay_byte_total.py \
         tests/core/test_merkle_cache.py tests/core/test_amt_cache.py

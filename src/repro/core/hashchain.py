@@ -23,7 +23,10 @@ position, built by a single tight loop over the raw hash callable at
 construction time (the work is charged to the operation counter in one
 bulk record — same tallies, none of the per-call bookkeeping).
 :meth:`HashChain.element` slices the buffer. :class:`ChainElement` is a
-``NamedTuple`` so the pairs the hot path does allocate are tuple-cheap.
+``NamedTuple``: cheaper than the frozen dataclass it replaced, but not
+tuple-cheap, because its ``__new__`` is a Python-level call (about
+320-500 ns per pair against 50-70 ns for a plain tuple on a 2-vCPU VM,
+Python 3.11).
 """
 
 from __future__ import annotations

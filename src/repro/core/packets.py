@@ -29,13 +29,24 @@ from typing import NoReturn
 
 from repro.core.exceptions import PacketError, WireError
 from repro.core.modes import Mode
-from repro.core.wire import Reader, Writer
+from repro.core.wire import U16, U32, Reader, Writer
 
 MAGIC = 0xA1FA
 VERSION = 1
 
 #: magic u16 | version u8 | type u8 | assoc_id u64 | seq u32
 _HEADER = struct.Struct(">HBBQI")
+
+#: Data-packet encode layouts: each is one run of integer fields.
+#: The header plus S1's mode u8 | flags u8 | chain_index u32.
+_S1_HEAD = struct.Struct(_HEADER.format + "BBI")
+#: Two u16: S1's message_count | pre-signature count, or S2's
+#: msg_index | message length.
+_TWO_U16 = struct.Struct(">HH")
+#: The header plus A1's flags u8 | ack_index u32.
+_A1_HEAD = struct.Struct(_HEADER.format + "BI")
+#: The header plus the disclosed_index u32 of S2 and A2.
+_DISCLOSURE_HEAD = struct.Struct(_HEADER.format + "I")
 
 
 class PacketType(enum.IntEnum):
@@ -123,12 +134,11 @@ class LedgerSummary:
 
     def encode(self) -> bytes:
         """The 16-byte wire field, each counter saturated to u32."""
-        return _LEDGER_SUMMARY.pack(
-            _saturate(self.corrupt_arrivals),
-            _saturate(self.verified),
-            _saturate(self.dropped),
-            _saturate(self.rtt_us),
-        )
+        counters = (self.corrupt_arrivals, self.verified, self.dropped, self.rtt_us)
+        try:
+            return _LEDGER_SUMMARY.pack(*counters)
+        except struct.error:
+            return _LEDGER_SUMMARY.pack(*map(_saturate, counters))
 
     @classmethod
     def decode(cls, reader: Reader) -> "LedgerSummary":
@@ -138,6 +148,43 @@ class LedgerSummary:
     def unpack_from(cls, data: bytes, offset: int) -> "LedgerSummary":
         """Read the 16-byte field at ``offset`` of a buffer long enough."""
         return cls(*_LEDGER_SUMMARY.unpack_from(data, offset))
+
+
+# -- data-packet encode (PROTOCOL.md §14.2) -----------------------------------
+#
+# S1/A1/S2/A2 ``encode()`` packs each run of integer fields with one
+# precompiled Struct and returns one ``b"".join`` of those runs, the
+# fixed-width fields, the message and the list items. Fixed-width fields
+# are joined as given, unchecked. The errors are those of a field-by-field
+# write: ``ValueError`` for a length or count past 16 bits and for a
+# hash-list item whose width differs from the packet's chain element,
+# ``struct.error`` for an integer out of range, each for the first such
+# field in wire order. Only a failing pack calls :func:`_pack_fault`.
+
+#: ``_pack_fault`` codes for the length prefixes a field-by-field write
+#: checks itself, and the text of the ``ValueError`` it raises.
+_TOO_LONG = {"V": "var_bytes field too long", "L": "hash list too long"}
+
+
+def _pack_fault(codes: str, *values: int) -> NoReturn:
+    """Raise for the first of ``values`` (the caller's integer fields of
+    one failed pack, in wire order) that a field-by-field write rejects.
+
+    ``codes`` holds one struct code per value, or ``V`` for a var_bytes
+    length and ``L`` for a hash-list count; those two raise
+    ``ValueError`` past 16 bits, any other field the ``struct.error`` of
+    packing it alone."""
+    for code, value in zip(codes, values):
+        if code in _TOO_LONG:
+            if value > 0xFFFF:
+                raise ValueError(f"{_TOO_LONG[code]}: {value}")
+        else:
+            struct.pack(">" + code, value)
+    raise AssertionError(f"no field of {codes!r} fails to pack")
+
+
+def _width_fault(width: int, value: bytes) -> NoReturn:
+    raise ValueError(f"hash width mismatch: expected {width}, got {len(value)}")
 
 
 @dataclass
@@ -161,12 +208,23 @@ class S1Packet:
     TYPE = PacketType.S1
 
     def encode(self) -> bytes:
-        writer = _header(self.TYPE, self.assoc_id, self.seq)
-        writer.u8(int(self.mode)).u8(FLAG_RELIABLE if self.reliable else 0)
-        writer.u32(self.chain_index).raw(self.chain_element)
-        writer.u16(self.message_count)
-        writer.hash_list(self.pre_signatures, len(self.chain_element))
-        return writer.getvalue()
+        element, sigs = self.chain_element, self.pre_signatures
+        try:
+            head = _S1_HEAD.pack(
+                MAGIC, VERSION, self.TYPE, self.assoc_id, self.seq, self.mode,
+                FLAG_RELIABLE if self.reliable else 0, self.chain_index,
+            )
+            counts = _TWO_U16.pack(self.message_count, len(sigs))
+        except struct.error:
+            _pack_fault(
+                "QIBIHL", self.assoc_id, self.seq, self.mode, self.chain_index,
+                self.message_count, len(sigs),
+            )
+        h = len(element)
+        for value in sigs:
+            if len(value) != h:
+                _width_fault(h, value)
+        return b"".join([head, element, counts, *sigs])
 
     def validate(self) -> None:
         if self.message_count < 1:
@@ -212,26 +270,48 @@ class A1Packet:
     TYPE = PacketType.A1
 
     def encode(self) -> bytes:
-        h = len(self.ack_element)
+        element, acks, nacks = self.ack_element, self.pre_acks, self.pre_nacks
+        amt_root, telemetry = self.amt_root, self.telemetry
         flags = 0
-        if self.pre_acks or self.pre_nacks:
-            if len(self.pre_acks) != len(self.pre_nacks):
+        if acks or nacks:
+            if len(acks) != len(nacks):
                 raise PacketError("pre-acks and pre-nacks must pair up")
-            flags |= FLAG_PRE_ACK_PAIR
-        if self.amt_root is not None:
+            flags = FLAG_PRE_ACK_PAIR
+        if amt_root is not None:
             flags |= FLAG_AMT_ROOT
-        if self.telemetry is not None:
+        if telemetry is not None:
             flags |= FLAG_TELEMETRY
-        writer = _header(self.TYPE, self.assoc_id, self.seq)
-        writer.u8(flags).u32(self.ack_index).raw(self.ack_element)
-        writer.u32(self.echo_sig_index).raw(self.echo_sig_element)
+        try:
+            parts = [
+                _A1_HEAD.pack(
+                    MAGIC, VERSION, self.TYPE, self.assoc_id, self.seq, flags,
+                    self.ack_index,
+                ),
+                element,
+                U32.pack(self.echo_sig_index),
+                self.echo_sig_element,
+            ]
+            if flags & FLAG_PRE_ACK_PAIR:
+                count = U16.pack(len(acks))
+        except struct.error:
+            _pack_fault(
+                "QIIIL", self.assoc_id, self.seq, self.ack_index,
+                self.echo_sig_index, len(acks),
+            )
         if flags & FLAG_PRE_ACK_PAIR:
-            writer.hash_list(self.pre_acks, h).hash_list(self.pre_nacks, h)
-        if self.amt_root is not None:
-            writer.raw(self.amt_root)
-        if self.telemetry is not None:
-            writer.raw(self.telemetry.encode())
-        return writer.getvalue()
+            h = len(element)
+            for value in acks:
+                if len(value) != h:
+                    _width_fault(h, value)
+            for value in nacks:
+                if len(value) != h:
+                    _width_fault(h, value)
+            parts += (count, *acks, count, *nacks)
+        if amt_root is not None:
+            parts.append(amt_root)
+        if telemetry is not None:
+            parts.append(telemetry.encode())
+        return b"".join(parts)
 
 
 @dataclass
@@ -253,11 +333,24 @@ class S2Packet:
     TYPE = PacketType.S2
 
     def encode(self) -> bytes:
-        writer = _header(self.TYPE, self.assoc_id, self.seq)
-        writer.u32(self.disclosed_index).raw(self.disclosed_element)
-        writer.u16(self.msg_index).var_bytes(self.message)
-        writer.hash_list(self.auth_path, len(self.disclosed_element))
-        return writer.getvalue()
+        element, message, path = self.disclosed_element, self.message, self.auth_path
+        try:
+            head = _DISCLOSURE_HEAD.pack(
+                MAGIC, VERSION, self.TYPE, self.assoc_id, self.seq,
+                self.disclosed_index,
+            )
+            lengths = _TWO_U16.pack(self.msg_index, len(message))
+            count = U16.pack(len(path))
+        except struct.error:
+            _pack_fault(
+                "QIIHVL", self.assoc_id, self.seq, self.disclosed_index,
+                self.msg_index, len(message), len(path),
+            )
+        h = len(element)
+        for value in path:
+            if len(value) != h:
+                _width_fault(h, value)
+        return b"".join([head, element, lengths, message, count, *path])
 
 
 @dataclass
@@ -283,14 +376,37 @@ class A2Packet:
     TYPE = PacketType.A2
 
     def encode(self) -> bytes:
-        h = len(self.disclosed_element)
-        writer = _header(self.TYPE, self.assoc_id, self.seq)
-        writer.u32(self.disclosed_index).raw(self.disclosed_element)
-        writer.u16(len(self.verdicts))
-        for verdict in self.verdicts:
-            writer.u16(verdict.msg_index).u8(1 if verdict.is_ack else 0)
-            writer.var_bytes(verdict.secret).hash_list(verdict.path, h)
-        return writer.getvalue()
+        element, verdicts = self.disclosed_element, self.verdicts
+        try:
+            parts = [
+                _DISCLOSURE_HEAD.pack(
+                    MAGIC, VERSION, self.TYPE, self.assoc_id, self.seq,
+                    self.disclosed_index,
+                ),
+                element,
+                U16.pack(len(verdicts)),
+            ]
+        except struct.error:
+            _pack_fault(
+                "QIIH", self.assoc_id, self.seq, self.disclosed_index, len(verdicts)
+            )
+        h = len(element)
+        for verdict in verdicts:
+            secret, path = verdict.secret, verdict.path
+            is_ack = 1 if verdict.is_ack else 0
+            try:
+                parts += (
+                    _VERDICT.pack(verdict.msg_index, is_ack, len(secret)),
+                    secret,
+                    U16.pack(len(path)),
+                )
+            except struct.error:
+                _pack_fault("HBVL", verdict.msg_index, is_ack, len(secret), len(path))
+            for value in path:
+                if len(value) != h:
+                    _width_fault(h, value)
+            parts += path
+        return b"".join(parts)
 
 
 @dataclass
@@ -475,15 +591,37 @@ def _trailing(data: bytes, end: int) -> NoReturn:
     raise PacketError(f"{len(data) - end} trailing bytes after packet")
 
 
+#: The longest hash list read through one cached ``Struct``; a longer one
+#: (no ALPHA batch needs it, but a sender may claim any u16 count) is
+#: sliced item by item.
+_LIST_LAYOUT_MAX = 64
+
+
+@functools.lru_cache(maxsize=256)
+def _list_layout(count: int, h: int) -> struct.Struct:
+    """``count`` consecutive ``h``-byte items, for ``count`` up to
+    :data:`_LIST_LAYOUT_MAX`. The cache holds at most 256 of them,
+    whatever counts and widths arrive."""
+    return struct.Struct(f"{h}s" * count)
+
+
+def _items(data: bytes, start: int, count: int, h: int) -> list[bytes]:
+    """The ``count`` ``h``-byte items at ``start``, which ``data`` holds."""
+    if count <= _LIST_LAYOUT_MAX:
+        return list(_list_layout(count, h).unpack_from(data, start))
+    return [data[i : i + h] for i in range(start, start + count * h, h)]
+
+
 def _hash_list(data: bytes, offset: int, h: int) -> tuple[list[bytes], int]:
     """The u16-counted hash list at ``offset`` and the offset after it."""
     start = offset + 2
     if start > len(data):
         raise WireError(offset, 2, len(data) - offset)
-    end = start + (data[offset] << 8 | data[offset + 1]) * h
+    count = data[offset] << 8 | data[offset + 1]
+    end = start + count * h
     if end > len(data):
         _short_list(data, start, h)
-    return [data[i : i + h] for i in range(start, end, h)], end
+    return (_items(data, start, count, h) if count else []), end
 
 
 def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet:
@@ -499,8 +637,7 @@ def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet:
         _short_list(data, start, h)
     packet = S1Packet(
         assoc_id, seq, mode, chain_index, chain_element,
-        [data[i : i + h] for i in range(start, end, h)],
-        message_count, bool(flags & FLAG_RELIABLE),
+        _items(data, start, count, h), message_count, bool(flags & FLAG_RELIABLE),
     )
     packet.validate()
     if end != len(data):

@@ -14,6 +14,7 @@ that decision point.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -154,6 +155,9 @@ class VerifierSession:
         self.accept_policy = accept_policy
         self.max_buffered_exchanges = max_buffered_exchanges
         self._exchanges: dict[int, _VerifierExchange] = {}
+        #: Heap of the buffered exchanges' seqs whose every message is
+        #: delivered: the first ones ``_remember`` sheds.
+        self._complete: list[int] = []
         self.delivered: list[DeliveredMessage] = []
         self.rejected_s1 = 0
         self.rejected_s2 = 0
@@ -226,21 +230,24 @@ class VerifierSession:
                 )
                 amt_root = exchange.amt.root
             else:
-                for _ in range(packet.message_count):
-                    s_ack = self._rng.random_bytes(_SECRET_SIZE)
-                    s_nack = self._rng.random_bytes(_SECRET_SIZE)
-                    exchange.ack_secrets.append(s_ack)
-                    exchange.nack_secrets.append(s_nack)
-                    pre_acks.append(
-                        self._hash.digest(
-                            ack_key.value + PRE_ACK_TAG + s_ack, label="pre-ack"
-                        )
-                    )
-                    pre_nacks.append(
-                        self._hash.digest(
-                            ack_key.value + PRE_NACK_TAG + s_nack, label="pre-nack"
-                        )
-                    )
+                # One DRBG request for the exchange's 2n secrets: message
+                # j's ack secret is bytes [32j, 32j+16) of the draw, its
+                # nack secret the next 16 (PROTOCOL.md §4).
+                draw = self._rng.random_bytes(2 * _SECRET_SIZE * packet.message_count)
+                secrets = [
+                    draw[i : i + _SECRET_SIZE] for i in range(0, len(draw), _SECRET_SIZE)
+                ]
+                exchange.ack_secrets = secrets[0::2]
+                exchange.nack_secrets = secrets[1::2]
+                digest, key = self._hash.digest, ack_key.value
+                pre_acks = [
+                    digest(key + PRE_ACK_TAG + secret, label="pre-ack")
+                    for secret in exchange.ack_secrets
+                ]
+                pre_nacks = [
+                    digest(key + PRE_NACK_TAG + secret, label="pre-nack")
+                    for secret in exchange.nack_secrets
+                ]
         a1 = A1Packet(
             assoc_id=self.assoc_id,
             seq=packet.seq,
@@ -299,6 +306,8 @@ class VerifierSession:
             self._obs.registry.counter("verifier.s2_accepted").inc()
         if valid and packet.msg_index not in exchange.delivered:
             exchange.delivered.add(packet.msg_index)
+            if len(exchange.delivered) == exchange.message_count:
+                heapq.heappush(self._complete, exchange.seq)
             self.delivered.append(
                 DeliveredMessage(packet.seq, packet.msg_index, packet.message)
             )
@@ -426,15 +435,11 @@ class VerifierSession:
             # briefly widen the in-flight window) evicting a buffered
             # exchange that still awaits S2s would silently drop its
             # messages. Within each class, the lowest sequence goes
-            # first.
-            victim = min(
-                self._exchanges.values(),
-                key=lambda ex: (
-                    len(ex.delivered) < ex.message_count,
-                    ex.seq,
-                ),
-            )
-            del self._exchanges[victim.seq]
+            # first: the heap's top, else a scan of the live ones.
+            if self._complete:
+                del self._exchanges[heapq.heappop(self._complete)]
+            else:
+                del self._exchanges[min(self._exchanges)]
 
     @property
     def awaiting_messages(self) -> bool:

@@ -7,13 +7,14 @@ element width. Reads validate bounds and raise
 :class:`~repro.core.exceptions.PacketError`) on truncation so malformed
 network input can never surface as an :class:`IndexError`.
 
-Codec design (PROTOCOL.md §14.2): every ALPHA packet type encodes
-through :class:`Writer`. :class:`Reader` is the decoder for
-self-describing formats: the handshakes,
-:func:`repro.core.packets.peek_type`, the baselines and the apps.
-S1/A1/S2/A2 do not use it; they decode in one pass
-(:func:`repro.core.packets.decode_packet`) that raises the error this
-reader would. The reader holds its input as ``bytes`` -- the caller's
+Codec design (PROTOCOL.md §14.2): :class:`Writer` encodes the
+handshakes, the baselines and the apps, and :class:`Reader` decodes
+the same self-describing formats and serves
+:func:`repro.core.packets.peek_type`. S1/A1/S2/A2 use neither: each
+encodes with one precompiled ``Struct`` pack per run of integer fields
+and one ``b"".join``, and decodes in one pass
+(:func:`repro.core.packets.decode_packet`), raising the error this
+writer or reader would. The reader holds its input as ``bytes`` -- the caller's
 object itself when it already is ``bytes``, one copy otherwise -- so
 every field it returns is immutable and outlives the datagram buffer
 it came from. Integer fields use precompiled :class:`struct.Struct`

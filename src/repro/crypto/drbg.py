@@ -58,16 +58,38 @@ class DRBG:
             self._value = self._hmac(self._key, self._value)
 
     def random_bytes(self, n: int) -> bytes:
-        """Return ``n`` pseudo-random bytes."""
+        """Return ``n`` pseudo-random bytes.
+
+        The key is fixed for the whole request, so a request of more
+        than one 32-byte block builds its two keyed SHA-256 states once
+        and copies them for each block: a block costs two state copies
+        and two compressions, not two pad translations and two fresh
+        constructors. One block is one plain HMAC.
+        """
         if n < 0:
             raise ValueError("byte count must be non-negative")
-        out = bytearray()
-        while len(out) < n:
-            self._value = self._hmac(self._key, self._value)
-            out.extend(self._value)
+        if n <= _DIGEST_SIZE:
+            if n:
+                self._value = self._hmac(self._key, self._value)
+            out = self._value
+        else:
+            key = self._key.ljust(_BLOCK_SIZE, b"\x00")
+            inner_key = _DIGEST(key.translate(IPAD))
+            outer_key = _DIGEST(key.translate(OPAD))
+            value = self._value
+            blocks = []
+            for _ in range(-(-n // _DIGEST_SIZE)):
+                inner = inner_key.copy()
+                inner.update(value)
+                outer = outer_key.copy()
+                outer.update(inner.digest())
+                value = outer.digest()
+                blocks.append(value)
+            self._value = value
+            out = b"".join(blocks)
         self._update()
         self._reseed_counter += 1
-        return bytes(out[:n])
+        return out[:n]
 
     def random_int(self, bits: int) -> int:
         """Return a uniform integer with exactly ``bits`` significant bits."""

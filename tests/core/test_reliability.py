@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
 from repro.core.packets import A2Packet, AckVerdict, decode_packet
-from repro.core.signer import ChannelConfig
+from repro.canonical import CanonicalChannel
+from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG, ChannelConfig
+from repro.crypto.drbg import DRBG
 
 from tests.core.test_sessions import make_channel
 
@@ -39,6 +41,34 @@ class TestPreAckCommitments:
         assert len(a1.pre_acks) == 3
         assert len(a1.pre_nacks) == 3
         assert a1.amt_root is None
+
+    def test_secrets_are_slices_of_one_draw(self, sha1, rng):
+        """ALPHA-C (PROTOCOL.md §4): an exchange's 2n secrets are one
+        32·n-byte DRBG draw. Message j's ack secret is bytes [32j, 32j+16)
+        of it and its nack secret bytes [32j+16, 32j+32)."""
+        signer, verifier = make_channel(sha1, rng, reliable_config(Mode.CUMULATIVE, 4))
+        verifier._rng, twin = DRBG(b"secrets"), DRBG(b"secrets")
+        channel = CanonicalChannel.around(signer, verifier, H)
+        seen: set[bytes] = set()
+        for batch in (4, 1, 3, 4, 2):
+            for index in range(batch):
+                signer.submit(b"m%d" % index)
+            s1 = decode_packet(signer.poll(0.0)[0], H)
+            a1 = decode_packet(verifier.handle_s1(s1, 0.0), H)
+            exchange = verifier._exchanges[s1.seq]
+            draw = twin.random_bytes(32 * batch)
+            acks, nacks = exchange.ack_secrets, exchange.nack_secrets
+            assert acks == [draw[j : j + 16] for j in range(0, 32 * batch, 32)]
+            assert nacks == [draw[j + 16 : j + 32] for j in range(0, 32 * batch, 32)]
+            key = exchange.ack_key_element.value
+            assert a1.pre_acks == [sha1.digest(key + PRE_ACK_TAG + s) for s in acks]
+            assert a1.pre_nacks == [sha1.digest(key + PRE_NACK_TAG + s) for s in nacks]
+            # No secret repeats, within the exchange or across exchanges.
+            assert len({*acks, *nacks}) == 2 * batch
+            assert seen.isdisjoint(acks + nacks)
+            seen.update(acks + nacks)
+            delivered, _ = channel.finish(signer.handle_a1(a1, 0.0))
+            assert len(delivered) == batch
 
     def test_merkle_uses_amt_root(self, sha1, rng):
         _, _, _, a1, _ = start_reliable_exchange(

@@ -292,3 +292,78 @@ class TestOnePassDecode:
     def test_data_packet_at_a_width_with_no_layout(self):
         with pytest.raises(PacketError, match="no S1 layout at hash width 0"):
             decode_packet(sample_packets()[0].encode(), 0)
+
+
+#: The largest UDP payload (``transports/udp.py``): no datagram is longer.
+DATAGRAM_LIMIT = 65507
+
+#: Each data type with a hash list last: the packet carrying ``items``
+#: there, and that list read back. An A1 carries them twice.
+LIST_CARRIERS = {
+    "S1": (
+        lambda e, items: S1Packet(1, 2, Mode.MERKLE_CUMULATIVE, 63, e, items, 0xFFFF),
+        lambda p: p.pre_signatures,
+    ),
+    "A1": (
+        lambda e, items: A1Packet(1, 2, 63, e, 63, e, items, items),
+        lambda p: p.pre_acks + p.pre_nacks,
+    ),
+    "S2": (
+        lambda e, items: S2Packet(1, 2, 62, e, 0, b"m", auth_path=items),
+        lambda p: p.auth_path,
+    ),
+    "A2": (
+        lambda e, items: A2Packet(1, 2, 62, e, [AckVerdict(0, True, b"s" * 16, items)]),
+        lambda p: p.verdicts[0].path,
+    ),
+}
+
+
+def list_datagrams(kind: str, width: int):
+    """``(data, items)`` for a ``kind`` packet whose hash list holds each
+    count of distinct items, from 0 up to as many as fit in a datagram."""
+    items = [i.to_bytes(width, "big") for i in range(DATAGRAM_LIMIT // width)]
+    blob, lists = b"".join(items), 2 if kind == "A1" else 1
+    one = LIST_CARRIERS[kind][0](b"\xee" * width, items[:1]).encode()
+    prefix = one[: -(2 + width) * lists]
+    for count in range(len(items) + 1):
+        data = prefix + (count.to_bytes(2, "big") + blob[: count * width]) * lists
+        if len(data) > DATAGRAM_LIMIT:
+            return
+        yield data, items[:count] * lists
+
+
+class TestListDecodeCache:
+    """Hash lists decode through ``Struct`` layouts cached per (count,
+    width), up to ``_LIST_LAYOUT_MAX`` items; a longer list, which a
+    sender may claim with any u16 count, is sliced, so the cache stays
+    within its bound whatever arrives."""
+
+    @pytest.mark.parametrize("kind", LIST_CARRIERS)
+    def test_every_count_up_to_the_datagram_limit(self, kind):
+        read = LIST_CARRIERS[kind][1]
+        bound = packets._list_layout.cache_parameters()["maxsize"]
+        packets._list_layout.cache_clear()
+        for width in (16, 20, 32):
+            for data, items in list_datagrams(kind, width):
+                if kind == "S1" and not items:
+                    with pytest.raises(PacketError, match="no pre-signature"):
+                        decode_packet(data, width)
+                    continue
+                assert read(decode_packet(data, width)) == items
+                assert packets._list_layout.cache_info().currsize <= bound
+            # The last datagram is full: one more item per list won't fit.
+            assert len(data) + width * (2 if kind == "A1" else 1) > DATAGRAM_LIMIT
+        # One layout per count up to the ceiling, per width; an empty
+        # list needs none, except in an S1, which is rejected after.
+        assert packets._list_layout.cache_info().currsize == 3 * (
+            packets._LIST_LAYOUT_MAX + (kind == "S1")
+        )
+
+    def test_long_lists_never_reach_the_cache(self):
+        packets._list_layout.cache_clear()
+        for count in (packets._LIST_LAYOUT_MAX + 1, 0xFFFF // H):
+            path = [i.to_bytes(H, "big") for i in range(count)]
+            packet = S2Packet(1, 2, 62, h(12), 0, b"m", auth_path=path)
+            assert decode_packet(packet.encode(), H).auth_path == path
+        assert packets._list_layout.cache_info().currsize == 0

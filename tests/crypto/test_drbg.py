@@ -7,7 +7,9 @@ import pytest
 
 from repro.crypto.drbg import DRBG, SystemRandomSource
 
-DRAW_LENGTHS = (0, 1, 16, 32, 33, 100)
+#: Draw lengths around the 32-byte block and at exchange size: an
+#: ALPHA-C verifier draws 32 bytes per message of an exchange at once.
+DRAW_LENGTHS = (0, 1, 16, 31, 32, 33, 64, 65, 100, 256, 2048, 4096)
 
 
 class ReferenceDRBG:
@@ -68,7 +70,8 @@ class TestReferenceStream:
     def test_known_answers(self):
         # Pinned from the hmac.new-based implementation.
         rng = DRBG(7)
-        assert b"".join(rng.random_bytes(n) for n in DRAW_LENGTHS).hex() == (
+        lengths = (0, 1, 16, 32, 33, 100)
+        assert b"".join(rng.random_bytes(n) for n in lengths).hex() == (
             "c3ee0b311be49172f2c04649897eb69b5cffc7d83eee46a004aa28c9319a80af"
             "9833d4eae025402424599623fb2f1ccf13225baefdff136b4e3d7b805ebdc58e"
             "431aa26c51655b76209cd242a9cca72d7f3ca3bd01550218082659cbf67fac77"
@@ -94,6 +97,21 @@ class TestReferenceStream:
             "ee60fdee0e4a30fa3351902f83c0b91d"
         )
         assert parent.random_bytes(16).hex() == "ec0c8cb49c2cdca04a7f4fd6d52f7bd8"
+
+    def test_multi_block_known_answers(self):
+        # Pinned from the per-block HMAC implementation: three- and
+        # 128-block draws, each followed by a draw after its state update.
+        rng = DRBG("exchange", personalization=b"verifier")
+        assert rng.random_bytes(96).hex() == (
+            "f75459c4a10778873cb5f8a2fc20cc2c14da58a4b9bac0fb669036addfe69402"
+            "b240116048d8321f7af513c2fbb12f494c5b54ff8f8e13cb55aa104f340295a0"
+            "c0bb4461f64e30f0b8ef4a99f02e2b918983fc6df4a557462321e400609182a2"
+        )
+        assert rng.random_bytes(16).hex() == "2b2de65d04c392645d2173292f8ded8a"
+        assert hashlib.sha256(rng.random_bytes(4096)).hexdigest() == (
+            "4325ee049e0b2e11d8bc99e693a596c90cf80d7fd7e55635e0e17683fd529a41"
+        )
+        assert rng.random_bytes(16).hex() == "6d46799ac5e42baa82e982c5f218e9b6"
 
 
 class TestDeterminism:
