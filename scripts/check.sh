@@ -81,10 +81,11 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # comes from, the Merkle/AMT tally identity, the data-packet decode
 # errors and their WireError geometry against a field-by-field
 # reference, the data-packet encode bytes and errors against a
-# field-by-field Writer reference, and the relay's eviction order and
-# byte total against their plain rules) must not depend on
-# set or dict ordering that follows string hashing: re-run them under
-# two fixed hash seeds.
+# field-by-field Writer reference, the relay's eviction order and
+# byte total against their plain rules, the construction golden
+# vectors with the AMT root, and the AMT's one-draw secret layout)
+# must not depend on set or dict ordering that follows string hashing:
+# re-run them under two fixed hash seeds.
 for seed in 0 1; do
     echo "== exact pins under PYTHONHASHSEED=$seed =="
     PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
@@ -94,7 +95,8 @@ for seed in 0 1; do
         tests/properties/test_encode_differential.py \
         tests/properties/test_relay_ttl_watermark.py \
         tests/core/test_relay_byte_total.py \
-        tests/core/test_merkle_cache.py tests/core/test_amt_cache.py
+        tests/core/test_merkle_cache.py tests/core/test_amt_cache.py \
+        tests/core/test_merkle_acktree.py tests/core/test_golden_vectors.py
 done
 
 # perf/tracing.py patches names inside src/repro/core by module path,

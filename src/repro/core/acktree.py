@@ -12,14 +12,20 @@ verifier's next undisclosed acknowledgment-chain element:
 
 The verifier commits to the root in its A1 packet. After each S2 it
 opens exactly one leaf — ack leaf ``j`` if the block verified, nack leaf
-``j`` otherwise — by disclosing ``(x_j, s_j, {Bc})`` in an A2. The
-secrets prevent deriving an ack from a nack (or any unopened leaf) even
-after the chain element is disclosed.
+``j`` otherwise — by disclosing ``(x_j, s_j, {Bc})`` in an A2, as the
+wire's own :class:`~repro.core.packets.AckVerdict`. The secrets prevent
+deriving an ack from a nack (or any unopened leaf) even after the chain
+element is disclosed.
+
+Both reliable modes draw an exchange's ``2n`` secrets by one rule,
+:func:`draw_secrets`: one DRBG request, sliced by the layout of
+PROTOCOL.md §4. ALPHA-C commits to them as flat pre-(n)acks, ALPHA-M as
+the AMT's leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
 
 from repro.core.merkle import (
     MerkleTree,
@@ -27,24 +33,35 @@ from repro.core.merkle import (
     tree_depth,
     verify_merkle_path,
 )
+from repro.core.packets import AckVerdict
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 
 _SECRET_SIZE = 16
 
+#: ``x_i``: the 4-byte big-endian message index that prefixes leaf
+#: ``i``'s secret. The tree build and :func:`verify_ack_opening` both
+#: form a leaf blob as ``_index_prefix(i) + s_i``.
+_index_prefix = struct.Struct(">I").pack
 
-def _leaf_blob(msg_index: int, secret: bytes) -> bytes:
-    return msg_index.to_bytes(4, "big") + secret
 
+def draw_secrets(rng: DRBG, n_messages: int) -> tuple[list[bytes], list[bytes]]:
+    """An exchange's ``2n`` pre-(n)ack secrets from one DRBG request.
 
-@dataclass(frozen=True)
-class AckOpening:
-    """One disclosed AMT leaf, carried in an A2 packet."""
-
-    msg_index: int
-    is_ack: bool
-    secret: bytes
-    path: list[bytes]
+    Returns ``(ack_secrets, nack_secrets)``, 16 bytes each. Message
+    ``j``'s ack secret is bytes ``[32j, 32j+16)`` of one
+    ``random_bytes(32·n)`` draw and its nack secret bytes
+    ``[32j+16, 32j+32)`` (PROTOCOL.md §4). Fresh secrets per exchange
+    thwart replay across exchanges (paper Section 3.2.2, last
+    paragraph): they are distinct slices of a stream that never repeats.
+    """
+    stride = 2 * _SECRET_SIZE
+    draw = rng.random_bytes(stride * n_messages)
+    end = len(draw)
+    return (
+        [draw[i : i + _SECRET_SIZE] for i in range(0, end, stride)],
+        [draw[i : i + _SECRET_SIZE] for i in range(_SECRET_SIZE, end, stride)],
+    )
 
 
 class AckTree:
@@ -54,7 +71,8 @@ class AckTree:
     exactly the structure Figure 7 requires if we lay the ``2n`` leaves
     out as ``[ack_0 .. ack_{n-1}, nack_0 .. nack_{n-1}]`` — the key
     takes the role of ``h^Va_{i-1}`` at the root combine, and a leaf's
-    half determines its meaning.
+    half determines its meaning. The secrets come from one
+    :func:`draw_secrets` request per tree.
     """
 
     def __init__(
@@ -69,33 +87,26 @@ class AckTree:
         self._hash = hash_fn
         self.n_messages = n_messages
         self._key = key
-        # Fresh secrets per tree thwart replay across exchanges
-        # (paper Section 3.2.2, last paragraph).
-        self._secrets = [rng.random_bytes(_SECRET_SIZE) for _ in range(2 * n_messages)]
-        blobs = [
-            _leaf_blob(i % n_messages, self._secrets[i]) for i in range(2 * n_messages)
-        ]
+        acks, nacks = draw_secrets(rng, n_messages)
+        self._secrets = acks + nacks  # in leaf order
+        prefixes = list(map(_index_prefix, range(n_messages)))
+        blobs = list(map(bytes.__add__, prefixes + prefixes, self._secrets))
         self._tree = MerkleTree(hash_fn, blobs, label_prefix="amt")
         self.root = self._tree.root(key)
 
-    def open(self, msg_index: int, is_ack: bool) -> AckOpening:
-        """Disclose the (n)ack leaf for one message."""
+    def open(self, msg_index: int, is_ack: bool) -> AckVerdict:
+        """Disclose the (n)ack leaf for one message, as an A2 carries it."""
         if not 0 <= msg_index < self.n_messages:
             raise IndexError(
                 f"message index {msg_index} out of range 0..{self.n_messages - 1}"
             )
         leaf = msg_index if is_ack else self.n_messages + msg_index
-        return AckOpening(
-            msg_index=msg_index,
-            is_ack=is_ack,
-            secret=self._secrets[leaf],
-            path=self._tree.path(leaf),
-        )
+        return AckVerdict(msg_index, is_ack, self._secrets[leaf], self._tree.path(leaf))
 
 
 def verify_ack_opening(
     hash_fn: HashFunction,
-    opening: AckOpening,
+    opening: AckVerdict,
     n_messages: int,
     key: bytes,
     expected_root: bytes,
@@ -112,10 +123,6 @@ def verify_ack_opening(
     With the exchange's :class:`~repro.core.merkle.MerkleVerifyCache`
     the fold stops at the first node an earlier opening proved under
     ``expected_root`` (PROTOCOL.md §14.3).
-
-    ``opening`` is read only for ``msg_index``, ``is_ack``, ``secret``
-    and ``path``, so an A2's :class:`~repro.core.packets.AckVerdict`
-    passes as is.
     """
     index = opening.msg_index
     if not 0 <= index < n_messages:
@@ -124,6 +131,6 @@ def verify_ack_opening(
         return False
     leaf = index if opening.is_ack else n_messages + index
     return verify_merkle_path(
-        hash_fn, _leaf_blob(index, opening.secret), leaf, opening.path, key,
+        hash_fn, _index_prefix(index) + opening.secret, leaf, opening.path, key,
         expected_root, "amt", cache,
     )

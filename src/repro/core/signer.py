@@ -1031,7 +1031,6 @@ def verify_verdict(hash_fn: HashFunction, exchange, verdict: AckVerdict) -> bool
         return False
     key = exchange.ack_key_value
     if exchange.amt_root is not None:
-        # An AckVerdict carries the four fields an AckOpening does.
         return verify_ack_opening(
             hash_fn, verdict, exchange.message_count, key, exchange.amt_root,
             exchange.merkle_cache,

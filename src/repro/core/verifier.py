@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.acktree import AckTree
+from repro.core.acktree import AckTree, draw_secrets
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
 from repro.core.linkhealth import LinkHealth
 from repro.core.merkle import (
@@ -33,8 +33,6 @@ from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
-
-_SECRET_SIZE = 16
 
 #: Rejection reasons that prove the packet *arrived damaged* (versus
 #: never arriving, or arriving for an unknown exchange): the first-hand
@@ -230,15 +228,9 @@ class VerifierSession:
                 )
                 amt_root = exchange.amt.root
             else:
-                # One DRBG request for the exchange's 2n secrets: message
-                # j's ack secret is bytes [32j, 32j+16) of the draw, its
-                # nack secret the next 16 (PROTOCOL.md §4).
-                draw = self._rng.random_bytes(2 * _SECRET_SIZE * packet.message_count)
-                secrets = [
-                    draw[i : i + _SECRET_SIZE] for i in range(0, len(draw), _SECRET_SIZE)
-                ]
-                exchange.ack_secrets = secrets[0::2]
-                exchange.nack_secrets = secrets[1::2]
+                exchange.ack_secrets, exchange.nack_secrets = draw_secrets(
+                    self._rng, packet.message_count
+                )
                 digest, key = self._hash.digest, ack_key.value
                 pre_acks = [
                     digest(key + PRE_ACK_TAG + secret, label="pre-ack")
@@ -402,13 +394,7 @@ class VerifierSession:
         if ack_key is None:
             return None
         if exchange.amt is not None:
-            opening = exchange.amt.open(msg_index, is_ack)
-            verdict = AckVerdict(
-                msg_index=msg_index,
-                is_ack=is_ack,
-                secret=opening.secret,
-                path=opening.path,
-            )
+            verdict = exchange.amt.open(msg_index, is_ack)
         else:
             if msg_index >= len(exchange.ack_secrets):
                 return None

@@ -121,7 +121,8 @@ class TestConstructionGoldenVectors:
     def test_acktree_root_stable(self):
         sha1 = get_hash("sha1")
         amt = AckTree(sha1, 2, b"\x00" * 20, DRBG(b"golden"))
-        assert amt.root.hex()[:16] == "e9c7e074c72505d4"
+        # The 4 secrets are one 64-byte DRBG request (PROTOCOL.md §4).
+        assert amt.root.hex() == "86c361de7da48db75b8faf7a15a09d1d413d7dd3"
 
     def test_mmo_vector_stable(self):
         assert mmo_digest(b"").hex() == "92d22fef6c6db672510496373d8465dd"

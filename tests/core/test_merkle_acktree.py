@@ -4,12 +4,13 @@ import math
 
 import pytest
 
-from repro.core.acktree import AckOpening, AckTree, verify_ack_opening
+from repro.core.acktree import AckTree, verify_ack_opening
 from repro.core.merkle import (
     MerkleTree,
     path_overhead_bytes,
     verify_merkle_path,
 )
+from repro.core.packets import AckVerdict
 from repro.crypto.drbg import DRBG
 
 KEY = b"\xAA" * 20
@@ -126,19 +127,19 @@ class TestAckTree:
     def test_ack_nack_not_interchangeable(self, sha1):
         amt = AckTree(sha1, 4, KEY, DRBG(2))
         opening = amt.open(2, True)
-        flipped = AckOpening(2, False, opening.secret, opening.path)
+        flipped = AckVerdict(2, False, opening.secret, opening.path)
         assert not verify_ack_opening(sha1, flipped, 4, KEY, amt.root)
 
     def test_wrong_message_index_rejected(self, sha1):
         amt = AckTree(sha1, 4, KEY, DRBG(3))
         opening = amt.open(2, True)
-        moved = AckOpening(1, True, opening.secret, opening.path)
+        moved = AckVerdict(1, True, opening.secret, opening.path)
         assert not verify_ack_opening(sha1, moved, 4, KEY, amt.root)
 
     def test_guessed_secret_rejected(self, sha1):
         amt = AckTree(sha1, 4, KEY, DRBG(4))
         opening = amt.open(0, True)
-        forged = AckOpening(0, True, b"\x00" * len(opening.secret), opening.path)
+        forged = AckVerdict(0, True, b"\x00" * len(opening.secret), opening.path)
         assert not verify_ack_opening(sha1, forged, 4, KEY, amt.root)
 
     def test_wrong_key_rejected(self, sha1):
@@ -151,7 +152,7 @@ class TestAckTree:
         with pytest.raises(IndexError):
             amt.open(2, True)
         opening = amt.open(0, True)
-        bad = AckOpening(7, True, opening.secret, opening.path)
+        bad = AckVerdict(7, True, opening.secret, opening.path)
         assert not verify_ack_opening(sha1, bad, 2, KEY, amt.root)
 
     def test_secrets_fresh_per_tree(self, sha1):
@@ -159,6 +160,28 @@ class TestAckTree:
         amt2 = AckTree(sha1, 2, KEY, DRBG(8))
         assert amt1.open(0, True).secret != amt2.open(0, True).secret
         assert amt1.root != amt2.root
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_secrets_are_slices_of_one_draw(self, sha1, n):
+        """Both reliable modes share PROTOCOL.md §4's layout: a tree's 2n
+        secrets are one 32·n-byte DRBG draw, message j's ack secret bytes
+        [32j, 32j+16) of it and its nack secret bytes [32j+16, 32j+32)."""
+        rng, twin = DRBG(b"amt-draw"), DRBG(b"amt-draw")
+        seen: set[bytes] = set()
+        for _ in range(2):
+            amt = AckTree(sha1, n, KEY, rng)
+            draw = twin.random_bytes(32 * n)
+            secrets = []
+            for j in range(n):
+                ack, nack = amt.open(j, True), amt.open(j, False)
+                assert type(ack) is AckVerdict and type(nack) is AckVerdict
+                assert ack.secret == draw[32 * j : 32 * j + 16]
+                assert nack.secret == draw[32 * j + 16 : 32 * j + 32]
+                secrets += [ack.secret, nack.secret]
+            # No secret repeats, within the tree or across consecutive trees.
+            assert len(set(secrets)) == 2 * n
+            assert seen.isdisjoint(secrets)
+            seen.update(secrets)
 
     def test_empty_tree_rejected(self, sha1):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ import pytest
 
 from repro.crypto.drbg import DRBG, SystemRandomSource
 
-#: Draw lengths around the 32-byte block and at exchange size: an
-#: ALPHA-C verifier draws 32 bytes per message of an exchange at once.
+#: Draw lengths around the 32-byte block and at exchange size: the
+#: verifier draws 32 bytes per message of a reliable exchange at once.
 DRAW_LENGTHS = (0, 1, 16, 31, 32, 33, 64, 65, 100, 256, 2048, 4096)
 
 

@@ -18,8 +18,9 @@ labels)`` must agree.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.acktree import AckOpening, AckTree, verify_ack_opening
+from repro.core.acktree import AckTree, verify_ack_opening
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, verify_merkle_path
+from repro.core.packets import AckVerdict
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import OpCounter, get_hash
 
@@ -286,17 +287,17 @@ def test_amt_opening_tallies_match_per_call(n, name, cached, seed, schedule):
         assert genuine.path == reference_path(levels, index + (0 if is_ack else n))
         opening = genuine
         if tamper == "flip":
-            opening = AckOpening(index, not is_ack, genuine.secret, genuine.path)
+            opening = AckVerdict(index, not is_ack, genuine.secret, genuine.path)
         elif tamper == "swap":
             other = (index + 1 + at) % n
-            opening = AckOpening(other, is_ack, genuine.secret, genuine.path)
+            opening = AckVerdict(other, is_ack, genuine.secret, genuine.path)
         elif tamper == "secret":
-            opening = AckOpening(index, is_ack, flip(genuine.secret, at), genuine.path)
+            opening = AckVerdict(index, is_ack, flip(genuine.secret, at), genuine.path)
         elif tamper == "short":
-            opening = AckOpening(index, is_ack, genuine.secret, genuine.path[:-1])
+            opening = AckVerdict(index, is_ack, genuine.secret, genuine.path[:-1])
         elif tamper == "long":
             extra = [flip(genuine.secret, at)[:1] * fast_hash.digest_size]
-            opening = AckOpening(index, is_ack, genuine.secret, genuine.path + extra)
+            opening = AckVerdict(index, is_ack, genuine.secret, genuine.path + extra)
         fast = verify_ack_opening(fast_hash, opening, n, key, amt.root, fast_cache)
         slow = reference_ack_verify(slow_hash, opening, n, key, amt.root, slow_cache)
         assert fast == slow, (index, is_ack, tamper)

@@ -10,7 +10,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro import analysis
-from repro.core.acktree import AckOpening, AckTree, verify_ack_opening
+from repro.core.acktree import AckTree, verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
 from repro.core.merkle import MerkleTree, verify_merkle_path
 from repro.core.modes import Mode
@@ -109,7 +109,7 @@ class TestAckTreeProperties:
             for is_ack in (True, False):
                 opening = amt.open(i, is_ack)
                 assert verify_ack_opening(SHA1, opening, n, key, amt.root)
-                flipped = AckOpening(i, not is_ack, opening.secret, opening.path)
+                flipped = AckVerdict(i, not is_ack, opening.secret, opening.path)
                 assert not verify_ack_opening(SHA1, flipped, n, key, amt.root)
 
 

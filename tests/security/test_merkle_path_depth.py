@@ -19,10 +19,10 @@ index. The same rule guards the Acknowledgment Merkle Tree, whose
 import pytest
 
 from repro.canonical import CanonicalChannel
-from repro.core.acktree import AckOpening, AckTree, verify_ack_opening
+from repro.core.acktree import AckTree, verify_ack_opening
 from repro.core.merkle import MerkleVerifyCache
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core.packets import S2Packet, decode_packet
+from repro.core.packets import AckVerdict, S2Packet, decode_packet
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction, get_hash
@@ -123,7 +123,7 @@ class TestAckOpeningDepth:
         ack1 = tree.open(1, True)
         leaf0 = ack1.path[0]
         leaf1 = hash_fn.digest_uncounted((1).to_bytes(4, "big") + ack1.secret)
-        return AckOpening(0, True, leaf0[4:] + leaf1, ack1.path[1:])
+        return AckVerdict(0, True, leaf0[4:] + leaf1, ack1.path[1:])
 
     def check(self, hash_fn, tree, opening, cache=None):
         extra = {} if cache is None else {"cache": cache}
@@ -155,6 +155,6 @@ class TestAckOpeningDepth:
         hash_fn, tree = amt
         genuine = tree.open(2, True)
         for extra in (genuine.path[:1], [b"\x00" * 20]):
-            longer = AckOpening(2, True, genuine.secret, extra + genuine.path)
+            longer = AckVerdict(2, True, genuine.secret, extra + genuine.path)
             assert not self.check(hash_fn, tree, longer)
             assert not self.check(hash_fn, tree, longer, MerkleVerifyCache())
