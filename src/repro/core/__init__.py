@@ -6,8 +6,7 @@ Layering, bottom to top:
    chains), :mod:`repro.core.merkle` (keyed Merkle trees for ALPHA-M),
    :mod:`repro.core.acktree` (the Acknowledgment Merkle Tree).
 2. Wire formats — :mod:`repro.core.wire` (codec helpers),
-   :mod:`repro.core.packets` (S1/A1/S2/A2 and handshake packets, and
-   the ledger summary they carry).
+   :mod:`repro.core.packets` (S1/A1/S2/A2 and handshake packets).
 3. Protocol engines — :mod:`repro.core.signer`,
    :mod:`repro.core.verifier`, :mod:`repro.core.relay`: sans-IO state
    machines that consume and produce packet bytes, with

@@ -72,10 +72,6 @@ class EndpointConfig(ChannelConfig):
     #: terminal ``rto-escape`` failure trips it at once: the probe
     #: budget already proved the path black-holed.
     dead_peer_threshold: int = 3
-    #: When a peer is declared dead, immediately start a replacement
-    #: handshake and migrate queued traffic onto it; without it, queued
-    #: messages fail terminally and sends raise until reconnected.
-    auto_rebootstrap: bool = False
     resync_window: int = 128
     #: Refuse unauthenticated handshakes from peers.
     require_protected_handshake: bool = False
@@ -278,7 +274,8 @@ class AlphaEndpoint:
         """Charge one damaged arrival from ``src`` to the per-peer ledger.
 
         Transports call this for datagrams that died before or inside
-        the parser, so the ledger's wire summary sees pure corruption.
+        the parser: first-hand corruption evidence for the one-sided
+        loss split (PROTOCOL.md §11).
         """
         if self._track_links:
             self.links.link(src).on_corrupt_arrival()
@@ -291,9 +288,9 @@ class AlphaEndpoint:
         except PacketError:
             self.stats.corrupt_drops += 1
             # Keyed by source peer unconditionally: parser deaths are
-            # exactly the corruption evidence the ledger summary carries
-            # back to the signer (PROTOCOL.md §16), and they happen
-            # before any association lookup can vouch for the source.
+            # first-hand corruption evidence (PROTOCOL.md §11), and they
+            # happen before any association lookup can vouch for the
+            # source.
             self.note_corrupt_arrival(src)
             if self.obs.enabled:
                 self.obs.tracer.emit(
@@ -587,11 +584,6 @@ class AlphaEndpoint:
                 )
             except AlphaError:
                 return
-            if packet.telemetry is not None and self._track_links:
-                # A re-bootstrapping responder handed its link history
-                # back on the HS2: the fresh association starts with the
-                # fused loss view instead of re-learning it.
-                self.links.link(src).on_peer_summary(packet.telemetry, now=now)
             established = self._install_association(
                 packet.assoc_id, src, assoc.chains, peer_anchors,
                 initiator=True, now=now,
@@ -624,13 +616,6 @@ class AlphaEndpoint:
         assoc = self._install_association(
             packet.assoc_id, src, chains, peer_anchors, initiator=False, now=now
         )
-        if self._track_links:
-            # Carry our accumulated view of this link on the HS2 — only
-            # when there is history to report, so a first-contact
-            # handshake stays byte-identical to the pre-telemetry wire.
-            link = self.links.get(src)
-            if link is not None and link.has_history:
-                response.telemetry = link.summary()
         assoc.hs_bytes = response.encode()
         out.replies.append((src, assoc.hs_bytes))
         if self.obs.enabled:
@@ -783,49 +768,13 @@ class AlphaEndpoint:
                 f" failures={assoc.signer.consecutive_failures}",
             )
             self.obs.registry.counter("endpoint.dead_peers").inc()
-        rebootstrap = self.config.auto_rebootstrap
-        cause = "auto"
-        if not rebootstrap and force and self._track_links:
-            # Fused-split escape heuristic (PROTOCOL.md §16): the probe
-            # budget proved the *path* unusable, but when both ledger
-            # views agree the loss is corruption-dominated, the peer is
-            # almost certainly alive behind a packet-chewing link —
-            # fresh chains are worth a shot even without the blanket
-            # auto_rebootstrap opt-in. Requires an actual peer report:
-            # the one-sided mirror guess is not enough to spend a
-            # handshake on.
-            link = self.links.get(assoc.peer)
-            if (
-                link is not None
-                and link.peer_reports
-                and link.dominant_cause() == "corruption"
-            ):
-                rebootstrap = True
-                cause = "escape-corruption"
-        if rebootstrap and assoc.replacement_id is None:
-            # Re-bootstrap over the existing handshake path: fresh chains,
-            # fresh association id, queued traffic migrates immediately.
-            replacement = self._initiate_replacement(assoc, now, out, label="reboot")
-            self.stats.rebootstraps += 1
-            if self.obs.enabled:
-                self.obs.tracer.emit(
-                    now, self.name, EventKind.REBOOTSTRAP, assoc.assoc_id,
-                    info=f"new_assoc={replacement.assoc_id} cause={cause}",
-                )
-                self.obs.registry.counter("endpoint.rebootstraps").inc()
-            while assoc.signer._queue:
-                replacement.pending_sends.append(assoc.signer._queue.popleft())
-            assoc.retired = True
-            if self._by_peer.get(assoc.peer) is assoc:
-                self._by_peer[assoc.peer] = replacement
-        else:
-            # No replacement: surface queued traffic as terminally failed
-            # so callers never wait on a peer that stopped answering.
-            # Drain (rather than use the return value) so the failure is
-            # emitted exactly once.
-            assoc.signer.fail_queued("dead-peer", now)
-            for failure in assoc.signer.drain_failures():
-                out.failures.append((assoc.peer, failure))
+        # Queued traffic fails terminally, so callers never wait on a
+        # peer that stopped answering; the application reconnects with
+        # connect(). Drain (rather than use the return value) so the
+        # failure is emitted exactly once.
+        assoc.signer.fail_queued("dead-peer", now)
+        for failure in assoc.signer.drain_failures():
+            out.failures.append((assoc.peer, failure))
 
     def _fail_handshake(
         self, assoc: Association, out: EndpointOutput, now: float = 0.0

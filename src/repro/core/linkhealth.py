@@ -34,9 +34,9 @@ Classifier rules (PROTOCOL.md §11):
 - what remains of the timeout-triggered retransmits after that
   correction is **congestion**.
 
-The ledger is protocol state, not just telemetry: its dominant cause
-steers the signer's nack damper and probe escape, the adaptive
-controller, and the endpoint's escape re-bootstrap. Every entry is
+The ledger is this endpoint's own view: nothing in it comes off the
+wire unauthenticated. Its dominant cause steers the signer's nack
+damper and probe escape and the adaptive controller. Every entry is
 bounded: plain counters, two EWMAs, and one fixed-bucket histogram per
 link, so a ledger over any number of associations stays a few hundred
 bytes per peer.
@@ -44,7 +44,6 @@ bytes per peer.
 
 from __future__ import annotations
 
-from repro.core.packets import LedgerSummary
 from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 
 #: EWMA gain for the cross-association SRTT/RTTVAR mirror. Smoother
@@ -80,8 +79,6 @@ class LinkHealth:
         "retransmits_timeout",
         "retransmits_nack",
         "corrupt_arrivals",
-        "deliveries",
-        "rejects",
         "exchanges_completed",
         "exchanges_failed",
         "rtt_samples",
@@ -91,12 +88,6 @@ class LinkHealth:
         "loss_updates",
         "loss_updated_at",
         "latency",
-        "peer_reports",
-        "peer_corrupt_arrivals",
-        "peer_verified",
-        "peer_dropped",
-        "peer_rtt_s",
-        "peer_updated_at",
         "_registry",
     )
 
@@ -115,12 +106,6 @@ class LinkHealth:
         #: Inbound packets that arrived damaged (parse drops, bad MACs,
         #: broken chain elements) — corruption seen first-hand.
         self.corrupt_arrivals = 0
-        #: Authenticated messages delivered from this peer (our verifier
-        #: side); the ``verified`` tally the ledger summary carries.
-        self.deliveries = 0
-        #: Arrivals from this peer rejected for any reason (damaged,
-        #: replayed, unknown exchange); the summary's ``dropped`` tally.
-        self.rejects = 0
         self.exchanges_completed = 0
         self.exchanges_failed = 0
         self.rtt_samples = 0
@@ -137,15 +122,6 @@ class LinkHealth:
         self.loss_updated_at: float | None = None
         #: Exchange delivery latency (submit → all messages acked).
         self.latency = Histogram(f"link.{peer}.delivery_latency_s", DEFAULT_BOUNDS)
-        #: The peer's wire-reported view of this link (PROTOCOL.md §16).
-        #: Summaries are cumulative counters, so reports merge by
-        #: elementwise max rather than accumulating.
-        self.peer_reports = 0
-        self.peer_corrupt_arrivals = 0
-        self.peer_verified = 0
-        self.peer_dropped = 0
-        self.peer_rtt_s: float | None = None
-        self.peer_updated_at: float | None = None
         self._registry = registry
 
     # -- mutators (called from the protocol engines) ---------------------------
@@ -164,64 +140,6 @@ class LinkHealth:
 
     def on_corrupt_arrival(self) -> None:
         self.corrupt_arrivals += 1
-
-    def on_delivery(self) -> None:
-        self.deliveries += 1
-
-    def on_reject(self) -> None:
-        self.rejects += 1
-
-    def on_peer_summary(self, summary: LedgerSummary, now: float | None = None) -> None:
-        """Merge the peer's wire-reported ledger digest.
-
-        The counters are cumulative on the peer, but reports can arrive
-        stale or out of order — a retransmitted A1 carries whatever the
-        ledger said when that A1 was (re)built — so each counter merges
-        monotonically: a report can advance the view, never regress it.
-        RTT is a smoothed sample, not a counter; the latest non-zero
-        report wins.
-
-        The field is advisory and NOT integrity-protected, so a bit
-        flip confined to it survives packet verification. Each counter
-        is therefore clamped to ``packets_sent`` before merging: the
-        peer cannot have received (let alone damaged, verified, or
-        rejected) more of our packets than we ever transmitted, which
-        bounds what corrupted-in-flight garbage can latch into the
-        monotonic view.
-        """
-        self.peer_reports += 1
-        cap = self.packets_sent
-        self.peer_corrupt_arrivals = max(
-            self.peer_corrupt_arrivals, min(summary.corrupt_arrivals, cap)
-        )
-        self.peer_verified = max(self.peer_verified, min(summary.verified, cap))
-        self.peer_dropped = max(self.peer_dropped, min(summary.dropped, cap))
-        if summary.rtt_us:
-            self.peer_rtt_s = summary.rtt_us / 1e6
-        if now is not None:
-            self.peer_updated_at = now
-
-    def summary(self) -> LedgerSummary:
-        """Our side of the ledger as a wire digest for the peer."""
-        rtt_us = 0
-        if self.srtt is not None:
-            rtt_us = int(self.srtt * 1e6)
-        return LedgerSummary(
-            corrupt_arrivals=self.corrupt_arrivals,
-            verified=self.deliveries,
-            dropped=self.rejects,
-            rtt_us=rtt_us,
-        )
-
-    @property
-    def has_history(self) -> bool:
-        """True once this entry holds anything worth telling the peer."""
-        return bool(
-            self.loss_events
-            or self.deliveries
-            or self.rejects
-            or self.rtt_samples
-        )
 
     def on_rtt_sample(self, rtt_s: float) -> None:
         if self.srtt is None:
@@ -283,36 +201,23 @@ class LinkHealth:
     @property
     def loss_events(self) -> int:
         """All loss evidence this entry holds, regardless of cause."""
-        return self.retransmits + self.corrupt_arrivals + self.peer_corrupt_arrivals
+        return self.retransmits + self.corrupt_arrivals
 
     def loss_split(self) -> tuple[float, float]:
         """``(congestion, corruption)`` fractions, summing to 1.
 
-        One-sided rule (no peer report yet): corruption evidence is
-        every explicit nack plus every corrupt arrival counted twice —
-        once for the damaged packet we received, once for the mirrored
+        One-sided rule (PROTOCOL.md §11): corruption evidence is every
+        explicit nack plus every corrupt arrival counted twice — once
+        for the damaged packet we received, once for the mirrored
         outbound corruption that we can only have seen as a timeout
         (link corruption is direction-symmetric; the inbound half is
         our estimator for the outbound half). Timeout retransmits
-        beyond that correction are congestion.
-
-        Fused rule (PROTOCOL.md §16): once the peer has reported its
-        ledger over the wire we no longer need the symmetry guess — the
-        peer *counted* our outbound packets that arrived damaged. Every
-        peer-reported corrupt arrival was one of our sends that died at
-        the peer's parser or MAC check, and every locally observed one
-        was a reply that died here; both manifested on our side as bare
-        timeouts, so both are subtracted from the congestion residue
-        and credited to corruption. With no loss evidence at all the
-        split is ``(0.0, 0.0)``.
+        beyond that correction are congestion. With no loss evidence at
+        all the split is ``(0.0, 0.0)``.
         """
-        if self.peer_reports:
-            mirrored = self.corrupt_arrivals + self.peer_corrupt_arrivals
-            corruption = self.retransmits_nack + mirrored
-            congestion = max(0, self.retransmits_timeout - mirrored)
-        else:
-            corruption = self.retransmits_nack + 2 * self.corrupt_arrivals
-            congestion = max(0, self.retransmits_timeout - 2 * self.corrupt_arrivals)
+        mirrored = 2 * self.corrupt_arrivals
+        corruption = self.retransmits_nack + mirrored
+        congestion = max(0, self.retransmits_timeout - mirrored)
         total = corruption + congestion
         if total == 0:
             return (0.0, 0.0)
@@ -328,9 +233,8 @@ class LinkHealth:
         least ``DOMINANT_SHARE`` of a confident split, else ``None``.
 
         The one rule behind every loss-cause bias: the signer's damper
-        and escape hatch (PROTOCOL.md §12), the adaptive controller's
-        batch cap and pipelining (§11), and the endpoint's escape
-        re-bootstrap (§16).
+        and escape hatch (PROTOCOL.md §12) and the adaptive controller's
+        batch cap and pipelining (§11).
         """
         if not self.split_confident:
             return None
@@ -372,13 +276,6 @@ class LinkHealth:
             "retransmits_timeout": self.retransmits_timeout,
             "retransmits_nack": self.retransmits_nack,
             "corrupt_arrivals": self.corrupt_arrivals,
-            "deliveries": self.deliveries,
-            "rejects": self.rejects,
-            "peer_reports": self.peer_reports,
-            "peer_corrupt_arrivals": self.peer_corrupt_arrivals,
-            "peer_verified": self.peer_verified,
-            "peer_dropped": self.peer_dropped,
-            "peer_rtt_s": self.peer_rtt_s,
             "exchanges_completed": self.exchanges_completed,
             "exchanges_failed": self.exchanges_failed,
             "rtt_samples": self.rtt_samples,

@@ -55,16 +55,3 @@ class ReliabilityMode(enum.IntEnum):
     #: Mode.MERKLE the pre-acks live in an Acknowledgment Merkle Tree
     #: (Section 3.3.3).
     RELIABLE = 1
-
-
-class RetransmitPolicy(enum.IntEnum):
-    """How a reliable signer reacts to nacks and timeouts.
-
-    The paper notes the AMT "can enable retransmission schemes as
-    selective repeat and go-back-n for ALPHA-M"; all three classic
-    policies are implemented.
-    """
-
-    STOP_AND_WAIT = 0
-    GO_BACK_N = 1
-    SELECTIVE_REPEAT = 2

@@ -61,14 +61,13 @@ class PacketType(enum.IntEnum):
 # S1 flag bits.
 FLAG_RELIABLE = 0x01
 
-# A1 flag bits.
+# A1 flag bits. Decoders ignore any other bit; bytes after the fields
+# the known bits announce are trailing bytes (PROTOCOL.md §14.2).
 FLAG_PRE_ACK_PAIR = 0x01
 FLAG_AMT_ROOT = 0x02
-FLAG_TELEMETRY = 0x04
 
 # Handshake flag bits.
 FLAG_PROTECTED = 0x01
-FLAG_HS_TELEMETRY = 0x02
 
 
 def _header(packet_type: PacketType, assoc_id: int, seq: int) -> Writer:
@@ -92,62 +91,6 @@ def _read_header(reader: Reader) -> tuple[PacketType, int, int]:
     assoc_id = reader.u64()
     seq = reader.u32()
     return packet_type, assoc_id, seq
-
-
-#: Ledger summary layout:
-#: corrupt_arrivals u32 | verified u32 | dropped u32 | rtt_us u32
-_LEDGER_SUMMARY = struct.Struct(">IIII")
-
-_U32_MAX = 0xFFFFFFFF
-
-
-def _saturate(value: int) -> int:
-    """Clamp a counter into u32 range (ledgers count forever; the wire
-    field is a bounded snapshot and saturation is fine for a ratio)."""
-    if value < 0:
-        return 0
-    return value if value <= _U32_MAX else _U32_MAX
-
-
-@dataclass
-class LedgerSummary:
-    """A receiver's health-ledger digest, piggybacked on A1/HS2.
-
-    Fixed 16-byte wire field (PROTOCOL.md §16) carrying the receiver's
-    view of the link back to the signer: how many of the signer's
-    packets arrived damaged (``corrupt_arrivals``), how many messages
-    were authenticated end-to-end (``verified``), how many arrivals
-    were rejected for any reason (``dropped``), and the receiver's
-    smoothed RTT in microseconds (0 = no sample yet). All counters are
-    cumulative since the ledger entry was created, so the decoder
-    merges by elementwise max, not addition. The field is advisory — it is
-    NOT covered by the protected-handshake signature and only ever
-    biases loss attribution, never authentication decisions.
-    """
-
-    corrupt_arrivals: int
-    verified: int = 0
-    dropped: int = 0
-    rtt_us: int = 0
-
-    SIZE = _LEDGER_SUMMARY.size
-
-    def encode(self) -> bytes:
-        """The 16-byte wire field, each counter saturated to u32."""
-        counters = (self.corrupt_arrivals, self.verified, self.dropped, self.rtt_us)
-        try:
-            return _LEDGER_SUMMARY.pack(*counters)
-        except struct.error:
-            return _LEDGER_SUMMARY.pack(*map(_saturate, counters))
-
-    @classmethod
-    def decode(cls, reader: Reader) -> "LedgerSummary":
-        return cls(reader.u32(), reader.u32(), reader.u32(), reader.u32())
-
-    @classmethod
-    def unpack_from(cls, data: bytes, offset: int) -> "LedgerSummary":
-        """Read the 16-byte field at ``offset`` of a buffer long enough."""
-        return cls(*_LEDGER_SUMMARY.unpack_from(data, offset))
 
 
 # -- data-packet encode (PROTOCOL.md §14.2) -----------------------------------
@@ -265,13 +208,12 @@ class A1Packet:
     pre_acks: list[bytes] = field(default_factory=list)
     pre_nacks: list[bytes] = field(default_factory=list)
     amt_root: bytes | None = None
-    telemetry: LedgerSummary | None = None
 
     TYPE = PacketType.A1
 
     def encode(self) -> bytes:
         element, acks, nacks = self.ack_element, self.pre_acks, self.pre_nacks
-        amt_root, telemetry = self.amt_root, self.telemetry
+        amt_root = self.amt_root
         flags = 0
         if acks or nacks:
             if len(acks) != len(nacks):
@@ -279,8 +221,6 @@ class A1Packet:
             flags = FLAG_PRE_ACK_PAIR
         if amt_root is not None:
             flags |= FLAG_AMT_ROOT
-        if telemetry is not None:
-            flags |= FLAG_TELEMETRY
         try:
             parts = [
                 _A1_HEAD.pack(
@@ -309,8 +249,6 @@ class A1Packet:
             parts += (count, *acks, count, *nacks)
         if amt_root is not None:
             parts.append(amt_root)
-        if telemetry is not None:
-            parts.append(telemetry.encode())
         return b"".join(parts)
 
 
@@ -431,13 +369,6 @@ class HandshakePacket:
     peer_nonce: bytes = b""
     public_key: bytes = b""
     signature: bytes = b""
-    #: Optional HS2 ledger summary (PROTOCOL.md §16): a re-bootstrapping
-    #: responder hands its link history back so the fresh association
-    #: starts with a fused loss view. Advisory only — deliberately NOT
-    #: part of :meth:`signed_blob`, so protected handshakes stay
-    #: byte-compatible and a tampered summary can at worst skew loss
-    #: attribution, never authentication.
-    telemetry: LedgerSummary | None = None
 
     @property
     def TYPE(self) -> PacketType:  # noqa: N802 - mirrors the class constants
@@ -447,9 +378,7 @@ class HandshakePacket:
         """Canonical bytes covered by the protected-mode signature.
 
         Includes both nonces (the responder signs the initiator's nonce
-        too), preventing replay of old signed anchors. The telemetry
-        summary is excluded: it is advisory transport metadata, not part
-        of the identity being bound.
+        too), preventing replay of old signed anchors.
         """
         writer = Writer()
         writer.var_bytes(self.hash_name.encode("ascii"))
@@ -461,10 +390,7 @@ class HandshakePacket:
 
     def encode(self) -> bytes:
         writer = _header(self.TYPE, self.assoc_id, self.seq)
-        flags = FLAG_PROTECTED if self.signature else 0
-        if self.telemetry is not None:
-            flags |= FLAG_HS_TELEMETRY
-        writer.u8(flags)
+        writer.u8(FLAG_PROTECTED if self.signature else 0)
         writer.var_bytes(self.hash_name.encode("ascii"))
         writer.var_bytes(self.nonce)
         writer.var_bytes(self.peer_nonce)
@@ -472,17 +398,14 @@ class HandshakePacket:
         writer.u32(self.ack_chain_length).var_bytes(self.ack_anchor)
         writer.var_bytes(self.public_key)
         writer.var_bytes(self.signature)
-        if self.telemetry is not None:
-            writer.raw(self.telemetry.encode())
         return writer.getvalue()
 
     @classmethod
     def decode_body(
         cls, reader: Reader, assoc_id: int, seq: int, is_response: bool
     ) -> "HandshakePacket":
-        # Protection is evident from the signature field; the telemetry
-        # bit gates the optional trailing summary.
-        flags = reader.u8()
+        # Protection is evident from the signature field.
+        reader.u8()
         try:
             hash_name = reader.var_bytes().decode("ascii")
         except UnicodeDecodeError:
@@ -495,9 +418,6 @@ class HandshakePacket:
         ack_anchor = reader.var_bytes()
         public_key = reader.var_bytes()
         signature = reader.var_bytes()
-        telemetry = None
-        if flags & FLAG_HS_TELEMETRY:
-            telemetry = LedgerSummary.decode(reader)
         if not sig_anchor or not ack_anchor:
             raise PacketError("handshake must carry both anchors")
         return cls(
@@ -513,7 +433,6 @@ class HandshakePacket:
             peer_nonce=peer_nonce,
             public_key=public_key,
             signature=signature,
-            telemetry=telemetry,
         )
 
 
@@ -648,7 +567,7 @@ def _unpack_s1(data: bytes, fixed: struct.Struct, h: int) -> S1Packet:
 def _unpack_a1(data: bytes, fixed: struct.Struct, h: int) -> A1Packet:
     """Fixed: flags u8 | ack_index u32 | ack_element | echo_sig_index u32 |
     echo_sig_element. Tail, by flag: the pre-ack and pre-nack lists, the
-    AMT root, the ledger summary."""
+    AMT root."""
     (magic, version, _, assoc_id, seq, flags, ack_index, ack_element,
      echo_sig_index, echo_sig_element) = fixed.unpack_from(data)
     if magic != MAGIC or version != VERSION:
@@ -656,7 +575,7 @@ def _unpack_a1(data: bytes, fixed: struct.Struct, h: int) -> A1Packet:
     offset = fixed.size
     pre_acks: list[bytes] = []
     pre_nacks: list[bytes] = []
-    amt_root = telemetry = None
+    amt_root = None
     if flags & FLAG_PRE_ACK_PAIR:
         pre_acks, offset = _hash_list(data, offset, h)
         pre_nacks, offset = _hash_list(data, offset, h)
@@ -667,16 +586,11 @@ def _unpack_a1(data: bytes, fixed: struct.Struct, h: int) -> A1Packet:
             raise WireError(offset, h, len(data) - offset)
         amt_root = data[offset : offset + h]
         offset += h
-    if flags & FLAG_TELEMETRY:
-        if offset + LedgerSummary.SIZE > len(data):
-            _short_field(data, offset, _LEDGER_SUMMARY)
-        telemetry = LedgerSummary.unpack_from(data, offset)
-        offset += LedgerSummary.SIZE
     if offset != len(data):
         _trailing(data, offset)
     return A1Packet(
         assoc_id, seq, ack_index, ack_element, echo_sig_index, echo_sig_element,
-        pre_acks, pre_nacks, amt_root, telemetry,
+        pre_acks, pre_nacks, amt_root,
     )
 
 

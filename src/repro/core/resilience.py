@@ -170,8 +170,6 @@ class ResilienceStats:
     exchanges_failed: int = 0
     #: Peers declared dead after consecutive failures.
     dead_peers: int = 0
-    #: Automatic re-bootstrap handshakes initiated for dead peers.
-    rebootstraps: int = 0
     #: Relay buffer entries evicted because their TTL expired.
     evictions_ttl: int = 0
     #: Relay buffer entries evicted to respect the byte/entry capacity.
@@ -274,7 +272,7 @@ class PathManager:
     alternate (fewest failures, then registration order). A bounded
     per-peer failover budget keeps a flapping mesh from ping-ponging
     forever; once spent, failover reports exhaustion and terminal
-    handling (dead-peer / re-bootstrap) takes over.
+    handling (dead-peer) takes over.
     """
 
     def __init__(self, max_failovers: int = 8) -> None:
@@ -323,7 +321,7 @@ class PathManager:
 
         Returns the newly active candidate, or ``None`` when no
         alternate exists or the per-peer budget is spent (the caller
-        should then fall back to dead-peer / re-bootstrap handling).
+        should then fall back to dead-peer handling).
         """
         candidates = self._paths.get(peer)
         if not candidates or len(candidates) < 2:

@@ -22,7 +22,7 @@ from repro.core.acktree import verify_ack_opening
 from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
 from repro.core.linkhealth import LinkHealth
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, leaves_per_tree
-from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
+from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
 from repro.core.resilience import (
     RTO_FLOOR_S,
@@ -82,7 +82,6 @@ class ChannelConfig:
     #: seeds the estimator and measured RTTs take over.
     retransmit_timeout_s: float = 0.25
     max_retries: int = 6
-    retransmit_policy: RetransmitPolicy = RetransmitPolicy.SELECTIVE_REPEAT
     #: RFC 6298-style SRTT/RTTVAR timeout adaptation with exponential
     #: (x2) backoff. Disabled, every retry fires after a fixed
     #: ``retransmit_timeout_s`` (the pre-resilience behaviour).
@@ -322,7 +321,7 @@ class SignerSession:
                 # the hop is dead. A successful failover re-presents the
                 # in-flight S1s over a backup path; otherwise stop
                 # spinning at max RTO and fail terminally so dead-peer
-                # detection / re-bootstrap takes over.
+                # detection takes over.
                 if self._try_failover(now, "rto-escape"):
                     out.extend(self.represent(now))
                     continue
@@ -423,14 +422,6 @@ class SignerSession:
             return []  # acknowledges someone else's S1
         exchange.a1_ack_element = ack_element
         self._exchange_alive(exchange)
-        if packet.telemetry is not None and self.link is not None:
-            # The verifier's ledger digest rode in on the A1: fuse its
-            # view of the link (outbound corruption we could only see as
-            # timeouts) into ours (PROTOCOL.md §16). Merged only after
-            # the ack element verified, so a spoofed A1 cannot feed it.
-            self.link.on_peer_summary(packet.telemetry, now=now)
-            if self._obs.enabled:
-                self._obs.registry.counter("telemetry.summaries_rx").inc()
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.A1_VERIFY_OK, self.assoc_id,
@@ -819,14 +810,6 @@ class SignerSession:
             or packet.echo_sig_element != exchange.s1_element.value
         ):
             return []
-        if packet.telemetry is not None and self.link is not None:
-            # The probe reply repeats the cached A1 with a *refreshed*
-            # ledger digest (PROTOCOL.md §16.2), so a wedged exchange
-            # still feeds the fused loss split — which is exactly when
-            # the rto-escape heuristic needs the corruption evidence.
-            self.link.on_peer_summary(packet.telemetry, now=now)
-            if self._obs.enabled:
-                self._obs.registry.counter("telemetry.summaries_rx").inc()
         sample = max(0.0, now - exchange.probe_sent_at)
         if self.config.adaptive_rto:
             self.rtt.clear_backoff(sample)
@@ -887,20 +870,12 @@ class SignerSession:
         return packets
 
     def _retransmit_s2(self, exchange: _Exchange, only: set[int] | None = None) -> list[bytes]:
-        pending = [
-            index
+        """Selective repeat: the unacked S2s, of ``only`` if given."""
+        return [
+            exchange.s2_bytes[index]
             for index in range(len(exchange.messages))
             if index not in exchange.acked and (only is None or index in only)
         ]
-        if not pending:
-            return []
-        policy = self.config.retransmit_policy
-        if policy is RetransmitPolicy.STOP_AND_WAIT:
-            pending = pending[:1]
-        elif policy is RetransmitPolicy.GO_BACK_N:
-            pending = list(range(min(pending), len(exchange.messages)))
-            pending = [i for i in pending if i not in exchange.acked]
-        return [exchange.s2_bytes[index] for index in pending]
 
     def _complete_exchange(
         self, exchange: _Exchange, delivered: bool | None, now: float = 0.0
@@ -976,7 +951,7 @@ class SignerSession:
         return failures
 
     def fail_queued(self, reason: str, now: float = 0.0) -> list[ExchangeFailed]:
-        """Fail every not-yet-started message (dead peer, no re-bootstrap)."""
+        """Fail every not-yet-started message (dead peer)."""
         if not self._queue:
             return []
         if self._obs.enabled:

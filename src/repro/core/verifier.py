@@ -108,9 +108,6 @@ class S1Commitment:
 @dataclass(slots=True)
 class _VerifierExchange(S1Commitment):
     a1_bytes: bytes = b""
-    #: The decoded A1, kept so a resend can refresh the advisory
-    #: telemetry field (every protocol field stays frozen).
-    a1_packet: A1Packet | None = None
     ack_element: ChainElement | None = None
     ack_key_element: ChainElement | None = None
     delivered: set[int] = field(default_factory=set)
@@ -175,15 +172,7 @@ class VerifierSession:
         existing = self._exchanges.get(packet.seq)
         if existing is not None:
             # Retransmitted S1: repeat the identical A1 (fresh secrets or
-            # chain elements would break the signer's bookkeeping). The
-            # advisory telemetry field is the one exception — it sits
-            # outside the protocol state, and a wedged exchange would
-            # otherwise freeze the signer's fused loss view at whatever
-            # the ledger said when the A1 was first built, exactly when
-            # a corruption storm is raging (PROTOCOL.md §16.2).
-            if existing.a1_packet is not None and self.link is not None:
-                existing.a1_packet.telemetry = self.link.summary()
-                existing.a1_bytes = existing.a1_packet.encode()
+            # chain elements would break the signer's bookkeeping).
             if self._obs.enabled and existing.a1_bytes:
                 self._obs.tracer.emit(
                     now, self._node, EventKind.A1_SEND, self.assoc_id,
@@ -240,7 +229,7 @@ class VerifierSession:
                     digest(key + PRE_NACK_TAG + secret, label="pre-nack")
                     for secret in exchange.nack_secrets
                 ]
-        a1 = A1Packet(
+        exchange.a1_bytes = A1Packet(
             assoc_id=self.assoc_id,
             seq=packet.seq,
             ack_index=a1_element.index,
@@ -250,13 +239,7 @@ class VerifierSession:
             pre_acks=pre_acks,
             pre_nacks=pre_nacks,
             amt_root=amt_root,
-            # Ledger-tracked channels carry our view of the link back to
-            # the signer (PROTOCOL.md §16). Retransmitted S1s repeat the
-            # cached A1 bytes, so a given exchange reports one summary.
-            telemetry=self.link.summary() if self.link is not None else None,
-        )
-        exchange.a1_packet = a1
-        exchange.a1_bytes = a1.encode()
+        ).encode()
         self._remember(exchange)
         if self._obs.enabled:
             self._obs.tracer.emit(
@@ -303,8 +286,6 @@ class VerifierSession:
             self.delivered.append(
                 DeliveredMessage(packet.seq, packet.msg_index, packet.message)
             )
-            if self.link is not None:
-                self.link.on_delivery()
             if self._obs.enabled:
                 self._obs.tracer.emit(
                     now, self._node, EventKind.DELIVER, self.assoc_id,
@@ -335,10 +316,8 @@ class VerifierSession:
     # -- internals -------------------------------------------------------------
 
     def _reject_s1(self, now: float, seq: int, reason: str) -> None:
-        if self.link is not None:
-            self.link.on_reject()
-            if reason in _CORRUPTION_REASONS:
-                self.link.on_corrupt_arrival()
+        if self.link is not None and reason in _CORRUPTION_REASONS:
+            self.link.on_corrupt_arrival()
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.S1_VERIFY_FAIL, self.assoc_id,
@@ -347,10 +326,8 @@ class VerifierSession:
             self._obs.registry.counter("verifier.s1_rejected").inc()
 
     def _reject_s2(self, now: float, packet: S2Packet, reason: str) -> None:
-        if self.link is not None:
-            self.link.on_reject()
-            if reason in _CORRUPTION_REASONS:
-                self.link.on_corrupt_arrival()
+        if self.link is not None and reason in _CORRUPTION_REASONS:
+            self.link.on_corrupt_arrival()
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.S2_VERIFY_FAIL, self.assoc_id,

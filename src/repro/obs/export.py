@@ -63,11 +63,6 @@ _LINK_FIELDS = (
     ("retransmits_timeout", "counter"),
     ("retransmits_nack", "counter"),
     ("corrupt_arrivals", "counter"),
-    # The far end's wire-reported view (PROTOCOL.md §16): how many
-    # summaries have been merged and its corrupt-arrival count, so a
-    # scrape shows both sides of the fused loss split.
-    ("peer_reports", "counter"),
-    ("peer_corrupt_arrivals", "counter"),
     ("exchanges_completed", "counter"),
     ("exchanges_failed", "counter"),
     ("srtt_s", "gauge"),

@@ -51,7 +51,6 @@ class EventKind(enum.Enum):
     EXCHANGE_DONE = "exchange-done"
     EXCHANGE_FAILED = "exchange-failed"
     DEAD_PEER = "dead-peer"
-    REBOOTSTRAP = "rebootstrap"
     REKEY = "rekey"
     # Relay buffer lifecycle
     RELAY_ADMIT = "relay-admit"

@@ -40,8 +40,8 @@ PINNED = {
         "delivered": 8,
         "elapsed_s": 0.04,
         "goodput_bps": 819200.0,
-        "latency_p50_s": 0.029571,
-        "latency_p99_s": 0.048751,
+        "latency_p50_s": 0.029567,
+        "latency_p99_s": 0.048742,
     },
     "bench_failover": {
         "completion": 1.0,

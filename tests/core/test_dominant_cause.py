@@ -2,9 +2,10 @@
 
 ``LinkHealth.dominant_cause()`` names a cause once it holds at least
 ``DOMINANT_SHARE`` of a confident loss split. The signer's damper and
-escape hatch (PROTOCOL.md §12), the adaptive controller (§11) and the
-endpoint's escape re-bootstrap (§16) all read it; this pins each of
-them at the boundary.
+escape hatch (PROTOCOL.md §12) and the adaptive controller (§11) read
+it; this pins each of them at the boundary. The endpoint's terminal
+escape handling does not: whatever the split, a forced dead-peer check
+fails the queued messages as ``dead-peer``.
 """
 
 import pytest
@@ -13,9 +14,8 @@ from repro.core.adaptive import AdaptiveController
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig, EndpointOutput
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.linkhealth import DOMINANT_SHARE, LinkHealth
-from repro.core.packets import LedgerSummary
 from repro.core.signer import ChannelConfig, SignerSession
-from repro.obs import EventKind, Observability
+from repro.obs import Observability
 
 H = 20
 
@@ -28,11 +28,9 @@ SPLITS = {
 
 
 def split_link(peer, nacks, timeouts, link=None):
-    """A confident split with a peer report: the escape heuristic
-    requires the peer's own view, and a zero corrupt-arrival report
-    leaves the nack/timeout split as is."""
+    """A confident one-sided split: no corrupt arrivals, so the
+    nack/timeout split stands as is."""
     link = link if link is not None else LinkHealth(peer)
-    link.on_peer_summary(LedgerSummary(corrupt_arrivals=0))
     for _ in range(nacks):
         link.on_nack_retransmit()
     for _ in range(timeouts):
@@ -55,7 +53,8 @@ def make_signer(sha1, rng, link):
 
 def escape_outcome(nacks, timeouts):
     """Drive the endpoint's terminal rto-escape handling; returns the
-    REBOOTSTRAP infos and the failure reasons it produced."""
+    packets it sent (no re-bootstrap handshake) and the failure reasons
+    it produced."""
     config = EndpointConfig()
     a = AlphaEndpoint("a", config, seed=1, obs=Observability())
     b = AlphaEndpoint("b", config, seed=2, obs=Observability())
@@ -66,11 +65,7 @@ def escape_outcome(nacks, timeouts):
     a.send("b", b"queued")
     out = EndpointOutput()
     a._check_dead_peer(a.association("b"), 1.0, out, force=True)
-    infos = [
-        event.info for event in a.obs.tracer.events
-        if event.kind is EventKind.REBOOTSTRAP
-    ]
-    return infos, [failure.reason for _, failure in out.failures]
+    return out.replies, [failure.reason for _, failure in out.failures]
 
 
 @pytest.mark.parametrize("case", sorted(SPLITS))
@@ -90,13 +85,9 @@ def test_dominant_cause_boundary(case, sha1, rng):
     controller = AdaptiveController(signer, link=link)
     assert controller._corruption_dominated() is (cause == "corruption")
 
-    infos, reasons = escape_outcome(nacks, timeouts)
-    if cause == "corruption":
-        assert len(infos) == 1 and infos[0].endswith("cause=escape-corruption")
-        assert reasons == []
-    else:
-        assert infos == []
-        assert reasons == ["dead-peer"]
+    replies, reasons = escape_outcome(nacks, timeouts)
+    assert replies == []
+    assert reasons == ["dead-peer"]
 
 
 def test_unconfident_split_has_no_dominant_cause():

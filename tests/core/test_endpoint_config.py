@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
+from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import ChannelConfig
 
 #: One non-default value for every ChannelConfig field.
@@ -22,7 +22,6 @@ NON_DEFAULT = {
     "max_outstanding": 3,
     "retransmit_timeout_s": 0.5,
     "max_retries": 9,
-    "retransmit_policy": RetransmitPolicy.GO_BACK_N,
     "adaptive_rto": False,
     "rto_max_s": 4.0,
     "backoff_jitter": 0.0,

@@ -1,8 +1,8 @@
-"""Reliable delivery: pre-(n)acks, A2 handling, retransmit policies."""
+"""Reliable delivery: pre-(n)acks, A2 handling, selective-repeat retransmits."""
 
 import pytest
 
-from repro.core.modes import Mode, ReliabilityMode, RetransmitPolicy
+from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import A2Packet, AckVerdict, decode_packet
 from repro.canonical import CanonicalChannel
 from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG, ChannelConfig
@@ -13,13 +13,12 @@ from tests.core.test_sessions import make_channel
 H = 20
 
 
-def reliable_config(mode=Mode.BASE, batch=4, policy=RetransmitPolicy.SELECTIVE_REPEAT):
+def reliable_config(mode=Mode.BASE, batch=4):
     return ChannelConfig(
         mode=mode,
         reliability=ReliabilityMode.RELIABLE,
         batch_size=batch,
         retransmit_timeout_s=1.0,
-        retransmit_policy=policy,
     )
 
 
@@ -123,40 +122,6 @@ class TestAckFlow:
         a2_raw = verifier.handle_s2(s2_retry, 0.0)
         signer.handle_a2(decode_packet(a2_raw, H), 0.0)
         assert signer.exchanges_completed == 1
-
-    def test_go_back_n_retransmits_suffix(self, sha1, rng):
-        signer, verifier, _, _, s2s = start_reliable_exchange(
-            sha1,
-            rng,
-            reliable_config(Mode.CUMULATIVE, 3, policy=RetransmitPolicy.GO_BACK_N),
-            [b"a", b"b", b"c"],
-        )
-        s2s[0].message = b"corrupted"
-        retransmissions = []
-        for s2 in s2s:
-            a2_raw = verifier.handle_s2(s2, 0.0)
-            retransmissions.extend(signer.handle_a2(decode_packet(a2_raw, H), 0.0))
-        # Go-back-N from index 0, but indices 1 and 2 were acked before
-        # the retransmission decision for some orderings; at minimum
-        # index 0 is present and the set is a contiguous prefix rule.
-        indices = sorted(decode_packet(r, H).msg_index for r in retransmissions)
-        assert indices[0] == 0
-
-    def test_stop_and_wait_retransmits_one(self, sha1, rng):
-        signer, verifier, _, _, s2s = start_reliable_exchange(
-            sha1,
-            rng,
-            reliable_config(Mode.CUMULATIVE, 3, policy=RetransmitPolicy.STOP_AND_WAIT),
-            [b"a", b"b", b"c"],
-        )
-        s2s[0].message = b"corrupted"
-        s2s[1].message = b"corrupted"
-        for s2 in s2s:
-            a2_raw = verifier.handle_s2(s2, 0.0)
-            retrans = signer.handle_a2(decode_packet(a2_raw, H), 0.0)
-            # Stop-and-wait: never more than one outstanding retransmission
-            # per ack event.
-            assert len(retrans) <= 1
 
     def test_s2_timeout_retransmits_unacked(self, sha1, rng):
         signer, verifier, _, _, s2s = start_reliable_exchange(

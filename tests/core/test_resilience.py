@@ -296,48 +296,31 @@ class TestDeadPeerDetection:
         out = a.poll(100.1)
         assert out.replies  # fresh S1 on the wire
 
-    def test_auto_rebootstrap_migrates_queue(self):
-        a, b = self.make_endpoints(auto_rebootstrap=True)
-        for i in range(4):
-            a.send("b", b"msg-%d" % i)
-        # Peer silent: exchanges fail, dead-peer trips, a replacement
-        # handshake goes out automatically (in the same poll's replies).
-        now = 0.0
-        hs_bytes = None
-        for _ in range(12):
-            now += 1.0
-            replies = a.poll(now).replies
-            if a.stats.rebootstraps:
-                hs_bytes = replies[-1][1]  # the freshly emitted HS1
-                break
-        assert a.stats.rebootstraps == 1
-        assert hs_bytes is not None
-        assert decode_packet(hs_bytes, 20).__class__.__name__ == "HandshakePacket"
-        # The peer answers the re-bootstrap promptly (before the
-        # replacement handshake's own retry cap); queued traffic flows
-        # on the fresh association.
-        out = b.on_packet(hs_bytes, "a", now)
-        a.on_packet(out.replies[0][1], "b", now)
-        assoc = a.association("b")
-        assert assoc.established and not assoc.down
+    def test_dead_peer_fails_queue_and_reconnect_resends(self):
+        """No automatic re-bootstrap: a DOWN peer fails every queued
+        message, and the application resends them after ``connect()``."""
+        a, b = self.make_endpoints()
+        sent = [b"msg-%d" % i for i in range(4)]
+        for message in sent:
+            a.send("b", message)
+        failures = self.kill_peer_and_drain(a)
+        assert a.peer_down("b")
+        assert a.stats.dead_peers == 1
+        failed = [m for _, f in failures for m in f.messages]
+        assert sorted(failed) == sorted(sent)
+        _, hs1 = a.connect("b", now=100.0)
+        out = b.on_packet(hs1, "a", 100.0)
+        a.on_packet(out.replies[0][1], "b", 100.0)
+        for message in failed:
+            a.send("b", message)
         delivered = []
-        for _ in range(30):
-            now += 0.1
-            for src, dst in ((a, b), (b, a)):
-                for _, data in src.poll(now).replies:
-                    result = dst.on_packet(data, src.name, now)
-                    delivered.extend(m.message for _, m in result.delivered)
-                    for _, data2 in result.replies:
-                        result2 = src.on_packet(data2, dst.name, now)
-                        delivered.extend(m.message for _, m in result2.delivered)
-                        for _, data3 in result2.replies:
-                            result3 = dst.on_packet(data3, src.name, now)
-                            delivered.extend(
-                                m.message for _, m in result3.delivered
-                            )
-        # The messages that had not terminally failed before the
-        # re-bootstrap arrive on the new chains.
-        assert delivered
+        inflight = [(b, a, data) for _, data in a.poll(100.1).replies]
+        while inflight:
+            dst, src, data = inflight.pop(0)
+            result = dst.on_packet(data, src.name, 100.1)
+            delivered.extend(m.message for _, m in result.delivered)
+            inflight.extend((src, dst, reply) for _, reply in result.replies)
+        assert sorted(delivered) == sorted(sent)
         assert set(delivered) <= {b"msg-%d" % i for i in range(4)}
 
     def test_handshake_retry_cap_is_terminal(self):

@@ -8,7 +8,8 @@ came before it, kept here and in no production module. For every packet
 both must return the same bytes, or raise the same error type with the
 same text.
 
-Inputs: packets of all four types with every A1 flag combination, A2s
+Inputs: packets of all four types with every A1 flag combination (the
+retired ledger-summary bit only as a decode check: no encoder sets it), A2s
 with 0-4 verdicts, empty and 0xFFFF-byte messages, fixed-width fields
 of any width (a field-by-field write appends them unchecked), hash-list
 items of the wrong width, lengths and counts one past 16 bits, pre-acks
@@ -29,16 +30,15 @@ from repro.core.packets import (
     FLAG_AMT_ROOT,
     FLAG_PRE_ACK_PAIR,
     FLAG_RELIABLE,
-    FLAG_TELEMETRY,
     MAGIC,
     VERSION,
     A1Packet,
     A2Packet,
     AckVerdict,
-    LedgerSummary,
     PacketType,
     S1Packet,
     S2Packet,
+    decode_packet,
 )
 from repro.core.wire import Writer
 
@@ -63,7 +63,6 @@ def reference_s1(packet: S1Packet) -> bytes:
 
 
 def reference_a1(packet: A1Packet) -> bytes:
-    """The ledger summary's counters saturate into u32 (PROTOCOL.md §16)."""
     h = len(packet.ack_element)
     flags = 0
     if packet.pre_acks or packet.pre_nacks:
@@ -72,8 +71,6 @@ def reference_a1(packet: A1Packet) -> bytes:
         flags |= FLAG_PRE_ACK_PAIR
     if packet.amt_root is not None:
         flags |= FLAG_AMT_ROOT
-    if packet.telemetry is not None:
-        flags |= FLAG_TELEMETRY
     writer = reference_header(PacketType.A1, packet.assoc_id, packet.seq)
     writer.u8(flags).u32(packet.ack_index).raw(packet.ack_element)
     writer.u32(packet.echo_sig_index).raw(packet.echo_sig_element)
@@ -81,12 +78,6 @@ def reference_a1(packet: A1Packet) -> bytes:
         writer.hash_list(packet.pre_acks, h).hash_list(packet.pre_nacks, h)
     if packet.amt_root is not None:
         writer.raw(packet.amt_root)
-    if packet.telemetry is not None:
-        summary = packet.telemetry
-        for counter in (
-            summary.corrupt_arrivals, summary.verified, summary.dropped, summary.rtt_us
-        ):
-            writer.u32(min(max(counter, 0), 0xFFFFFFFF))
     return writer.getvalue()
 
 
@@ -162,9 +153,6 @@ def items(h: int, faults: bool, min_size: int = 0, max_size: int = 6):
 messages = st.one_of(
     st.just(b""), st.binary(min_size=1, max_size=64), st.just(b"\x5a" * 0xFFFF)
 )
-summaries = st.builds(
-    LedgerSummary, *[st.integers(min_value=-1, max_value=2**33)] * 4
-)
 
 
 @st.composite
@@ -180,7 +168,7 @@ def s1_packets(draw, h, faults):
 
 @st.composite
 def a1_packets(draw, h, faults):
-    flags = draw(st.integers(min_value=0, max_value=7))
+    flags = draw(st.integers(min_value=0, max_value=3))
     acks = draw(items(h, faults))
     # Unpaired lists only with faults.
     nacks = draw(items(h, faults, 0 if faults else len(acks), len(acks) + faults))
@@ -190,7 +178,6 @@ def a1_packets(draw, h, faults):
         draw(uints(64, faults)), draw(uints(32, faults)), draw(uints(32, faults)),
         b"\x01" * h, draw(uints(32, faults)), draw(fixed_fields(h)), acks, nacks,
         draw(fixed_fields(h)) if flags & FLAG_AMT_ROOT else None,
-        draw(summaries) if flags & FLAG_TELEMETRY else None,
     )
 
 
@@ -245,6 +232,12 @@ def test_faulty_packets_fail_as_the_reference(packet):
 # -- every A1 flag combination, every verdict count ---------------------------
 
 
+#: The A1 flag bit that once announced a 16-byte ledger summary after
+#: the packet's last field. No encoder sets it, and the summary it
+#: announced is trailing bytes to the decoder.
+RETIRED_BIT = 0x04
+
+
 @pytest.mark.parametrize("h", WIDTHS)
 @pytest.mark.parametrize("flags", range(8))
 def test_every_a1_flag_combination(flags, h):
@@ -252,10 +245,14 @@ def test_every_a1_flag_combination(flags, h):
     packet = A1Packet(
         7, 1, 3, b"\x01" * h, 5, b"\x02" * h, pairs, [b"\x04" * h] * len(pairs),
         b"\x05" * h if flags & FLAG_AMT_ROOT else None,
-        LedgerSummary(1, 2, 3, 4) if flags & FLAG_TELEMETRY else None,
     )
-    assert packet.encode()[16] == flags
+    encoded = packet.encode()
+    assert encoded[16] == flags & ~RETIRED_BIT
     assert_same_encode(packet)
+    if flags & RETIRED_BIT:
+        retired = encoded[:16] + bytes([flags]) + encoded[17:] + bytes(16)
+        with pytest.raises(PacketError, match="16 trailing bytes"):
+            decode_packet(retired, h)
 
 
 @pytest.mark.parametrize("h", WIDTHS)
@@ -295,15 +292,6 @@ def a2(*verdicts, disclosed_index=62):
 
 def verdict(msg_index=0, secret=b"s", path=()):
     return AckVerdict(msg_index, True, secret, list(path))
-
-
-@pytest.mark.parametrize(
-    "counters",
-    [(0, 1, 2**32 - 1, 2**32), (-1, 2, 3, 4), (2**64, 0, 0, -5), (-(2**70), 0, 0, 0)],
-)
-def test_ledger_summary_counters_saturate(counters):
-    packet = A1Packet(7, 1, 3, E, 5, E, telemetry=LedgerSummary(*counters))
-    assert_same_encode(packet)
 
 
 FAULTS = {

@@ -20,7 +20,9 @@ offset, wanted and available byte counts).
 
 Inputs: every golden wire vector, every truncation of it, each of its
 bytes XORed with 0x01 (which turns one packet type into another: S1 into
-HS2, A1 into S2) and with 0xFF, and arbitrary bytes. A generator of
+HS2, A1 into S2) and with 0xFF, every corpus A1 and HS2 in the retired
+format that carried a 16-byte ledger summary behind a flag bit (a typed
+drop now), and arbitrary bytes. A generator of
 well-formed S1/A1/S2/A2 packets covers what the corpus does not: every
 A1 flag combination (unknown flag bits included), A2s with 0–4 verdicts,
 empty and 0xFFFF-byte messages, hash widths 16, 20 and 32, and
@@ -38,22 +40,20 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import PacketError
 from repro.core.hashchain import ChainElement
 from repro.core.modes import Mode
 from repro.core.packets import (
     FLAG_AMT_ROOT,
-    FLAG_HS_TELEMETRY,
     FLAG_PRE_ACK_PAIR,
     FLAG_RELIABLE,
-    FLAG_TELEMETRY,
     MAGIC,
     VERSION,
     A1Packet,
     A2Packet,
     AckVerdict,
     HandshakePacket,
-    LedgerSummary,
     PacketType,
     S1Packet,
     S2Packet,
@@ -74,10 +74,6 @@ HASHES = {16: "sha1-16", 20: "sha1", 32: "sha256"}
 
 
 # -- the reference: a field-by-field ``Reader`` parse ------------------------
-
-
-def reference_ledger(reader: Reader) -> LedgerSummary:
-    return LedgerSummary(reader.u32(), reader.u32(), reader.u32(), reader.u32())
 
 
 def reference_s1(reader: Reader, assoc_id: int, seq: int, h: int) -> S1Packet:
@@ -107,7 +103,7 @@ def reference_a1(reader: Reader, assoc_id: int, seq: int, h: int) -> A1Packet:
     echo_sig_element = reader.raw(h)
     pre_acks: list[bytes] = []
     pre_nacks: list[bytes] = []
-    amt_root = telemetry = None
+    amt_root = None
     if flags & FLAG_PRE_ACK_PAIR:
         pre_acks = reader.hash_list(h)
         pre_nacks = reader.hash_list(h)
@@ -115,11 +111,9 @@ def reference_a1(reader: Reader, assoc_id: int, seq: int, h: int) -> A1Packet:
             raise PacketError("pre-acks and pre-nacks must pair up")
     if flags & FLAG_AMT_ROOT:
         amt_root = reader.raw(h)
-    if flags & FLAG_TELEMETRY:
-        telemetry = reference_ledger(reader)
     return A1Packet(
         assoc_id, seq, ack_index, ack_element, echo_sig_index, echo_sig_element,
-        pre_acks, pre_nacks, amt_root, telemetry,
+        pre_acks, pre_nacks, amt_root,
     )
 
 
@@ -149,7 +143,7 @@ def reference_a2(reader: Reader, assoc_id: int, seq: int, h: int) -> A2Packet:
 def reference_handshake(
     reader: Reader, assoc_id: int, seq: int, is_response: bool
 ) -> HandshakePacket:
-    flags = reader.u8()
+    reader.u8()  # flags: protection shows in the signature field
     try:
         hash_name = reader.var_bytes().decode("ascii")
     except UnicodeDecodeError:
@@ -162,13 +156,12 @@ def reference_handshake(
     ack_anchor = reader.var_bytes()
     public_key = reader.var_bytes()
     signature = reader.var_bytes()
-    telemetry = reference_ledger(reader) if flags & FLAG_HS_TELEMETRY else None
     if not sig_anchor or not ack_anchor:
         raise PacketError("handshake must carry both anchors")
     return HandshakePacket(
         assoc_id, seq, is_response, hash_name, nonce, sig_anchor,
         sig_chain_length, ack_anchor, ack_chain_length, peer_nonce,
-        public_key, signature, telemetry,
+        public_key, signature,
     )
 
 
@@ -304,8 +297,35 @@ def test_every_cut_of_a_broken_header(hash_size):
                     assert_same_decode(data[:end], hash_size)
 
 
+#: Offset of the A1 and handshake flags byte: right after the header.
+FLAGS_AT = 16
+#: The flag bits that once announced a 16-byte ledger summary after the
+#: last field of an A1 (0x04) or an HS2 (0x02). Decoders ignore both
+#: bits now, so a summary sent in that old format is 16 trailing bytes.
+RETIRED_A1_BIT = 0x04
+RETIRED_HS_BIT = 0x02
+RETIRED_FIELD = bytes(range(16))
+
+
+def with_retired_field(data: bytes) -> bytes:
+    """An A1 or HS2 in the retired format: its bit set, a summary after it."""
+    bit = RETIRED_A1_BIT if data[3] == PacketType.A1 else RETIRED_HS_BIT
+    flags = bytes([data[FLAGS_AT] | bit])
+    return data[:FLAGS_AT] + flags + data[FLAGS_AT + 1 :] + RETIRED_FIELD
+
+
+#: Every corpus A1 and HS2 in the retired format, with its hash width.
+RETIRED = {
+    vector["name"]: (
+        vector["hash_size"], with_retired_field(bytes.fromhex(vector["hex"]))
+    )
+    for vector in VECTORS
+    if vector["name"].startswith(("a1-", "hs2-"))
+}
+
 datagrams = st.one_of(
     st.binary(max_size=64),
+    st.sampled_from([data for _, data in RETIRED.values()]),
     # A valid header in front, so arbitrary bodies reach every decoder.
     st.builds(
         lambda packet_type, body: alpha_header(packet_type) + body,
@@ -332,6 +352,25 @@ def test_arbitrary_bytes(hash_size, schedule):
     for data, src in schedule:
         assert_same_decode(data, hash_size)
         assert_same_judgement(fast, reference, data, src)
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_ledger_summary_is_a_parse_drop(name):
+    """An A1 or HS2 still carrying the retired summary raises
+    ``PacketError``; a relay drops it as malformed and an endpoint
+    counts a parse drop, and neither raises."""
+    hash_size, data = RETIRED[name]
+    with pytest.raises(PacketError, match="16 trailing bytes"):
+        decode_packet(data, hash_size)
+    assert_same_decode(data, hash_size)
+    fast, reference = engine_pair(hash_size)
+    src = "v" if name.startswith("hs2-") else "s"
+    assert_same_judgement(fast, reference, data, src)
+    assert fast.stats["dropped.malformed"] == 1
+    endpoint = AlphaEndpoint("v", EndpointConfig(hash_name=HASHES[hash_size]), seed=1)
+    out = endpoint.on_packet(data, "s", 0.0)
+    assert (out.replies, out.delivered, out.failures) == ([], [], [])
+    assert endpoint.stats.corrupt_drops == 1
 
 
 def vector(name: str) -> bytes:
@@ -378,8 +417,6 @@ headers = st.fixed_dictionaries(
 messages = st.one_of(
     st.just(b""), st.binary(min_size=1, max_size=64), st.just(b"\x5a" * 0xFFFF)
 )
-#: Offset of the A1 flags byte: right after the 16-byte header.
-A1_FLAGS_AT = 16
 
 
 def hash_lists(h: int, min_size: int = 0, max_size: int = 6):
@@ -406,7 +443,7 @@ def s1_packets(draw, h):
     ).encode()
 
 
-def a1_bytes(h, flags, header, indices, elements, pairs, amt_root, telemetry):
+def a1_bytes(h, flags, header, indices, elements, pairs, amt_root):
     """An A1 carrying ``flags`` as is: a pre-ack pair may be two empty
     lists, and unknown flag bits (which decoders ignore) stay set."""
     packet = A1Packet(
@@ -415,14 +452,13 @@ def a1_bytes(h, flags, header, indices, elements, pairs, amt_root, telemetry):
         pre_acks=pairs[0] if flags & FLAG_PRE_ACK_PAIR else [],
         pre_nacks=pairs[1] if flags & FLAG_PRE_ACK_PAIR else [],
         amt_root=amt_root if flags & FLAG_AMT_ROOT else None,
-        telemetry=telemetry if flags & FLAG_TELEMETRY else None,
     )
     data = bytearray(packet.encode())
     if flags & FLAG_PRE_ACK_PAIR and not pairs[0]:
         # Two zero counts, which the encoder never writes for no pairs.
-        fixed_end = A1_FLAGS_AT + 1 + 2 * (4 + h)
+        fixed_end = FLAGS_AT + 1 + 2 * (4 + h)
         data[fixed_end:fixed_end] = b"\x00" * 4
-    data[A1_FLAGS_AT] = flags
+    data[FLAGS_AT] = flags
     return bytes(data)
 
 
@@ -435,7 +471,7 @@ def a1_packets(draw, h):
         h, flags, draw(headers), draw(st.tuples(u32s, u32s)),
         draw(st.tuples(element, element)),
         draw(st.tuples(*[hash_lists(h, n_pairs, n_pairs)] * 2)),
-        draw(element), LedgerSummary(*draw(st.tuples(u32s, u32s, u32s, u32s))),
+        draw(element),
     )
 
 
@@ -514,9 +550,13 @@ def test_every_a1_flag_combination(flags, pairs, h):
     data = a1_bytes(
         h, flags, {"assoc_id": 7, "seq": 1}, (3, 5), (b"\x01" * h, b"\x02" * h),
         ([b"\x03" * h] * pairs, [b"\x04" * h] * pairs), b"\x05" * h,
-        LedgerSummary(1, 2, 3, 4),
     )
     assert decode_packet(data, h) == reference_decode(data, h)
     for end in range(len(data)):
         assert_same_decode(data[:end], h)
     assert_same_decode(data + b"\x00", h)
+    if flags & RETIRED_A1_BIT:
+        # The retired bit with the field it once announced.
+        with pytest.raises(PacketError, match="16 trailing bytes"):
+            decode_packet(data + RETIRED_FIELD, h)
+        assert_same_decode(data + RETIRED_FIELD, h)

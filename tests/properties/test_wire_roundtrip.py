@@ -10,7 +10,8 @@ type (HS1, HS2, S1, A1, S2, A2) and asserts:
    *some* packet or raises :class:`PacketError`; no other exception
    type ever escapes the parser (no ``struct.error``, ``IndexError``,
    ``UnicodeDecodeError``, ...).
-4. Trailing garbage is rejected (``expect_end``).
+4. Trailing garbage is rejected (``expect_end``), also behind the
+   A1/handshake flag bit that once announced a 16-byte ledger summary.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.packets import (
     A2Packet,
     AckVerdict,
     HandshakePacket,
-    LedgerSummary,
+    PacketType,
     S1Packet,
     S2Packet,
     decode_packet,
@@ -44,15 +45,10 @@ u32s = st.integers(min_value=0, max_value=2**32 - 1)
 u16s = st.integers(min_value=0, max_value=2**16 - 1)
 payloads = st.binary(max_size=64)
 
-#: Optional ledger-summary telemetry riding A1 and HS2 (PROTOCOL.md §16).
-ledger_summaries = st.builds(
-    LedgerSummary,
-    corrupt_arrivals=u32s,
-    verified=u32s,
-    dropped=u32s,
-    rtt_us=u32s,
-)
-maybe_telemetry = st.none() | ledger_summaries
+#: Flag bits (in the byte after the header) that once announced a
+#: 16-byte ledger summary after an A1 or a handshake. Decoders ignore
+#: them, so the old summary is trailing garbage like any other.
+RETIRED_BITS = {PacketType.A1: 0x04, PacketType.HS1: 0x02, PacketType.HS2: 0x02}
 
 
 @st.composite
@@ -92,7 +88,6 @@ def a1_packets(draw):
         pre_acks=draw(st.lists(hashes, min_size=n_pairs, max_size=n_pairs)),
         pre_nacks=draw(st.lists(hashes, min_size=n_pairs, max_size=n_pairs)),
         amt_root=draw(st.none() | hashes),
-        telemetry=draw(maybe_telemetry),
     )
 
 
@@ -154,7 +149,6 @@ def handshake_packets(draw):
         peer_nonce=draw(st.just(b"") | st.binary(min_size=8, max_size=32)),
         public_key=draw(st.binary(max_size=64)),
         signature=draw(st.binary(max_size=64)),
-        telemetry=draw(maybe_telemetry),
     )
 
 
@@ -200,8 +194,17 @@ def test_bit_flip_raises_only_packet_error(packet, data):
         pass  # typed rejection is the contract
 
 
-@given(packet=any_packets, garbage=st.binary(min_size=1, max_size=16))
+@given(
+    packet=any_packets,
+    garbage=st.binary(min_size=1, max_size=16),
+    retired=st.booleans(),
+)
 @settings(max_examples=100, deadline=None)
-def test_trailing_garbage_rejected(packet, garbage):
+def test_trailing_garbage_rejected(packet, garbage, retired):
+    """With ``retired``, the flag bit that once announced a summary is
+    set too: the garbage stands where the summary stood."""
+    data = bytearray(packet.encode() + garbage)
+    if retired:
+        data[16] |= RETIRED_BITS.get(packet.TYPE, 0)
     with pytest.raises(PacketError):
-        decode_packet(packet.encode() + garbage, H)
+        decode_packet(bytes(data), H)
