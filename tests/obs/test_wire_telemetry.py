@@ -1,37 +1,33 @@
-"""Wire telemetry: ledger summaries ride A1/HS2 only when observed.
+"""Wire telemetry: no packet carries a ledger summary.
 
-The overhead contract (PROTOCOL.md §16): with observability off and no
-adaptive controller there is no link ledger, so no packet carries a
-telemetry field and the wire format is byte-for-byte the pre-telemetry
-format (the golden corpus pins that independently). With an enabled
-context the verifier's A1s carry its ledger summary, and the signer
-fuses it into its own link view — the two-endpoint story behind
-``loss_split``.
+A1 and HS2 once carried a 16-byte ledger summary behind a flag bit
+(A1 0x04, HS2 0x02) when observability was on. The field is retired:
+the fixed A1 layout is all an A1 without lists costs, and unobserved
+endpoints set neither retired bit. That an observed endpoint sends the
+same bytes is pinned by ``test_observing_is_wire_neutral``; that a
+packet in the old format is a parse drop, by ``test_relay_intake``.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core.packets import (
-    FLAG_TELEMETRY,
-    A1Packet,
-    HandshakePacket,
-    LedgerSummary,
-    decode_packet,
-)
-from repro.obs import Observability
+from repro.core.exceptions import PacketError
+from repro.core.packets import A1Packet, HandshakePacket, decode_packet
 
 H = 20  # SHA-1 digest width used by the default config
+#: Offset of the A1 and handshake flags byte: right after the header.
+FLAGS_AT = 16
+RETIRED_A1_BIT = 0x04
+RETIRED_HS_BIT = 0x02
+RETIRED_FIELD_SIZE = 16
 
 
-def drive_pair(config, messages=2, steps=400, observe=False):
-    """Shuttle two endpoints to completion; returns (wires, delivered)."""
-    nodes = {
-        name: AlphaEndpoint(
-            name, config, seed=seed, obs=Observability() if observe else None
-        )
-        for name, seed in (("a", 1), ("b", 2))
-    }
+def drive_pair(config, messages=2, steps=400):
+    """Shuttle two unobserved endpoints to completion; returns every
+    datagram either one sent, in order."""
+    nodes = {name: AlphaEndpoint(name, config, seed=seed) for name, seed in (("a", 1), ("b", 2))}
     t = 0.0
     _, hs1 = nodes["a"].connect("b", now=t)
     inflight = [("b", "a", hs1)]
@@ -60,44 +56,34 @@ def drive_pair(config, messages=2, steps=400, observe=False):
         if sent and len(delivered) >= messages and not inflight:
             break
     assert len(delivered) >= messages
-    return nodes, wires
-
-
-def summary_fields(wires):
-    """The telemetry field of every decoded A1/HS packet, in order."""
-    fields = []
-    for payload in wires:
-        packet = decode_packet(payload, H)
-        if isinstance(packet, (A1Packet, HandshakePacket)):
-            fields.append(packet.telemetry)
-    return fields
+    return wires
 
 
 class TestZeroOverheadWhenUnobserved:
     def test_absent_field_costs_zero_bytes(self):
-        base = dict(
+        bare = A1Packet(
             assoc_id=1, seq=1, ack_index=3, ack_element=b"\x01" * H,
             echo_sig_index=4, echo_sig_element=b"\x02" * H,
-            pre_acks=[], pre_nacks=[],
-        )
-        bare = A1Packet(**base).encode()
-        carrying = A1Packet(
-            **base, telemetry=LedgerSummary(corrupt_arrivals=7, verified=9)
         ).encode()
-        assert len(carrying) - len(bare) == LedgerSummary.SIZE
-        assert not bare[1] & FLAG_TELEMETRY
-        assert decode_packet(bare, H).telemetry is None
+        # Flags, the two chain indices and the two elements: nothing else.
+        assert len(bare) == FLAGS_AT + 1 + 4 + H + 4 + H
+        assert not bare[FLAGS_AT] & RETIRED_A1_BIT
+        assert decode_packet(bare, H) == A1Packet(1, 1, 3, b"\x01" * H, 4, b"\x02" * H)
+        # The retired field, bit and all, is bytes no decoder accepts.
+        flagged = bytearray(bare + bytes(RETIRED_FIELD_SIZE))
+        flagged[FLAGS_AT] |= RETIRED_A1_BIT
+        with pytest.raises(PacketError, match="16 trailing bytes"):
+            decode_packet(bytes(flagged), H)
 
     def test_obs_off_endpoints_never_emit_telemetry(self):
-        _, wires = drive_pair(EndpointConfig(chain_length=64))
-        fields = summary_fields(wires)
-        assert fields and all(field is None for field in fields)
-
-    def test_observed_endpoints_exchange_and_fuse_summaries(self):
-        nodes, wires = drive_pair(EndpointConfig(chain_length=64), observe=True)
-        fields = summary_fields(wires)
-        assert any(field is not None for field in fields)
-        # The signer merged the verifier's view into its link ledger.
-        link = nodes["a"].links.link("b")
-        assert link.peer_reports >= 1
-        assert link.peer_verified >= 1
+        wires = drive_pair(EndpointConfig(chain_length=64))
+        seen = 0
+        for payload in wires:
+            packet = decode_packet(payload, H)
+            if isinstance(packet, A1Packet):
+                assert not payload[FLAGS_AT] & RETIRED_A1_BIT
+                seen += 1
+            elif isinstance(packet, HandshakePacket):
+                assert not payload[FLAGS_AT] & RETIRED_HS_BIT
+                seen += 1
+        assert seen
