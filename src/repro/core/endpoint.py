@@ -115,6 +115,9 @@ class Association:
     established: bool = False
     hs_nonce: bytes = b""
     hs_bytes: bytes = b""
+    #: Responder: the HS1 that ``hs_bytes`` answers; another HS1 with
+    #: its nonce draws the same answer.
+    hs_request: HandshakePacket | None = None
     hs_deadline: float = 0.0
     hs_retries: int = 0
     pending_sends: list[bytes] = field(default_factory=list)
@@ -593,17 +596,28 @@ class AlphaEndpoint:
         # HS1: we are the responder.
         existing = self._by_id.get(packet.assoc_id)
         if existing is not None:
-            # Retransmitted HS1: repeat our HS2.
-            if existing.peer == src and existing.hs_bytes:
+            if existing.peer != src or not existing.hs_bytes:
+                return
+            if existing.initiator or packet.nonce == existing.hs_request.nonce:
+                # Retransmitted HS1: repeat our answer.
                 out.replies.append((src, existing.hs_bytes))
-            return
+                return
         try:
             peer_anchors = validate_handshake(
                 packet, expect_protected=self.config.require_protected_handshake
             )
         except AlphaError:
             return
-        chains = self._create_chains()
+        if existing is None:
+            chains = self._create_chains()
+        elif peer_anchors == validate_handshake(existing.hs_request):
+            # The HS1 answered was damaged in flight (a flipped nonce bit
+            # still parses), so its HS2 echoes a nonce the initiator
+            # rejects. Answer this one over the same chains: relays that
+            # saw the first HS2 keep valid anchors.
+            chains = existing.chains
+        else:
+            return
         response = build_handshake(
             assoc_id=packet.assoc_id,
             chains=chains,
@@ -613,9 +627,10 @@ class AlphaEndpoint:
             peer_nonce=packet.nonce,
             identity=self.identity,
         )
-        assoc = self._install_association(
+        assoc = existing or self._install_association(
             packet.assoc_id, src, chains, peer_anchors, initiator=False, now=now
         )
+        assoc.hs_request = packet
         assoc.hs_bytes = response.encode()
         out.replies.append((src, assoc.hs_bytes))
         if self.obs.enabled:

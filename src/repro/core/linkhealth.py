@@ -35,11 +35,11 @@ Classifier rules (PROTOCOL.md §11):
   correction is **congestion**.
 
 The ledger is this endpoint's own view: nothing in it comes off the
-wire unauthenticated. Its dominant cause steers the signer's nack
-damper and probe escape and the adaptive controller. Every entry is
-bounded: plain counters, two EWMAs, and one fixed-bucket histogram per
-link, so a ledger over any number of associations stays a few hundred
-bytes per peer.
+wire unauthenticated. Its dominant cause steers the adaptive
+controller; the signer only writes to it. Every entry is bounded:
+plain counters, two EWMAs, and one fixed-bucket histogram per link, so
+a ledger over any number of associations stays a few hundred bytes per
+peer.
 """
 
 from __future__ import annotations
@@ -232,9 +232,9 @@ class LinkHealth:
         """``"corruption"`` or ``"congestion"`` once that cause holds at
         least ``DOMINANT_SHARE`` of a confident split, else ``None``.
 
-        The one rule behind every loss-cause bias: the signer's damper
-        and escape hatch (PROTOCOL.md §12) and the adaptive controller's
-        batch cap and pipelining (§11).
+        The one rule behind every loss-cause bias, all of them the
+        adaptive controller's: its batch cap and pipelining (PROTOCOL.md
+        §11).
         """
         if not self.split_confident:
             return None

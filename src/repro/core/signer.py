@@ -40,19 +40,18 @@ PRE_ACK_TAG = b"1"
 PRE_NACK_TAG = b"0"
 
 #: Nack-storm damper (PROTOCOL.md §12): token-bucket capacity for
-#: nack-provoked retransmit events per exchange, halved while
-#: congestion dominates the link's loss. A corruption storm turns every
-#: honored nack into an instantly re-damaged resend whose refreshed
-#: deadline starves the timeout path; the bucket admits short nack
-#: bursts at full speed and then suppresses with exponentially growing
-#: windows.
+#: nack-provoked retransmit events per exchange. A corruption storm
+#: turns every honored nack into an instantly re-damaged resend whose
+#: refreshed deadline starves the timeout path; the bucket admits short
+#: nack bursts at full speed and then suppresses with exponentially
+#: growing windows.
 NACK_BUCKET = 4
 #: Quiet time (in RTOs) that refills one bucket token.
 NACK_REFILL_RTOS = 1.0
 #: RTO escape hatch: consecutive timeouts pinned at ``rto_max_s``
 #: before the signer probes the link with the bare S1 (the verifier
 #: repeats its A1 verbatim) instead of blindly resending the full
-#: batch. One while corruption dominates the link's loss.
+#: batch.
 RTO_PROBE_AFTER = 2
 #: Unanswered probes before the exchange fails terminally (reason
 #: ``rto-escape``) and dead-peer handling takes over.
@@ -209,7 +208,7 @@ class SignerSession:
         self.peer = peer
         self._obs = obs if obs is not None else OBS_OFF
         self._node = node or "signer"
-        #: Cross-association link ledger this session reports into
+        #: Cross-association link ledger this session only writes to
         #: (retransmit provenance, RTT, delivery latency). ``None``
         #: keeps every hook a single predictable branch.
         self.link = link
@@ -586,7 +585,7 @@ class SignerSession:
             deadline=now + self._current_timeout(),
             sent_at=now,
             started_at=now,
-            nack_tokens=self._nack_capacity(),
+            nack_tokens=float(NACK_BUCKET),
             nack_refill_at=now,
         )
         if self._obs.enabled:
@@ -642,27 +641,6 @@ class SignerSession:
 
     # -- storm damper / escape hatch (PROTOCOL.md §12) -------------------------
 
-    def _dominant_cause(self) -> str | None:
-        """The link ledger's dominant loss cause, if any.
-
-        The cross-association :class:`LinkHealth` split (PROTOCOL.md
-        §11) biases both defenses: corruption-dominated links prefer
-        probing (replies die on the wire, so re-measure sooner), while
-        congestion-dominated links prefer damping (extra repair traffic
-        feeds the queue that is dropping packets).
-        """
-        return self.link.dominant_cause() if self.link is not None else None
-
-    def _nack_capacity(self) -> float:
-        if self._dominant_cause() == "congestion":
-            return float(NACK_BUCKET // 2)
-        return float(NACK_BUCKET)
-
-    def _probe_threshold(self) -> int:
-        if self._dominant_cause() == "corruption":
-            return RTO_PROBE_AFTER - 1
-        return RTO_PROBE_AFTER
-
     def _admit_nack_retransmit(self, exchange: _Exchange, now: float) -> bool:
         """Nack-storm damper: token bucket + exponential suppression.
 
@@ -678,7 +656,7 @@ class SignerSession:
         rto = self._current_timeout()
         elapsed = max(0.0, now - exchange.nack_refill_at)
         exchange.nack_tokens = min(
-            self._nack_capacity(),
+            float(NACK_BUCKET),
             exchange.nack_tokens + elapsed / (NACK_REFILL_RTOS * rto),
         )
         exchange.nack_refill_at = now
@@ -717,7 +695,7 @@ class SignerSession:
         exchange.at_max_streak += 1
         if exchange.at_max_streak > self.max_rto_streak_peak:
             self.max_rto_streak_peak = exchange.at_max_streak
-        return exchange.at_max_streak >= self._probe_threshold()
+        return exchange.at_max_streak >= RTO_PROBE_AFTER
 
     def _engage_probe(self, exchange: _Exchange, now: float) -> bool:
         """Enter probe mode; False when the exchange is structurally
@@ -762,7 +740,7 @@ class SignerSession:
             exchange.at_max_streak = 0
             exchange.probe_episodes = 0
             exchange.probe_marker = ()
-            exchange.nack_tokens = self._nack_capacity()
+            exchange.nack_tokens = float(NACK_BUCKET)
             exchange.nack_refill_at = now
             exchange.nack_suppress_streak = 0
             exchange.nack_open_at = now

@@ -12,6 +12,7 @@ from repro.core.bootstrap import (
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import AuthenticationError, ProtocolError
 from repro.core.modes import Mode, ReliabilityMode
+from repro.core.packets import decode_packet
 from repro.core.relay import RelayEngine
 from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
@@ -94,6 +95,49 @@ class TestDynamicHandshake:
         _, hs1 = a.connect("b")
         out = a.poll(2.0)
         assert out.replies == [("b", hs1)]
+
+    def test_flipped_hs1_nonce_bit_costs_one_retry(self):
+        """One bit flipped in flight in the first HS1's nonce, for every
+        nonce bit. The HS2 echoes the damaged nonce and the initiator
+        rejects it; the genuine retry carries another nonce and the same
+        anchors, so it draws a fresh HS2 over the same chains."""
+        for bit in range(128):
+            a = AlphaEndpoint("a", seed=1)
+            b = AlphaEndpoint("b", seed=2)
+            _, hs1 = a.connect("b")
+            damaged = bytearray(hs1)
+            damaged[hs1.index(decode_packet(hs1, 20).nonce) + bit // 8] ^= (
+                0x80 >> bit % 8
+            )
+            for _, hs2 in b.on_packet(bytes(damaged), "a", 0.0).replies:
+                a.on_packet(hs2, "b", 0.0)
+            now = 0.0
+            while not a.association("b").established:
+                assert now < 2.0, f"bit {bit}: no establishment"
+                now += 0.25
+                for _, retry in a.poll(now).replies:
+                    for _, hs2 in b.on_packet(retry, "a", now).replies:
+                        a.on_packet(hs2, "b", now)
+            ours, theirs = a.association("b"), b.association("a")
+            assert ours.hs_retries == 1, f"bit {bit}"
+            for local, remote in ((ours, theirs), (theirs, ours)):
+                signature, acknowledgment = remote.chains.anchors
+                assert local.verifier.sig_verifier.trusted == signature
+                assert local.signer.ack_verifier.trusted == acknowledgment
+            a.send("b", b"payload")
+            events = pump(a, b, now=now)
+            assert [m.message for _, m in events["delivered"]] == [b"payload"]
+
+    def test_differing_hs1_naming_other_chains_is_dropped(self):
+        a = AlphaEndpoint("a", seed=1)
+        b = AlphaEndpoint("b", seed=2)
+        _, hs1 = a.connect("b")
+        b.on_packet(hs1, "a", 0.0)
+        installed = b.association("a").verifier.sig_verifier.trusted
+        packet = decode_packet(hs1, 20)
+        packet.nonce, packet.sig_anchor = bytes(16), bytes(20)
+        assert b.on_packet(packet.encode(), "a", 0.0).replies == []
+        assert b.association("a").verifier.sig_verifier.trusted == installed
 
     def test_packets_from_wrong_peer_ignored(self):
         a = AlphaEndpoint("a", seed=1)

@@ -1,11 +1,12 @@
-"""The dominant-loss-cause rule and every site that acts on it.
+"""The dominant-loss-cause rule and the one site that acts on it.
 
 ``LinkHealth.dominant_cause()`` names a cause once it holds at least
-``DOMINANT_SHARE`` of a confident loss split. The signer's damper and
-escape hatch (PROTOCOL.md §12) and the adaptive controller (§11) read
-it; this pins each of them at the boundary. The endpoint's terminal
-escape handling does not: whatever the split, a forced dead-peer check
-fails the queued messages as ``dead-peer``.
+``DOMINANT_SHARE`` of a confident loss split. Only the adaptive
+controller (PROTOCOL.md §11) reads it; this pins it at the boundary.
+The endpoint's terminal escape handling does not: whatever the split, a
+forced dead-peer check fails the queued messages as ``dead-peer``. Nor
+does the signer: an observed, non-adaptive pair keeps a ledger but
+never asks it for a cause (§12.3).
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.linkhealth import DOMINANT_SHARE, LinkHealth
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import Observability
+from tests.obs.test_observing_is_wire_neutral import CORRUPTION_MODES, corruption_drive
 
 H = 20
 
@@ -78,11 +80,7 @@ def test_dominant_cause_boundary(case, sha1, rng):
     assert (share >= DOMINANT_SHARE) is (cause == "corruption")
     assert link.dominant_cause() == cause
 
-    signer = make_signer(sha1, rng, link)
-    assert signer._probe_threshold() == (1 if cause == "corruption" else 2)
-    assert signer._nack_capacity() == (2.0 if cause == "congestion" else 4.0)
-
-    controller = AdaptiveController(signer, link=link)
+    controller = AdaptiveController(make_signer(sha1, rng, link), link=link)
     assert controller._corruption_dominated() is (cause == "corruption")
 
     replies, reasons = escape_outcome(nacks, timeouts)
@@ -96,3 +94,19 @@ def test_unconfident_split_has_no_dominant_cause():
         link.on_nack_retransmit()  # pure corruption, but < MIN_SPLIT_EVENTS
     assert not link.split_confident
     assert link.dominant_cause() is None
+
+
+@pytest.mark.parametrize("mode", sorted(CORRUPTION_MODES))
+def test_signer_never_reads_the_dominant_cause(mode, monkeypatch):
+    """The corruption drive of the wire-neutrality test, observed and
+    non-adaptive, with the rule made to raise: the signer's damper and
+    probe threshold are constants, so the run matches an unobserved
+    one."""
+
+    def forbidden(self):
+        raise AssertionError("a non-adaptive endpoint read dominant_cause")
+
+    plain = corruption_drive(mode, 0, observe=False)
+    monkeypatch.setattr(LinkHealth, "dominant_cause", forbidden)
+    assert corruption_drive(mode, 0, observe=True) == plain
+    assert plain[1]

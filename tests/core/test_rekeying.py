@@ -10,7 +10,8 @@ from collections import deque
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core.modes import ReliabilityMode
+from repro.core.modes import Mode, ReliabilityMode
+from repro.core.packets import HandshakePacket, decode_packet
 from repro.netsim import Network
 from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
@@ -130,12 +131,15 @@ class TestRekeying:
         assert relays[0].engine.stats.get("dropped", 0) == 0
 
 
-def fifo_exchange(reliability, both_ways, count=60):
+def fifo_exchange(config, both_ways, count=60, paced=False):
     """Send ``count`` messages a->b (and b->a) over one FIFO queue,
     polling both endpoints after every packet — the cadence of an event
     loop with latency, where a poll can land between an exchange's A1
-    and S2. Returns what each side received and every failure reason."""
-    config = EndpointConfig(chain_length=16, reliability=reliability)
+    and S2. b sends one message per packet once established. a queues
+    all of them at once or, ``paced``, sends each on a quiet link, one
+    exchange per message. Returns what each side received, every
+    failure reason and the number of associations the handshakes
+    opened."""
     endpoints = {
         "a": AlphaEndpoint("a", config, seed=1),
         "b": AlphaEndpoint("b", config, seed=2),
@@ -144,49 +148,77 @@ def fifo_exchange(reliability, both_ways, count=60):
     queue = deque([("a", "b", a.connect("b")[1])])
     received = {"a": [], "b": []}
     failures = []
+    handshakes = set()
 
     def absorb(name, out):
         queue.extend((name, dest, data) for dest, data in out.replies)
         received[name].extend(m.message for _, m in out.delivered)
         failures.extend(f.reason for _, f in out.failures)
 
-    for i in range(count):
+    for i in range(0 if paced else count):
         a.send("b", b"a%d" % i)
+    paced_sends = [b"a%d" % i for i in range(count)] if paced else []
     backlog = [b"b%d" % i for i in range(count)] if both_ways else []
     now = 0.0
     for _ in range(50_000):
         if backlog and "a" in b.peers and b.association("a").established:
             b.send("a", backlog.pop(0))
+        if paced_sends and not queue and a.association("b").established:
+            a.send("b", paced_sends.pop(0))
         if queue:
             src, dst, data = queue.popleft()
+            packet = decode_packet(data, 20)
+            if isinstance(packet, HandshakePacket):
+                handshakes.add(packet.assoc_id)
             absorb(dst, endpoints[dst].on_packet(data, src, now))
         for name, endpoint in endpoints.items():
             absorb(name, endpoint.poll(now))
-        if not queue:
+        if not queue and not paced_sends:
             deadlines = [
                 d for d in (a.next_deadline(), b.next_deadline()) if d is not None
             ]
             if not deadlines or now > 100.0:
                 break
             now = max(now + 0.001, min(deadlines))
-    return received, failures
+    return received, failures, len(handshakes)
+
+
+RELIABILITIES = pytest.mark.parametrize(
+    "reliability",
+    [ReliabilityMode.UNRELIABLE, ReliabilityMode.RELIABLE],
+    ids=["unreliable", "reliable"],
+)
 
 
 class TestRekeyUnderEagerPolling:
     """A rekey must not lose the old association's last exchanges."""
 
     @pytest.mark.parametrize("both_ways", [False, True], ids=["one-way", "both-ways"])
-    @pytest.mark.parametrize(
-        "reliability",
-        [ReliabilityMode.UNRELIABLE, ReliabilityMode.RELIABLE],
-        ids=["unreliable", "reliable"],
-    )
+    @RELIABILITIES
     def test_every_message_survives_the_rekeys(self, reliability, both_ways):
-        received, failures = fifo_exchange(reliability, both_ways)
+        config = EndpointConfig(chain_length=16, reliability=reliability)
+        received, failures, _ = fifo_exchange(config, both_ways)
         assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(60))
         expected_at_a = [b"b%d" % i for i in range(60)] if both_ways else []
         assert sorted(received["a"]) == sorted(expected_at_a)
         assert failures == []
+
+    @pytest.mark.parametrize(
+        "mode", [Mode.BASE, Mode.CUMULATIVE, Mode.MERKLE], ids=lambda m: m.name.lower()
+    )
+    @RELIABILITIES
+    def test_no_s2_lost_across_many_rekeys(self, mode, reliability):
+        """A rekey loses no S2 of the old association's last exchange,
+        in every mode, over batches and many generations of chains."""
+        config = EndpointConfig(
+            mode=mode, reliability=reliability, batch_size=4, chain_length=32
+        )
+        received, failures, handshakes = fifo_exchange(
+            config, both_ways=False, count=300, paced=True
+        )
+        assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(300))
+        assert failures == []
+        assert handshakes >= 10
 
     def test_busy_counts_retired_associations(self):
         config = EndpointConfig(chain_length=64)

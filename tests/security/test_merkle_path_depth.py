@@ -55,11 +55,14 @@ def truncated_forgery(hash_fn, genuine: S2Packet) -> S2Packet:
     )
 
 
-@pytest.mark.parametrize("reliability", RELIABILITIES, ids=lambda r: r.name.lower())
-@pytest.mark.parametrize("mode,batch,trees,source", CASES)
-def test_truncated_path_forgery_dies_at_the_first_relay(
-    mode, batch, trees, source, reliability
-):
+def forge_then_finish(mode, batch, trees, source, reliability, warm):
+    """Try the truncated-path forgery for index ``source - 1`` at both
+    relays and the verifier, then finish the exchange genuinely.
+
+    ``warm`` sends the genuine S2s before the target first, so each hop
+    holds the disclosed key and the proven path nodes; cold, the
+    forgery is the first S2 any hop sees.
+    """
     channel = CanonicalChannel(
         DRBG(1),
         ChannelConfig(
@@ -77,9 +80,9 @@ def test_truncated_path_forgery_dies_at_the_first_relay(
     assert len(forged.message) == 2 * h
     raw = forged.encode()
 
-    # The genuine S2s before the target pin the disclosed key at every
-    # hop; the target itself is withheld while the forgery is tried.
-    delivered, now = channel.finish(s2s[:target], now)
+    # The target itself is withheld while the forgery is tried.
+    before = s2s[:target] if warm else []
+    delivered, now = channel.finish(before, now)
     for relay in channel.relays:
         decision = relay.handle(raw, "s", "v", now)
         assert (decision.forward, decision.reason) == (False, "s2-bad-payload")
@@ -87,7 +90,7 @@ def test_truncated_path_forgery_dies_at_the_first_relay(
     channel.verifier.handle_s2(decode_packet(raw, h), now)
     assert channel.verifier.drain_delivered() == []
 
-    rest, now = channel.finish(s2s[target:], now)
+    rest, now = channel.finish(s2s[len(before):], now)
     delivered += rest
     assert sorted(m.msg_index for m in delivered) == list(range(batch))
     assert {m.msg_index: m.message for m in delivered} == dict(enumerate(messages))
@@ -96,6 +99,22 @@ def test_truncated_path_forgery_dies_at_the_first_relay(
         reports = channel.signer.drain_reports()
         assert [r.message for r in reports] == messages
         assert all(r.delivered for r in reports)
+
+
+@pytest.mark.parametrize("reliability", RELIABILITIES, ids=lambda r: r.name.lower())
+@pytest.mark.parametrize("mode,batch,trees,source", CASES)
+def test_truncated_path_forgery_dies_at_the_first_relay(
+    mode, batch, trees, source, reliability
+):
+    forge_then_finish(mode, batch, trees, source, reliability, warm=True)
+
+
+@pytest.mark.parametrize("reliability", RELIABILITIES, ids=lambda r: r.name.lower())
+@pytest.mark.parametrize("mode,batch,trees,source", CASES)
+def test_truncated_path_forgery_dies_on_a_cold_cache(
+    mode, batch, trees, source, reliability
+):
+    forge_then_finish(mode, batch, trees, source, reliability, warm=False)
 
 
 def _prefixed_sha1(data: bytes) -> bytes:
