@@ -83,11 +83,12 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # reference, the data-packet encode bytes and errors against a
 # field-by-field Writer reference, the relay's eviction order and
 # byte total against their plain rules, the construction golden
-# vectors with the AMT root, the AMT's one-draw secret layout, and the
+# vectors with the AMT root, the AMT's one-draw secret layout, the
 # observed-against-unobserved wire, which pins every datagram while
-# the observability code iterates string-keyed dicts) must not depend
-# on set or dict ordering that follows string hashing: re-run them
-# under two fixed hash seeds.
+# the observability code iterates string-keyed dicts, and every chain
+# buffer and its tallies against a per-element reference walk) must
+# not depend on set or dict ordering that follows string hashing:
+# re-run them under two fixed hash seeds.
 for seed in 0 1; do
     echo "== exact pins under PYTHONHASHSEED=$seed =="
     PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
@@ -99,7 +100,8 @@ for seed in 0 1; do
         tests/core/test_relay_byte_total.py \
         tests/core/test_merkle_cache.py tests/core/test_amt_cache.py \
         tests/core/test_merkle_acktree.py tests/core/test_golden_vectors.py \
-        tests/obs/test_observing_is_wire_neutral.py
+        tests/obs/test_observing_is_wire_neutral.py \
+        tests/core/test_chain_walk.py
 done
 
 # perf/tracing.py patches names inside src/repro/core by module path,

@@ -17,14 +17,15 @@ an odd one (sent in S1 as an identity token) and the even one below it
 The chain length ``n`` must be even so the anchor sits at an even
 position and the first disclosed element is S1-typed.
 
-Hot-path layout (PROTOCOL.md §14): a chain's ``n`` elements live in one
-contiguous immutable ``bytes`` buffer, ``digest_size`` bytes per
-position, built by a single tight loop over the raw hash callable at
-construction time (the work is charged to the operation counter in one
-bulk record — same tallies, none of the per-call bookkeeping).
-:meth:`HashChain.element` slices the buffer. :class:`ChainElement` is a
-``NamedTuple``: cheaper than the frozen dataclass it replaced, but not
-tuple-cheap, because its ``__new__`` is a Python-level call (about
+Hot-path layout (PROTOCOL.md §14.1): a chain's ``n`` elements live in
+one contiguous immutable ``bytes`` buffer, ``digest_size`` bytes per
+position. Every chain is built by one walk, :func:`_walk`, over the raw
+hash callable, two positions per turn, charged to the operation counter
+in one bulk record (same tallies, none of the per-call bookkeeping);
+the checkpointed chain walks its build and segment rebuilds the same
+way. :meth:`HashChain.element` slices the buffer. :class:`ChainElement`
+is a ``NamedTuple``: cheaper than the frozen dataclass it replaced, but
+not tuple-cheap, because its ``__new__`` is a Python-level call (about
 320-500 ns per pair against 50-70 ns for a plain tuple on a 2-vCPU VM,
 Python 3.11).
 """
@@ -41,10 +42,6 @@ SIGNATURE_TAGS = (b"S1", b"S2")
 ACKNOWLEDGMENT_TAGS = (b"A1", b"A2")
 
 
-def _tag_for(index: int, tags: tuple[bytes, bytes]) -> bytes:
-    return tags[0] if index % 2 else tags[1]
-
-
 class ChainElement(NamedTuple):
     """One disclosed or disclosable chain element."""
 
@@ -52,36 +49,42 @@ class ChainElement(NamedTuple):
     value: bytes
 
 
-def _build_chain(
+def _walk(
     hash_fn: HashFunction,
-    seed: bytes,
-    length: int,
+    value: bytes,
+    start: int,
+    count: int,
     tags: tuple[bytes, bytes],
+    label: str,
 ) -> bytes:
-    """One contiguous buffer holding positions ``1..length``.
+    """Positions ``start + 1 .. start + count``, grown from ``value``.
 
-    Position ``i`` lives at ``[(i - 1) * h : i * h]``. The seed
-    (position 0) is *not* in the buffer — it may be any length, while
-    the buffer is strictly ``digest_size``-strided. The whole build is
-    one loop over the raw hash callable; the counter is charged in bulk
-    afterwards with the exact per-call tallies (``length`` operations,
+    ``value`` is the element at position ``start`` (the seed when
+    ``start`` is 0, so it may be any length); the result holds the
+    ``count`` new elements back to back, ``digest_size`` bytes each.
+    The walk goes two positions per turn with both role tags bound
+    once, so the loop body is two concatenations, two raw hashes and
+    two appends; an odd ``count`` ends on one last position. Each
+    digest is appended with ``+=`` and the buffer frozen once: a
+    preallocated buffer's slice assignment and index arithmetic cost
+    more, and a list of digests joined at the end costs four times the
+    peak memory (PROTOCOL.md §14.1). The counter is charged in one
+    bulk record with the exact per-call tallies (``count`` operations,
     ``len(tag) + input`` bytes each), so Table 1 accounting is
     unchanged.
     """
     raw = hash_fn.raw
-    h = hash_fn.digest_size
-    odd, even = tags
-    buf = bytearray(length * h)
-    value = raw(odd + seed)  # position 1 is odd by construction
-    buf[0:h] = value
-    pos = h
-    for index in range(2, length + 1):
-        value = raw((odd if index & 1 else even) + value)
-        buf[pos : pos + h] = value
-        pos += h
-    tag_len = len(odd)  # role tags are the same width by convention
-    hashed_bytes = (tag_len + len(seed)) + (length - 1) * (tag_len + h)
-    hash_fn.counter.record_hash_batch(length, hashed_bytes, "chain-create")
+    first, second = tags if start % 2 == 0 else (tags[1], tags[0])
+    hashed_bytes = count * len(first) + len(value) + (count - 1) * hash_fn.digest_size
+    buf = bytearray()
+    for _ in range(count // 2):
+        value = raw(first + value)
+        buf += value
+        value = raw(second + value)
+        buf += value
+    if count % 2:
+        buf += raw(first + value)
+    hash_fn.counter.record_hash_batch(count, hashed_bytes, label)
     return bytes(buf)
 
 
@@ -120,7 +123,7 @@ class HashChain:
         self.length = length
         self._seed = seed
         self._width = hash_fn.digest_size
-        self._buf = _build_chain(hash_fn, seed, length, tags)
+        self._buf = _walk(hash_fn, seed, 0, length, tags, "chain-create")
         # Position of the most recently disclosed element; starts at the
         # anchor, which is public by definition.
         self._cursor = length
@@ -341,9 +344,11 @@ class CheckpointedHashChain:
     ALPHA walks the chain strictly downward.
 
     The interface mirrors :class:`HashChain`, so signer sessions accept
-    either (duck-typed). Recomputation is charged to the hash counter
-    under the label ``"chain-recompute"`` so benchmarks can separate it
-    from protocol work.
+    either (duck-typed). The build walks one interval at a time and a
+    rebuild walks one segment, both with :func:`_walk`: one bulk charge
+    per walk, with the per-call tallies. Recomputation is charged under
+    the label ``"chain-recompute"`` so benchmarks can separate it from
+    protocol work.
     """
 
     def __init__(
@@ -364,22 +369,15 @@ class CheckpointedHashChain:
         self.tags = tags
         self.length = length
         self.checkpoint_interval = checkpoint_interval
-        # Build once, keeping checkpoints at positions 0, k, 2k, ...
-        # One raw-hash loop + bulk accounting, like HashChain.
-        raw = hash_fn.raw
-        odd, even = tags
+        # Build once, one walk per interval, keeping checkpoints at
+        # positions 0, k, 2k, ... and the anchor.
         self._checkpoints: dict[int, bytes] = {0: seed}
         value = seed
-        for index in range(1, length + 1):
-            value = raw((odd if index & 1 else even) + value)
-            if index % checkpoint_interval == 0 or index == length:
-                self._checkpoints[index] = value
-        tag_len = len(odd)
-        hash_fn.counter.record_hash_batch(
-            length,
-            (tag_len + len(seed)) + (length - 1) * (tag_len + hash_fn.digest_size),
-            "chain-create",
-        )
+        for base in range(0, length, checkpoint_interval):
+            count = min(checkpoint_interval, length - base)
+            walked = _walk(hash_fn, value, base, count, tags, "chain-create")
+            value = walked[-hash_fn.digest_size :]
+            self._checkpoints[base + count] = value
         self._anchor_value = value
         self._cursor = length
         # Cache of the segment currently being consumed.
@@ -429,20 +427,18 @@ class CheckpointedHashChain:
 
     def _rebuild_segment(self, base: int) -> None:
         value = self._checkpoints[base]
-        segment = [value]
         top = min(base + self.checkpoint_interval, self.length)
-        for index in range(base + 1, top + 1):
-            value = self._hash.digest(
-                _tag_for(index, self.tags) + value, label="chain-recompute"
-            )
-            segment.append(value)
+        walked = _walk(
+            self._hash, value, base, top - base, self.tags, "chain-recompute"
+        )
+        h = self._hash.digest_size
+        self._segment = [value] + [walked[i : i + h] for i in range(0, len(walked), h)]
         self._segment_base = base
-        self._segment = segment
-        # Checkpoints above the cursor will never be needed again.
+        # Checkpoints above the cursor will never be needed again. They
+        # were inserted in position order, so the dead ones are the last.
         horizon = self._cursor + self.checkpoint_interval
-        self._checkpoints = {
-            i: v for i, v in self._checkpoints.items() if i <= horizon
-        }
+        while next(reversed(self._checkpoints)) > horizon:
+            self._checkpoints.popitem()
 
     def next_exchange(self) -> tuple[ChainElement, ChainElement]:
         if self._cursor < 2:

@@ -218,12 +218,14 @@ class HashFunction:
         return f"HashFunction(name={self.name!r}, digest_size={self.digest_size})"
 
 
-def _sha1_raw(data: bytes) -> bytes:
-    return hashlib.sha1(data).digest()
+# The constructor is bound at definition time: one global and one
+# attribute lookup fewer on every raw hash in the package.
+def _sha1_raw(data: bytes, _new=hashlib.sha1) -> bytes:
+    return _new(data).digest()
 
 
-def _sha256_raw(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+def _sha256_raw(data: bytes, _new=hashlib.sha256) -> bytes:
+    return _new(data).digest()
 
 
 def _mmo_raw(data: bytes) -> bytes:

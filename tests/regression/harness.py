@@ -45,6 +45,8 @@ class WedgeRun:
     max_rto_streak_peak: int
     #: Distinct terminal failure reasons observed.
     failure_reasons: set[str]
+    #: Distinct messages the verifier delivered to its application.
+    delivered: int
 
 
 def run_wedge(
@@ -126,4 +128,5 @@ def run_wedge(
         verifier_stats=verifier.endpoint.resilience_stats(),
         max_rto_streak_peak=signer.endpoint.max_rto_streak_peak(),
         failure_reasons={f.reason for _, f in signer.failures},
+        delivered=len({message for _, message in verifier.received}),
     )

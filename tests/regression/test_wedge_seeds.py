@@ -12,10 +12,18 @@ retransmits starve the timeout path. These tests pin the fix:
 - no exchange sits pinned at ``rto_max_s`` for more than the escape
   hatch's K consecutive timeouts;
 - terminal failures carry the expected reasons (``rto-escape`` from
-  the escape hatch, ``retry-cap`` from the retry budget).
+  the escape hatch, ``retry-cap`` from the retry budget);
+- every case delivers at least one message. The three seed-6 cases
+  deliver none: their first HS1 arrives with a flipped anchor bit and
+  the pair establishes on an anchor no S1 can reach (ROADMAP, "A
+  handshake that survives a flipped bit"), so they are strict xfails.
+
+Every test reads one cached run per case.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -27,16 +35,25 @@ from tests.regression.corpus import (
     TIME_BUDGET_S,
     WedgeCase,
 )
-from tests.regression.harness import run_wedge
+from tests.regression.harness import WedgeRun, run_wedge
 
 #: The escape hatch's K: consecutive max-RTO timeouts before probing
 #: (``repro.core.signer.RTO_PROBE_AFTER``).
 PROBE_AFTER_K = 2
 
+#: Seed 6 installs an anchor with a flipped bit at the responder and
+#: delivers nothing until the handshake checks the anchors it installs.
+ANCHOR_BIT_WEDGE = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 'A handshake that survives a flipped bit': seed 6 "
+    "establishes on an HS1 with a flipped sig_chain_length bit",
+)
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
-def test_wedge_seed_terminates_within_budget(case: WedgeCase) -> None:
-    run = run_wedge(
+
+@functools.cache
+def corpus_run(case: WedgeCase) -> WedgeRun:
+    """The corpus run of ``case``; the tests below only read it."""
+    return run_wedge(
         seed=case.seed,
         mode=case.mode,
         batch=case.batch,
@@ -45,6 +62,11 @@ def test_wedge_seed_terminates_within_budget(case: WedgeCase) -> None:
         event_budget=EVENT_BUDGET,
         time_budget_s=TIME_BUDGET_S,
     )
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_wedge_seed_terminates_within_budget(case: WedgeCase) -> None:
+    run = corpus_run(case)
     assert run.done, (
         f"{case.name}: only partial terminal verdicts after "
         f"{run.events} events / {run.sim_time:.0f}s — the exchange "
@@ -66,18 +88,27 @@ def test_wedge_seed_terminates_within_budget(case: WedgeCase) -> None:
 
 
 @pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(c, marks=ANCHOR_BIT_WEDGE) if c.name.endswith("-3hop-s6")
+        else c
+        for c in CASES
+    ],
+    ids=lambda c: c.name,
+)
+def test_wedge_seed_delivers(case: WedgeCase) -> None:
+    run = corpus_run(case)
+    assert run.delivered >= 1, (
+        f"{case.name}: terminated with none of {MESSAGES} messages "
+        "delivered"
+    )
+
+
+@pytest.mark.parametrize(
     "case", [c for c in CASES if c.storm], ids=lambda c: c.name
 )
 def test_storm_seed_nacks_are_damped(case: WedgeCase) -> None:
-    run = run_wedge(
-        seed=case.seed,
-        mode=case.mode,
-        batch=case.batch,
-        hops=case.hops,
-        messages=MESSAGES,
-        event_budget=EVENT_BUDGET,
-        time_budget_s=TIME_BUDGET_S,
-    )
+    run = corpus_run(case)
     assert run.done
     # The damper bounds nack-provoked retransmits (pre-fix: 106-344).
     nack_rtx = run.signer_stats.retransmits_nack
@@ -101,12 +132,7 @@ def test_storm_seed_nacks_are_damped(case: WedgeCase) -> None:
 
 def test_escape_hatch_fires_on_relay_poisoned_wedge() -> None:
     """The zero-nack 3-hop wedges are broken by rto-escape failures."""
-    case = next(c for c in CASES if c.name == "base-3hop-s6")
-    run = run_wedge(
-        seed=case.seed, mode=case.mode, batch=case.batch, hops=case.hops,
-        messages=MESSAGES, event_budget=EVENT_BUDGET,
-        time_budget_s=TIME_BUDGET_S,
-    )
+    run = corpus_run(next(c for c in CASES if c.name == "base-3hop-s6"))
     assert run.done
     assert run.signer_stats.escape_probes > 0
     assert "rto-escape" in run.failure_reasons
