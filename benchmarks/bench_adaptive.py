@@ -49,8 +49,7 @@ def run_channel(loss, mode=Mode.BASE, adaptive=False, seed=0):
         max_retries=100,
         rto_max_s=5.0,
         dead_peer_threshold=0,  # measure the channel, not the teardown
-        adaptive=adaptive,
-        adaptive_config=CONTROLLER if adaptive else None,
+        adaptive=CONTROLLER if adaptive else None,
     )
     s = EndpointAdapter(AlphaEndpoint("s", cfg, seed=f"{seed}s"), net.nodes["s"])
     v = EndpointAdapter(AlphaEndpoint("v", cfg, seed=f"{seed}v"), net.nodes["v"])

@@ -126,7 +126,6 @@ def run_failover(period_s=None, crash_only=False, failover=True, seed=3):
         rto_max_s=1.0,
         dead_peer_threshold=0,
         rekey_threshold=0,
-        adaptive=False,
         max_failovers=16,
         on_path_switch=(
             (lambda peer, old, new: _install_path(net, "s", peer, new.hops))

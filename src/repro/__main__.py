@@ -93,8 +93,7 @@ def _cmd_adapt() -> int:
         max_retries=100,
         rto_max_s=5.0,
         dead_peer_threshold=0,
-        adaptive=True,
-        adaptive_config=AdaptiveConfig(
+        adaptive=AdaptiveConfig(
             decision_interval_s=0.25, warmup_intervals=1, switch_cooldown_s=1.0
         ),
     )
@@ -223,8 +222,7 @@ def _mixed_loss_run(seed: int | str = 11):
         retransmit_timeout_s=0.15,
         max_retries=100,
         dead_peer_threshold=0,
-        adaptive=True,
-        adaptive_config=AdaptiveConfig(
+        adaptive=AdaptiveConfig(
             decision_interval_s=0.25, warmup_intervals=1, switch_cooldown_s=1.0
         ),
     )

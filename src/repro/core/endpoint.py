@@ -56,6 +56,15 @@ from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction, OpCounter, get_hash
 from repro.crypto.signatures import SignatureScheme
 from repro.obs import OBS_OFF, EventKind, Observability
+from repro.obs.metrics import read_fields
+
+#: Registry counters read from the endpoint's own ``stats`` block.
+STATS_COUNTERS = {
+    "endpoint.parse_drops": "corrupt_drops",
+    "endpoint.dead_peers": "dead_peers",
+    "resilience.failover.switches": "failovers",
+    "resilience.failover.exhausted": "failovers_exhausted",
+}
 
 
 @dataclass(frozen=True)
@@ -85,13 +94,12 @@ class EndpointConfig(ChannelConfig):
     #: S1; returning False withholds the A1, so relays never forward the
     #: sender's data packets. ``None`` accepts everything.
     accept_policy: Callable | None = None
-    #: Attach an :class:`~repro.core.adaptive.AdaptiveController` to
-    #: every association's signer: mode, batch size, and pipelining
-    #: depth then track the observed loss/queue/RTT signals instead of
-    #: staying pinned to the static channel values (PROTOCOL.md §10).
-    adaptive: bool = False
-    #: Controller tuning; ``None`` uses the AdaptiveConfig defaults.
-    adaptive_config: AdaptiveConfig | None = None
+    #: Attach an :class:`~repro.core.adaptive.AdaptiveController`, tuned
+    #: by this config, to every association's signer: mode, batch size,
+    #: and pipelining depth then track the observed loss/queue/RTT
+    #: signals instead of staying pinned to the static channel values
+    #: (PROTOCOL.md §10). ``None`` keeps the channel static.
+    adaptive: AdaptiveConfig | None = None
     #: Per-peer mid-association failover budget (PROTOCOL.md §13; see
     #: PathManager).
     max_failovers: int = 8
@@ -100,6 +108,11 @@ class EndpointConfig(ChannelConfig):
     #: transport layer re-points next-hops here. ``None`` means routing
     #: is external (e.g. the netsim already reroutes).
     on_path_switch: Callable | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not isinstance(self.adaptive, (AdaptiveConfig, type(None))):
+            raise TypeError("adaptive takes an AdaptiveConfig, or None")
 
 
 @dataclass
@@ -183,7 +196,9 @@ class AlphaEndpoint:
         #: peers, parse drops); per-signer counters are folded in by
         #: :meth:`resilience_stats`.
         self.stats = ResilienceStats()
-        #: Counters absorbed from retired associations' signers. Kept
+        if self.obs.enabled:
+            self.obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
+        #: Counters absorbed from retired associations' sessions. Kept
         #: separate from :attr:`stats` so live-signer blocks are never
         #: merged into a block that outlives them — snapshots stay
         #: idempotent no matter how often they are taken.
@@ -200,7 +215,7 @@ class AlphaEndpoint:
         self.links = HealthLedger(
             self.obs.registry if self.obs.enabled else None
         )
-        self._track_links = self.config.adaptive or self.obs.enabled
+        self._track_links = self.config.adaptive is not None or self.obs.enabled
         #: Ranked alternate relay paths per peer (PROTOCOL.md §13).
         #: Populated by the application/transport via
         #: ``endpoint.paths.register(peer, path_id, hops)``. When a hop
@@ -299,7 +314,6 @@ class AlphaEndpoint:
                 self.obs.tracer.emit(
                     now, self.name, EventKind.PARSE_DROP, info=f"src={src}"
                 )
-                self.obs.registry.counter("endpoint.parse_drops").inc()
             return out
         if isinstance(packet, HandshakePacket):
             if self.obs.enabled:
@@ -398,11 +412,13 @@ class AlphaEndpoint:
             self._initiate_replacement(assoc, now, out, label="rekey")
         if assoc.retired and assoc.signer.idle and self._peer_done(assoc, now):
             # Preserve the drained association's counters before it goes.
-            self._drained.merge(assoc.signer.stats)
+            self._drained.merge(assoc.signer.stats).merge(assoc.verifier.stats)
             self._drained_rto_peak = max(
                 self._drained_rto_peak, assoc.signer.max_rto_streak_peak
             )
-            self._drained.nack_suppressed += assoc.verifier.nacks_suppressed
+            link = self.links.get(assoc.peer)
+            if link is not None:
+                link.retire(assoc.signer.stats)
             del self._by_id[assoc.assoc_id]
             # Release the peer mapping too, or it pins the whole
             # signer/verifier state in memory forever.
@@ -495,8 +511,6 @@ class AlphaEndpoint:
             self._by_peer[peer] = assoc
             self._by_id[assoc_id] = assoc
         link = self.links.link(peer) if self._track_links else None
-        if link is not None:
-            link.on_association()
         assoc.signer = SignerSession(
             hash_fn=self.hash_fn,
             sig_chain=chains.signature,
@@ -517,6 +531,8 @@ class AlphaEndpoint:
         # the replacement association to migrate; with it off, exhaustion
         # must still raise out of poll() (there is no rescue coming).
         assoc.signer.defer_exhaustion = self.config.rekey_threshold > 0
+        if link is not None:
+            link.on_association(assoc.signer.stats)
         # Terminal rto-escape interception: the signer consults this
         # before failing an exchange; a successful path switch lets it
         # re-present the in-flight S1s instead (it calls its own
@@ -529,10 +545,10 @@ class AlphaEndpoint:
             AlphaEndpoint._switch_path, weakref.proxy(self),
             assoc.peer, assoc.assoc_id,
         )
-        if self.config.adaptive:
+        if self.config.adaptive is not None:
             assoc.controller = AdaptiveController(
                 assoc.signer,
-                config=self.config.adaptive_config,
+                config=self.config.adaptive,
                 obs=self.obs,
                 node=self.name,
                 link=link,
@@ -609,6 +625,11 @@ class AlphaEndpoint:
         except AlphaError:
             return
         if existing is None:
+            answered = getattr(self._by_peer.get(src), "hs_request", None)
+            if answered is not None and peer_anchors == validate_handshake(answered):
+                # An HS1 answered already, under a damaged id: a genuine
+                # re-key brings fresh anchors.
+                return
             chains = self._create_chains()
         elif peer_anchors == validate_handshake(existing.hs_request):
             # The HS1 answered was damaged in flight (a flipped nonce bit
@@ -712,7 +733,7 @@ class AlphaEndpoint:
             out.failures.append((assoc.peer, failure))
             if failure.reason == "rto-escape":
                 escaped = True
-        completed = assoc.signer.exchanges_completed
+        completed = assoc.signer.stats.exchanges_completed
         if (
             completed > assoc.completions_seen
             and not assoc.retired
@@ -739,7 +760,6 @@ class AlphaEndpoint:
                     now, self.name, EventKind.FAILOVER_EXHAUSTED, assoc_id,
                     info=f"cause={cause} spent={paths.failover_count(peer)}",
                 )
-                self.obs.registry.counter("resilience.failover.exhausted").inc()
             return False
         self.stats.failovers += 1
         if self.obs.enabled:
@@ -747,7 +767,6 @@ class AlphaEndpoint:
                 now, self.name, EventKind.FAILOVER, assoc_id,
                 info=f"cause={cause} from={old.path_id} to={new.path_id}",
             )
-            self.obs.registry.counter("resilience.failover.switches").inc()
         if self.config.on_path_switch is not None:
             self.config.on_path_switch(peer, old, new)
         return True
@@ -759,7 +778,8 @@ class AlphaEndpoint:
 
         ``force`` (a terminal rto-escape: the probe budget proved the
         path black-holed) skips the count, but ``dead_peer_threshold
-        <= 0`` still disables detection.
+        <= 0`` still disables detection. It also skips the failover
+        attempt: the signer's escape hook made it already.
         """
         threshold = self.config.dead_peer_threshold
         if threshold <= 0 or assoc.down or assoc.retired:
@@ -769,7 +789,9 @@ class AlphaEndpoint:
         # Hop death is not peer death: with a backup path registered,
         # move the association and re-present its in-flight S1s instead
         # of declaring the peer gone.
-        if self._switch_path(assoc.peer, assoc.assoc_id, "dead-peer", now):
+        if not force and self._switch_path(
+            assoc.peer, assoc.assoc_id, "dead-peer", now
+        ):
             assoc.signer.consecutive_failures = 0
             for payload in assoc.signer.represent(now):
                 out.replies.append((assoc.peer, payload))
@@ -782,7 +804,6 @@ class AlphaEndpoint:
                 info=f"peer={assoc.peer}"
                 f" failures={assoc.signer.consecutive_failures}",
             )
-            self.obs.registry.counter("endpoint.dead_peers").inc()
         # Queued traffic fails terminally, so callers never wait on a
         # peer that stopped answering; the application reconnects with
         # connect(). Drain (rather than use the return value) so the
@@ -807,7 +828,6 @@ class AlphaEndpoint:
                 now, self.name, EventKind.DEAD_PEER, assoc.assoc_id,
                 info=f"peer={assoc.peer} handshake",
             )
-            self.obs.registry.counter("endpoint.dead_peers").inc()
         out.failures.append(
             (
                 assoc.peer,
@@ -840,24 +860,16 @@ class AlphaEndpoint:
         Idempotent: builds a fresh block every call without mutating any
         source, so repeated snapshots return identical totals.
         """
-        total = ResilienceStats.aggregate(
-            self.stats,
-            self._drained,
-            *(
-                assoc.signer.stats
-                for assoc in self._by_id.values()
-                if assoc.signer is not None
-            ),
-        )
         # Both halves of the storm damper live under one counter: the
         # signer's token bucket and the verifier's duplicate-nack
         # suppression both record "a nack that was not acted on".
-        total.nack_suppressed += sum(
-            assoc.verifier.nacks_suppressed
-            for assoc in self._by_id.values()
-            if assoc.verifier is not None
+        live = [assoc for assoc in self._by_id.values() if assoc.signer is not None]
+        return ResilienceStats.aggregate(
+            self.stats,
+            self._drained,
+            *(assoc.signer.stats for assoc in live),
+            *(assoc.verifier.stats for assoc in live),
         )
-        return total
 
     def max_rto_streak_peak(self) -> int:
         """Worst run of consecutive timeouts any signer spent pinned at

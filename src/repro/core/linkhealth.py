@@ -36,14 +36,15 @@ Classifier rules (PROTOCOL.md §11):
 
 The ledger is this endpoint's own view: nothing in it comes off the
 wire unauthenticated. Its dominant cause steers the adaptive
-controller; the signer only writes to it. Every entry is bounded:
-plain counters, two EWMAs, and one fixed-bucket histogram per link, so
-a ledger over any number of associations stays a few hundred bytes per
-peer.
+controller; the signer only writes to it. What the signers count it
+reads from their ``stats`` blocks (the retired ones folded into one);
+it keeps corrupt arrivals, two EWMAs and one fixed-bucket histogram
+per link, so an entry stays a few hundred bytes per live association.
 """
 
 from __future__ import annotations
 
+from repro.core.resilience import ResilienceStats
 from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
 
 #: EWMA gain for the cross-association SRTT/RTTVAR mirror. Smoother
@@ -63,6 +64,11 @@ DOMINANT_SHARE = 0.6
 LOSS_DECAY_HALF_LIFE_S = 60.0
 
 
+def _summed(field: str) -> property:
+    """A signer counter read across the link's blocks."""
+    return property(lambda self: self._sum(field))
+
+
 class LinkHealth:
     """Health ledger for one link (this endpoint ↔ one peer).
 
@@ -75,13 +81,7 @@ class LinkHealth:
     __slots__ = (
         "peer",
         "associations",
-        "packets_sent",
-        "retransmits_timeout",
-        "retransmits_nack",
         "corrupt_arrivals",
-        "exchanges_completed",
-        "exchanges_failed",
-        "rtt_samples",
         "srtt",
         "rttvar",
         "loss_ewma",
@@ -89,26 +89,33 @@ class LinkHealth:
         "loss_updated_at",
         "latency",
         "_registry",
+        "_live",
+        "_retired",
     )
+
+    packets_sent = _summed("packets_sent")
+    #: Retransmits provoked by a deadline expiring (nothing came back):
+    #: the congestion-flavoured signal.
+    retransmits_timeout = _summed("retransmits_timeout")
+    #: Retransmits provoked by an explicit A2 nack (the peer received
+    #: damaged bytes): the corruption-flavoured signal.
+    retransmits_nack = _summed("retransmits_nack")
+    exchanges_completed = _summed("exchanges_completed")
+    exchanges_failed = _summed("exchanges_failed")
+    rtt_samples = _summed("rtt_samples")
 
     def __init__(
         self, peer: str, registry: MetricsRegistry | None = None
     ) -> None:
         self.peer = peer
         self.associations = 0
-        self.packets_sent = 0
-        #: Retransmits provoked by a deadline expiring (nothing came
-        #: back): the congestion-flavoured signal.
-        self.retransmits_timeout = 0
-        #: Retransmits provoked by an explicit A2 nack (the peer
-        #: received damaged bytes): the corruption-flavoured signal.
-        self.retransmits_nack = 0
+        #: The live signers' ``stats`` blocks, and the fold of the
+        #: retired ones: the signer counters above are read from them.
+        self._live: list[ResilienceStats] = []
+        self._retired = ResilienceStats()
         #: Inbound packets that arrived damaged (parse drops, bad MACs,
         #: broken chain elements) — corruption seen first-hand.
         self.corrupt_arrivals = 0
-        self.exchanges_completed = 0
-        self.exchanges_failed = 0
-        self.rtt_samples = 0
         #: Cross-association smoothed RTT / RTT variance (seconds).
         self.srtt: float | None = None
         self.rttvar = 0.0
@@ -126,17 +133,19 @@ class LinkHealth:
 
     # -- mutators (called from the protocol engines) ---------------------------
 
-    def on_association(self) -> None:
+    def on_association(self, stats: ResilienceStats) -> None:
+        """A new association's signer counts into ``stats``."""
         self.associations += 1
+        self._live.append(stats)
 
-    def on_packets_sent(self, count: int = 1) -> None:
-        self.packets_sent += count
+    def retire(self, stats: ResilienceStats) -> None:
+        """A drained association's signer block folds in and goes."""
+        self._live = [block for block in self._live if block is not stats]
+        self._retired.merge(stats)
 
-    def on_timeout_retransmit(self) -> None:
-        self.retransmits_timeout += 1
-
-    def on_nack_retransmit(self) -> None:
-        self.retransmits_nack += 1
+    def _sum(self, field: str) -> int:
+        blocks = (self._retired, *self._live)
+        return sum(getattr(stats, field) for stats in blocks)
 
     def on_corrupt_arrival(self) -> None:
         self.corrupt_arrivals += 1
@@ -148,15 +157,12 @@ class LinkHealth:
         else:
             self.rttvar += _RTT_GAIN * (abs(self.srtt - rtt_s) - self.rttvar)
             self.srtt += _RTT_GAIN * (rtt_s - self.srtt)
-        self.rtt_samples += 1
 
     def on_exchange_done(self, now: float, latency_s: float) -> None:
-        self.exchanges_completed += 1
         self.latency.observe(latency_s)
         self._publish(now)
 
     def on_exchange_failed(self, now: float) -> None:
-        self.exchanges_failed += 1
         self._publish(now)
 
     def update_loss_estimate(self, estimate: float, now: float | None = None) -> None:

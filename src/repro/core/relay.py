@@ -17,6 +17,7 @@ limit and later increase the maximum size of S1 packets per sender"
 
 from __future__ import annotations
 
+import functools
 from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from repro.core.signer import check_a2_key, verify_verdict
 from repro.core.verifier import S1Commitment, check_s2_key, verify_s2
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
+from repro.obs.metrics import read_fields
 
 #: Ceiling on the per-association S1 size allowance (bytes).
 MAX_S1_ALLOWANCE = 65535
@@ -131,6 +133,28 @@ DROP_CATEGORIES: dict[str, str] = {
 _DROP_KEYS = {
     reason: f"dropped.{category}" for reason, category in DROP_CATEGORIES.items()
 }
+
+
+#: Registry counters read from the engine's ``resilience`` block.
+_RESILIENCE_COUNTERS = {
+    "relay.admits": "relay_admits",
+    "relay.tombstone_forwards": "tombstone_forwards",
+    "relay.restore_passthrough": "restore_passthrough",
+    "relay.reanchors": "relay_reanchors",
+    "relay.restores": "relay_restores",
+    "relay.parse_drops": "corrupt_drops",
+}
+
+
+def _relay_samples(stats: dict[str, int], resilience: ResilienceStats) -> dict:
+    """The registry's view of one engine: its two always-on blocks."""
+    samples = read_fields(resilience, _RESILIENCE_COUNTERS)
+    samples["relay.evictions"] = (
+        lambda: resilience.evictions_ttl + resilience.evictions_capacity
+    )
+    for key in ("forwarded", "dropped", "dropped.policy", *_DROP_KEYS.values()):
+        samples[f"relay.{key}"] = functools.partial(stats.get, key, 0)
+    return samples
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,7 +349,6 @@ class _ChannelObserver:
                 now, self._node, EventKind.RELAY_EVICT, self.assoc_id, seq,
                 info=reason,
             )
-            self._obs.registry.counter("relay.evictions").inc()
 
     def _enforce_byte_cap(self, now: float = 0.0) -> None:
         """Evict least recently touched exchanges until under the byte
@@ -373,7 +396,6 @@ class _ChannelObserver:
                 now, self._node, EventKind.RELAY_TOMBSTONE, self.assoc_id,
                 seq, info=reason,
             )
-            self._obs.registry.counter("relay.tombstone_forwards").inc()
         return _UNVERIFIED[reason]
 
     def _passthrough(self, seq: int, now: float, reason: str) -> RelayDecision:
@@ -385,7 +407,6 @@ class _ChannelObserver:
                 now, self._node, EventKind.RELAY_PASSTHROUGH, self.assoc_id,
                 seq, info=reason,
             )
-            self._obs.registry.counter("relay.restore_passthrough").inc()
         return _UNVERIFIED[reason]
 
     # -- crash journal (PROTOCOL.md §13) ---------------------------------------
@@ -513,7 +534,6 @@ class _ChannelObserver:
                 now, self._node, EventKind.RELAY_REANCHOR, self.assoc_id,
                 packet.seq, info=f"s1 index={packet.chain_index}",
             )
-            self._obs.registry.counter("relay.reanchors").inc()
         self._buffer_s1(exchange, now)
         return _VERIFIED["s1-reanchored"]
 
@@ -574,7 +594,6 @@ class _ChannelObserver:
                 packet.seq,
                 info=f"bytes={sum(len(sig) for sig in packet.pre_signatures)}",
             )
-            self._obs.registry.counter("relay.admits").inc()
         self._buffer_s1(_RelayExchange.from_s1(packet, element), now)
         return _VERIFIED["s1-ok"]
 
@@ -740,6 +759,8 @@ class RelayEngine:
         self.stats: dict[str, int] = {}
         #: Shared by every channel observer: evictions, corrupt drops.
         self.resilience = ResilienceStats()
+        if self._obs.enabled:
+            self._obs.registry.read(self, _relay_samples(self.stats, self.resilience))
         #: Keep each verified S2's payload for :meth:`drain_extracted`.
         self.extract = extract
         self.extracted: list[ExtractedMessage] = []
@@ -863,8 +884,6 @@ class RelayEngine:
                     f"{len(assoc.forward_channel.evicted) + len(assoc.reverse_channel.evicted)}",
                 )
         engine.resilience.relay_restores += 1
-        if engine._obs.enabled:
-            engine._obs.registry.counter("relay.restores").inc()
         return engine
 
     def _restore_channel(
@@ -953,9 +972,6 @@ class RelayEngine:
                 msg_index=getattr(packet, "msg_index", -1),
                 info=info,
             )
-            self._obs.registry.counter(
-                "relay.forwarded" if decision.forward else "relay.dropped"
-            ).inc()
         return self._count(decision)
 
     # -- internals -------------------------------------------------------------
@@ -974,7 +990,6 @@ class RelayEngine:
         self.resilience.corrupt_drops += 1
         if self._obs.enabled:
             self._obs.tracer.emit(now, self.name, EventKind.PARSE_DROP, info="relay")
-            self._obs.registry.counter("relay.parse_drops").inc()
         return _DROPPED["malformed"]
 
     def _on_hs1(self, packet: HandshakePacket, src: str) -> RelayDecision:
@@ -1013,8 +1028,6 @@ class RelayEngine:
         stats["dropped"] = stats.get("dropped", 0) + 1
         key = _DROP_KEYS.get(reason, "dropped.policy")
         stats[key] = stats.get(key, 0) + 1
-        if self._obs.enabled:
-            self._obs.registry.counter(f"relay.{key}").inc()
         return decision
 
     def drop_breakdown(self) -> dict[str, int]:

@@ -166,6 +166,9 @@ class ResilienceStats:
     probe_recoveries: int = 0
     #: Clean RTT samples fed to the estimator.
     rtt_samples: int = 0
+    #: Exchanges that finished: every message acked (reliable) or its
+    #: S2s sent (unreliable).
+    exchanges_completed: int = 0
     #: Exchanges/handshakes that hit their retry cap.
     exchanges_failed: int = 0
     #: Peers declared dead after consecutive failures.

@@ -33,6 +33,7 @@ from repro.core.resilience import (
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
+from repro.obs.metrics import read_fields
 
 #: Fixed strings distinguishing pre-acks from pre-nacks
 #: (paper Section 3.2.2: "e.g., 0 and 1").
@@ -56,6 +57,17 @@ RTO_PROBE_AFTER = 2
 #: Unanswered probes before the exchange fails terminally (reason
 #: ``rto-escape``) and dead-peer handling takes over.
 PROBE_BUDGET = 2
+#: Registry counters read from the signer's ``stats`` block: the one
+#: place the signer counts these events.
+STATS_COUNTERS = {
+    "signer.retransmits": "retransmits",
+    "signer.exchanges_done": "exchanges_completed",
+    "signer.exchanges_failed": "exchanges_failed",
+    "resilience.nack.suppressed": "nack_suppressed",
+    "resilience.rto.probes": "escape_probes",
+    "resilience.rto.probe_recoveries": "probe_recoveries",
+    "resilience.failover.represented": "s1_representations",
+}
 
 
 @dataclass(frozen=True)
@@ -209,8 +221,9 @@ class SignerSession:
         self._obs = obs if obs is not None else OBS_OFF
         self._node = node or "signer"
         #: Cross-association link ledger this session only writes to
-        #: (retransmit provenance, RTT, delivery latency). ``None``
-        #: keeps every hook a single predictable branch.
+        #: (RTT, delivery latency, damaged replies); it reads the
+        #: session's counts from :attr:`stats`. ``None`` keeps every
+        #: hook a single predictable branch.
         self.link = link
         # Standalone DRBG (not forked from the endpoint's) so backoff
         # jitter never perturbs the endpoint's cryptographic draws.
@@ -220,6 +233,8 @@ class SignerSession:
             max_rto_s=config.rto_max_s,
         )
         self.stats = ResilienceStats()
+        if self._obs.enabled:
+            self._obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
         #: When the owner can re-key (endpoint with ``rekey_threshold``
         #: armed), an exhausted chain leaves the backlog queued for the
         #: replacement association to migrate instead of raising
@@ -235,8 +250,6 @@ class SignerSession:
         self._next_seq = 1
         self.reports: list[DeliveryReport] = []
         self.failures: list[ExchangeFailed] = []
-        self.exchanges_completed = 0
-        self.exchanges_failed = 0
         #: Exchange failures since the last success; dead-peer signal.
         self.consecutive_failures = 0
         #: Longest run of consecutive timeouts any exchange spent pinned
@@ -362,9 +375,6 @@ class SignerSession:
                     sent = len(resends)
                     resent = "s2"
             self.stats.packets_sent += sent
-            if self.link is not None:
-                self.link.on_timeout_retransmit()
-                self.link.on_packets_sent(sent)
             if self._obs.enabled:
                 self._obs.tracer.emit(
                     now, self._node, EventKind.RETRANSMIT, self.assoc_id,
@@ -377,13 +387,11 @@ class SignerSession:
                         exchange.seq,
                         info=f"probe={exchange.probe_sends}/{PROBE_BUDGET}",
                     )
-                    self._obs.registry.counter("resilience.rto.probes").inc()
                 elif self.config.adaptive_rto:
                     self._obs.tracer.emit(
                         now, self._node, EventKind.BACKOFF, self.assoc_id,
                         exchange.seq, info=f"rto={self.rtt.rto:.4f}",
                     )
-                self._obs.registry.counter("signer.retransmits").inc()
         while self._queue and len(self._exchanges) < self.config.max_outstanding:
             if self.chain.remaining_exchanges <= 0 and self.defer_exhaustion:
                 # Out of chain elements: leave the backlog queued for the
@@ -452,8 +460,6 @@ class SignerSession:
                 exchange.merkle_cache = MerkleVerifyCache()
         s2_packets = self._build_s2_packets(exchange)
         self.stats.packets_sent += len(s2_packets)
-        if self.link is not None:
-            self.link.on_packets_sent(len(s2_packets))
         if self._obs.enabled:
             for index in range(len(s2_packets)):
                 self._obs.tracer.emit(
@@ -517,18 +523,11 @@ class SignerSession:
                     now, self._node, EventKind.RETRANSMIT, self.assoc_id,
                     packet.seq, info=f"s2-nacked={sorted(exchange.nacked)}",
                 )
-                self._obs.registry.counter("signer.retransmits").inc()
             exchange.nacked.clear()
             exchange.rtt_clean = False
             exchange.deadline = now + self._current_timeout()
             self.stats.retransmits += 1
             self.stats.retransmits_nack += 1
-            if self.link is not None:
-                # An explicit nack means the peer *received* damaged
-                # bytes: the corruption-provenance signal the loss-cause
-                # classifier splits on.
-                self.link.on_nack_retransmit()
-                self.link.on_packets_sent(len(out))
             return out
         return []
 
@@ -570,8 +569,6 @@ class SignerSession:
         )
         s1_bytes = s1.encode()
         self.stats.packets_sent += 1
-        if self.link is not None:
-            self.link.on_packets_sent(1)
         self._exchanges[seq] = _Exchange(
             seq=seq,
             mode=mode,
@@ -676,7 +673,6 @@ class SignerSession:
                 info=f"streak={exchange.nack_suppress_streak}"
                 f" tokens={exchange.nack_tokens:.2f}",
             )
-            self._obs.registry.counter("resilience.nack.suppressed").inc()
         return False
 
     def _note_max_rto_timeout(self, exchange: _Exchange) -> bool:
@@ -761,12 +757,7 @@ class SignerSession:
                     now, self._node, EventKind.RETRANSMIT, self.assoc_id,
                     exchange.seq, info="failover-represent",
                 )
-                self._obs.registry.counter(
-                    "resilience.failover.represented"
-                ).inc()
         self.stats.packets_sent += len(out)
-        if self.link is not None:
-            self.link.on_packets_sent(len(out))
         return out
 
     def _probe_response(
@@ -803,10 +794,6 @@ class SignerSession:
         if out:
             self.stats.retransmits += 1
             self.stats.retransmits_timeout += 1
-        if self.link is not None:
-            self.link.on_packets_sent(len(out))
-            if out:
-                self.link.on_timeout_retransmit()
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.PROBE_RECOVERY, self.assoc_id,
@@ -814,9 +801,6 @@ class SignerSession:
                 info=f"rtt={sample:.4f} rto={self.rtt.rto:.4f}"
                 f" resent={len(out)}",
             )
-            self._obs.registry.counter(
-                "resilience.rto.probe_recoveries"
-            ).inc()
         return out
 
     def _exchange_alive(self, exchange: _Exchange) -> None:
@@ -859,7 +843,7 @@ class SignerSession:
         self, exchange: _Exchange, delivered: bool | None, now: float = 0.0
     ) -> None:
         exchange.state = ExchangeState.DONE
-        self.exchanges_completed += 1
+        self.stats.exchanges_completed += 1
         self.consecutive_failures = 0
         if self.link is not None:
             self.link.on_exchange_done(
@@ -870,7 +854,6 @@ class SignerSession:
                 now, self._node, EventKind.EXCHANGE_DONE, self.assoc_id,
                 exchange.seq, info=f"n={len(exchange.messages)}",
             )
-            self._obs.registry.counter("signer.exchanges_done").inc()
         if delivered is not None:
             for index, message in enumerate(exchange.messages):
                 self.reports.append(
@@ -889,12 +872,10 @@ class SignerSession:
                 now, self._node, EventKind.EXCHANGE_FAILED, self.assoc_id,
                 exchange.seq, info=f"{reason} retries={exchange.retries}",
             )
-            self._obs.registry.counter("signer.exchanges_failed").inc()
         # The next exchange starts from the RTO estimate, not this one's
         # terminal backoff; persistent unreachability is dead-peer
         # detection's job, not an ever-growing timer's.
         self.rtt.clear_backoff()
-        self.exchanges_failed += 1
         self.consecutive_failures += 1
         self.stats.exchanges_failed += 1
         for index, message in enumerate(exchange.messages):
@@ -937,7 +918,6 @@ class SignerSession:
                 now, self._node, EventKind.EXCHANGE_FAILED, self.assoc_id,
                 0, info=f"{reason} queued={len(self._queue)}",
             )
-            self._obs.registry.counter("signer.exchanges_failed").inc()
         failure = ExchangeFailed(
             peer=self.peer,
             assoc_id=self.assoc_id,

@@ -29,10 +29,12 @@ from repro.core.merkle import (
 )
 from repro.core.modes import Mode
 from repro.core.packets import A1Packet, A2Packet, AckVerdict, S1Packet, S2Packet
+from repro.core.resilience import ResilienceStats
 from repro.core.signer import PRE_ACK_TAG, PRE_NACK_TAG
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
+from repro.obs.metrics import read_fields
 
 #: Rejection reasons that prove the packet *arrived damaged* (versus
 #: never arriving, or arriving for an unknown exchange): the first-hand
@@ -105,6 +107,10 @@ class S1Commitment:
         return len(b"".join(self.pre_signatures))
 
 
+#: Registry counters read from the verifier's ``stats`` block.
+STATS_COUNTERS = {"verifier.nacks_suppressed": "nack_suppressed"}
+
+
 @dataclass(slots=True)
 class _VerifierExchange(S1Commitment):
     a1_bytes: bytes = b""
@@ -157,8 +163,14 @@ class VerifierSession:
         self.rejected_s1 = 0
         self.rejected_s2 = 0
         self.refused_s1 = 0
-        #: Duplicate nacks withheld by the storm damper (PROTOCOL.md §12).
-        self.nacks_suppressed = 0
+        #: ``nack_suppressed``: duplicate nacks the damper withheld (§12).
+        self.stats = ResilienceStats()
+        if self._obs.enabled:
+            self._obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
+
+    @property
+    def nacks_suppressed(self) -> int:
+        return self.stats.nack_suppressed
 
     # -- packet handlers -------------------------------------------------------
 
@@ -351,13 +363,12 @@ class VerifierSession:
         exchange.nack_counts[msg_index] = count
         if count & (count - 1) == 0:
             return True
-        self.nacks_suppressed += 1
+        self.stats.nack_suppressed += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.NACK_SUPPRESSED, self.assoc_id,
                 exchange.seq, msg_index=msg_index, info=f"arrival={count}",
             )
-            self._obs.registry.counter("verifier.nacks_suppressed").inc()
         return False
 
     def _build_a2(

@@ -19,6 +19,12 @@ The contract with the protocol engines::
         self._obs.tracer.emit(now, self._node, EventKind.S1_SEND, ...)
         self._obs.registry.counter("signer.s1_sent").inc()
 
+A count the engine already keeps in an always-on block is not counted
+again: the engine reads the block in once, at construction::
+
+    if self._obs.enabled:
+        self._obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
+
 Engines default to the shared :data:`OBS_OFF` singleton, so an
 uninstrumented caller pays one attribute load and branch per call site
 and allocates nothing.

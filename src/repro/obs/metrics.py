@@ -13,26 +13,35 @@ conformance suite read from. Design constraints, in order:
 3. Pull-friendly — ``bind`` registers a callable sampled at snapshot
    time, which is how the per-role :class:`~repro.crypto.hashes.OpCounter`
    blocks are exported without touching the crypto hot path at all.
+4. One book per event — an engine counts in its always-on block, and
+   ``read`` makes a counter sample that block instead of a second tally.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import Callable
 
 from repro.obs.timeseries import NULL_TIME_SERIES, TimeSeries
 
 
 class Counter:
-    """A monotonically increasing integer."""
+    """A monotonically increasing integer, plus the blocks it reads."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "_count", "_reads")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.value = 0
+        self._count = 0
+        self._reads: dict[object, Callable[[], int]] = {}
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
+        self._count += amount
+
+    @property
+    def value(self) -> int:
+        return self._count + sum(sample() for sample in self._reads.values())
 
 
 class Gauge:
@@ -193,6 +202,15 @@ class MetricsSnapshot(dict):
         return out
 
 
+def read_fields(block: object, fields: dict[str, str]) -> dict[str, Callable[[], int]]:
+    """``{counter name: attribute of block}`` as samples for
+    :meth:`MetricsRegistry.read`."""
+    return {
+        name: functools.partial(getattr, block, field)
+        for name, field in fields.items()
+    }
+
+
 class MetricsRegistry:
     """Names instruments; snapshots and resets them as one unit."""
 
@@ -269,6 +287,25 @@ class MetricsRegistry:
         """
         if self.enabled:
             self._bound[name] = sample
+
+    def read(self, owner: object, samples: dict[str, Callable[[], int]]) -> None:
+        """Make each named counter add ``sample()`` while ``owner`` lives.
+
+        Readers of one name sum. A sample holds the owner's block, never
+        the owner, so no cycle runs through the registry; when the owner
+        is collected its last values fold into the counters.
+        """
+        if not self.enabled:
+            return
+        key = object()
+        for name, sample in samples.items():
+            self.counter(name)._reads[key] = sample
+        weakref.finalize(owner, self._fold, key, tuple(samples)).atexit = False
+
+    def _fold(self, key: object, names: tuple[str, ...]) -> None:
+        for name in names:
+            counter = self._counters[name]
+            counter._count += counter._reads.pop(key)()
 
     def snapshot(self) -> MetricsSnapshot:
         snap = MetricsSnapshot()

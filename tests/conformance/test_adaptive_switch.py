@@ -50,8 +50,7 @@ def run_switching(loss, seed, messages=24):
         chain_length=1024,
         retransmit_timeout_s=0.2,
         max_retries=30,
-        adaptive=True,
-        adaptive_config=AdaptiveConfig(
+        adaptive=AdaptiveConfig(
             decision_interval_s=0.05,
             warmup_intervals=1,
             switch_cooldown_s=0.0,

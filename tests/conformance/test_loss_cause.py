@@ -58,8 +58,7 @@ def run_schedule(
         retransmit_timeout_s=0.15,
         max_retries=100,
         dead_peer_threshold=0,
-        adaptive=True,
-        adaptive_config=AdaptiveConfig(
+        adaptive=AdaptiveConfig(
             decision_interval_s=0.25,
             warmup_intervals=1,
             switch_cooldown_s=1.0,

@@ -23,6 +23,7 @@ from repro.core.hashchain import (
 )
 from repro.core.linkhealth import LOSS_DECAY_HALF_LIFE_S, LinkHealth
 from repro.core.modes import Mode, ReliabilityMode
+from repro.core.resilience import ResilienceStats
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import EventKind, Observability
 
@@ -343,8 +344,7 @@ class TestEndpointIntegration:
         config = EndpointConfig(
             chain_length=512,
             reliability=ReliabilityMode.RELIABLE,
-            adaptive=True,
-            adaptive_config=AdaptiveConfig(
+            adaptive=AdaptiveConfig(
                 decision_interval_s=0.05,
                 warmup_intervals=0,
                 switch_cooldown_s=0.0,
@@ -479,14 +479,13 @@ class TestCorruptionAwareTuning:
 
     def corrupting_link(self):
         link = LinkHealth("v")
-        for _ in range(8):
-            link.on_nack_retransmit()  # pure corruption evidence
+        # Pure corruption evidence.
+        link.on_association(ResilienceStats(retransmits_nack=8))
         return link
 
     def congested_link(self):
         link = LinkHealth("v")
-        for _ in range(8):
-            link.on_timeout_retransmit()
+        link.on_association(ResilienceStats(retransmits_timeout=8))
         return link
 
     def test_corruption_keeps_pipelining(self, sha1, rng):
@@ -519,7 +518,8 @@ class TestCorruptionAwareTuning:
 
     def test_unconfident_split_defaults_to_congestion_response(self, sha1, rng):
         link = LinkHealth("v")
-        link.on_nack_retransmit()  # corruption hint, but < MIN_SPLIT_EVENTS
+        # Corruption hint, but < MIN_SPLIT_EVENTS.
+        link.on_association(ResilienceStats(retransmits_nack=1))
         signer = make_signer(
             sha1, rng, ChannelConfig(mode=Mode.CUMULATIVE, max_outstanding=4)
         )

@@ -128,6 +128,30 @@ class TestDynamicHandshake:
             events = pump(a, b, now=now)
             assert [m.message for _, m in events["delivered"]] == [b"payload"]
 
+    def test_flipped_hs1_assoc_id_bit_is_dropped(self):
+        """A copy of the answered HS1 with one ``assoc_id`` bit flipped,
+        for every bit of the field. It names the anchors this responder
+        already answered, so it installs nothing: the association stays,
+        and the next message in each direction is delivered."""
+        config = EndpointConfig(chain_length=128)
+        for bit in range(64):
+            a = AlphaEndpoint("a", config, seed=1)
+            b = AlphaEndpoint("b", config, seed=2)
+            _, hs1 = a.connect("b")
+            out = b.on_packet(hs1, "a", 0.0)
+            a.on_packet(out.replies[0][1], "b", 0.0)
+            installed = b.association("a")
+            packet = decode_packet(hs1, 20)
+            packet.assoc_id ^= 1 << bit
+            assert b.on_packet(packet.encode(), "a", 0.0).replies == [], bit
+            assert b.association("a") is installed and not installed.retired
+            assert b.peers == ["a"] and len(b._by_id) == 1, bit
+            a.send("b", b"to-b")
+            b.send("a", b"to-a")
+            events = pump(a, b)
+            delivered = sorted(m.message for _, m in events["delivered"])
+            assert delivered == [b"to-a", b"to-b"], f"bit {bit}"
+
     def test_differing_hs1_naming_other_chains_is_dropped(self):
         a = AlphaEndpoint("a", seed=1)
         b = AlphaEndpoint("b", seed=2)
@@ -342,7 +366,7 @@ class TestWillingnessPolicy:
         # The exchange times out and fails cleanly — no A1 ever came.
         for i in range(8):
             signer.poll(float(i))
-        assert signer.exchanges_failed == 1
+        assert signer.stats.exchanges_failed == 1
 
     def test_selective_policy_by_batch_size(self):
         config = EndpointConfig(

@@ -113,7 +113,7 @@ class TestCombinedMode:
         messages = [b"r%d" % i for i in range(8)]
         _, delivered = drive(sha1, signer, verifier, messages)
         assert delivered == messages
-        assert signer.exchanges_completed == 1
+        assert signer.stats.exchanges_completed == 1
 
     def test_trees_capped_at_message_count(self, sha1, rng):
         signer, verifier = make_channel(sha1, rng, cm_config(3, 10))

@@ -15,6 +15,7 @@ from repro.core.adaptive import AdaptiveController
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig, EndpointOutput
 from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, ChainVerifier, HashChain
 from repro.core.linkhealth import DOMINANT_SHARE, LinkHealth
+from repro.core.resilience import ResilienceStats
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import Observability
 from tests.obs.test_observing_is_wire_neutral import CORRUPTION_MODES, corruption_drive
@@ -33,10 +34,9 @@ def split_link(peer, nacks, timeouts, link=None):
     """A confident one-sided split: no corrupt arrivals, so the
     nack/timeout split stands as is."""
     link = link if link is not None else LinkHealth(peer)
-    for _ in range(nacks):
-        link.on_nack_retransmit()
-    for _ in range(timeouts):
-        link.on_timeout_retransmit()
+    link.on_association(
+        ResilienceStats(retransmits_nack=nacks, retransmits_timeout=timeouts)
+    )
     return link
 
 
@@ -90,8 +90,8 @@ def test_dominant_cause_boundary(case, sha1, rng):
 
 def test_unconfident_split_has_no_dominant_cause():
     link = LinkHealth("v")
-    for _ in range(3):
-        link.on_nack_retransmit()  # pure corruption, but < MIN_SPLIT_EVENTS
+    # Pure corruption, but < MIN_SPLIT_EVENTS.
+    link.on_association(ResilienceStats(retransmits_nack=3))
     assert not link.split_confident
     assert link.dominant_cause() is None
 

@@ -101,7 +101,7 @@ class TestLossRecovery:
         # not wedge: all exchanges either completed or failed cleanly.
         signer = s.endpoint.association("v").signer
         assert signer.idle
-        assert signer.exchanges_completed + signer.exchanges_failed == 20
+        assert signer.stats.exchanges_completed + signer.stats.exchanges_failed == 20
 
     def test_jitter_reordering_tolerated(self):
         config = EndpointConfig(mode=Mode.MERKLE, batch_size=8, chain_length=512)

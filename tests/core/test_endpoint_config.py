@@ -70,3 +70,10 @@ class TestOneConfigSource:
     def test_invalid_channel_value_refused_at_construction(self, bad):
         with pytest.raises(ValueError):
             EndpointConfig(**bad)
+
+    def test_adaptive_takes_a_controller_config(self):
+        # One field for the controller: a bare flag would leave its
+        # tuning somewhere else.
+        with pytest.raises(TypeError):
+            EndpointConfig(adaptive=True)
+        assert EndpointConfig().adaptive is None

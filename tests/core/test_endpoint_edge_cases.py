@@ -10,6 +10,7 @@ from repro.core.packets import decode_packet
 from repro.core.signer import ChannelConfig
 from repro.crypto.hashes import get_hash
 from repro.netsim import Network
+from repro.obs import Observability
 from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.core.test_sessions import make_channel
@@ -116,6 +117,31 @@ class TestNoReferenceCycle:
             refs = [weakref.ref(a), weakref.ref(b)]
             del a, b
             assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_observed_endpoints_are_freed_without_the_cycle_collector(self):
+        # The registry reads the endpoints' and sessions' counters: it
+        # holds their blocks, never the engines, and folds an engine's
+        # counts in when it goes.
+        gc.disable()
+        try:
+            obs = Observability()
+            config = EndpointConfig(chain_length=128)
+            a = AlphaEndpoint("a", config, seed=5, obs=obs)
+            b = AlphaEndpoint("b", config, seed=6, obs=obs)
+            establish_static(a, b)
+            a.send("b", b"counted")
+            for dest, data in a.poll(0.0).replies:
+                for _, reply in b.on_packet(data, "a", 0.0).replies:
+                    for _, s2 in a.on_packet(reply, "b", 0.0).replies:
+                        b.on_packet(s2, "a", 0.0)
+            refs = [weakref.ref(a), weakref.ref(b)]
+            del a, b
+            assert [ref() for ref in refs] == [None, None]
+            done = obs.registry.counter("signer.exchanges_done")
+            assert done.value == 1
+            assert all(not c._reads for c in obs.registry._counters.values())
         finally:
             gc.enable()
 

@@ -47,7 +47,7 @@ class TestPipelinedSessions:
                 verifier.handle_s2(decode_packet(raw, H), 0.0)
         delivered = [m.message for m in verifier.drain_delivered()]
         assert sorted(delivered) == [b"p0", b"p1", b"p2"]
-        assert signer.exchanges_completed == 3
+        assert signer.stats.exchanges_completed == 3
 
     def test_reordered_a1s_accepted_once(self, sha1, rng):
         """A1s arriving in reverse order still complete every exchange —

@@ -95,7 +95,7 @@ class TestAckFlow:
             a2_raw = verifier.handle_s2(s2, 0.0)
             assert a2_raw is not None
             signer.handle_a2(decode_packet(a2_raw, H), 0.0)
-        assert signer.exchanges_completed == 1
+        assert signer.stats.exchanges_completed == 1
         reports = signer.drain_reports()
         assert len(reports) == batch
         assert all(r.delivered for r in reports)
@@ -121,7 +121,7 @@ class TestAckFlow:
         assert s2_retry.msg_index == 1
         a2_raw = verifier.handle_s2(s2_retry, 0.0)
         signer.handle_a2(decode_packet(a2_raw, H), 0.0)
-        assert signer.exchanges_completed == 1
+        assert signer.stats.exchanges_completed == 1
 
     def test_s2_timeout_retransmits_unacked(self, sha1, rng):
         signer, verifier, _, _, s2s = start_reliable_exchange(
@@ -148,7 +148,7 @@ class TestAckFlow:
         ack_raw = verifier.handle_s2(s2s[0], 0.0)
         signer.handle_a2(decode_packet(nack_raw, H), 0.0)
         signer.handle_a2(decode_packet(ack_raw, H), 0.0)
-        assert signer.exchanges_completed == 1
+        assert signer.stats.exchanges_completed == 1
 
 
 class TestA2Validation:
@@ -165,9 +165,9 @@ class TestA2Validation:
             verdicts=[AckVerdict(0, True, b"\x00" * 16)],
         )
         signer.handle_a2(forged, 0.0)
-        assert signer.exchanges_completed == 0  # forged ack not accepted
+        assert signer.stats.exchanges_completed == 0  # forged ack not accepted
         signer.handle_a2(genuine, 0.0)
-        assert signer.exchanges_completed == 1
+        assert signer.stats.exchanges_completed == 1
 
     def test_a2_with_bad_disclosure_ignored(self, sha1, rng):
         signer, verifier, _, _, s2s = start_reliable_exchange(
@@ -176,7 +176,7 @@ class TestA2Validation:
         genuine = decode_packet(verifier.handle_s2(s2s[0], 0.0), H)
         genuine.disclosed_element = b"\xFF" * 20
         signer.handle_a2(genuine, 0.0)
-        assert signer.exchanges_completed == 0
+        assert signer.stats.exchanges_completed == 0
 
     def test_a2_odd_disclosure_index_ignored(self, sha1, rng):
         signer, verifier, _, _, s2s = start_reliable_exchange(
@@ -185,7 +185,7 @@ class TestA2Validation:
         genuine = decode_packet(verifier.handle_s2(s2s[0], 0.0), H)
         genuine.disclosed_index += 1
         signer.handle_a2(genuine, 0.0)
-        assert signer.exchanges_completed == 0
+        assert signer.stats.exchanges_completed == 0
 
     def test_flipped_verdict_fails_verification(self, sha1, rng):
         # Turning a nack into an ack requires the ack secret, which the
@@ -198,7 +198,7 @@ class TestA2Validation:
         assert nack.verdicts[0].is_ack is False
         nack.verdicts[0].is_ack = True  # attacker flips the bit
         signer.handle_a2(nack, 0.0)
-        assert signer.exchanges_completed == 0
+        assert signer.stats.exchanges_completed == 0
 
     def test_amt_flipped_verdict_fails(self, sha1, rng):
         signer, verifier, _, _, s2s = start_reliable_exchange(
@@ -219,7 +219,7 @@ class TestA2Validation:
         genuine = decode_packet(verifier.handle_s2(s2s[0], 0.0), H)
         genuine.verdicts[0].msg_index = 9
         signer.handle_a2(genuine, 0.0)
-        assert signer.exchanges_completed == 0
+        assert signer.stats.exchanges_completed == 0
 
 
 class TestCorruptedIndexRegression:
@@ -238,4 +238,4 @@ class TestCorruptedIndexRegression:
         # The genuine packet still completes the exchange.
         a2 = verifier.handle_s2(s2s[0], 0.0)
         signer.handle_a2(decode_packet(a2, H), 0.0)
-        assert signer.exchanges_completed == 1
+        assert signer.stats.exchanges_completed == 1

@@ -12,9 +12,11 @@ import pytest
 from repro.canonical import CanonicalChannel
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import ProtocolError
+from repro.core.modes import ReliabilityMode
 from repro.core.packets import decode_packet
 from repro.core.resilience import ExchangeFailed, ResilienceStats, RttEstimator
 from repro.core.signer import ChannelConfig
+from repro.obs import EventKind, Observability
 
 ASSOC = 99
 
@@ -351,6 +353,39 @@ class TestDeadPeerDetection:
             a.send("b", b"msg-%d" % i)
         self.kill_peer_and_drain(a, rounds=30)
         assert not a.peer_down("b")
+
+
+class TestOneFailoverAttemptPerEscape:
+    """A terminal rto-escape consults the path manager once: the signer's
+    escape hook asks, and the forced dead-peer check that follows does
+    not ask again."""
+
+    @pytest.mark.parametrize("paths", [1, 2])
+    def test_exhausted_escape_counts_once(self, paths):
+        config = EndpointConfig(
+            reliability=ReliabilityMode.RELIABLE,
+            chain_length=64,
+            max_retries=40,
+            rto_max_s=2.0,
+            rekey_threshold=0,
+            max_failovers=1,
+        )
+        obs = Observability()
+        a = AlphaEndpoint("a", config, seed=1, obs=obs)
+        b = AlphaEndpoint("b", config, seed=2)
+        establish(a, b)
+        for i in range(paths):
+            a.paths.register("b", f"via-r{i}", (f"r{i}",))
+        a.send("b", b"black-holed")
+        now = 0.0
+        while not a.peer_down("b"):  # nothing ever comes back from b
+            now += 0.5
+            assert now < 600.0, "the escape never ended the association"
+            a.poll(now)
+        # Two paths spend the one-failover budget on the first escape.
+        assert a.stats.failovers == paths - 1
+        assert a.stats.failovers_exhausted == 1
+        assert obs.tracer.count(EventKind.FAILOVER_EXHAUSTED) == 1
 
 
 class TestStatsPlumbing:

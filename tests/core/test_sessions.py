@@ -265,7 +265,7 @@ class TestTimeouts:
         for _ in range(4):
             now += 1.5
             signer.poll(now)
-        assert signer.exchanges_failed == 1
+        assert signer.stats.exchanges_failed == 1
         reports = signer.drain_reports()
         assert len(reports) == 1
         assert not reports[0].delivered

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.linkhealth import HealthLedger
+from repro.core.resilience import ResilienceStats
 from repro.obs import EventKind, Observability
 from repro.obs.export import render_report, to_jsonl, to_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -25,11 +26,10 @@ def populated():
     registry.record("link.loss.estimate", 2.0, 0.1)
     ledger = HealthLedger(registry)
     link = ledger.link("v")
-    link.on_association()
-    link.on_packets_sent(20)
-    for _ in range(4):
-        link.on_nack_retransmit()
+    stats = ResilienceStats(packets_sent=20, retransmits_nack=4, rtt_samples=1)
+    link.on_association(stats)
     link.on_rtt_sample(0.02)
+    stats.exchanges_completed += 1
     link.on_exchange_done(3.0, 0.3)
     obs.tracer.emit(1.0, "s", EventKind.EXCHANGE_DONE, 9, seq=1)
     return obs, ledger

@@ -5,7 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.linkhealth import MIN_SPLIT_EVENTS, HealthLedger, LinkHealth
+from repro.core.resilience import ResilienceStats
 from repro.obs.metrics import MetricsRegistry
+
+
+def fed(link):
+    """The signer block ``link`` reads its counters from."""
+    stats = ResilienceStats()
+    link.on_association(stats)
+    return stats
 
 
 class TestClassifier:
@@ -17,16 +25,14 @@ class TestClassifier:
 
     def test_pure_congestion(self):
         link = LinkHealth("v")
-        for _ in range(6):
-            link.on_timeout_retransmit()
+        fed(link).retransmits_timeout = 6
         congestion, corruption = link.loss_split()
         assert congestion == 1.0 and corruption == 0.0
         assert link.split_confident
 
     def test_pure_corruption_via_nacks(self):
         link = LinkHealth("v")
-        for _ in range(5):
-            link.on_nack_retransmit()
+        fed(link).retransmits_nack = 5
         congestion, corruption = link.loss_split()
         assert congestion == 0.0 and corruption == 1.0
 
@@ -35,8 +41,7 @@ class TestClassifier:
         # halves of 1 locally-seen corrupt arrival (counted twice):
         # corruption = 0 nacks + 2*1 = 2, congestion = 4 - 2 = 2.
         link = LinkHealth("v")
-        for _ in range(4):
-            link.on_timeout_retransmit()
+        fed(link).retransmits_timeout = 4
         link.on_corrupt_arrival()
         congestion, corruption = link.loss_split()
         assert congestion == pytest.approx(0.5)
@@ -44,7 +49,7 @@ class TestClassifier:
 
     def test_congestion_never_negative(self):
         link = LinkHealth("v")
-        link.on_timeout_retransmit()
+        fed(link).retransmits_timeout = 1
         for _ in range(3):
             link.on_corrupt_arrival()
         congestion, corruption = link.loss_split()
@@ -52,21 +57,23 @@ class TestClassifier:
 
     def test_confidence_threshold(self):
         link = LinkHealth("v")
-        for _ in range(MIN_SPLIT_EVENTS - 1):
-            link.on_nack_retransmit()
+        stats = fed(link)
+        stats.retransmits_nack = MIN_SPLIT_EVENTS - 1
         assert not link.split_confident
-        link.on_nack_retransmit()
+        stats.retransmits_nack += 1
         assert link.split_confident
 
 
 class TestLinkHealth:
     def test_rtt_ewma(self):
         link = LinkHealth("v")
+        stats = fed(link)
         link.on_rtt_sample(0.1)
         assert link.srtt == pytest.approx(0.1)
         assert link.rttvar == pytest.approx(0.05)
         link.on_rtt_sample(0.2)
         assert 0.1 < link.srtt < 0.2
+        stats.rtt_samples = 2
         assert link.rtt_samples == 2
 
     def test_known_after_loss_update(self):
@@ -78,9 +85,11 @@ class TestLinkHealth:
 
     def test_exchange_latency_histogram(self):
         link = LinkHealth("v")
+        stats = fed(link)
         link.on_exchange_done(1.0, 0.02)
         link.on_exchange_done(2.0, 0.04)
         link.on_exchange_failed(3.0)
+        stats.exchanges_completed, stats.exchanges_failed = 2, 1
         assert link.exchanges_completed == 2
         assert link.exchanges_failed == 1
         assert link.latency.count == 2
@@ -90,8 +99,7 @@ class TestLinkHealth:
     def test_publish_mirrors_to_registry(self):
         registry = MetricsRegistry()
         link = LinkHealth("v", registry)
-        for _ in range(4):
-            link.on_nack_retransmit()
+        fed(link).retransmits_nack = 4
         link.on_exchange_done(5.0, 0.01)
         assert registry.gauge("link.loss.corruption").value == 1.0
         assert registry.gauge("link.v.loss.corruption").value == 1.0
@@ -99,8 +107,7 @@ class TestLinkHealth:
 
     def test_snapshot_fields(self):
         link = LinkHealth("v")
-        link.on_association()
-        link.on_packets_sent(10)
+        fed(link).packets_sent = 10
         snap = link.snapshot()
         assert snap["peer"] == "v"
         assert snap["associations"] == 1
@@ -178,8 +185,8 @@ class TestHealthLedger:
 
     def test_iteration_and_snapshot(self):
         ledger = HealthLedger()
-        ledger.link("b").on_packets_sent(2)
-        ledger.link("a").on_packets_sent(1)
+        fed(ledger.link("b")).packets_sent = 2
+        fed(ledger.link("a")).packets_sent = 1
         assert [link.peer for link in ledger] == ["b", "a"]
         snap = ledger.snapshot()
         assert list(snap) == ["a", "b"]  # snapshot is peer-sorted

@@ -157,4 +157,4 @@ def test_channel_invariants(schedule, seed):
         now += 1.0
         signer.poll(now)
     assert signer.idle
-    assert signer.exchanges_completed + signer.exchanges_failed >= 1
+    assert signer.stats.exchanges_completed + signer.stats.exchanges_failed >= 1

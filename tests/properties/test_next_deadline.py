@@ -15,6 +15,7 @@ endpoint reports a deadline, except an adaptive controller's next tick.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import ReliabilityMode
 
@@ -100,7 +101,7 @@ class TestNextDeadline:
                     ReliabilityMode.RELIABLE if reliable
                     else ReliabilityMode.UNRELIABLE
                 ),
-                adaptive=adaptive,
+                adaptive=AdaptiveConfig() if adaptive else None,
             ),
         )
         a, b = world["a"], world["b"]

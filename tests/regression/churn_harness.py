@@ -118,7 +118,6 @@ def _endpoint_config(
         rto_max_s=1.0,
         dead_peer_threshold=0,
         rekey_threshold=0,
-        adaptive=False,
         on_path_switch=route_installer(net) if failover else None,
     )
 

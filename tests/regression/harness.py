@@ -87,7 +87,6 @@ def run_wedge(
         rto_max_s=5.0,
         dead_peer_threshold=0,
         rekey_threshold=0,
-        adaptive=False,
     )
     signer = EndpointAdapter(
         AlphaEndpoint("s", config, seed=f"{seed}-s", obs=obs), net.nodes["s"]
