@@ -198,11 +198,11 @@ class AlphaEndpoint:
         self.stats = ResilienceStats()
         if self.obs.enabled:
             self.obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
-        #: Counters absorbed from retired associations' sessions. Kept
-        #: separate from :attr:`stats` so live-signer blocks are never
-        #: merged into a block that outlives them — snapshots stay
-        #: idempotent no matter how often they are taken.
-        self._drained = ResilienceStats()
+        #: Counters absorbed from retired associations' sessions, one
+        #: block per peer. Kept separate from :attr:`stats` so live
+        #: blocks are never merged into a block that outlives them —
+        #: snapshots stay idempotent no matter how often they are taken.
+        self._drained: dict[str, ResilienceStats] = {}
         #: Worst max-RTO pin streak among retired signers (see
         #: :meth:`max_rto_streak_peak`).
         self._drained_rto_peak = 0
@@ -211,9 +211,12 @@ class AlphaEndpoint:
         #: history instead of relearning it. Maintained whenever the
         #: endpoint is adaptive (the controller seeds from it) or
         #: observed (the ledger feeds ``link.*`` metrics); otherwise it
-        #: stays empty and the engines skip their ``link`` hooks.
+        #: stays empty and the engines skip their ``link`` hooks. An
+        #: entry reads its signer counters from :meth:`resilience_stats`
+        #: (held weakly, as the escape hook holds the endpoint).
         self.links = HealthLedger(
-            self.obs.registry if self.obs.enabled else None
+            self.obs.registry if self.obs.enabled else None,
+            functools.partial(AlphaEndpoint.resilience_stats, weakref.proxy(self)),
         )
         self._track_links = self.config.adaptive is not None or self.obs.enabled
         #: Ranked alternate relay paths per peer (PROTOCOL.md §13).
@@ -412,13 +415,11 @@ class AlphaEndpoint:
             self._initiate_replacement(assoc, now, out, label="rekey")
         if assoc.retired and assoc.signer.idle and self._peer_done(assoc, now):
             # Preserve the drained association's counters before it goes.
-            self._drained.merge(assoc.signer.stats).merge(assoc.verifier.stats)
+            drained = self._drained.setdefault(assoc.peer, ResilienceStats())
+            drained.merge(assoc.signer.stats).merge(assoc.verifier.stats)
             self._drained_rto_peak = max(
                 self._drained_rto_peak, assoc.signer.max_rto_streak_peak
             )
-            link = self.links.get(assoc.peer)
-            if link is not None:
-                link.retire(assoc.signer.stats)
             del self._by_id[assoc.assoc_id]
             # Release the peer mapping too, or it pins the whole
             # signer/verifier state in memory forever.
@@ -532,7 +533,7 @@ class AlphaEndpoint:
         # must still raise out of poll() (there is no rescue coming).
         assoc.signer.defer_exhaustion = self.config.rekey_threshold > 0
         if link is not None:
-            link.on_association(assoc.signer.stats)
+            link.on_association()
         # Terminal rto-escape interception: the signer consults this
         # before failing an exchange; a successful path switch lets it
         # re-present the in-flight S1s instead (it calls its own
@@ -625,10 +626,21 @@ class AlphaEndpoint:
         except AlphaError:
             return
         if existing is None:
-            answered = getattr(self._by_peer.get(src), "hs_request", None)
-            if answered is not None and peer_anchors == validate_handshake(answered):
-                # An HS1 answered already, under a damaged id: a genuine
-                # re-key brings fresh anchors.
+            answered = self._by_peer.get(src)
+            if (
+                answered is not None
+                and answered.hs_request is not None
+                and peer_anchors == validate_handshake(answered.hs_request)
+                and (
+                    answered.verifier.sig_verifier.trusted != peer_anchors.sig_anchor
+                    or answered.signer.ack_verifier.trusted != peer_anchors.ack_anchor
+                )
+            ):
+                # An HS1 answered already, under a damaged id, and the
+                # peer has since used the answer (an S1 or A1 moved a
+                # verifier off its anchor): a genuine re-key brings fresh
+                # anchors. Unused, the answer may be the damaged one, and
+                # this HS1 the genuine retry that supersedes it.
                 return
             chains = self._create_chains()
         elif peer_anchors == validate_handshake(existing.hs_request):
@@ -854,19 +866,28 @@ class AlphaEndpoint:
             # exhaustion and stall every queued message).
             parent.replacement_id = None
 
-    def resilience_stats(self) -> ResilienceStats:
-        """Aggregate counters: endpoint-level, drained, and live signers.
+    def resilience_stats(self, peer: str | None = None) -> ResilienceStats:
+        """Aggregate counters: endpoint-level, drained, and live sessions.
 
+        ``peer`` narrows the sum to that peer's sessions, drained and
+        live; the link ledger reads its signer counters here.
         Idempotent: builds a fresh block every call without mutating any
         source, so repeated snapshots return identical totals.
         """
+        if peer is None:
+            kept = [self.stats, *self._drained.values()]
+        else:
+            kept = [self._drained.get(peer, ResilienceStats())]
+        live = [
+            assoc
+            for assoc in self._by_id.values()
+            if assoc.signer is not None and peer in (None, assoc.peer)
+        ]
         # Both halves of the storm damper live under one counter: the
         # signer's token bucket and the verifier's duplicate-nack
         # suppression both record "a nack that was not acted on".
-        live = [assoc for assoc in self._by_id.values() if assoc.signer is not None]
         return ResilienceStats.aggregate(
-            self.stats,
-            self._drained,
+            *kept,
             *(assoc.signer.stats for assoc in live),
             *(assoc.verifier.stats for assoc in live),
         )

@@ -37,12 +37,16 @@ Classifier rules (PROTOCOL.md §11):
 The ledger is this endpoint's own view: nothing in it comes off the
 wire unauthenticated. Its dominant cause steers the adaptive
 controller; the signer only writes to it. What the signers count it
-reads from their ``stats`` blocks (the retired ones folded into one);
-it keeps corrupt arrivals, two EWMAs and one fixed-bucket histogram
-per link, so an entry stays a few hundred bytes per live association.
+reads from the endpoint (:meth:`AlphaEndpoint.resilience_stats` for
+its peer, live and drained sessions alike); it keeps corrupt arrivals,
+two EWMAs and one fixed-bucket histogram per link, so an entry stays a
+few hundred bytes.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Callable
 
 from repro.core.resilience import ResilienceStats
 from repro.obs.metrics import DEFAULT_BOUNDS, Histogram, MetricsRegistry
@@ -64,9 +68,9 @@ DOMINANT_SHARE = 0.6
 LOSS_DECAY_HALF_LIFE_S = 60.0
 
 
-def _summed(field: str) -> property:
-    """A signer counter read across the link's blocks."""
-    return property(lambda self: self._sum(field))
+def _counted(field: str) -> property:
+    """A signer counter, read from :attr:`LinkHealth.counts`."""
+    return property(lambda self: getattr(self.counts(), field))
 
 
 class LinkHealth:
@@ -89,30 +93,32 @@ class LinkHealth:
         "loss_updated_at",
         "latency",
         "_registry",
-        "_live",
-        "_retired",
+        "counts",
     )
 
-    packets_sent = _summed("packets_sent")
+    packets_sent = _counted("packets_sent")
     #: Retransmits provoked by a deadline expiring (nothing came back):
     #: the congestion-flavoured signal.
-    retransmits_timeout = _summed("retransmits_timeout")
+    retransmits_timeout = _counted("retransmits_timeout")
     #: Retransmits provoked by an explicit A2 nack (the peer received
     #: damaged bytes): the corruption-flavoured signal.
-    retransmits_nack = _summed("retransmits_nack")
-    exchanges_completed = _summed("exchanges_completed")
-    exchanges_failed = _summed("exchanges_failed")
-    rtt_samples = _summed("rtt_samples")
+    retransmits_nack = _counted("retransmits_nack")
+    exchanges_completed = _counted("exchanges_completed")
+    exchanges_failed = _counted("exchanges_failed")
+    rtt_samples = _counted("rtt_samples")
 
     def __init__(
-        self, peer: str, registry: MetricsRegistry | None = None
+        self,
+        peer: str,
+        registry: MetricsRegistry | None = None,
+        counts: Callable[[], ResilienceStats] = ResilienceStats,
     ) -> None:
         self.peer = peer
         self.associations = 0
-        #: The live signers' ``stats`` blocks, and the fold of the
-        #: retired ones: the signer counters above are read from them.
-        self._live: list[ResilienceStats] = []
-        self._retired = ResilienceStats()
+        #: The summed ``stats`` of this peer's signers, live and
+        #: drained: the signer counters above are read from it. The
+        #: default reads zero.
+        self.counts = counts
         #: Inbound packets that arrived damaged (parse drops, bad MACs,
         #: broken chain elements) — corruption seen first-hand.
         self.corrupt_arrivals = 0
@@ -133,19 +139,8 @@ class LinkHealth:
 
     # -- mutators (called from the protocol engines) ---------------------------
 
-    def on_association(self, stats: ResilienceStats) -> None:
-        """A new association's signer counts into ``stats``."""
+    def on_association(self) -> None:
         self.associations += 1
-        self._live.append(stats)
-
-    def retire(self, stats: ResilienceStats) -> None:
-        """A drained association's signer block folds in and goes."""
-        self._live = [block for block in self._live if block is not stats]
-        self._retired.merge(stats)
-
-    def _sum(self, field: str) -> int:
-        blocks = (self._retired, *self._live)
-        return sum(getattr(stats, field) for stats in blocks)
 
     def on_corrupt_arrival(self) -> None:
         self.corrupt_arrivals += 1
@@ -299,16 +294,24 @@ class LinkHealth:
 
 
 class HealthLedger:
-    """The endpoint's book of per-link :class:`LinkHealth` entries."""
+    """The endpoint's book of per-link :class:`LinkHealth` entries;
+    ``counts(peer)`` is where each entry reads its signer counters."""
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        counts: Callable[[str], ResilienceStats] = lambda peer: ResilienceStats(),
+    ) -> None:
         self._registry = registry
+        self._counts = counts
         self._links: dict[str, LinkHealth] = {}
 
     def link(self, peer: str) -> LinkHealth:
         entry = self._links.get(peer)
         if entry is None:
-            entry = self._links[peer] = LinkHealth(peer, self._registry)
+            entry = self._links[peer] = LinkHealth(
+                peer, self._registry, functools.partial(self._counts, peer)
+            )
         return entry
 
     def get(self, peer: str) -> LinkHealth | None:

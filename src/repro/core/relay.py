@@ -33,6 +33,7 @@ from repro.core.merkle import verify_merkle_path  # noqa: F401
 from repro.core.packets import (
     A1Packet,
     A2Packet,
+    AnyPacket,
     HandshakePacket,
     PacketType,
     S1Packet,
@@ -916,23 +917,23 @@ class RelayEngine:
         try:
             packet = decode_packet(data, self._hash.digest_size)
         except PacketError:
-            return self._count(self._undecodable(data, now))
+            return self._count(self._undecodable(data, now), now)
         kind = type(packet)
         if kind is HandshakePacket:
             if packet.is_response:
-                return self._count(self._on_hs2(packet, src))
-            return self._count(self._on_hs1(packet, src))
+                return self._count(self._on_hs2(packet, src), now, packet)
+            return self._count(self._on_hs1(packet, src), now, packet)
         assoc = self._associations.get(packet.assoc_id)
         if assoc is None:
             if not self.config.forward_unknown:
-                return self._count(_DROPPED["unknown-association"])
+                return self._count(_DROPPED["unknown-association"], now, packet)
             # Even for unknown associations, S1-class packets only pass
             # at the *initial* size allowance: an attacker flooding large
             # S1s on fresh association ids gets clamped at the first
             # relay (Section 3.5).
             if kind is S1Packet and len(data) > self.config.initial_s1_allowance:
-                return self._count(_DROPPED["s1-over-allowance"])
-            return self._count(_UNVERIFIED["unknown-association"])
+                return self._count(_DROPPED["s1-over-allowance"], now, packet)
+            return self._count(_UNVERIFIED["unknown-association"], now, packet)
         forward_channel = assoc.forward_channel
         reverse_channel = assoc.reverse_channel
         forward_channel.prune(now)
@@ -962,17 +963,7 @@ class RelayEngine:
             decision = acking.on_a1(packet, now)
         else:
             decision = acking.on_a2(packet, now)
-        if self._obs.enabled:
-            event = EventKind.RELAY_FORWARD if decision.forward else EventKind.RELAY_DROP
-            info = decision.reason
-            if self.hop:
-                info = f"hop={self.hop} {info}"
-            self._obs.tracer.emit(
-                now, self.name, event, packet.assoc_id, packet.seq,
-                msg_index=getattr(packet, "msg_index", -1),
-                info=info,
-            )
-        return self._count(decision)
+        return self._count(decision, now, packet)
 
     # -- internals -------------------------------------------------------------
 
@@ -1018,16 +1009,34 @@ class RelayEngine:
         )
         return _UNVERIFIED["hs2-observed"]
 
-    def _count(self, decision: RelayDecision) -> RelayDecision:
+    def _count(
+        self,
+        decision: RelayDecision,
+        now: float = 0.0,
+        packet: AnyPacket | None = None,
+    ) -> RelayDecision:
+        """Book one decision in :attr:`stats` and, observed, trace it:
+        every counted forward or drop is one ``relay-forward`` or
+        ``relay-drop`` event, so the registry's counts match the trace."""
         stats = self.stats
         reason = decision.reason
         stats[reason] = stats.get(reason, 0) + 1
         if decision.forward:
             stats["forwarded"] = stats.get("forwarded", 0) + 1
-            return decision
-        stats["dropped"] = stats.get("dropped", 0) + 1
-        key = _DROP_KEYS.get(reason, "dropped.policy")
-        stats[key] = stats.get(key, 0) + 1
+        else:
+            stats["dropped"] = stats.get("dropped", 0) + 1
+            key = _DROP_KEYS.get(reason, "dropped.policy")
+            stats[key] = stats.get(key, 0) + 1
+        if self._obs.enabled:
+            event = EventKind.RELAY_FORWARD if decision.forward else EventKind.RELAY_DROP
+            if self.hop:
+                reason = f"hop={self.hop} {reason}"
+            self._obs.tracer.emit(
+                now, self.name, event,
+                getattr(packet, "assoc_id", 0), getattr(packet, "seq", 0),
+                msg_index=getattr(packet, "msg_index", -1),
+                info=reason,
+            )
         return decision
 
     def drop_breakdown(self) -> dict[str, int]:

@@ -22,6 +22,7 @@ import socket
 from repro.core.endpoint import AlphaEndpoint
 from repro.core.resilience import ExchangeFailed, ResilienceStats
 from repro.obs import EventKind
+from repro.obs.metrics import read_fields
 from repro.obs.telemetry import live_clock
 
 _MAX_DATAGRAM = 65507
@@ -31,6 +32,13 @@ _MAX_DATAGRAM = 65507
 #: (retransmits, handshake deadlines). Excess datagrams stay in the
 #: kernel buffer for the next turn.
 MAX_DATAGRAMS_PER_TURN = 64
+
+#: Registry counters read from the transport's ``stats`` block.
+STATS_COUNTERS = {
+    "udp.unknown_source_drops": "unknown_source_drops",
+    "udp.malformed_drops": "malformed_drops",
+    "udp.unroutable_drops": "unroutable_drops",
+}
 
 
 class UdpTransport:
@@ -61,6 +69,8 @@ class UdpTransport:
         #: Transport-level counters: malformed datagrams, unknown-source
         #: drops, unroutable sends.
         self.stats = ResilienceStats()
+        if self.obs.enabled:
+            self.obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
         self.closed = False
 
     @property
@@ -115,7 +125,6 @@ class UdpTransport:
                         EventKind.PARSE_DROP,
                         info=f"udp unknown-source {address[0]}:{address[1]}",
                     )
-                    self.obs.registry.counter("udp.unknown_source_drops").inc()
                 continue
             if self.obs.enabled:
                 self.obs.tracer.emit(
@@ -137,7 +146,6 @@ class UdpTransport:
                         self._clock(), self.endpoint.name,
                         EventKind.PARSE_DROP, info=f"udp src={src}",
                     )
-                    self.obs.registry.counter("udp.malformed_drops").inc()
                 continue
             self._dispatch(out)
         self._dispatch(self.endpoint.poll(self._clock()))
@@ -169,10 +177,7 @@ class UdpTransport:
 
     def resilience_stats(self) -> ResilienceStats:
         """Transport counters merged with the endpoint's aggregate."""
-        total = ResilienceStats()
-        total.merge(self.stats)
-        total.merge(self.endpoint.resilience_stats())
-        return total
+        return ResilienceStats.aggregate(self.stats, self.endpoint.resilience_stats())
 
     def _dispatch(self, out) -> None:
         for peer, payload in out.replies:
@@ -206,7 +211,6 @@ class UdpTransport:
                     self._clock(), self.endpoint.name, EventKind.PARSE_DROP,
                     info=f"udp no-address dst={peer} bytes={len(payload)}",
                 )
-                self.obs.registry.counter("udp.unroutable_drops").inc()
             return
         try:
             self._socket.sendto(payload, address)

@@ -478,15 +478,13 @@ class TestCorruptionAwareTuning:
     """Corruption-dominated links batch tighter but keep pipelining."""
 
     def corrupting_link(self):
-        link = LinkHealth("v")
         # Pure corruption evidence.
-        link.on_association(ResilienceStats(retransmits_nack=8))
-        return link
+        stats = ResilienceStats(retransmits_nack=8)
+        return LinkHealth("v", counts=lambda: stats)
 
     def congested_link(self):
-        link = LinkHealth("v")
-        link.on_association(ResilienceStats(retransmits_timeout=8))
-        return link
+        stats = ResilienceStats(retransmits_timeout=8)
+        return LinkHealth("v", counts=lambda: stats)
 
     def test_corruption_keeps_pipelining(self, sha1, rng):
         signer = make_signer(
@@ -517,9 +515,9 @@ class TestCorruptionAwareTuning:
         assert applied.max_outstanding == 1
 
     def test_unconfident_split_defaults_to_congestion_response(self, sha1, rng):
-        link = LinkHealth("v")
         # Corruption hint, but < MIN_SPLIT_EVENTS.
-        link.on_association(ResilienceStats(retransmits_nack=1))
+        stats = ResilienceStats(retransmits_nack=1)
+        link = LinkHealth("v", counts=lambda: stats)
         signer = make_signer(
             sha1, rng, ChannelConfig(mode=Mode.CUMULATIVE, max_outstanding=4)
         )

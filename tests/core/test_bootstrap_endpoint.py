@@ -130,9 +130,10 @@ class TestDynamicHandshake:
 
     def test_flipped_hs1_assoc_id_bit_is_dropped(self):
         """A copy of the answered HS1 with one ``assoc_id`` bit flipped,
-        for every bit of the field. It names the anchors this responder
-        already answered, so it installs nothing: the association stays,
-        and the next message in each direction is delivered."""
+        for every bit of the field, after the peer used the answer. It
+        names the anchors this responder already answered, so it
+        installs nothing: the association stays, and the next message in
+        each direction is delivered."""
         config = EndpointConfig(chain_length=128)
         for bit in range(64):
             a = AlphaEndpoint("a", config, seed=1)
@@ -140,6 +141,8 @@ class TestDynamicHandshake:
             _, hs1 = a.connect("b")
             out = b.on_packet(hs1, "a", 0.0)
             a.on_packet(out.replies[0][1], "b", 0.0)
+            a.send("b", b"first")
+            assert [m.message for _, m in pump(a, b)["delivered"]] == [b"first"]
             installed = b.association("a")
             packet = decode_packet(hs1, 20)
             packet.assoc_id ^= 1 << bit
@@ -149,6 +152,36 @@ class TestDynamicHandshake:
             a.send("b", b"to-b")
             b.send("a", b"to-a")
             events = pump(a, b)
+            delivered = sorted(m.message for _, m in events["delivered"])
+            assert delivered == [b"to-a", b"to-b"], f"bit {bit}"
+
+    def test_flipped_first_hs1_assoc_id_bit_costs_one_retry(self):
+        """The first HS1 arrives with one ``assoc_id`` bit flipped, for
+        every bit of the field. The responder answers under the damaged
+        id and the initiator drops that HS2; nobody used the answer, so
+        the genuine retry supersedes it and the pair establishes under
+        the initiator's id, delivering in both directions."""
+        for bit in range(64):
+            a = AlphaEndpoint("a", seed=1)
+            b = AlphaEndpoint("b", seed=2)
+            _, hs1 = a.connect("b")
+            packet = decode_packet(hs1, 20)
+            packet.assoc_id ^= 1 << bit
+            for _, hs2 in b.on_packet(packet.encode(), "a", 0.0).replies:
+                a.on_packet(hs2, "b", 0.0)
+            now = 0.0
+            while not a.association("b").established:
+                assert now < 2.0, f"bit {bit}: no establishment"
+                now += 0.25
+                for _, retry in a.poll(now).replies:
+                    for _, hs2 in b.on_packet(retry, "a", now).replies:
+                        a.on_packet(hs2, "b", now)
+            ours, theirs = a.association("b"), b.association("a")
+            assert ours.hs_retries == 1, f"bit {bit}"
+            assert theirs.assoc_id == ours.assoc_id != packet.assoc_id, bit
+            a.send("b", b"to-b")
+            b.send("a", b"to-a")
+            events = pump(a, b, now=now)
             delivered = sorted(m.message for _, m in events["delivered"])
             assert delivered == [b"to-a", b"to-b"], f"bit {bit}"
 

@@ -30,14 +30,11 @@ SPLITS = {
 }
 
 
-def split_link(peer, nacks, timeouts, link=None):
+def split_link(peer, nacks, timeouts):
     """A confident one-sided split: no corrupt arrivals, so the
     nack/timeout split stands as is."""
-    link = link if link is not None else LinkHealth(peer)
-    link.on_association(
-        ResilienceStats(retransmits_nack=nacks, retransmits_timeout=timeouts)
-    )
-    return link
+    stats = ResilienceStats(retransmits_nack=nacks, retransmits_timeout=timeouts)
+    return LinkHealth(peer, counts=lambda: stats)
 
 
 def make_signer(sha1, rng, link):
@@ -63,7 +60,9 @@ def escape_outcome(nacks, timeouts):
     _, hs1 = a.connect("b")
     out = b.on_packet(hs1, "a", 0.0)
     a.on_packet(out.replies[0][1], "b", 0.0)
-    split_link("b", nacks, timeouts, link=a.links.link("b"))
+    stats = a.association("b").signer.stats
+    stats.retransmits_nack, stats.retransmits_timeout = nacks, timeouts
+    assert a.links.link("b").split_confident
     a.send("b", b"queued")
     out = EndpointOutput()
     a._check_dead_peer(a.association("b"), 1.0, out, force=True)
@@ -89,9 +88,8 @@ def test_dominant_cause_boundary(case, sha1, rng):
 
 
 def test_unconfident_split_has_no_dominant_cause():
-    link = LinkHealth("v")
     # Pure corruption, but < MIN_SPLIT_EVENTS.
-    link.on_association(ResilienceStats(retransmits_nack=3))
+    link = split_link("v", 3, 0)
     assert not link.split_confident
     assert link.dominant_cause() is None
 

@@ -27,7 +27,8 @@ def populated():
     ledger = HealthLedger(registry)
     link = ledger.link("v")
     stats = ResilienceStats(packets_sent=20, retransmits_nack=4, rtt_samples=1)
-    link.on_association(stats)
+    link.on_association()
+    link.counts = lambda: stats
     link.on_rtt_sample(0.02)
     stats.exchanges_completed += 1
     link.on_exchange_done(3.0, 0.3)

@@ -12,7 +12,8 @@ from repro.obs.metrics import MetricsRegistry
 def fed(link):
     """The signer block ``link`` reads its counters from."""
     stats = ResilienceStats()
-    link.on_association(stats)
+    link.on_association()
+    link.counts = lambda: stats
     return stats
 
 

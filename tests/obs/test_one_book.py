@@ -7,7 +7,8 @@ snapshot time, and a link ledger reads its signer counters from the
 blocks of that peer's signers, so the three books cannot disagree.
 Observed endpoints are driven through seeded loss and bit flips,
 through a re-keying chain, through a verifying relay, and into a
-black-holed failover; after each run every twin must equal its block.
+black-holed failover; after each run every twin must equal its block,
+and every decision the relay counts must be one trace event.
 """
 
 from __future__ import annotations
@@ -245,3 +246,14 @@ def test_each_escape_consults_the_paths_once():
     assert stats.failovers == 1 and escapes
     assert stats.failovers_exhausted == len(escapes)
     assert obs.tracer.count(EventKind.FAILOVER_EXHAUSTED) == len(escapes)
+
+
+def test_every_counted_relay_decision_is_traced():
+    """The registry/trace identity holds with a handshake crossing the
+    relay: each forward or drop it counts, handshakes included, is one
+    ``relay-forward`` or ``relay-drop`` event."""
+    obs, _, (relay,) = run_drive("verifying-relay")
+    assert obs.tracer.dropped == 0 and relay.stats["hs2-observed"] == 1
+    snap = obs.registry.snapshot()
+    assert snap["relay.forwarded"] == obs.tracer.count(EventKind.RELAY_FORWARD)
+    assert snap["relay.dropped"] == obs.tracer.count(EventKind.RELAY_DROP)

@@ -6,8 +6,9 @@ from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
 from repro.crypto.hashes import get_hash
+from repro.obs import Observability
 from repro.transports import MemoryNetwork, UdpTransport
-from repro.transports.udp import MAX_DATAGRAMS_PER_TURN
+from repro.transports.udp import MAX_DATAGRAMS_PER_TURN, STATS_COUNTERS
 
 
 class TestMemoryNetwork:
@@ -307,6 +308,34 @@ class TestUdpDropAccounting:
         finally:
             ta.close()
             tb.close()
+
+    def test_registry_reads_the_drop_counters(self):
+        """Observed, each drop kind is counted once, in ``stats``, and
+        the registry's ``udp.*`` counters read it."""
+        import socket
+
+        obs = Observability()
+        ta = UdpTransport(AlphaEndpoint("a", seed=1, obs=obs))
+        stranger = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        stranger.bind(("127.0.0.1", 0))
+        try:
+            stranger.sendto(b"junk from nowhere", ta.address)
+            assert ta.run_until(
+                lambda: ta.stats.unknown_source_drops == 1, timeout_s=2.0
+            )
+            ta.register_peer("b", stranger.getsockname())
+            ta.endpoint.on_packet = lambda *a, **kw: (_ for _ in ()).throw(
+                RuntimeError("parse bug")
+            )
+            stranger.sendto(b"trigger", ta.address)
+            assert ta.run_until(lambda: ta.stats.malformed_drops == 1, timeout_s=2.0)
+            ta._transmit("nowhere", b"payload")
+            snap = obs.registry.snapshot()
+            for name, field in STATS_COUNTERS.items():
+                assert snap[name] == getattr(ta.stats, field) == 1, name
+        finally:
+            stranger.close()
+            ta.close()
 
     def test_unroutable_transmit_surfaces_counter_and_failure(self):
         ta, tb = self.make_pair()
