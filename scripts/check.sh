@@ -86,10 +86,14 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # vectors with the AMT root, the AMT's one-draw secret layout, the
 # observed-against-unobserved wire, which pins every datagram while
 # the observability code iterates string-keyed dicts, every chain
-# buffer and its tallies against a per-element reference walk, and the
+# buffer and its tallies against a per-element reference walk, the
 # one-book checks, whose registry sums every engine's block under
-# string-keyed counter names) must not depend on set or dict ordering
-# that follows string hashing: re-run them under two fixed hash seeds.
+# string-keyed counter names, the relay's per-decision stats keys
+# against the branchy booking they replaced, key order included, the
+# unrolled gap-2 chain check against the general walk, and the relay
+# journal with C-built chain elements against its pin) must not depend
+# on set or dict ordering that follows string hashing: re-run them
+# under two fixed hash seeds.
 for seed in 0 1; do
     echo "== exact pins under PYTHONHASHSEED=$seed =="
     PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
@@ -102,7 +106,9 @@ for seed in 0 1; do
         tests/core/test_merkle_cache.py tests/core/test_amt_cache.py \
         tests/core/test_merkle_acktree.py tests/core/test_golden_vectors.py \
         tests/obs/test_observing_is_wire_neutral.py \
-        tests/core/test_chain_walk.py tests/obs/test_one_book.py
+        tests/core/test_chain_walk.py tests/obs/test_one_book.py \
+        tests/core/test_relay_stats_keys.py tests/core/test_hashchain.py \
+        tests/core/test_chain_element_c.py
 done
 
 # perf/tracing.py patches names inside src/repro/core by module path,

@@ -24,14 +24,17 @@ hash callable, two positions per turn, charged to the operation counter
 in one bulk record (same tallies, none of the per-call bookkeeping);
 the checkpointed chain walks its build and segment rebuilds the same
 way. :meth:`HashChain.element` slices the buffer. :class:`ChainElement`
-is a ``NamedTuple``: cheaper than the frozen dataclass it replaced, but
-not tuple-cheap, because its ``__new__`` is a Python-level call (about
-320-500 ns per pair against 50-70 ns for a plain tuple on a 2-vCPU VM,
-Python 3.11).
+is a ``NamedTuple``, whose own ``__new__`` is a Python frame; the
+decode-side sites, which build one per packet, call :data:`new_element`
+instead, ``tuple.__new__`` bound to the class, which builds the same
+instance in C. :meth:`ChainVerifier.verify` unrolls gaps 1 and 2 (every
+in-order check, and every A1 of an unreliable exchange) and walks any
+larger gap.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from repro.core.exceptions import AuthenticationError, ChainExhaustedError
@@ -47,6 +50,11 @@ class ChainElement(NamedTuple):
 
     index: int
     value: bytes
+
+
+#: ``new_element((index, value))`` is ``ChainElement(index, value)``
+#: built in C, without the NamedTuple's Python-level ``__new__``.
+new_element = functools.partial(tuple.__new__, ChainElement)
 
 
 def _walk(
@@ -224,6 +232,8 @@ class ChainVerifier:
         element, so each element can authenticate only once (freshness).
         The gap walk runs on the raw hash callable and is charged to the
         counter in one bulk record (identical tallies to per-call).
+        Gaps 1 and 2 are unrolled: the in-order case, and every A1 of an
+        unreliable exchange (PROTOCOL.md §14.1).
         """
         trusted = self.trusted
         trusted_index = trusted.index
@@ -252,6 +262,30 @@ class ChainVerifier:
         raw = self._raw
         odd, even = self.tags
         value = element.value
+        if gap == 2:
+            # Every A1 of an unreliable exchange (no A2 consumes the even
+            # ack element): two hashes with the tags bound once, the
+            # walk's charge inline, one derived slot and the two prune
+            # slots a gap-2 commit kills.
+            first, second = (even, odd) if trusted_index & 1 else (odd, even)
+            middle = raw(first + value)
+            counter = self._hash.counter
+            counter.hash_ops += 2
+            counter.hash_bytes += 2 * len(odd) + len(value) + self._hash.digest_size
+            labels = counter.labels
+            labels["chain-verify"] = labels.get("chain-verify", 0) + 2
+            if raw(second + middle) != trusted.value:
+                return False
+            if commit:
+                derived = self._derived
+                derived[trusted_index - 1] = middle
+                if not trusted_index & 1:
+                    derived[trusted_index] = trusted.value
+                self.trusted = element
+                horizon = element.index + self.resync_window
+                derived.pop(horizon + 1, None)
+                derived.pop(horizon + 2, None)
+            return True
         derived = {}
         for index in range(element.index + 1, trusted_index + 1):
             value = raw((odd if index & 1 else even) + value)

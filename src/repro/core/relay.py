@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from bisect import insort
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # perf/tracing.py patches verify_ack_opening and verify_merkle_path here too.
 from repro.core.acktree import verify_ack_opening  # noqa: F401
@@ -28,6 +28,7 @@ from repro.core.hashchain import (
     ACKNOWLEDGMENT_TAGS,
     ChainElement,
     ChainVerifier,
+    new_element,
 )
 from repro.core.merkle import verify_merkle_path  # noqa: F401
 from repro.core.packets import (
@@ -171,6 +172,19 @@ class RelayDecision:
     verified: bool = False
     #: The verified payload of an S2 at an extracting relay, else empty.
     extracted: tuple = ()
+    #: The :attr:`RelayEngine.stats` keys this decision books, built
+    #: once: the reason, then ``forwarded``, or ``dropped`` and the
+    #: drop's ``dropped.<category>`` key.
+    stats: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.forward:
+            keys = (self.reason, "forwarded")
+        else:
+            keys = (
+                self.reason, "dropped", _DROP_KEYS.get(self.reason, "dropped.policy")
+            )
+        object.__setattr__(self, "stats", keys)
 
 
 def _shared(forward: bool, verified: bool, *reasons: str) -> dict[str, RelayDecision]:
@@ -515,7 +529,7 @@ class _ChannelObserver:
         if not same:
             return _DROPPED["s1-journal-mismatch"]
         exchange = _RelayExchange.from_s1(
-            packet, ChainElement(packet.chain_index, packet.chain_element)
+            packet, new_element((packet.chain_index, packet.chain_element))
         )
         if record.get("key_value"):
             exchange.key_value = bytes.fromhex(record["key_value"])
@@ -578,7 +592,7 @@ class _ChannelObserver:
             # Reformatting-attack defence: S1 tokens are odd-position
             # elements by construction (Section 3.2.1).
             return _DROPPED["s1-even-position"]
-        element = ChainElement(packet.chain_index, packet.chain_element)
+        element = new_element((packet.chain_index, packet.chain_element))
         if not self.sig_verifier.admit(element):
             if packet.seq in self.evicted:
                 # Evicted exchange: its element was consumed when the
@@ -648,7 +662,7 @@ class _ChannelObserver:
             # Duplicate A1 (answering an S1 retransmission): the chain
             # element was already consumed, just pass it along.
             return _UNVERIFIED["a1-retransmit"]
-        element = ChainElement(packet.ack_index, packet.ack_element)
+        element = new_element((packet.ack_index, packet.ack_element))
         if exchange.expected_a1 is not None and (
             (packet.ack_index, packet.ack_element) == exchange.expected_a1
             and packet.echo_sig_element == exchange.s1_element.value
@@ -936,8 +950,14 @@ class RelayEngine:
             return self._count(_UNVERIFIED["unknown-association"], now, packet)
         forward_channel = assoc.forward_channel
         reverse_channel = assoc.reverse_channel
-        forward_channel.prune(now)
-        reverse_channel.prune(now)
+        # ``prune``'s own watermark test, made here so a channel with
+        # nothing that may have expired costs no call.
+        ttl = self.config.exchange_ttl_s
+        if ttl is not None:
+            if now - forward_channel._oldest > ttl:
+                forward_channel.prune(now)
+            if now - reverse_channel._oldest > ttl:
+                reverse_channel.prune(now)
         if src == assoc.responder and src != assoc.initiator:
             signing, acking = reverse_channel, forward_channel
         else:
@@ -1019,16 +1039,11 @@ class RelayEngine:
         every counted forward or drop is one ``relay-forward`` or
         ``relay-drop`` event, so the registry's counts match the trace."""
         stats = self.stats
-        reason = decision.reason
-        stats[reason] = stats.get(reason, 0) + 1
-        if decision.forward:
-            stats["forwarded"] = stats.get("forwarded", 0) + 1
-        else:
-            stats["dropped"] = stats.get("dropped", 0) + 1
-            key = _DROP_KEYS.get(reason, "dropped.policy")
+        for key in decision.stats:
             stats[key] = stats.get(key, 0) + 1
         if self._obs.enabled:
             event = EventKind.RELAY_FORWARD if decision.forward else EventKind.RELAY_DROP
+            reason = decision.reason
             if self.hop:
                 reason = f"hop={self.hop} {reason}"
             self._obs.tracer.emit(

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.acktree import verify_ack_opening
-from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
+from repro.core.hashchain import ChainElement, ChainVerifier, HashChain, new_element
 from repro.core.linkhealth import LinkHealth
 from repro.core.merkle import MerkleTree, MerkleVerifyCache, leaves_per_tree
 from repro.core.modes import Mode, ReliabilityMode
@@ -322,6 +322,10 @@ class SignerSession:
     def poll(self, now: float) -> list[bytes]:
         """Advance the engine; returns packets to put on the wire."""
         out: list[bytes] = []
+        # A terminal rto-escape proved the path dead: start nothing on it
+        # in this poll, so the endpoint's dead-peer declaration fails the
+        # queue instead of a fresh exchange retransmitting into the hole.
+        escaped = False
         for exchange in list(self._exchanges.values()):
             if now < exchange.deadline:
                 continue
@@ -338,6 +342,7 @@ class SignerSession:
                     out.extend(self.represent(now))
                     continue
                 self._fail_exchange(exchange, now, reason="rto-escape")
+                escaped = True
                 continue
             if not exchange.probing and self._note_max_rto_timeout(exchange):
                 if not self._engage_probe(exchange, now):
@@ -345,6 +350,7 @@ class SignerSession:
                         out.extend(self.represent(now))
                     else:
                         self._fail_exchange(exchange, now, reason="rto-escape")
+                        escaped = True
                     continue
             exchange.retries += 1
             exchange.rtt_clean = False  # Karn: the next reply is ambiguous
@@ -392,7 +398,11 @@ class SignerSession:
                         now, self._node, EventKind.BACKOFF, self.assoc_id,
                         exchange.seq, info=f"rto={self.rtt.rto:.4f}",
                     )
-        while self._queue and len(self._exchanges) < self.config.max_outstanding:
+        while (
+            not escaped
+            and self._queue
+            and len(self._exchanges) < self.config.max_outstanding
+        ):
             if self.chain.remaining_exchanges <= 0 and self.defer_exhaustion:
                 # Out of chain elements: leave the backlog queued for the
                 # re-key migration instead of raising ChainExhaustedError
@@ -420,7 +430,7 @@ class SignerSession:
         if packet.ack_index % 2 == 0:
             self._reject_a1(now, packet.seq, "even-position")
             return []  # A1 tokens are odd-position ack-chain elements
-        ack_element = ChainElement(packet.ack_index, packet.ack_element)
+        ack_element = new_element((packet.ack_index, packet.ack_element))
         if not self.ack_verifier.admit(ack_element):
             self._reject_a1(now, packet.seq, "bad-chain-element")
             return []  # forged or replayed A1
@@ -942,7 +952,7 @@ def check_a2_key(ack_verifier: ChainVerifier, exchange, packet: A2Packet) -> str
     if packet.disclosed_index % 2:
         return "odd-position"
     if exchange.ack_key_value is None:
-        disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
+        disclosed = new_element((packet.disclosed_index, packet.disclosed_element))
         if not ack_verifier.verify_disclosure(disclosed):
             return "bad-key"
         exchange.ack_key_value = disclosed.value

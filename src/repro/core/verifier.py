@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.acktree import AckTree, draw_secrets
-from repro.core.hashchain import ChainElement, ChainVerifier, HashChain
+from repro.core.hashchain import ChainElement, ChainVerifier, HashChain, new_element
 from repro.core.linkhealth import LinkHealth
 from repro.core.merkle import (
     MerkleVerifyCache,
@@ -198,7 +198,7 @@ class VerifierSession:
             self.rejected_s1 += 1
             self._reject_s1(now, packet.seq, "even-position")
             return None
-        element = ChainElement(packet.chain_index, packet.chain_element)
+        element = new_element((packet.chain_index, packet.chain_element))
         if not self.sig_verifier.admit(element):
             self.rejected_s1 += 1
             self._reject_s1(now, packet.seq, "bad-chain-element")
@@ -450,7 +450,7 @@ def check_s2_key(
         return None
     if packet.disclosed_index != exchange.s1_element.index - 1:
         return "wrong-key-index"
-    disclosed = ChainElement(packet.disclosed_index, packet.disclosed_element)
+    disclosed = new_element((packet.disclosed_index, packet.disclosed_element))
     if not sig_verifier.verify_disclosure(disclosed):
         return "bad-key"
     exchange.key_value = disclosed.value

@@ -40,6 +40,8 @@ class MemoryNetwork:
     _queue: deque = field(default_factory=deque)
     delivered: list[tuple[str, bytes]] = field(default_factory=list)
     reports: list = field(default_factory=list)
+    #: ``(peer, ExchangeFailed)`` of every exchange or queue that failed.
+    failures: list = field(default_factory=list)
     dropped_by_relay: int = 0
 
     def add_endpoint(self, endpoint: AlphaEndpoint) -> AlphaEndpoint:
@@ -121,6 +123,7 @@ class MemoryNetwork:
         for peer, message in out.delivered:
             self.delivered.append((name, message.message))
         self.reports.extend(out.reports)
+        self.failures.extend(out.failures)
 
     def received_by(self, name: str) -> list[bytes]:
         return [m for n, m in self.delivered if n == name]

@@ -10,6 +10,7 @@ from repro.core.hashchain import (
     HashChain,
     SIGNATURE_TAGS,
 )
+from repro.crypto.hashes import OpCounter, get_hash
 
 
 def make(sha1, rng, length=64, tags=SIGNATURE_TAGS):
@@ -274,3 +275,91 @@ class TestResyncEdges:
         assert verifier.verify_disclosure(key)
         assert 63 not in verifier._derived
         assert not verifier.admit(token)
+
+
+class WalkVerifier(ChainVerifier):
+    """Reference: every gap, 1 and 2 included, takes the general walk."""
+
+    def verify(self, element, commit=True):
+        trusted = self.trusted
+        gap = trusted.index - element.index
+        if gap <= 0 or gap > self.resync_window:
+            return False
+        odd, even = self.tags
+        value = element.value
+        derived = {}
+        for index in range(element.index + 1, trusted.index + 1):
+            value = self._raw((odd if index & 1 else even) + value)
+            if index < trusted.index:
+                derived[index] = value
+        self._hash.counter.record_hash_batch(
+            gap,
+            gap * len(odd) + len(element.value) + (gap - 1) * self._hash.digest_size,
+            "chain-verify",
+        )
+        if value != trusted.value:
+            return False
+        if commit:
+            self._derived.update(derived)
+            if not trusted.index & 1:
+                self._derived[trusted.index] = trusted.value
+            self.trusted = element
+            self._prune_derived(gap)
+        return True
+
+
+class TestGapTwo:
+    """The unrolled gap-2 check against the general walk.
+
+    Every A1 of an unreliable exchange verifies at gap 2, so
+    :meth:`ChainVerifier.verify` unrolls it. Over windows, tag sets,
+    the trusted index's parity, commit and hash functions, a forged
+    and a genuine gap-2 element go to both verifiers in turn; after
+    every call the result, the trusted element, the derived cache (in
+    insertion order) and the counter tallies must agree.
+    """
+
+    LENGTH = 40
+
+    @staticmethod
+    def tallies(counter: OpCounter):
+        return counter.hash_ops, counter.hash_bytes, dict(counter.labels)
+
+    @pytest.mark.parametrize("hash_name", ["sha1", "sha256", "mmo", "sha1-8"])
+    @pytest.mark.parametrize("commit", [True, False])
+    @pytest.mark.parametrize("odd_start", [False, True])
+    @pytest.mark.parametrize("tags", [SIGNATURE_TAGS, ACKNOWLEDGMENT_TAGS])
+    @pytest.mark.parametrize("window", [1, 2, 128])
+    def test_matches_the_general_walk(self, hash_name, commit, odd_start, tags, window):
+        chain = HashChain(get_hash(hash_name), b"gap-two-seed", self.LENGTH, tags=tags)
+        fast, walk = (
+            cls(get_hash(hash_name, OpCounter()), chain.anchor, tags, window)
+            for cls in (ChainVerifier, WalkVerifier)
+        )
+        accepted = 0
+
+        def check(element, commit=True):
+            got = fast.verify(element, commit=commit)
+            assert got == walk.verify(element, commit=commit), element
+            assert fast.trusted == walk.trusted
+            assert list(fast._derived.items()) == list(walk._derived.items())
+            assert self.tallies(fast._hash.counter) == self.tallies(
+                walk._hash.counter
+            )
+            return got
+
+        if odd_start:
+            assert check(chain.element(self.LENGTH - 1))
+        while fast.trusted.index >= 3:
+            target = fast.trusted.index - 2
+            genuine = chain.value_at(target)
+            forged = bytes([genuine[0] ^ 1]) + genuine[1:]
+            assert not check(ChainElement(target, forged), commit)
+            if check(chain.element(target), commit):
+                accepted += 1
+            if fast.trusted.index != target:
+                # Not committed: step down by one, which flips the
+                # trusted index's parity for the next gap-2 check.
+                assert check(chain.element(fast.trusted.index - 1))
+        # Window 1 refuses every gap 2; the others accept each genuine one.
+        assert (accepted > 0) == (window > 1)

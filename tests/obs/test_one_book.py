@@ -123,7 +123,7 @@ def drive(
         net.send("a", "b", b"msg-%02d" % i)
     for _ in range(600):
         net.advance(0.25)
-    return obs, (a, b), engines
+    return obs, (a, b), engines, net
 
 
 DRIVES = {
@@ -156,7 +156,7 @@ def signer_total(endpoints, field):
 
 
 def test_registry_reads_the_blocks(run):
-    name, (obs, endpoints, engines) = run
+    name, (obs, endpoints, engines, _) = run
     snap = obs.registry.snapshot()
     for counter, field in SIGNER_TWINS.items():
         assert snap[counter] == signer_total(endpoints, field), (name, counter)
@@ -176,7 +176,7 @@ def test_registry_reads_the_blocks(run):
 
 
 def test_link_ledger_reads_the_signer_blocks(run):
-    name, (_, endpoints, _) = run
+    name, (_, endpoints, _, _) = run
     for ep in endpoints:
         (link,) = ep.links  # one peer: its signers are all of them
         for field in LINK_FIELDS:
@@ -187,7 +187,7 @@ def test_link_ledger_reads_the_signer_blocks(run):
 
 
 def test_read_counters_export_as_counters(run):
-    _, (obs, _, engines) = run
+    _, (obs, _, engines, _) = run
     registry = obs.registry
     names = {*SIGNER_TWINS, *ENDPOINT_TWINS, "verifier.nacks_suppressed"}
     if engines:
@@ -216,14 +216,14 @@ def test_drives_reach_the_paths_the_books_disagreed_on():
     def stats(name, side=0):
         return run_drive(name)[1][side].resilience_stats()
 
-    obs, _, _ = run_drive("loss-and-bit-flips")
+    obs, _, _, _ = run_drive("loss-and-bit-flips")
     assert obs.registry.snapshot()["resilience.nack.suppressed"] > 0
     assert stats("loss-and-bit-flips", 1).nack_suppressed > 0
     assert stats("probe-under-loss").probe_recoveries > 0
     assert run_drive("rekeying-chain")[1][0].links.link("b").associations > 2
     (relay,) = run_drive("verifying-relay")[2]
     assert relay.stats["hs1-observed"] == 1 and relay.stats["dropped"] > 0
-    obs, _, _ = run_drive("black-holed-failover")
+    obs, _, _, _ = run_drive("black-holed-failover")
     assert stats("black-holed-failover").dead_peers == 1
     assert any(
         "dead-peer queued" in event.info
@@ -236,7 +236,7 @@ def test_each_escape_consults_the_paths_once():
     """One rto-escape, one failover attempt: an escape that finds no
     backup is one ``failover-exhausted``, not one from the signer's
     hook and another from the forced dead-peer check."""
-    obs, (a, _), _ = run_drive("black-holed-failover")
+    obs, (a, _), _, _ = run_drive("black-holed-failover")
     escapes = [
         event
         for event in obs.tracer.events
@@ -252,8 +252,38 @@ def test_every_counted_relay_decision_is_traced():
     """The registry/trace identity holds with a handshake crossing the
     relay: each forward or drop it counts, handshakes included, is one
     ``relay-forward`` or ``relay-drop`` event."""
-    obs, _, (relay,) = run_drive("verifying-relay")
+    obs, _, (relay,), _ = run_drive("verifying-relay")
     assert obs.tracer.dropped == 0 and relay.stats["hs2-observed"] == 1
     snap = obs.registry.snapshot()
     assert snap["relay.forwarded"] == obs.tracer.count(EventKind.RELAY_FORWARD)
     assert snap["relay.dropped"] == obs.tracer.count(EventKind.RELAY_DROP)
+
+
+def test_no_exchange_starts_on_an_escaped_path():
+    """The poll whose terminal rto-escape proved the path dead starts no
+    queued exchange on it: seq 1's escape is the only one, and the
+    dead-peer declaration fails the rest of the queue with it."""
+    obs, _, _, net = run_drive("black-holed-failover")
+    events = [
+        event for event in obs.tracer.events
+        if event.node == "a" and event.kind in (
+            EventKind.S1_SEND, EventKind.EXCHANGE_FAILED,
+            EventKind.FAILOVER_EXHAUSTED,
+        )
+    ]
+    (escape,) = [
+        i for i, event in enumerate(events)
+        if event.kind is EventKind.EXCHANGE_FAILED and "rto-escape" in event.info
+    ]
+    assert events[escape].seq == 1
+    assert not any(
+        event.kind is EventKind.S1_SEND and event.seq == 2
+        for event in events[escape:]
+    )
+    assert obs.tracer.count(EventKind.FAILOVER_EXHAUSTED) == 1
+    submitted = {b"msg-%02d" % i for i in range(3)}
+    failed = {
+        message for _, failure in net.failures for message in failure.messages
+    }
+    assert failed == submitted - set(net.received_by("b"))
+    assert failed
