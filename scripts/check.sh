@@ -90,10 +90,14 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 # one-book checks, whose registry sums every engine's block under
 # string-keyed counter names, the relay's per-decision stats keys
 # against the branchy booking they replaced, key order included, the
-# unrolled gap-2 chain check against the general walk, and the relay
-# journal with C-built chain elements against its pin) must not depend
-# on set or dict ordering that follows string hashing: re-run them
-# under two fixed hash seeds.
+# unrolled gap-2 chain check against the general walk, the relay
+# journal with C-built chain elements against its pin, every cut of an
+# AMT depth-7 A2 against its field geometry, the idle signer turn
+# against the full turn over the wedge corpus and the re-key, failover
+# and adaptive drives, and the re-key whose HS1 id arrives damaged)
+# must not depend on set or dict ordering that follows string hashing:
+# re-run them under two fixed hash seeds. tests/crypto holds the MAC
+# keyed-state entry's runs against hmac.digest.
 for seed in 0 1; do
     echo "== exact pins under PYTHONHASHSEED=$seed =="
     PYTHONHASHSEED=$seed PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
@@ -108,7 +112,8 @@ for seed in 0 1; do
         tests/obs/test_observing_is_wire_neutral.py \
         tests/core/test_chain_walk.py tests/obs/test_one_book.py \
         tests/core/test_relay_stats_keys.py tests/core/test_hashchain.py \
-        tests/core/test_chain_element_c.py
+        tests/core/test_chain_element_c.py tests/core/test_wire_packets.py \
+        tests/core/test_idle_turn.py tests/core/test_rekeying.py
 done
 
 # perf/tracing.py patches names inside src/repro/core by module path,

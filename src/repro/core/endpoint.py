@@ -330,21 +330,22 @@ class AlphaEndpoint:
         if assoc is None or not assoc.established or assoc.peer != src:
             return out
         assoc.supersedes = None
-        if isinstance(packet, S1Packet):
-            a1 = assoc.verifier.handle_s1(packet, now)
-            if a1 is not None:
-                out.replies.append((src, a1))
-        elif isinstance(packet, S2Packet):
+        kind = type(packet)
+        if kind is S2Packet:
             a2 = assoc.verifier.handle_s2(packet, now)
             if a2 is not None:
                 out.replies.append((src, a2))
             for message in assoc.verifier.drain_delivered():
                 out.delivered.append((src, message))
-        elif isinstance(packet, A1Packet):
-            for s2 in assoc.signer.handle_a1(packet, now):
-                out.replies.append((src, s2))
-        elif isinstance(packet, A2Packet):
+        elif kind is A2Packet:
             for s2 in assoc.signer.handle_a2(packet, now):
+                out.replies.append((src, s2))
+        elif kind is S1Packet:
+            a1 = assoc.verifier.handle_s1(packet, now)
+            if a1 is not None:
+                out.replies.append((src, a1))
+        elif kind is A1Packet:
+            for s2 in assoc.signer.handle_a1(packet, now):
                 out.replies.append((src, s2))
         self._collect_signer_output(assoc, now, out)
         return out
@@ -502,13 +503,15 @@ class AlphaEndpoint:
             if previous is not None and previous.assoc_id != assoc_id:
                 # Superseded by the peer's re-key: the peer retires its
                 # side when our HS2 arrives, so only exchanges already
-                # in flight may finish on the old chains.
+                # in flight may finish on the old chains. An association
+                # the peer never answered (one installed by an HS1 with a
+                # damaged id) hands over its in-flight messages too: the
+                # peer drops every packet sent under that id.
                 previous.retired = True
                 previous.replacement_id = assoc_id
                 assoc.supersedes = previous.assoc_id
                 if previous.signer is not None:
-                    assoc.pending_sends.extend(previous.signer._queue)
-                    previous.signer._queue.clear()
+                    assoc.pending_sends.extend(previous.signer.take_unsent())
             self._by_peer[peer] = assoc
             self._by_id[assoc_id] = assoc
         link = self.links.link(peer) if self._track_links else None
@@ -732,20 +735,27 @@ class AlphaEndpoint:
     def _collect_signer_output(
         self, assoc: Association, now: float, out: EndpointOutput
     ) -> None:
+        signer, peer = assoc.signer, assoc.peer
         if assoc.controller is not None:
             # Re-tune before starting new exchanges so a decision made
             # this tick shapes the exchange this same poll opens.
             assoc.controller.poll(now)
-        for payload in assoc.signer.poll(now):
-            out.replies.append((assoc.peer, payload))
-        for report in assoc.signer.drain_reports():
-            out.reports.append((assoc.peer, report))
+        elif signer.turn_is_idle(assoc.completions_seen):
+            # Nothing to time, start, drain, credit or weigh: the
+            # receiving side's turn after each S1 and S2 (PROTOCOL.md §15).
+            return
+        for payload in signer.poll(now):
+            out.replies.append((peer, payload))
+        if signer.reports:
+            for report in signer.drain_reports():
+                out.reports.append((peer, report))
         escaped = False
-        for failure in assoc.signer.drain_failures():
-            out.failures.append((assoc.peer, failure))
-            if failure.reason == "rto-escape":
-                escaped = True
-        completed = assoc.signer.stats.exchanges_completed
+        if signer.failures:
+            for failure in signer.drain_failures():
+                out.failures.append((peer, failure))
+                if failure.reason == "rto-escape":
+                    escaped = True
+        completed = signer.stats.exchanges_completed
         if (
             completed > assoc.completions_seen
             and not assoc.retired
@@ -753,8 +763,9 @@ class AlphaEndpoint:
         ):
             # Forward progress: the active path works; clear its mark.
             assoc.completions_seen = completed
-            self.paths.note_success(assoc.peer)
-        self._check_dead_peer(assoc, now, out, force=escaped)
+            self.paths.note_success(peer)
+        if escaped or signer.consecutive_failures:
+            self._check_dead_peer(assoc, now, out, force=escaped)
 
     def _switch_path(
         self, peer: str, assoc_id: int, cause: str, now: float

@@ -599,40 +599,60 @@ def _unpack_s2(data: bytes, fixed: struct.Struct, h: int) -> S2Packet:
     message length u16. Tail: the message, the auth path."""
     (magic, version, _, assoc_id, seq, disclosed_index, disclosed_element,
      msg_index, length) = fixed.unpack_from(data)
+    size = len(data)
     start = fixed.size
     stop = start + length
-    if magic != MAGIC or version != VERSION or stop > len(data):
+    if magic != MAGIC or version != VERSION or stop > size:
         _check_fixed(data)
-        raise WireError(start, length, len(data) - start)
-    auth_path, end = _hash_list(data, stop, h)
-    if end != len(data):
+        raise WireError(start, length, size - start)
+    listed = stop + 2
+    if listed > size:
+        raise WireError(stop, 2, size - stop)
+    count = data[stop] << 8 | data[stop + 1]
+    end = listed + count * h
+    if end > size:
+        _short_list(data, listed, h)
+    if end != size:
         _trailing(data, end)
     return S2Packet(
         assoc_id, seq, disclosed_index, disclosed_element, msg_index,
-        data[start:stop], auth_path,
+        data[start:stop], _items(data, listed, count, h) if count else [],
     )
 
 
 def _unpack_a2(data: bytes, fixed: struct.Struct, h: int) -> A2Packet:
     """Fixed: disclosed_index u32 | disclosed_element | verdict count u16.
-    Tail: the verdicts."""
+    Tail: the verdicts, each msg_index u16 | is_ack u8 | secret length
+    u16 | secret | path count u16 | path, read in this one loop."""
     (magic, version, _, assoc_id, seq, disclosed_index, disclosed_element,
      count) = fixed.unpack_from(data)
     if magic != MAGIC or version != VERSION:
         _check_fixed(data)
+    size = len(data)
     offset = fixed.size
     verdicts = []
+    head, step = _VERDICT.unpack_from, _VERDICT.size
     for _ in range(count):
-        if offset + _VERDICT.size > len(data):
+        start = offset + step
+        if start > size:
             _short_field(data, offset, _VERDICT)
-        msg_index, is_ack, length = _VERDICT.unpack_from(data, offset)
-        start = offset + _VERDICT.size
+        msg_index, is_ack, length = head(data, offset)
         stop = start + length
-        if stop > len(data):
-            raise WireError(start, length, len(data) - start)
-        path, offset = _hash_list(data, stop, h)
-        verdicts.append(AckVerdict(msg_index, bool(is_ack), data[start:stop], path))
-    if offset != len(data):
+        listed = stop + 2
+        if listed > size:
+            if stop > size:
+                raise WireError(start, length, size - start)
+            raise WireError(stop, 2, size - stop)
+        paths = data[stop] << 8 | data[stop + 1]
+        end = listed + paths * h
+        if end > size:
+            _short_list(data, listed, h)
+        verdicts.append(AckVerdict(
+            msg_index, is_ack != 0, data[start:stop],
+            _items(data, listed, paths, h) if paths else [],
+        ))
+        offset = end
+    if offset != size:
         _trailing(data, offset)
     return A2Packet(assoc_id, seq, disclosed_index, disclosed_element, verdicts)
 
@@ -674,11 +694,12 @@ def decode_packet(data: bytes, hash_size: int) -> AnyPacket:
     """
     if type(data) is not bytes:
         data = bytes(data)
-    if len(data) > 3:
-        entry = _intake(hash_size).get(data[3])
+    size = len(data)
+    if size > 3:
+        entry = (_INTAKE.get(hash_size) or _intake(hash_size)).get(data[3])
         if entry is not None:
             fixed, unpack = entry
-            if len(data) >= fixed.size:
+            if size >= fixed.size:
                 return unpack(data, fixed, hash_size)
             _check_fixed(data)
             _short_field(data, 0, fixed)

@@ -215,6 +215,9 @@ class SignerSession:
         self._hash = hash_fn
         self.chain = sig_chain
         self.ack_verifier = ack_verifier
+        #: The peer's ack anchor: while the verifier still trusts it, no
+        #: A1 was admitted, so no S2 left this session.
+        self._ack_anchor = ack_verifier.trusted
         self.config = config
         self.assoc_id = assoc_id
         self.peer = peer
@@ -271,6 +274,24 @@ class SignerSession:
     def idle(self) -> bool:
         """True when nothing is queued or in flight."""
         return not self._exchanges and not self._queue
+
+    def turn_is_idle(self, completions_seen: int) -> bool:
+        """True when the owner's poll-and-drain turn can do nothing.
+
+        Nothing is in flight or queued (so :meth:`poll` has no timer to
+        fire and no exchange to start), no report or failure waits to be
+        drained, no completion beyond ``completions_seen`` waits to be
+        credited, and there is no failure streak for dead-peer detection
+        to weigh.
+        """
+        return not (
+            self._exchanges
+            or self._queue
+            or self.reports
+            or self.failures
+            or self.consecutive_failures
+            or self.stats.exchanges_completed != completions_seen
+        )
 
     @property
     def queue_depth(self) -> int:
@@ -908,6 +929,23 @@ class SignerSession:
             )
         )
         self._exchanges.pop(exchange.seq, None)
+
+    def take_unsent(self) -> list[bytes]:
+        """Hand over every message the peer cannot have received.
+
+        The queue always goes. While no A1 was ever admitted, no S2 has
+        left this session either: its in-flight exchanges end here,
+        without an :class:`ExchangeFailed`, and their messages go first,
+        in sequence order.
+        """
+        messages = []
+        if self.ack_verifier.trusted == self._ack_anchor:
+            for seq in sorted(self._exchanges):
+                messages.extend(self._exchanges[seq].messages)
+            self._exchanges.clear()
+        messages.extend(self._queue)
+        self._queue.clear()
+        return messages
 
     def drain_reports(self) -> list[DeliveryReport]:
         """Return and clear accumulated delivery reports."""

@@ -145,6 +145,9 @@ class HashFunction:
         # Untruncated hashlib-backed hashes MAC over their hashlib
         # constructor; see :meth:`mac` for why every other variant cannot.
         self._hashlib_ctor = _HASHLIB_HMAC.get(name)
+        #: The keyed-state entry of :meth:`mac`: ``(key, inner, outer)``,
+        #: the states ``None`` until the key's second consecutive MAC.
+        self._mac_entry: tuple = (None, None, None)
 
     def digest(self, data: bytes, label: str | None = None) -> bytes:
         """Hash ``data``, counting one fixed-input hash operation."""
@@ -191,7 +194,17 @@ class HashFunction:
         callable: hashlib knows neither MMO nor the pure-Python SHA-1,
         and HMAC over a *truncated* inner hash is a different function
         from HMAC over the full one (the golden corpus pins those bytes).
-        No keyed state is cached: ALPHA's MAC keys change every exchange.
+
+        The hashlib path keeps one keyed-state entry, ``(key, inner,
+        outer)``, read and written as one attribute, so a shared
+        instance never pairs one key with another key's states. A MAC
+        under a key other than the last one is the one-shot above and
+        only remembers the key. From the second consecutive MAC under
+        one key (ALPHA-C's n pre-signatures, a hop's n S2 checks) the
+        ``k^ipad`` and ``k^opad`` states are built once and each message
+        runs on ``.copy()``s of them. The entry holds the last key until
+        the next one replaces it; for a signer that is its current
+        exchange key, which that exchange's S2 discloses anyway.
         """
         # OpCounter.record_mac inlined, as in :meth:`digest`.
         counter = self.counter
@@ -203,12 +216,27 @@ class HashFunction:
         ctor = self._hashlib_ctor
         if ctor is None:
             return _mac.hmac_raw(self._raw, self.block_size, key, message)
-        if len(key) > 64:
-            key = ctor(key).digest()
-        key = key.ljust(64, b"\x00")
-        inner = ctor(key.translate(IPAD))
+        last, inner, outer = self._mac_entry
+        if key != last:
+            # A mutable key is pinned as bytes, so the entry keeps its value.
+            self._mac_entry = (key if type(key) is bytes else bytes(key), None, None)
+            if len(key) > 64:
+                key = ctor(key).digest()
+            key = key.ljust(64, b"\x00")
+            inner = ctor(key.translate(IPAD))
+            inner.update(message)
+            return ctor(key.translate(OPAD) + inner.digest()).digest()
+        if inner is None:
+            padded = ctor(key).digest() if len(key) > 64 else key
+            padded = padded.ljust(64, b"\x00")
+            inner = ctor(padded.translate(IPAD))
+            outer = ctor(padded.translate(OPAD))
+            self._mac_entry = (last, inner, outer)
+        inner = inner.copy()
         inner.update(message)
-        return ctor(key.translate(OPAD) + inner.digest()).digest()
+        outer = outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def with_counter(self, counter: OpCounter) -> "HashFunction":
         """Return a sibling bound to a different counter."""

@@ -131,13 +131,14 @@ class TestRekeying:
         assert relays[0].engine.stats.get("dropped", 0) == 0
 
 
-def fifo_exchange(config, both_ways, count=60, paced=False):
+def fifo_exchange(config, both_ways, count=60, paced=False, flip=None):
     """Send ``count`` messages a->b (and b->a) over one FIFO queue,
     polling both endpoints after every packet — the cadence of an event
     loop with latency, where a poll can land between an exchange's A1
     and S2. b sends one message per packet once established. a queues
     all of them at once or, ``paced``, sends each on a quiet link, one
-    exchange per message. Returns what each side received, every
+    exchange per message. ``flip`` flips that bit of the first re-key
+    HS1's ``assoc_id`` in flight. Returns what each side received, every
     failure reason and the number of associations the handshakes
     opened."""
     endpoints = {
@@ -160,6 +161,7 @@ def fifo_exchange(config, both_ways, count=60, paced=False):
     paced_sends = [b"a%d" % i for i in range(count)] if paced else []
     backlog = [b"b%d" % i for i in range(count)] if both_ways else []
     now = 0.0
+    first_id = decode_packet(queue[0][2], 20).assoc_id
     for _ in range(50_000):
         if backlog and "a" in b.peers and b.association("a").established:
             b.send("a", backlog.pop(0))
@@ -168,6 +170,12 @@ def fifo_exchange(config, both_ways, count=60, paced=False):
         if queue:
             src, dst, data = queue.popleft()
             packet = decode_packet(data, 20)
+            if (
+                flip is not None and isinstance(packet, HandshakePacket)
+                and not packet.is_response and packet.assoc_id != first_id
+            ):
+                packet.assoc_id ^= 1 << flip
+                data, flip = packet.encode(), None
             if isinstance(packet, HandshakePacket):
                 handshakes.add(packet.assoc_id)
             absorb(dst, endpoints[dst].on_packet(data, src, now))
@@ -219,6 +227,25 @@ class TestRekeyUnderEagerPolling:
         assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(300))
         assert failures == []
         assert handshakes >= 10
+
+    @pytest.mark.parametrize("bit", [0, 5, 33, 62])
+    def test_rekey_hs1_with_a_flipped_id_bit_loses_nothing(self, bit):
+        """The first re-key HS1 arrives with one ``assoc_id`` bit flipped.
+        b installs an association under the damaged id, moves its queue
+        there and starts an exchange a never answers (a drops packets
+        for an unknown id). The genuine retry supersedes it, and since
+        no A1 ever reached it, no S2 left it: its in-flight message
+        moves on with the queue. Every message arrives exactly once and
+        nothing fails."""
+        config = EndpointConfig(chain_length=16)
+        received, failures, handshakes = fifo_exchange(
+            config, both_ways=True, count=30, flip=bit
+        )
+        assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(30))
+        assert sorted(received["a"]) == sorted(b"b%d" % i for i in range(30))
+        assert failures == []
+        # The first association, the damaged id and the genuine re-key.
+        assert handshakes >= 3
 
     def test_busy_counts_retired_associations(self):
         config = EndpointConfig(chain_length=64)

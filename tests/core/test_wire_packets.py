@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from repro.core import packets
-from repro.core.exceptions import PacketError
+from repro.core.exceptions import PacketError, WireError
 from repro.core.modes import Mode
 from repro.core.packets import (
     A1Packet,
@@ -22,6 +22,7 @@ from repro.core.packets import (
     peek_type,
 )
 from repro.core.wire import Reader, Writer
+from tests.properties.test_relay_intake import reference_decode
 
 H = 20
 
@@ -292,6 +293,66 @@ class TestOnePassDecode:
     def test_data_packet_at_a_width_with_no_layout(self):
         with pytest.raises(PacketError, match="no S1 layout at hash width 0"):
             decode_packet(sample_packets()[0].encode(), 0)
+
+
+def amt_a2(width: int, verdicts: int) -> A2Packet:
+    """An A2 opening ``verdicts`` leaves of a depth-7 ack tree (a batch of
+    64, so 128 leaves): 16-byte secrets and seven-hash paths."""
+    return A2Packet(7, 3, 62, b"\x0f" * width, [
+        AckVerdict(i, i % 2 == 0, bytes([16 + i]) * 16,
+                   [bytes([32 + 8 * i + j]) * width for j in range(7)])
+        for i in range(verdicts)
+    ])
+
+
+def wire_fields(packet: A2Packet, width: int) -> list[tuple[int, int]]:
+    """``(offset, size)`` of every field of ``packet`` in wire order,
+    each hash of a path its own field."""
+    sizes = [2, 1, 1, 8, 4, 4, width, 2]
+    for verdict in packet.verdicts:
+        sizes += [2, 1, 2, len(verdict.secret), 2, *[width] * len(verdict.path)]
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    return list(zip(offsets, sizes))
+
+
+class TestA2Cuts:
+    """Every cut of an AMT depth-7 A2 (the golden corpus has paths of at
+    most three hashes, and its ``a2-b1-v1`` vectors already give every
+    cut of a one-verdict ALPHA-C A2): the first field the cut leaves
+    short is the one reported, with its offset, width and the bytes
+    left, as the field-by-field reference reads it."""
+
+    @pytest.mark.parametrize("width", [16, 20, 32])
+    @pytest.mark.parametrize("verdicts", [1, 2])
+    def test_every_cut(self, width, verdicts):
+        packet = amt_a2(width, verdicts)
+        data = packet.encode()
+        fields = wire_fields(packet, width)
+        assert sum(fields[-1]) == len(data)
+        assert decode_packet(data, width) == packet == reference_decode(data, width)
+        for end in range(len(data)):
+            offset, size = next((o, n) for o, n in fields if o + n > end)
+            want = str(WireError(offset, size, end - offset))
+            for decode in (decode_packet, reference_decode):
+                with pytest.raises(WireError) as raised:
+                    decode(data[:end], width)
+                assert str(raised.value) == want, (decode.__name__, end)
+                assert (raised.value.offset, raised.value.wanted) == (offset, size)
+
+    @pytest.mark.parametrize("width", [16, 20, 32])
+    def test_a_longer_claim_is_a_cut(self, width):
+        """A path count one past the hashes present reads as a cut at the
+        first missing hash; trailing bytes after a whole A2 are named."""
+        data = bytearray(amt_a2(width, 1).encode())
+        count_at = len(data) - 7 * width - 2
+        data[count_at + 1] += 1
+        with pytest.raises(WireError) as raised:
+            decode_packet(bytes(data), width)
+        assert (raised.value.offset, raised.value.wanted, raised.value.available) == (
+            len(data), width, 0,
+        )
+        with pytest.raises(PacketError, match="^3 trailing bytes after packet$"):
+            decode_packet(amt_a2(width, 1).encode() + b"xyz", width)
 
 
 #: The largest UDP payload (``transports/udp.py``): no datagram is longer.

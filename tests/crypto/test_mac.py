@@ -9,6 +9,12 @@ oracle that shares nothing with it: the standard library's
 :func:`hmac.digest` for the hashlib path, and a per-byte-XOR HMAC kept in
 this file for ``hmac_raw``. The bytes and the operation tallies must be
 the same either way.
+
+The hashlib path keeps one keyed-state entry per instance and reuses it
+from the second consecutive MAC under a key; the last tests drive it
+through runs under one key, alternating keys, equal keys in distinct
+objects and keys changed in place, each MAC against :func:`hmac.digest`
+and each call's tallies exact.
 """
 
 import hmac
@@ -138,3 +144,85 @@ def test_block_size_is_fixed_per_name():
     assert get_hash("sha256").block_size == 64
     assert get_hash("mmo").block_size == 16
     assert get_hash("mmo").with_counter(OpCounter()).block_size == 16
+
+
+# -- the keyed-state entry (hashlib path) ------------------------------------
+
+ENTRY_KEY_LENGTHS = [0, 1, 20, 64, 65, 200]
+ENTRY_MESSAGES = [b"", b"m", bytes(range(256)) * 256]  # 0 B, 1 B, 64 KiB
+RUNS = [1, 2, 3, 8, 64]
+
+
+def entry_key(length, salt=0):
+    return bytes((11 * i + 5 + salt) % 256 for i in range(length))
+
+
+def assert_macs(fn, calls):
+    """Each ``(key, message)`` MACs to :func:`hmac.digest`'s bytes and
+    charges exactly one MAC op over the message, nothing else."""
+    for key, message in calls:
+        before = fn.counter.snapshot()
+        tag = fn.mac(key, message, label="entry")
+        spent = fn.counter.diff(before)
+        assert tag == hmac.digest(bytes(key), message, fn.name)
+        assert (spent.mac_ops, spent.mac_bytes, spent.hash_ops, spent.labels) == (
+            1, len(message), 0, {"entry": 1},
+        )
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_length", ENTRY_KEY_LENGTHS)
+@pytest.mark.parametrize("run", RUNS)
+def test_runs_under_one_key(name, key_length, run):
+    fn = get_hash(name)
+    key = entry_key(key_length)
+    for first in range(len(ENTRY_MESSAGES)):
+        # Every message size at every position of the run.
+        assert_macs(fn, [
+            (key, ENTRY_MESSAGES[(first + i) % len(ENTRY_MESSAGES)])
+            for i in range(run)
+        ])
+        # A fresh key after the run, so the next run starts over.
+        assert_macs(fn, [(entry_key(key_length + 1, salt=first), b"m")])
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_length", ENTRY_KEY_LENGTHS)
+def test_alternating_keys(name, key_length):
+    fn = get_hash(name)
+    one, two = entry_key(key_length), entry_key(key_length, salt=1)
+    message = ENTRY_MESSAGES[2]
+    pattern = "1212" "1122" "111222" "12" "1111" "2" "1"
+    assert_macs(fn, [(one if c == "1" else two, message[: 7 * i]) for i, c in
+                     enumerate(pattern)])
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+@pytest.mark.parametrize("key_length", ENTRY_KEY_LENGTHS)
+def test_equal_key_in_another_object(name, key_length):
+    fn = get_hash(name)
+    key = entry_key(key_length)
+    twins = [key, bytes(bytearray(key)), bytearray(key), memoryview(key).tobytes()]
+    if key_length > 1:
+        assert twins[1] is not key
+    assert_macs(fn, [(twins[i % len(twins)], ENTRY_MESSAGES[i % 3]) for i in range(12)])
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+def test_key_changed_in_place(name):
+    fn = get_hash(name)
+    key = bytearray(entry_key(20))
+    assert_macs(fn, [(key, b"first"), (key, b"second")])
+    key[0] ^= 1
+    assert_macs(fn, [(key, b"third"), (key, b"fourth"), (key, b"fifth")])
+
+
+@pytest.mark.parametrize("name", ["sha1", "sha256"])
+def test_siblings_keep_their_own_entry(name):
+    fn = get_hash(name)
+    sibling = fn.with_counter(OpCounter())
+    one, two = entry_key(20), entry_key(20, salt=1)
+    for _ in range(3):
+        assert_macs(fn, [(one, b"a")])
+        assert_macs(sibling, [(two, b"b")])
+    assert (fn.counter.mac_ops, sibling.counter.mac_ops) == (3, 3)
