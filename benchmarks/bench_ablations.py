@@ -12,6 +12,7 @@
 """
 
 
+from benchmarks.chain_storage import CheckpointedHashChain
 from benchmarks.conftest import format_table
 from benchmarks.harness import build_channel, run_exchange
 from repro.attacks.reformatting import demonstrate
@@ -169,8 +170,6 @@ def test_ablation_chain_storage(emit, benchmark):
     AquisGrain's total RAM. Checkpointing keeps O(n/k + k) elements at
     O(1) amortized extra hashes per exchange.
     """
-    from repro.core.hashchain import CheckpointedHashChain, HashChain
-
     sha1 = get_hash("sha1", OpCounter())
     rng = DRBG(b"chain-storage")
     n = 2048

@@ -10,7 +10,7 @@ paper highlights. The rendered series is written as a CSV-ish table.
 
 from benchmarks.conftest import format_table
 from repro import analysis
-from repro.core.merkle import MerkleTree, path_overhead_bytes
+from repro.core.merkle import MerkleTree
 from repro.crypto.hashes import get_hash
 
 
@@ -68,8 +68,8 @@ def test_figure5_regeneration(emit, benchmark):
     sha1 = get_hash("sha1")
     for n in (1, 2, 3, 8, 100, 1024):
         tree = MerkleTree(sha1, [b"m"] * n)
-        assert (len(tree.path(0)) + 1) * 20 == path_overhead_bytes(n, 20)
-        assert analysis.per_packet_payload(n, 1280) == 1280 - path_overhead_bytes(n, 20)
+        overhead = (len(tree.path(0)) + 1) * 20  # path + disclosed key
+        assert analysis.per_packet_payload(n, 1280) == 1280 - overhead
 
     # Benchmark: regenerating the full four-curve figure.
     benchmark(analysis.figure5_series)

@@ -297,14 +297,3 @@ def _deposit(
         table[slot] = value
         table[slot ^ 1] = sibling
         slot >>= 1
-
-
-def path_overhead_bytes(n_messages: int, hash_size: int) -> int:
-    """On-wire bytes of ``{Bc}`` plus the disclosed key for one S2.
-
-    This is the per-packet signature overhead that produces the see-saw
-    pattern of the paper's Figure 5: ``(⌈log2 n⌉ + 1) * hash_size``.
-    """
-    if n_messages < 1:
-        raise ValueError("need at least one message")
-    return (tree_depth(n_messages) + 1) * hash_size

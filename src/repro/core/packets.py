@@ -446,13 +446,6 @@ def peek_type(data: bytes) -> PacketType:
     return packet_type
 
 
-def peek_assoc_id(data: bytes) -> int:
-    """Read a packet's association id without decoding its body."""
-    reader = Reader(data)
-    _, assoc_id, _ = _read_header(reader)
-    return assoc_id
-
-
 # -- one-pass intake (PROTOCOL.md §14.2) --------------------------------------
 #
 # A data packet is the 16-byte header, a run of fixed-width body fields,

@@ -43,12 +43,10 @@ from repro.core.packets import (
     peek_type,
 )
 from repro.core.exceptions import PacketError
-from repro.core.resilience import ResilienceStats
 from repro.core.signer import check_a2_key, verify_verdict
 from repro.core.verifier import S1Commitment, check_s2_key, verify_s2
 from repro.crypto.hashes import HashFunction
 from repro.obs import OBS_OFF, EventKind, Observability
-from repro.obs.metrics import read_fields
 
 #: Ceiling on the per-association S1 size allowance (bytes).
 MAX_S1_ALLOWANCE = 65535
@@ -137,25 +135,34 @@ _DROP_KEYS = {
 }
 
 
-#: Registry counters read from the engine's ``resilience`` block.
-_RESILIENCE_COUNTERS = {
-    "relay.admits": "relay_admits",
-    "relay.tombstone_forwards": "tombstone_forwards",
-    "relay.restore_passthrough": "restore_passthrough",
-    "relay.reanchors": "relay_reanchors",
-    "relay.restores": "relay_restores",
-    "relay.parse_drops": "corrupt_drops",
+#: Registry counters read as the sum of these :attr:`RelayEngine.stats` keys.
+_STATS_SUMS = {
+    "relay.admits": ("s1-ok",),
+    "relay.reanchors": ("s1-reanchored",),
+    "relay.parse_drops": ("malformed",),
+    "relay.restores": ("restored",),
+    "relay.evictions": ("evicted.ttl", "evicted.capacity"),
+    "relay.tombstone_forwards": tuple(
+        f"{kind}-evicted-unverified" for kind in ("s1", "a1", "s2", "a2")
+    ),
+    "relay.restore_passthrough": (
+        "a1-recovering", "s2-recovering", "a2-recovering", "a2-prejournal"
+    ),
 }
 
 
-def _relay_samples(stats: dict[str, int], resilience: ResilienceStats) -> dict:
-    """The registry's view of one engine: its two always-on blocks."""
-    samples = read_fields(resilience, _RESILIENCE_COUNTERS)
-    samples["relay.evictions"] = (
-        lambda: resilience.evictions_ttl + resilience.evictions_capacity
-    )
-    for key in ("forwarded", "dropped", "dropped.policy", *_DROP_KEYS.values()):
-        samples[f"relay.{key}"] = functools.partial(stats.get, key, 0)
+def _sum_keys(stats: dict[str, int], keys: tuple[str, ...]) -> int:
+    return sum(stats.get(key, 0) for key in keys)
+
+
+def _relay_samples(stats: dict[str, int]) -> dict:
+    """The registry's view of one engine: its ``stats`` book."""
+    samples = {
+        f"relay.{key}": functools.partial(stats.get, key, 0)
+        for key in ("forwarded", "dropped", "dropped.policy", *_DROP_KEYS.values())
+    }
+    for name, keys in _STATS_SUMS.items():
+        samples[name] = functools.partial(_sum_keys, stats, keys)
     return samples
 
 
@@ -272,7 +279,7 @@ class _ChannelObserver:
         sig_anchor: ChainElement,
         ack_anchor: ChainElement,
         config: RelayConfig,
-        resilience: ResilienceStats | None = None,
+        stats: dict[str, int] | None = None,
         obs: Observability | None = None,
         node: str = "",
         assoc_id: int = 0,
@@ -285,7 +292,9 @@ class _ChannelObserver:
         self.sig_verifier = ChainVerifier(hash_fn, sig_anchor)
         self.ack_verifier = ChainVerifier(hash_fn, ack_anchor, tags=ACKNOWLEDGMENT_TAGS)
         self.config = config
-        self.resilience = resilience if resilience is not None else ResilienceStats()
+        #: The engine's :attr:`RelayEngine.stats`, where evictions are
+        #: booked beside the decisions.
+        self.stats = stats if stats is not None else {}
         self.exchanges: dict[int, _RelayExchange] = {}
         # ``(last_seen, seq)`` of every buffered exchange, kept sorted
         # where exchanges are buffered, touched and evicted, so the
@@ -327,9 +336,10 @@ class _ChannelObserver:
                 for seq, exchange in self.exchanges.items()
                 if now - exchange.last_seen > ttl
             ]
+            stats = self.stats
             for seq in expired:
                 self._evict(seq, now, "ttl")
-                self.resilience.evictions_ttl += 1
+                stats["evicted.ttl"] = stats.get("evicted.ttl", 0) + 1
             # A journal record nobody re-anchored within the TTL is a
             # dead or completed exchange; degrade it to a tombstone so a
             # straggler packet is still never censored.
@@ -376,9 +386,10 @@ class _ChannelObserver:
         cap = self.config.max_buffered_bytes
         if cap is None or self._buffered_bytes <= cap:
             return
+        stats = self.stats
         while len(self.exchanges) > 1 and self._buffered_bytes > cap:
             self._evict(self._least_recent(), now, "byte-cap")
-            self.resilience.evictions_capacity += 1
+            stats["evicted.capacity"] = stats.get("evicted.capacity", 0) + 1
 
     def _least_recent(self) -> int:
         """Sequence number of the least recently touched exchange.
@@ -404,8 +415,7 @@ class _ChannelObserver:
             self._oldest = now
 
     def _tombstone(self, seq: int, now: float, reason: str) -> RelayDecision:
-        """Forward a tombstoned exchange's packet unverified, counted."""
-        self.resilience.tombstone_forwards += 1
+        """Forward a tombstoned exchange's packet unverified."""
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.RELAY_TOMBSTONE, self.assoc_id,
@@ -416,7 +426,6 @@ class _ChannelObserver:
     def _passthrough(self, seq: int, now: float, reason: str) -> RelayDecision:
         """Degraded restart mode: forward a recovering exchange's packet
         unverified until its S1 re-anchors the journal record."""
-        self.resilience.restore_passthrough += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.RELAY_PASSTHROUGH, self.assoc_id,
@@ -543,7 +552,6 @@ class _ChannelObserver:
                 bytes.fromhex(record["a1_value"]),
             )
         del self.recovering[packet.seq]
-        self.resilience.relay_reanchors += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.RELAY_REANCHOR, self.assoc_id,
@@ -566,9 +574,10 @@ class _ChannelObserver:
         self._buffered_bytes += held
         if now < self._oldest:
             self._oldest = now
+        stats = self.stats
         while len(exchanges) > self.config.max_buffered_exchanges:
             self._evict(self._least_recent(), now, "entry-cap")
-            self.resilience.evictions_capacity += 1
+            stats["evicted.capacity"] = stats.get("evicted.capacity", 0) + 1
         self._enforce_byte_cap(now)
 
     def on_s1(self, packet: S1Packet, wire_size: int, now: float = 0.0) -> RelayDecision:
@@ -602,7 +611,6 @@ class _ChannelObserver:
                 # censoring the retransmission.
                 return self._tombstone(packet.seq, now, "s1-evicted-unverified")
             return _DROPPED["s1-bad-chain-element"]
-        self.resilience.relay_admits += 1
         if self._obs.enabled:
             self._obs.tracer.emit(
                 now, self._node, EventKind.RELAY_ADMIT, self.assoc_id,
@@ -771,11 +779,12 @@ class RelayEngine:
         self.config = config if config is not None else RelayConfig()
         self._associations: dict[int, _RelayAssociation] = {}
         self._pending_hs1: dict[int, tuple[str, HandshakePacket]] = {}
+        #: The relay's one book: each decision's keys
+        #: (:attr:`RelayDecision.stats`), the evictions its channels make
+        #: (``evicted.ttl``, ``evicted.capacity``) and ``restored``.
         self.stats: dict[str, int] = {}
-        #: Shared by every channel observer: evictions, corrupt drops.
-        self.resilience = ResilienceStats()
         if self._obs.enabled:
-            self._obs.registry.read(self, _relay_samples(self.stats, self.resilience))
+            self._obs.registry.read(self, _relay_samples(self.stats))
         #: Keep each verified S2's payload for :meth:`drain_extracted`.
         self.extract = extract
         self.extracted: list[ExtractedMessage] = []
@@ -802,7 +811,7 @@ class RelayEngine:
                 initiator_sig_anchor,
                 responder_ack_anchor,
                 self.config,
-                resilience=self.resilience,
+                stats=self.stats,
                 obs=self._obs,
                 node=self.name,
                 assoc_id=assoc_id,
@@ -813,7 +822,7 @@ class RelayEngine:
                 responder_sig_anchor,
                 initiator_ack_anchor,
                 self.config,
-                resilience=self.resilience,
+                stats=self.stats,
                 obs=self._obs,
                 node=self.name,
                 assoc_id=assoc_id,
@@ -898,7 +907,7 @@ class RelayEngine:
                     info=f"recovering={pending} tombstones="
                     f"{len(assoc.forward_channel.evicted) + len(assoc.reverse_channel.evicted)}",
                 )
-        engine.resilience.relay_restores += 1
+        engine.stats["restored"] = 1
         return engine
 
     def _restore_channel(
@@ -914,7 +923,7 @@ class RelayEngine:
                 record["ack_trusted"][0], bytes.fromhex(record["ack_trusted"][1])
             ),
             self.config,
-            resilience=self.resilience,
+            stats=self.stats,
             obs=self._obs,
             node=self.name,
             assoc_id=assoc_id,
@@ -998,7 +1007,6 @@ class RelayEngine:
             return _DROPPED["malformed-hs1"]
         if packet_type is PacketType.HS2:
             return _DROPPED["malformed-hs2"]
-        self.resilience.corrupt_drops += 1
         if self._obs.enabled:
             self._obs.tracer.emit(now, self.name, EventKind.PARSE_DROP, info="relay")
         return _DROPPED["malformed"]

@@ -8,8 +8,8 @@ burst loss, and a retry cap converts "the peer is gone" from an
 infinite retransmission loop into a terminal, observable outcome.
 
 The pieces here are deliberately engine-agnostic: the signer session
-owns one :class:`RttEstimator` per association, endpoints/relays/
-transports each own a :class:`ResilienceStats` block, and
+owns one :class:`RttEstimator` per association, signers, verifiers,
+endpoints and transports each own a :class:`ResilienceStats` block, and
 :class:`ExchangeFailed` is the terminal event surfaced through
 ``EndpointOutput`` when retries are exhausted.
 """
@@ -134,11 +134,12 @@ class ExchangeFailed:
 
 @dataclass
 class ResilienceStats:
-    """Counter block shared by endpoints, relays, and transports.
+    """Counter block of the signer, endpoint and transport roles.
 
     Every counter is monotonic; ``merge`` folds another block in (used
-    to aggregate per-session counters up to the endpoint), and
-    ``as_dict`` snapshots for assertions and reports.
+    to aggregate per-session counters up to the endpoint's
+    ``resilience_stats()``). A relay books its counts in
+    ``RelayEngine.stats`` instead.
     """
 
     #: Protocol packets put on the wire (S1/S2 and their resends). The
@@ -173,14 +174,6 @@ class ResilienceStats:
     exchanges_failed: int = 0
     #: Peers declared dead after consecutive failures.
     dead_peers: int = 0
-    #: Relay buffer entries evicted because their TTL expired.
-    evictions_ttl: int = 0
-    #: Relay buffer entries evicted to respect the byte/entry capacity.
-    evictions_capacity: int = 0
-    #: Exchanges a relay admitted to its buffer after verifying the S1.
-    relay_admits: int = 0
-    #: Packets of evicted (tombstoned) exchanges forwarded unverified.
-    tombstone_forwards: int = 0
     #: Packets dropped because they failed to parse (truncated/corrupt).
     corrupt_drops: int = 0
     #: Datagrams whose processing raised out of the wire parser.
@@ -202,14 +195,6 @@ class ResilienceStats:
     #: In-flight exchanges re-presented (cached S1 resent) through a
     #: freshly promoted path so unconsumed chain elements are not burned.
     s1_representations: int = 0
-    #: Relay engines rebuilt from a crash journal (snapshot/restore).
-    relay_restores: int = 0
-    #: Journaled exchanges a restarted relay re-anchored from the next
-    #: witnessed S1/A1 pair, returning them to verified forwarding.
-    relay_reanchors: int = 0
-    #: Packets of journaled-but-not-yet-re-anchored exchanges a restarted
-    #: relay forwarded unverified (pass-through-until-anchored mode).
-    restore_passthrough: int = 0
 
     def merge(self, other: "ResilienceStats") -> "ResilienceStats":
         """Fold ``other`` into this block, mutating it.
@@ -223,9 +208,6 @@ class ResilienceStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
-    def copy(self) -> "ResilienceStats":
-        return ResilienceStats(**self.as_dict())
-
     @classmethod
     def aggregate(cls, *blocks: "ResilienceStats") -> "ResilienceStats":
         """Sum ``blocks`` into a fresh instance, leaving them untouched.
@@ -238,12 +220,6 @@ class ResilienceStats:
         for block in blocks:
             total.merge(block)
         return total
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def total(self) -> int:
-        return sum(self.as_dict().values())
 
 
 @dataclass

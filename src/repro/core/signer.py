@@ -565,9 +565,11 @@ class SignerSession:
     # -- internals -------------------------------------------------------------
 
     def _start_exchange(self, now: float) -> bytes:
+        # Draw the chain elements before taking the batch: an exhausted
+        # chain raises with every message still queued.
+        s1_element, key_element = self.chain.next_exchange()
         batch = self.config.effective_batch
         messages = [self._queue.popleft() for _ in range(min(batch, len(self._queue)))]
-        s1_element, key_element = self.chain.next_exchange()
         mode = self.config.mode
         reliable = self.config.reliability is ReliabilityMode.RELIABLE
         trees: list[MerkleTree] = []

@@ -23,12 +23,8 @@ import tracemalloc
 
 import pytest
 
-from repro.core.hashchain import (
-    ACKNOWLEDGMENT_TAGS,
-    SIGNATURE_TAGS,
-    CheckpointedHashChain,
-    HashChain,
-)
+from benchmarks.chain_storage import CheckpointedHashChain
+from repro.core.hashchain import ACKNOWLEDGMENT_TAGS, SIGNATURE_TAGS, HashChain
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import OpCounter, available_hashes, get_hash
 

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core.exceptions import ChainExhaustedError
-from repro.core.hashchain import (
-    ChainVerifier,
-    CheckpointedHashChain,
-    HashChain,
-)
+from benchmarks.chain_storage import CheckpointedHashChain
+from repro.core.hashchain import ChainVerifier, HashChain
 from repro.core.modes import Mode
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.core.verifier import VerifierSession

@@ -1,6 +1,7 @@
 """Association lifecycle regressions: leaks, exhaustion, rekey wedges.
 
-Three bugs that each stall or leak a long-running endpoint:
+Four bugs that each stall, leak or lose messages in a long-running
+endpoint:
 
 - drained retired associations were deleted from ``_by_id`` only,
   leaving them pinned in ``_by_peer`` forever;
@@ -9,13 +10,20 @@ Three bugs that each stall or leak a long-running endpoint:
   event loop for every other association in the process;
 - a re-key replacement whose handshake failed terminally left the
   parent's ``replacement_id`` set, so re-keying never retried and the
-  association wedged at exhaustion.
+  association wedged at exhaustion;
+- with re-keying off, the exhaustion raise took the next batch off the
+  queue with it.
 """
 
 import gc
 import weakref
+from collections import deque
+
+import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
+from repro.core.exceptions import ChainExhaustedError
+from repro.core.modes import Mode
 from repro.core.packets import PacketType
 
 
@@ -173,3 +181,41 @@ class TestExhaustionUnderRekey:
         # service starts one — never a permanent wedge.
         a.poll(now + 0.1)
         assert parent.replacement_id is not None
+
+
+class TestExhaustionWithoutRekey:
+    def test_exhausted_chain_raises_with_the_next_batch_still_queued(self):
+        """With re-keying off, exhaustion stays loud (PROTOCOL.md §15),
+        but the batch the failed turn would have sent stays queued.
+
+        A BASE pair over a FIFO queue, polled after every packet, with a
+        4-element chain (two exchanges) and six messages: ``m0`` is
+        delivered, and the A1 of ``m1``'s exchange raises. Before the
+        signer drew its chain elements ahead of taking the batch, the
+        raise also took ``m2`` off the queue and lost it. ``m1`` is
+        still lost: its S2, built by ``handle_a1`` in the same call,
+        dies with the exception (ROADMAP, "No message vanishes").
+        """
+        config = EndpointConfig(mode=Mode.BASE, chain_length=4, rekey_threshold=0)
+        a = AlphaEndpoint("a", config, seed=1)
+        b = AlphaEndpoint("b", config, seed=2)
+        establish(a, b)
+        for i in range(6):
+            a.send("b", b"m%d" % i)
+        endpoints = {"a": a, "b": b}
+        wire = deque()
+        delivered = []
+
+        def take(src, out):
+            wire.extend((src, dst, data) for dst, data in out.replies)
+            delivered.extend(m.message for _, m in out.delivered)
+
+        take("a", a.poll(0.0))
+        with pytest.raises(ChainExhaustedError):
+            while wire:
+                src, dst, data = wire.popleft()
+                take(dst, endpoints[dst].on_packet(data, src, 0.0))
+                for name, endpoint in endpoints.items():
+                    take(name, endpoint.poll(0.0))
+        assert delivered == [b"m0"]
+        assert a.association("b").signer.take_unsent() == [b"m2", b"m3", b"m4", b"m5"]

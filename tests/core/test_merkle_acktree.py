@@ -5,11 +5,8 @@ import math
 import pytest
 
 from repro.core.acktree import AckTree, verify_ack_opening
-from repro.core.merkle import (
-    MerkleTree,
-    path_overhead_bytes,
-    verify_merkle_path,
-)
+from repro import analysis
+from repro.core.merkle import MerkleTree, verify_merkle_path
 from repro.core.packets import AckVerdict
 from repro.crypto.drbg import DRBG
 
@@ -97,22 +94,27 @@ class TestMerkleTree:
 
 
 class TestPathOverhead:
+    """An S2's signature bytes, ``{Bc}`` plus the disclosed key, are what
+    :func:`repro.analysis.per_packet_payload` takes off each packet."""
+
     @pytest.mark.parametrize(
         "n,expected",
         [(1, 20), (2, 40), (4, 60), (16, 100), (17, 120), (1024, 220)],
     )
-    def test_overhead_formula(self, n, expected):
-        assert path_overhead_bytes(n, 20) == expected
+    def test_overhead_formula(self, sha1, n, expected):
+        tree = MerkleTree(sha1, [b"m"] * n)
+        assert (len(tree.path(0)) + 1) * 20 == expected
+        assert analysis.per_packet_payload(n, 1280, 20) == 1280 - expected
 
     def test_matches_constructed_trees(self, sha1):
         for n in (1, 2, 3, 8, 9, 30):
             tree = MerkleTree(sha1, [b"m"] * n)
             wire = (len(tree.path(0)) + 1) * 20  # path + disclosed key
-            assert wire == path_overhead_bytes(n, 20)
+            assert analysis.per_packet_payload(n, 1280, 20) == 1280 - wire
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            path_overhead_bytes(0, 20)
+            analysis.per_packet_payload(0, 1280, 20)
 
 
 class TestAckTree:

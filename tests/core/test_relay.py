@@ -358,7 +358,7 @@ class TestRelayEviction:
         # next transit packet triggers the prune.
         self.run_s1_only_exchange(harness, b"new", now=40.0)
         assert list(channel.exchanges) == [2]
-        assert harness.relay.resilience.evictions_ttl == 1
+        assert harness.relay.stats.get("evicted.ttl", 0) == 1
 
     def test_recent_exchange_survives_prune(self, sha1, rng):
         relay_config = RelayConfig(exchange_ttl_s=30.0, max_buffered_bytes=None)
@@ -367,7 +367,7 @@ class TestRelayEviction:
         self.run_s1_only_exchange(harness, b"b", now=20.0)  # touches nothing old
         channel = harness.relay._associations[ASSOC].forward_channel
         assert sorted(channel.exchanges) == [1, 2]
-        assert harness.relay.resilience.evictions_ttl == 0
+        assert harness.relay.stats.get("evicted.ttl", 0) == 0
 
     def test_byte_capacity_evicts_oldest(self, sha1, rng):
         # Base-mode S1 buffers one 20-byte pre-signature per exchange;
@@ -379,7 +379,7 @@ class TestRelayEviction:
         channel = harness.relay._associations[ASSOC].forward_channel
         assert channel.buffered_bytes <= 50
         assert sorted(channel.exchanges) == [3, 4]  # oldest evicted first
-        assert harness.relay.resilience.evictions_capacity == 2
+        assert harness.relay.stats.get("evicted.capacity", 0) == 2
 
     def test_byte_cap_holds_when_a1_commits(self, sha1, rng):
         # The byte cap holds when an A1 commits, not only at the next
@@ -409,7 +409,7 @@ class TestRelayEviction:
         assert sorted(channel.exchanges) == [1]
         assert sorted(channel.evicted) == [2]
         assert channel.buffered_bytes == 240
-        assert harness.relay.resilience.evictions_capacity == 1
+        assert harness.relay.stats.get("evicted.capacity", 0) == 1
 
     def test_exchange_count_cap_counts_evictions(self, sha1, rng):
         relay_config = RelayConfig(
@@ -420,7 +420,7 @@ class TestRelayEviction:
             self.run_s1_only_exchange(harness, b"m%d" % i, now=t)
         channel = harness.relay._associations[ASSOC].forward_channel
         assert sorted(channel.exchanges) == [2, 3]
-        assert harness.relay.resilience.evictions_capacity == 1
+        assert harness.relay.stats.get("evicted.capacity", 0) == 1
 
     def test_eviction_disabled_when_none(self, sha1, rng):
         relay_config = RelayConfig(exchange_ttl_s=None, max_buffered_bytes=None)
@@ -429,8 +429,8 @@ class TestRelayEviction:
             self.run_s1_only_exchange(harness, b"m%d" % i, now=t)
         channel = harness.relay._associations[ASSOC].forward_channel
         assert sorted(channel.exchanges) == [1, 2, 3]
-        assert harness.relay.resilience.evictions_ttl == 0
-        assert harness.relay.resilience.evictions_capacity == 0
+        assert harness.relay.stats.get("evicted.ttl", 0) == 0
+        assert harness.relay.stats.get("evicted.capacity", 0) == 0
 
 
 class TestEvictionTombstones:
@@ -455,7 +455,7 @@ class TestEvictionTombstones:
         self.start_exchange(harness, b"fresh", now=40.0)
         channel = harness.relay._associations[ASSOC].forward_channel
         assert 1 not in channel.exchanges
-        assert harness.relay.resilience.evictions_ttl == 1
+        assert harness.relay.stats.get("evicted.ttl", 0) == 1
         # Late packets of the evicted exchange still cross the relay —
         # unverified (the chain element is single-use and was consumed
         # when the original S1 verified), never censored.
@@ -537,7 +537,7 @@ class TestEvictionOrder:
         # Seq 2 (last seen at 1.0) is the eviction victim, not seq 1.
         assert sorted(channel.exchanges) == [1, 3]
         assert sorted(channel.evicted) == [2]
-        assert harness.relay.resilience.evictions_capacity == 1
+        assert harness.relay.stats.get("evicted.capacity", 0) == 1
 
     def test_entry_cap_evicts_least_recently_seen(self, sha1, rng):
         relay_config = RelayConfig(

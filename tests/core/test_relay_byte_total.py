@@ -98,7 +98,7 @@ def test_entry_cap_eviction(sha1, rng):
     for t, raw in enumerate(s1_raws[1:], start=1):
         assert harness.s_to_v(raw, float(t)).reason == "s1-ok"
     assert sorted(channel_of(harness).exchanges) == [2, 3]
-    assert harness.relay.resilience.evictions_capacity == 1
+    assert harness.relay.stats.get("evicted.capacity", 0) == 1
 
 
 def test_byte_cap_eviction_on_s1_and_a1(sha1, rng):
@@ -117,7 +117,7 @@ def test_byte_cap_eviction_on_s1_and_a1(sha1, rng):
     assert harness.v_to_s(a1_raw, 3.0).reason == "a1-ok"  # sheds seq 3
     assert sorted(channel_of(harness).exchanges) == [2]
     assert channel_of(harness).buffered_bytes == 240
-    assert harness.relay.resilience.evictions_capacity == 2
+    assert harness.relay.stats.get("evicted.capacity", 0) == 2
 
 
 def test_ttl_eviction(sha1, rng):
@@ -127,7 +127,7 @@ def test_ttl_eviction(sha1, rng):
     harness.finish_exchange(a1_raw)
     assert channel_of(harness).buffered_bytes == 240
     harness.open_exchange([b"e", b"f", b"g", b"h"], now=40.0)
-    assert harness.relay.resilience.evictions_ttl == 1
+    assert harness.relay.stats.get("evicted.ttl", 0) == 1
     assert sorted(channel_of(harness).exchanges) == [2]
     assert channel_of(harness).buffered_bytes == 80
 

@@ -115,7 +115,7 @@ class TestReanchoring:
         decision = harness.s_to_v(s1_raw, 1.0)
         assert decision.forward and decision.verified
         assert decision.reason == "s1-reanchored"
-        assert harness.relay.resilience.relay_reanchors == 1
+        assert harness.relay.stats["s1-reanchored"] == 1
         # The re-anchored exchange verifies the rest of the interlock.
         assert harness.finish_exchange(a1_raw, now=1.0) == [b"payload"]
 
@@ -169,7 +169,7 @@ class TestPassthroughUntilAnchored:
         decision = harness.s_to_v(s2_raws[0], 1.0)
         assert decision.forward and not decision.verified
         assert decision.reason == "s2-recovering"
-        assert harness.relay.resilience.restore_passthrough == 1
+        assert harness.relay.stats["s2-recovering"] == 1
 
     def test_strict_relay_without_journal_black_holes(self, sha1, rng):
         """The degraded mode is the journal's doing: a state-lost strict

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.hashchain import ChainElement
 from repro.core.modes import Mode, ReliabilityMode
-from repro.core.packets import peek_assoc_id
 from repro.core.relay import (
     _DROP_KEYS,
     _DROPPED,
@@ -29,7 +28,7 @@ from repro.core.relay import (
 from repro.crypto.hashes import get_hash
 from repro.obs import EventKind
 from tests.core.relay_traces import record_trace
-from tests.properties.test_relay_intake import HASHES, VECTORS, mutants
+from tests.properties.test_relay_intake import HASHES, VECTORS, mutants, peek_assoc_id
 
 
 class BranchyCountRelay(RelayEngine):

@@ -2,8 +2,8 @@
 
 Under byte pressure the relay evicts buffered exchanges oldest-first and
 degrades their late packets to unverified (tombstone) forwarding. Every
-one of those transitions is counted three ways — ResilienceStats,
-the metrics registry, and trace events — and this suite pins the books
+one of those transitions is counted three ways — the relay's ``stats``
+book, the metrics registry, and trace events — and this suite pins the books
 together: admissions = live + evicted, every tombstone forward is
 visible in all three ledgers, and per-reason decision counts agree with
 the per-event trace. Any future drift between the ledgers (e.g. a new
@@ -19,6 +19,14 @@ from repro.obs import EventKind as K
 from repro.obs import Observability
 
 ASSOC = 77
+
+
+def tombstone_forwards(relay) -> int:
+    """Packets of evicted exchanges the relay forwarded unverified."""
+    return sum(
+        relay.stats.get(f"{kind}-evicted-unverified", 0)
+        for kind in ("s1", "a1", "s2", "a2")
+    )
 
 
 class ObservedHarness(CanonicalChannel):
@@ -44,22 +52,22 @@ class ObservedHarness(CanonicalChannel):
 
     def ledgers(self):
         """The three counter ledgers, aligned for comparison."""
-        stats = self.relay.resilience
+        stats = self.relay.stats
         snap = self.obs.registry.snapshot()
         tracer = self.obs.tracer
         return {
             "admits": (
-                stats.relay_admits,
+                stats.get("s1-ok", 0),
                 snap.get("relay.admits", 0),
                 tracer.count(K.RELAY_ADMIT),
             ),
             "evictions": (
-                stats.evictions_ttl + stats.evictions_capacity,
+                stats.get("evicted.ttl", 0) + stats.get("evicted.capacity", 0),
                 snap.get("relay.evictions", 0),
                 tracer.count(K.RELAY_EVICT),
             ),
             "tombstones": (
-                stats.tombstone_forwards,
+                tombstone_forwards(self.relay),
                 snap.get("relay.tombstone_forwards", 0),
                 tracer.count(K.RELAY_TOMBSTONE),
             ),
@@ -86,8 +94,8 @@ def test_byte_pressure_eviction_books_balance():
     )
     held_s2s = [harness.start_exchange(b"m%d" % i, now=float(i)) for i in range(6)]
     assert sorted(harness.channel.exchanges) == [5, 6]
-    assert harness.relay.resilience.evictions_capacity == 4
-    assert harness.relay.resilience.evictions_ttl == 0
+    assert harness.relay.stats.get("evicted.capacity", 0) == 4
+    assert harness.relay.stats.get("evicted.ttl", 0) == 0
     assert_reconciled(harness)
 
     # Late S2s of the four evicted exchanges degrade to tombstone
@@ -100,7 +108,7 @@ def test_byte_pressure_eviction_books_balance():
     assert stats["s2-evicted-unverified"] == 4
     assert stats["s2-ok"] == 2
     assert stats.get("dropped", 0) == 0
-    assert harness.relay.resilience.tombstone_forwards == 4
+    assert tombstone_forwards(harness.relay) == 4
     assert_reconciled(harness)
 
     # Trace detail: every eviction names byte pressure, every tombstone
@@ -136,7 +144,7 @@ def test_repeated_tombstone_forwards_count_per_event():
 
     for _ in range(2):  # original + retransmission
         assert harness.relay.handle(first_s2s[0], "s", "v", 5.0).forward
-    assert harness.relay.resilience.tombstone_forwards == 2
+    assert tombstone_forwards(harness.relay) == 2
     assert harness.relay.stats["s2-evicted-unverified"] == 2
     assert_reconciled(harness)
 
@@ -147,9 +155,9 @@ def test_ttl_eviction_shares_the_same_ledgers():
     )
     stale_s2s = harness.start_exchange(b"stale", now=0.0)
     harness.start_exchange(b"fresh", now=40.0)  # prune evicts seq 1
-    assert harness.relay.resilience.evictions_ttl == 1
+    assert harness.relay.stats.get("evicted.ttl", 0) == 1
     assert harness.relay.handle(stale_s2s[0], "s", "v", 41.0).forward
-    assert harness.relay.resilience.tombstone_forwards == 1
+    assert tombstone_forwards(harness.relay) == 1
     assert_reconciled(harness)
     evict_reasons = [
         e.info for e in harness.obs.tracer.events if e.kind is K.RELAY_EVICT

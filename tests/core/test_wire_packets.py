@@ -18,7 +18,6 @@ from repro.core.packets import (
     S1Packet,
     S2Packet,
     decode_packet,
-    peek_assoc_id,
     peek_type,
 )
 from repro.core.wire import Reader, Writer
@@ -113,9 +112,6 @@ class TestPacketCodec:
     def test_peek_type(self):
         s1 = sample_packets()[0]
         assert peek_type(s1.encode()) is PacketType.S1
-
-    def test_peek_assoc_id(self):
-        assert peek_assoc_id(sample_packets()[1].encode()) == 9
 
     def test_bad_magic(self):
         data = bytearray(sample_packets()[0].encode())

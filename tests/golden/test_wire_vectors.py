@@ -28,7 +28,6 @@ from repro.core.packets import (
     S1Packet,
     S2Packet,
     decode_packet,
-    peek_assoc_id,
     peek_type,
 )
 
@@ -93,4 +92,3 @@ def test_peek_helpers_agree_with_decode():
         wire = bytes.fromhex(vector["hex"])
         packet = decode_packet(wire, vector["hash_size"])
         assert peek_type(wire) is PacketType(packet.TYPE)
-        assert peek_assoc_id(wire) == packet.assoc_id

@@ -1,8 +1,8 @@
 """Count each event once: the registry and the link ledger read the
 engines' always-on blocks.
 
-The engines count into ``ResilienceStats`` blocks and the relay's
-``stats`` dict. A registry counter with such a twin samples it at
+The engines count into ``ResilienceStats`` blocks, and the relay into
+its ``stats`` dict alone. A registry counter with such a twin samples it at
 snapshot time, and a link ledger reads its signer counters from the
 blocks of that peer's signers, so the three books cannot disagree.
 Observed endpoints are driven through seeded loss and bit flips,
@@ -47,12 +47,15 @@ ENDPOINT_TWINS = {
 }
 #: Registry name -> a relay engine's count.
 RELAY_TWINS = {
-    "relay.admits": lambda r: r.resilience.relay_admits,
+    "relay.admits": lambda r: r.stats.get("s1-ok", 0),
     "relay.evictions": lambda r: (
-        r.resilience.evictions_ttl + r.resilience.evictions_capacity
+        r.stats.get("evicted.ttl", 0) + r.stats.get("evicted.capacity", 0)
     ),
-    "relay.tombstone_forwards": lambda r: r.resilience.tombstone_forwards,
-    "relay.parse_drops": lambda r: r.resilience.corrupt_drops,
+    "relay.tombstone_forwards": lambda r: sum(
+        r.stats.get(f"{kind}-evicted-unverified", 0)
+        for kind in ("s1", "a1", "s2", "a2")
+    ),
+    "relay.parse_drops": lambda r: r.stats.get("malformed", 0),
     "relay.forwarded": lambda r: r.stats.get("forwarded", 0),
     "relay.dropped": lambda r: r.stats.get("dropped", 0),
     "relay.dropped.forged": lambda r: r.stats.get("dropped.forged", 0),

@@ -19,7 +19,7 @@ judge the same random S1/A1/S2 sequence with a clock that also runs
 backwards, a crash journal restore part way, and all three eviction
 causes (TTL, entry cap, byte cap). After every step the decisions, the
 buffered exchanges, the tombstone order, the recovering records, the
-byte totals and the resilience counters must agree.
+byte totals and the ``stats`` books (evictions included) must agree.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ReferenceChannel(_ChannelObserver):
         ]
         for seq in expired:
             self._evict(seq, now, "ttl")
-            self.resilience.evictions_ttl += 1
+            self.stats["evicted.ttl"] = self.stats.get("evicted.ttl", 0) + 1
         stale = [
             seq for seq, record in self.recovering.items()
             if now - record["restored_at"] > ttl
@@ -89,7 +89,9 @@ class ReferenceChannel(_ChannelObserver):
         if cap is not None:
             while len(self.exchanges) > 1 and self.buffered_bytes > cap:
                 self._evict(self._least_recent(), now, "byte-cap")
-                self.resilience.evictions_capacity += 1
+                self.stats["evicted.capacity"] = (
+                    self.stats.get("evicted.capacity", 0) + 1
+                )
 
 
 class ReferenceRelay(RelayEngine):
@@ -169,7 +171,7 @@ def state(engine: RelayEngine):
             channel.recovering,
         )
         for channel in channels(engine)
-    ], engine.resilience.as_dict(), engine.stats
+    ], engine.stats
 
 
 def assert_agree(fast: RelayEngine, reference: RelayEngine, where) -> None:
@@ -267,8 +269,8 @@ def test_every_eviction_cause_and_a_restore_agree():
     shapes = [(2, False), (4, True), (1, False), (1, False),
               (1, False), (1, False), (1, False), (1, False)]
     crashed, fast = run(Traffic(b"seed"), shapes, schedule)
-    assert crashed.resilience.evictions_ttl == 1
-    assert crashed.resilience.evictions_capacity == 2  # entry cap, byte cap
+    assert crashed.stats["evicted.ttl"] == 1
+    assert crashed.stats["evicted.capacity"] == 2  # entry cap, byte cap
     assert fast.stats["s2-recovering"] == 1
     forward, _ = channels(fast)
     assert 5 in forward.evicted and not forward.recovering
