@@ -261,10 +261,6 @@ class AlphaEndpoint:
         except KeyError:
             raise ProtocolError(f"no association {assoc_id}") from None
 
-    @property
-    def peers(self) -> list[str]:
-        return sorted(self._by_peer)
-
     # -- data plane --------------------------------------------------------------
 
     def set_channel_config(self, peer: str, config: ChannelConfig) -> None:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from repro.core.exceptions import AuthenticationError, ChainExhaustedError
+from repro.core.exceptions import ChainExhaustedError
 from repro.crypto.hashes import HashFunction
 
 #: Role tag pairs: (odd-position tag, even-position tag).
@@ -357,10 +357,3 @@ class ChainVerifier:
         for index in range(horizon + 1, horizon + gap + 1):
             self._derived.pop(index, None)
 
-    def require(self, element: ChainElement, commit: bool = True) -> None:
-        """Like :meth:`verify` but raises on failure."""
-        if not self.verify(element, commit=commit):
-            raise AuthenticationError(
-                f"chain element at index {element.index} does not verify against "
-                f"trusted index {self.trusted.index}"
-            )

@@ -324,9 +324,5 @@ class HealthLedger:
     def __iter__(self):
         return iter(self._links.values())
 
-    @property
-    def peers(self) -> list[str]:
-        return sorted(self._links)
-
     def snapshot(self) -> dict[str, dict]:
         return {peer: self._links[peer].snapshot() for peer in sorted(self._links)}

@@ -168,10 +168,6 @@ class VerifierSession:
         if self._obs.enabled:
             self._obs.registry.read(self, read_fields(self.stats, STATS_COUNTERS))
 
-    @property
-    def nacks_suppressed(self) -> int:
-        return self.stats.nack_suppressed
-
     # -- packet handlers -------------------------------------------------------
 
     def handle_s1(self, packet: S1Packet, now: float) -> bytes | None:

@@ -74,20 +74,6 @@ class Writer:
         self._parts.append(data)
         return self
 
-    def hash_list(self, hashes: list[bytes], width: int) -> "Writer":
-        """16-bit counted list of fixed-width hash values."""
-        if len(hashes) > 0xFFFF:
-            raise ValueError(f"hash list too long: {len(hashes)}")
-        parts = self._parts
-        parts.append(U16.pack(len(hashes)))
-        for value in hashes:
-            if len(value) != width:
-                raise ValueError(
-                    f"hash width mismatch: expected {width}, got {len(value)}"
-                )
-            parts.append(value)
-        return self
-
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
@@ -98,8 +84,8 @@ class Reader:
     The input is held as ``bytes``: a ``bytes`` argument is kept as is,
     and a ``bytearray`` or ``memoryview`` is copied once, so no decoded
     field can alias a mutable or short-lived buffer. Integers are
-    unpacked in place at the running offset; ``raw``/``var_bytes``/
-    ``hash_list`` return ``bytes`` slices.
+    unpacked in place at the running offset; ``raw`` and ``var_bytes``
+    return ``bytes`` slices.
     """
 
     __slots__ = ("_data", "_len", "_offset")
@@ -150,20 +136,6 @@ class Reader:
 
     def var_bytes(self) -> bytes:
         return self._take(self.u16())
-
-    def hash_list(self, width: int) -> list[bytes]:
-        count = self.u16()
-        offset = self._offset
-        end = offset + count * width
-        if end > self._len:
-            # Report the first element that does not fit, matching what
-            # a per-element loop would have said.
-            fits = (self._len - offset) // width
-            short = offset + fits * width
-            raise WireError(short, width, self._len - short)
-        data = self._data
-        self._offset = end
-        return [data[i : i + width] for i in range(offset, end, width)]
 
     def expect_end(self) -> None:
         """Raise unless every byte has been consumed."""

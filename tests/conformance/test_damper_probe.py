@@ -126,7 +126,7 @@ class TestDamperSequence:
         ]
         # Arrivals 1, 2, 4, 8 are nacked; 3, 5, 6, 7 are suppressed.
         assert answered == [True, True, False, True, False, False, False, True]
-        assert verifier.nacks_suppressed == 4
+        assert verifier.stats.nack_suppressed == 4
         assert obs.tracer.count(K.NACK_SUPPRESSED, node="verifier") == 4
         assert obs.registry.snapshot()["verifier.nacks_suppressed"] == 4
 

@@ -26,6 +26,7 @@ from repro.core.modes import Mode, ReliabilityMode
 from repro.core.resilience import ResilienceStats
 from repro.core.signer import ChannelConfig, SignerSession
 from repro.obs import EventKind, Observability
+from repro.transports.memory import MemoryNetwork
 
 H = 20
 
@@ -350,31 +351,18 @@ class TestEndpointIntegration:
                 switch_cooldown_s=0.0,
             ),
         )
-        a = AlphaEndpoint("a", config, seed=1)
-        b = AlphaEndpoint("b", config, seed=2)
-        _, hs1 = a.connect(b.name)
-        out = b.on_packet(hs1, a.name, 0.0)
-        a.on_packet(out.replies[0][1], b.name, 0.0)
+        net = MemoryNetwork()
+        a = net.add_endpoint(AlphaEndpoint("a", config, seed=1))
+        net.add_endpoint(AlphaEndpoint("b", config, seed=2))
+        net.connect("a", "b")
         messages = [b"payload-%d" % i for i in range(24)]
         for m in messages:
             a.send("b", m)
-        delivered = []
-        now = 0.0
         for _ in range(400):
-            now += 0.05
-            outputs = [a.poll(now)]
-            while any(o.replies for o in outputs):
-                next_outputs = []
-                for o in outputs:
-                    for dst, payload in o.replies:
-                        target = b if dst == "b" else a
-                        result = target.on_packet(payload, "a" if dst == "b" else "b", now)
-                        delivered.extend(m for _, m in result.delivered)
-                        next_outputs.append(result)
-                outputs = next_outputs
-            if len(delivered) == len(messages) and not a.busy:
+            net.advance(0.05)
+            if len(net.delivered) == len(messages) and not a.busy:
                 break
-        assert [m.message for m in delivered] == messages
+        assert [m for _, m in net.delivered] == messages
         assoc = a._by_peer["b"]
         assert assoc.controller is not None
         assert any(d.kind == "switch" for d in assoc.controller.decisions)

@@ -18,30 +18,15 @@ from repro.core.signer import ChannelConfig
 from repro.crypto.drbg import DRBG
 from repro.crypto.hashes import get_hash
 from repro.crypto.signatures import EcdsaScheme
+from repro.transports.memory import MemoryNetwork
 
 
-def pump(a, b, max_rounds=50, now=0.0):
-    """Deliver packets between two endpoints until both go quiet."""
-    outbox = []
-    out = a.poll(now)
-    outbox.extend(("a", dest, data) for dest, data in out.replies)
-    out = b.poll(now)
-    outbox.extend(("b", dest, data) for dest, data in out.replies)
-    events = {"delivered": [], "reports": []}
-    rounds = 0
-    while outbox and rounds < max_rounds:
-        rounds += 1
-        batch, outbox = outbox, []
-        for sender, dest, data in batch:
-            target = b if sender == "a" else a
-            src_name = a.name if sender == "a" else b.name
-            out = target.on_packet(data, src_name, now)
-            tag = "b" if sender == "a" else "a"
-            outbox.extend((tag, d2, p2) for d2, p2 in out.replies)
-            events["delivered"].extend(out.delivered)
-            events["reports"].extend(out.reports)
-        now += 0.001
-    return events
+def network(*endpoints, link=None):
+    """A :class:`MemoryNetwork` joining ``endpoints``."""
+    net = MemoryNetwork(link=link)
+    for endpoint in endpoints:
+        net.add_endpoint(endpoint)
+    return net
 
 
 class TestDynamicHandshake:
@@ -62,8 +47,9 @@ class TestDynamicHandshake:
         out = b.on_packet(hs1, "a", 0.0)
         a.on_packet(out.replies[0][1], "b", 0.0)
         a.send("b", b"payload")
-        events = pump(a, b)
-        assert [m.message for _, m in events["delivered"]] == [b"payload"]
+        net = network(a, b)
+        net.run()
+        assert [m for _, m in net.delivered] == [b"payload"]
 
     def test_sends_queued_before_establishment_are_flushed(self):
         a = AlphaEndpoint("a", seed=1)
@@ -73,8 +59,9 @@ class TestDynamicHandshake:
         _, hs1 = a.association("b").peer, a.association("b").hs_bytes
         out = b.on_packet(a.association("b").hs_bytes, "a", 0.0)
         a.on_packet(out.replies[0][1], "b", 0.0)
-        events = pump(a, b)
-        assert [m.message for _, m in events["delivered"]] == [b"early"]
+        net = network(a, b)
+        net.run()
+        assert [m for _, m in net.delivered] == [b"early"]
 
     def test_duplicate_connect_rejected(self):
         a = AlphaEndpoint("a", seed=1)
@@ -111,22 +98,18 @@ class TestDynamicHandshake:
             )
             for _, hs2 in b.on_packet(bytes(damaged), "a", 0.0).replies:
                 a.on_packet(hs2, "b", 0.0)
-            now = 0.0
+            net = network(a, b)
             while not a.association("b").established:
-                assert now < 2.0, f"bit {bit}: no establishment"
-                now += 0.25
-                for _, retry in a.poll(now).replies:
-                    for _, hs2 in b.on_packet(retry, "a", now).replies:
-                        a.on_packet(hs2, "b", now)
+                assert net.now < 2.0, f"bit {bit}: no establishment"
+                net.advance(0.25)
             ours, theirs = a.association("b"), b.association("a")
             assert ours.hs_retries == 1, f"bit {bit}"
             for local, remote in ((ours, theirs), (theirs, ours)):
                 signature, acknowledgment = remote.chains.anchors
                 assert local.verifier.sig_verifier.trusted == signature
                 assert local.signer.ack_verifier.trusted == acknowledgment
-            a.send("b", b"payload")
-            events = pump(a, b, now=now)
-            assert [m.message for _, m in events["delivered"]] == [b"payload"]
+            net.send("a", "b", b"payload")
+            assert [m for _, m in net.delivered] == [b"payload"]
 
     def test_flipped_hs1_assoc_id_bit_is_dropped(self):
         """A copy of the answered HS1 with one ``assoc_id`` bit flipped,
@@ -141,18 +124,19 @@ class TestDynamicHandshake:
             _, hs1 = a.connect("b")
             out = b.on_packet(hs1, "a", 0.0)
             a.on_packet(out.replies[0][1], "b", 0.0)
-            a.send("b", b"first")
-            assert [m.message for _, m in pump(a, b)["delivered"]] == [b"first"]
+            net = network(a, b)
+            net.send("a", "b", b"first")
+            assert [m for _, m in net.delivered] == [b"first"]
             installed = b.association("a")
             packet = decode_packet(hs1, 20)
             packet.assoc_id ^= 1 << bit
             assert b.on_packet(packet.encode(), "a", 0.0).replies == [], bit
             assert b.association("a") is installed and not installed.retired
-            assert b.peers == ["a"] and len(b._by_id) == 1, bit
+            assert list(b._by_peer) == ["a"] and len(b._by_id) == 1, bit
             a.send("b", b"to-b")
             b.send("a", b"to-a")
-            events = pump(a, b)
-            delivered = sorted(m.message for _, m in events["delivered"])
+            net.run()
+            delivered = sorted(m for _, m in net.delivered[1:])  # after "first"
             assert delivered == [b"to-a", b"to-b"], f"bit {bit}"
 
     def test_flipped_first_hs1_assoc_id_bit_costs_one_retry(self):
@@ -169,20 +153,17 @@ class TestDynamicHandshake:
             packet.assoc_id ^= 1 << bit
             for _, hs2 in b.on_packet(packet.encode(), "a", 0.0).replies:
                 a.on_packet(hs2, "b", 0.0)
-            now = 0.0
+            net = network(a, b)
             while not a.association("b").established:
-                assert now < 2.0, f"bit {bit}: no establishment"
-                now += 0.25
-                for _, retry in a.poll(now).replies:
-                    for _, hs2 in b.on_packet(retry, "a", now).replies:
-                        a.on_packet(hs2, "b", now)
+                assert net.now < 2.0, f"bit {bit}: no establishment"
+                net.advance(0.25)
             ours, theirs = a.association("b"), b.association("a")
             assert ours.hs_retries == 1, f"bit {bit}"
             assert theirs.assoc_id == ours.assoc_id != packet.assoc_id, bit
             a.send("b", b"to-b")
             b.send("a", b"to-a")
-            events = pump(a, b, now=now)
-            delivered = sorted(m.message for _, m in events["delivered"])
+            net.run()
+            delivered = sorted(m for _, m in net.delivered)
             assert delivered == [b"to-a", b"to-b"], f"bit {bit}"
 
     def test_differing_hs1_naming_other_chains_is_dropped(self):
@@ -280,9 +261,9 @@ class TestStaticBootstrap:
         assert a.association("b").established
         assert b.association("a").established
         assert a.association_by_id(assoc_id) is a.association("b")
-        a.send("b", b"pre-provisioned")
-        events = pump(a, b)
-        assert [m.message for _, m in events["delivered"]] == [b"pre-provisioned"]
+        net = network(a, b)
+        net.send("a", "b", b"pre-provisioned")
+        assert [m for _, m in net.delivered] == [b"pre-provisioned"]
 
     def test_relay_provisioning(self):
         a = AlphaEndpoint("a", seed=1)
@@ -305,8 +286,9 @@ class TestEndpointBehaviour:
         establish_static(a, b)
         a.send("b", b"ping")
         b.send("a", b"pong")
-        events = pump(a, b)
-        got = sorted(m.message for _, m in events["delivered"])
+        net = network(a, b)
+        net.run()
+        got = sorted(m for _, m in net.delivered)
         assert got == [b"ping", b"pong"]
 
     def test_reliable_reports(self):
@@ -314,10 +296,10 @@ class TestEndpointBehaviour:
         a = AlphaEndpoint("a", config, seed=1)
         b = AlphaEndpoint("b", config, seed=2)
         establish_static(a, b)
-        a.send("b", b"tracked")
-        events = pump(a, b)
-        assert len(events["reports"]) == 1
-        peer, report = events["reports"][0]
+        net = network(a, b)
+        net.send("a", "b", b"tracked")
+        assert len(net.reports) == 1
+        peer, report = net.reports[0]
         assert report.delivered and report.message == b"tracked"
 
     def test_busy_flag(self):
@@ -327,7 +309,7 @@ class TestEndpointBehaviour:
         assert not a.busy
         a.send("b", b"m")
         assert a.busy
-        pump(a, b)
+        network(a, b).run()
         assert not a.busy
 
     def test_set_channel_config(self):
@@ -337,8 +319,9 @@ class TestEndpointBehaviour:
         a.set_channel_config("b", ChannelConfig(mode=Mode.MERKLE, batch_size=4))
         for i in range(4):
             a.send("b", b"m%d" % i)
-        events = pump(a, b)
-        assert len(events["delivered"]) == 4
+        net = network(a, b)
+        net.run()
+        assert len(net.delivered) == 4
         assert a.association("b").signer.config.mode is Mode.MERKLE
 
     def test_set_channel_config_requires_establishment(self):
@@ -360,7 +343,7 @@ class TestEndpointBehaviour:
         c = AlphaEndpoint("c", seed=3)
         establish_static(a, b)
         establish_static(a, c)
-        assert a.peers == ["b", "c"]
+        assert sorted(a._by_peer) == ["b", "c"]
 
     def test_chain_exhaustion_surfaces(self):
         # Re-keying disabled: exhaustion must surface loudly, not wedge.
@@ -370,13 +353,12 @@ class TestEndpointBehaviour:
         establish_static(a, b)
         from repro.core.exceptions import ChainExhaustedError
 
-        a.send("b", b"1")
-        pump(a, b)
-        a.send("b", b"2")
-        pump(a, b)
+        net = network(a, b)
+        net.send("a", "b", b"1")
+        net.send("a", "b", b"2")
         a.send("b", b"3")
         with pytest.raises(ChainExhaustedError):
-            pump(a, b)
+            net.run()
 
 
 class TestWillingnessPolicy:
@@ -392,8 +374,7 @@ class TestWillingnessPolicy:
                                               max_retries=2), seed=1)
         b = AlphaEndpoint("b", config, seed=2)
         establish_static(a, b)
-        a.send("b", b"unwanted")
-        pump(a, b)
+        network(a, b).send("a", "b", b"unwanted")
         assert b.association("a").verifier.refused_s1 >= 1
         signer = a.association("b").signer
         # The exchange times out and fails cleanly — no A1 ever came.
@@ -409,6 +390,6 @@ class TestWillingnessPolicy:
         a = AlphaEndpoint("a", EndpointConfig(chain_length=64), seed=3)
         b = AlphaEndpoint("b", config, seed=4)
         establish_static(a, b)
-        a.send("b", b"small enough")
-        events = pump(a, b)
-        assert [m.message for _, m in events["delivered"]] == [b"small enough"]
+        net = network(a, b)
+        net.send("a", "b", b"small enough")
+        assert [m for _, m in net.delivered] == [b"small enough"]

@@ -11,6 +11,7 @@ from repro.core.signer import ChannelConfig
 from repro.crypto.hashes import get_hash
 from repro.netsim import Network
 from repro.obs import Observability
+from repro.transports.memory import MemoryNetwork
 from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 from tests.core.test_sessions import make_channel
@@ -60,35 +61,23 @@ class TestVerifierEviction:
 
 class TestMultiPeerEndpoint:
     def test_three_concurrent_peers(self):
-        hub = AlphaEndpoint("hub", EndpointConfig(chain_length=128), seed=1)
+        net, config = MemoryNetwork(), EndpointConfig(chain_length=128)
+        hub = net.add_endpoint(AlphaEndpoint("hub", config, seed=1))
         spokes = [
-            AlphaEndpoint(f"n{i}", EndpointConfig(chain_length=128), seed=10 + i)
+            net.add_endpoint(AlphaEndpoint(f"n{i}", config, seed=10 + i))
             for i in range(3)
         ]
         for spoke in spokes:
             establish_static(hub, spoke)
-        assert hub.peers == ["n0", "n1", "n2"]
+        assert sorted(hub._by_peer) == ["n0", "n1", "n2"]
         for i, spoke in enumerate(spokes):
             hub.send(f"n{i}", b"to-%d" % i)
             spoke.send("hub", b"from-%d" % i)
-        # Pump a full-mesh queue until quiescent, collecting deliveries.
-        endpoints = {"hub": hub, **{s.name: s for s in spokes}}
-        got = {name: [] for name in endpoints}
-        queue = []
-        now = 0.0
-        for _ in range(30):
-            now += 0.05
-            for name, endpoint in endpoints.items():
-                out = endpoint.poll(now)
-                queue.extend((name, dest, data) for dest, data in out.replies)
-            while queue:
-                src, dest, data = queue.pop(0)
-                result = endpoints[dest].on_packet(data, src, now)
-                got[dest].extend(m.message for _, m in result.delivered)
-                queue.extend((dest, d2, p2) for d2, p2 in result.replies)
-        assert sorted(got["hub"]) == [b"from-0", b"from-1", b"from-2"]
+        # A full mesh, run until quiescent.
+        net.run()
+        assert sorted(net.received_by("hub")) == [b"from-0", b"from-1", b"from-2"]
         for i, spoke in enumerate(spokes):
-            assert got[spoke.name] == [b"to-%d" % i]
+            assert net.received_by(spoke.name) == [b"to-%d" % i]
 
     def test_per_peer_channel_configs_independent(self):
         hub = AlphaEndpoint("hub", EndpointConfig(chain_length=128), seed=2)

@@ -17,7 +17,6 @@ endpoint:
 
 import gc
 import weakref
-from collections import deque
 
 import pytest
 
@@ -25,6 +24,8 @@ from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import ChainExhaustedError
 from repro.core.modes import Mode
 from repro.core.packets import PacketType
+
+from tests.core.test_bootstrap_endpoint import network
 
 
 def establish(a, b):
@@ -39,32 +40,11 @@ def packet_type(data: bytes) -> PacketType:
     return PacketType(data[3])
 
 
-def pump(a, b, now, *, drop_handshakes=False, rounds=64, delivered=None):
-    """Exchange replies both ways; optionally censor handshake packets.
-
-    Drains reply-to-reply chains to completion (unreliable mode never
-    resends an S2, so a lossy pump would fabricate message loss).
-    ``delivered``, when given, collects every message either endpoint
-    delivers.
-    """
-    outbox = []
-    for src, dst in ((a, b), (b, a)):
-        outbox.extend((src, dst, data) for _d, data in src.poll(now).replies)
-    for _ in range(rounds):
-        if not outbox:
-            break
-        batch, outbox = outbox, []
-        for src, dst, data in batch:
-            if drop_handshakes and packet_type(data) in (
-                PacketType.HS1, PacketType.HS2,
-            ):
-                continue
-            out = dst.on_packet(data, src.name, now)
-            if delivered is not None:
-                delivered.extend(m.message for _p, m in out.delivered)
-            outbox.extend((dst, src, d2) for _d, d2 in out.replies)
-        now += 0.001
-    assert not outbox, "pump round budget too small for in-flight traffic"
+def censor_handshakes(src, dst, payload):
+    """A :class:`MemoryNetwork` link that drops HS1 and HS2 packets."""
+    if packet_type(payload) in (PacketType.HS1, PacketType.HS2):
+        return None
+    return payload
 
 
 class TestDrainReleasesBothMaps:
@@ -90,12 +70,11 @@ class TestDrainReleasesBothMaps:
         ref = weakref.ref(first)
         first_id = first.assoc_id
         del first
-        now = 0.0
+        net = network(a, b)
         for i in range(20):
             a.send("b", b"m%d" % i)
-            now += 0.05
-            pump(a, b, now)
-        a.poll(now + 100.0)
+            net.advance(0.05)
+        a.poll(net.now + 100.0)
         assert a.association("b").assoc_id != first_id
         # Both maps must have released the retired generation...
         assert first_id not in a._by_id
@@ -110,12 +89,11 @@ class TestDrainReleasesBothMaps:
         a = AlphaEndpoint("a", config, seed=5)
         b = AlphaEndpoint("b", config, seed=6)
         establish(a, b)
-        now = 0.0
+        net = network(a, b)
         for i in range(40):
             a.send("b", b"c%d" % i)
-            now += 0.05
-            pump(a, b, now)
-        a.poll(now + 100.0)
+            net.advance(0.05)
+        a.poll(net.now + 100.0)
         for endpoint in (a, b):
             for assoc in endpoint._by_peer.values():
                 assert endpoint._by_id.get(assoc.assoc_id) is assoc
@@ -133,22 +111,21 @@ class TestExhaustionUnderRekey:
         a = AlphaEndpoint("a", config, seed=7)
         b = AlphaEndpoint("b", config, seed=8)
         establish(a, b)
-        now = 0.0
-        delivered = []
+        net = network(a, b, link=censor_handshakes)
         for i in range(12):
             a.send("b", b"x%d" % i)
-            now += 0.1
-            pump(a, b, now, drop_handshakes=True, delivered=delivered)
+            net.advance(0.1)
         assoc = a.association("b")
         assert assoc.chains.signature.remaining_exchanges == 0
         assert assoc.signer.queue_depth > 0  # parked, not crashed
         # Lift the censorship: the replacement establishes, the backlog
         # migrates onto fresh chains, and every message arrives.
+        net.link = None
         for _ in range(80):
-            now += 0.1
-            pump(a, b, now, delivered=delivered)
+            net.advance(0.1)
             if not a.busy:
                 break
+        delivered = [m for _, m in net.delivered]
         assert sorted(delivered) == sorted(b"x%d" % i for i in range(12))
 
     def test_failed_replacement_handshake_unwedges_rekey(self):
@@ -163,15 +140,15 @@ class TestExhaustionUnderRekey:
         b = AlphaEndpoint("b", config, seed=10)
         establish(a, b)
         parent = a.association("b")
-        now = 0.0
+        net = network(a, b, link=censor_handshakes)
         # Burn chain into rekey territory with handshakes censored.
         for i in range(8):
             a.send("b", b"y%d" % i)
-            now += 0.1
-            pump(a, b, now, drop_handshakes=True)
+            net.advance(0.1)
         assert parent.replacement_id is not None
         first_replacement = parent.replacement_id
         # Let the replacement's retry budget expire (b never sees HS1).
+        now = net.now
         for _ in range(10):
             now += 0.1
             a.poll(now)
@@ -188,13 +165,14 @@ class TestExhaustionWithoutRekey:
         """With re-keying off, exhaustion stays loud (PROTOCOL.md §15),
         but the batch the failed turn would have sent stays queued.
 
-        A BASE pair over a FIFO queue, polled after every packet, with a
-        4-element chain (two exchanges) and six messages: ``m0`` is
-        delivered, and the A1 of ``m1``'s exchange raises. Before the
-        signer drew its chain elements ahead of taking the batch, the
-        raise also took ``m2`` off the queue and lost it. ``m1`` is
-        still lost: its S2, built by ``handle_a1`` in the same call,
-        dies with the exception (ROADMAP, "No message vanishes").
+        A BASE pair over a :class:`MemoryNetwork`, which polls after
+        every packet, with a 4-element chain (two exchanges) and six
+        messages: ``m0`` is delivered, and the A1 of ``m1``'s exchange
+        raises. Before the signer drew its chain elements ahead of
+        taking the batch, the raise also took ``m2`` off the queue and
+        lost it. ``m1`` is still lost: its S2, built by ``handle_a1`` in
+        the same call, dies with the exception (ROADMAP, "No message
+        vanishes").
         """
         config = EndpointConfig(mode=Mode.BASE, chain_length=4, rekey_threshold=0)
         a = AlphaEndpoint("a", config, seed=1)
@@ -202,20 +180,9 @@ class TestExhaustionWithoutRekey:
         establish(a, b)
         for i in range(6):
             a.send("b", b"m%d" % i)
-        endpoints = {"a": a, "b": b}
-        wire = deque()
-        delivered = []
-
-        def take(src, out):
-            wire.extend((src, dst, data) for dst, data in out.replies)
-            delivered.extend(m.message for _, m in out.delivered)
-
-        take("a", a.poll(0.0))
+        net = network(a, b)
         with pytest.raises(ChainExhaustedError):
-            while wire:
-                src, dst, data = wire.popleft()
-                take(dst, endpoints[dst].on_packet(data, src, 0.0))
-                for name, endpoint in endpoints.items():
-                    take(name, endpoint.poll(0.0))
+            net.run()
+        delivered = [m for _, m in net.delivered]
         assert delivered == [b"m0"]
         assert a.association("b").signer.take_unsent() == [b"m2", b"m3", b"m4", b"m5"]

@@ -33,7 +33,7 @@ from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.signer import SignerSession
 from tests.conformance.test_adaptive_switch import run_switching
-from tests.core.test_rekeying import fifo_exchange
+from tests.core.test_rekeying import rekey_exchange
 from tests.obs.test_one_book import drive
 from tests.regression.corpus import CASES
 from tests.regression.harness import run_wedge
@@ -86,7 +86,7 @@ RUNS = {
         )
         for case in CASES
     },
-    "bidirectional-rekey": lambda: fifo_exchange(
+    "bidirectional-rekey": lambda: rekey_exchange(
         EndpointConfig(chain_length=16), both_ways=True
     ),
     "black-holed-failover": lambda: drive(Mode.BASE, 0, 0.0, paths=2, messages=3),
@@ -118,7 +118,7 @@ def endpoint_state(endpoint):
         ),
         tuple(
             (candidate.path_id, candidate.failures, candidate.switches)
-            for peer in endpoint.peers
+            for peer in sorted(endpoint._by_peer)
             for candidate in endpoint.paths.candidates(peer)
         ),
     )

@@ -5,92 +5,52 @@ chains (a new association id and a new handshake) before the old ones
 run dry, without losing queued traffic.
 """
 
-from collections import deque
-
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.packets import HandshakePacket, decode_packet
 from repro.netsim import Network
+from repro.transports.memory import MemoryNetwork
 from repro.transports.netsim import EndpointAdapter, RelayAdapter
 
 
-def pump(a, b, rounds=200, step=0.02):
-    now = 0.0
-    for _ in range(rounds):
-        now += step
-        for src, dst in ((a, b), (b, a)):
-            out = src.poll(now)
-            for dest, data in out.replies:
-                dst.on_packet(data, src.name, now)
-        # Second pass so replies to replies settle within the round.
-        for src, dst in ((a, b), (b, a)):
-            out = src.poll(now)
-            for dest, data in out.replies:
-                dst.on_packet(data, src.name, now)
-
-
-def flow(a, b, messages, now_start=0.0, rounds=400):
-    """Send messages a->b while pumping both endpoints; returns received."""
-    received = []
-    now = now_start
-    queue = list(messages)
-    for _ in range(rounds):
-        now += 0.05
-        if queue:
-            a.send(b.name, queue.pop(0))
-        for src, dst in ((a, b), (b, a)):
-            out = src.poll(now)
-            for dest, data in out.replies:
-                result = dst.on_packet(data, src.name, now)
-                received.extend(m.message for _, m in result.delivered)
-                for dest2, data2 in result.replies:
-                    result2 = src.on_packet(data2, dst.name, now)
-                    received.extend(m.message for _, m in result2.delivered)
-                    for dest3, data3 in result2.replies:
-                        result3 = dst.on_packet(data3, src.name, now)
-                        received.extend(m.message for _, m in result3.delivered)
-        if not queue and not a.busy:
-            break
-    return received
-
-
 class TestRekeying:
-    def make_pair(self, chain_length=12, threshold=2):
+    def make_pair(self, chain_length=12, threshold=2, seeds=(1, 2)):
         config = EndpointConfig(
             chain_length=chain_length, rekey_threshold=threshold
         )
-        a = AlphaEndpoint("a", config, seed=1)
-        b = AlphaEndpoint("b", config, seed=2)
-        _, hs1 = a.connect("b")
-        out = b.on_packet(hs1, "a", 0.0)
-        a.on_packet(out.replies[0][1], "b", 0.0)
-        return a, b
+        net = MemoryNetwork()
+        a, b = (
+            net.add_endpoint(AlphaEndpoint(name, config, seed=seed))
+            for name, seed in zip("ab", seeds)
+        )
+        net.connect("a", "b")
+        return net, a, b
 
     def test_rekey_triggered_near_exhaustion(self):
-        a, b = self.make_pair(chain_length=12, threshold=2)
+        net, a, b = self.make_pair(chain_length=12, threshold=2)
         first_id = a.association("b").assoc_id
         messages = [b"m%d" % i for i in range(20)]  # >> 6 exchanges
-        received = flow(a, b, messages)
+        for message in messages:
+            net.send("a", "b", message)
+        received = net.received_by("b")
         assert sorted(received) == sorted(messages)
         assert a.association("b").assoc_id != first_id
 
     def test_no_rekey_when_disabled(self):
-        config = EndpointConfig(chain_length=64, rekey_threshold=0)
-        a = AlphaEndpoint("a", config, seed=3)
-        b = AlphaEndpoint("b", config, seed=4)
-        _, hs1 = a.connect("b")
-        out = b.on_packet(hs1, "a", 0.0)
-        a.on_packet(out.replies[0][1], "b", 0.0)
+        net, a, b = self.make_pair(chain_length=64, threshold=0, seeds=(3, 4))
         first_id = a.association("b").assoc_id
-        received = flow(a, b, [b"x%d" % i for i in range(10)])
+        for i in range(10):
+            net.send("a", "b", b"x%d" % i)
+        received = net.received_by("b")
         assert len(received) == 10
         assert a.association("b").assoc_id == first_id
 
     def test_rekey_happens_once_per_generation(self):
-        a, b = self.make_pair(chain_length=12, threshold=2)
-        flow(a, b, [b"y%d" % i for i in range(8)])
+        net, a, b = self.make_pair(chain_length=12, threshold=2)
+        for i in range(8):
+            net.send("a", "b", b"y%d" % i)
         # Old association either retired+drained (gone) or marked.
         live = list(a._by_id.values())
         assert len([x for x in live if not x.retired]) >= 1
@@ -98,16 +58,18 @@ class TestRekeying:
         assert not current.retired
 
     def test_retired_association_is_garbage_collected(self):
-        a, b = self.make_pair(chain_length=12, threshold=2)
-        flow(a, b, [b"z%d" % i for i in range(20)])
+        net, a, b = self.make_pair(chain_length=12, threshold=2)
+        for i in range(20):
+            net.send("a", "b", b"z%d" % i)
         # GC happens on the poll after the retired association drains.
         a.poll(1000.0)
         assert len(a._by_id) <= 2
         assert not any(x.retired for x in a._by_id.values())
 
     def test_responder_follows_rekey(self):
-        a, b = self.make_pair(chain_length=12, threshold=2)
-        flow(a, b, [b"w%d" % i for i in range(20)])
+        net, a, b = self.make_pair(chain_length=12, threshold=2)
+        for i in range(20):
+            net.send("a", "b", b"w%d" % i)
         assert b.association("a").assoc_id == a.association("b").assoc_id
 
     def test_rekey_over_network_with_relays(self):
@@ -131,64 +93,57 @@ class TestRekeying:
         assert relays[0].engine.stats.get("dropped", 0) == 0
 
 
-def fifo_exchange(config, both_ways, count=60, paced=False, flip=None):
-    """Send ``count`` messages a->b (and b->a) over one FIFO queue,
-    polling both endpoints after every packet — the cadence of an event
-    loop with latency, where a poll can land between an exchange's A1
-    and S2. b sends one message per packet once established. a queues
-    all of them at once or, ``paced``, sends each on a quiet link, one
-    exchange per message. ``flip`` flips that bit of the first re-key
-    HS1's ``assoc_id`` in flight. Returns what each side received, every
-    failure reason and the number of associations the handshakes
-    opened."""
-    endpoints = {
-        "a": AlphaEndpoint("a", config, seed=1),
-        "b": AlphaEndpoint("b", config, seed=2),
-    }
-    a, b = endpoints["a"], endpoints["b"]
-    queue = deque([("a", "b", a.connect("b")[1])])
-    received = {"a": [], "b": []}
-    failures = []
-    handshakes = set()
-
-    def absorb(name, out):
-        queue.extend((name, dest, data) for dest, data in out.replies)
-        received[name].extend(m.message for _, m in out.delivered)
-        failures.extend(f.reason for _, f in out.failures)
-
-    for i in range(0 if paced else count):
-        a.send("b", b"a%d" % i)
-    paced_sends = [b"a%d" % i for i in range(count)] if paced else []
+def rekey_exchange(config, both_ways, count=60, paced=False, flip=None):
+    """Send ``count`` messages a->b (and b->a) over a
+    :class:`MemoryNetwork`, which polls both endpoints after every
+    packet — the cadence of an event loop with latency, where a poll can
+    land between an exchange's A1 and S2. b sends one message per packet
+    once established. a queues all of them at once or, ``paced``, sends
+    each on a quiet link, one exchange per message. ``flip`` flips that
+    bit of the first re-key HS1's ``assoc_id`` in flight. Returns what
+    each side received, every failure reason and the number of
+    associations the handshakes opened."""
     backlog = [b"b%d" % i for i in range(count)] if both_ways else []
-    now = 0.0
-    first_id = decode_packet(queue[0][2], 20).assoc_id
-    for _ in range(50_000):
-        if backlog and "a" in b.peers and b.association("a").established:
+    handshakes = []
+
+    def link(src, dst, payload):
+        nonlocal flip
+        towards_a = b._by_peer.get("a")
+        if backlog and towards_a is not None and towards_a.established:
             b.send("a", backlog.pop(0))
-        if paced_sends and not queue and a.association("b").established:
-            a.send("b", paced_sends.pop(0))
-        if queue:
-            src, dst, data = queue.popleft()
-            packet = decode_packet(data, 20)
-            if (
-                flip is not None and isinstance(packet, HandshakePacket)
-                and not packet.is_response and packet.assoc_id != first_id
-            ):
-                packet.assoc_id ^= 1 << flip
-                data, flip = packet.encode(), None
-            if isinstance(packet, HandshakePacket):
-                handshakes.add(packet.assoc_id)
-            absorb(dst, endpoints[dst].on_packet(data, src, now))
-        for name, endpoint in endpoints.items():
-            absorb(name, endpoint.poll(now))
-        if not queue and not paced_sends:
-            deadlines = [
-                d for d in (a.next_deadline(), b.next_deadline()) if d is not None
-            ]
-            if not deadlines or now > 100.0:
-                break
-            now = max(now + 0.001, min(deadlines))
-    return received, failures, len(handshakes)
+        packet = decode_packet(payload, 20)
+        if not isinstance(packet, HandshakePacket):
+            return payload
+        if (
+            flip is not None and handshakes and not packet.is_response
+            and packet.assoc_id != handshakes[0]
+        ):
+            packet.assoc_id ^= 1 << flip
+            payload, flip = packet.encode(), None
+        handshakes.append(packet.assoc_id)
+        return payload
+
+    net = MemoryNetwork(link=link)
+    a, b = (
+        net.add_endpoint(AlphaEndpoint(name, config, seed=seed))
+        for name, seed in (("a", 1), ("b", 2))
+    )
+    net.connect("a", "b")
+    for i in range(count):
+        if paced:
+            net.send("a", "b", b"a%d" % i)
+        else:
+            a.send("b", b"a%d" % i)
+    net.run()
+    while True:
+        deadlines = [d for d in (a.next_deadline(), b.next_deadline()) if d is not None]
+        if not deadlines or net.now > 100.0:
+            break
+        net.now = max(net.now + 0.001, min(deadlines))
+        net.run()
+    received = {name: net.received_by(name) for name in "ab"}
+    failures = [f.reason for _, f in net.failures]
+    return received, failures, len(set(handshakes))
 
 
 RELIABILITIES = pytest.mark.parametrize(
@@ -205,7 +160,7 @@ class TestRekeyUnderEagerPolling:
     @RELIABILITIES
     def test_every_message_survives_the_rekeys(self, reliability, both_ways):
         config = EndpointConfig(chain_length=16, reliability=reliability)
-        received, failures, _ = fifo_exchange(config, both_ways)
+        received, failures, _ = rekey_exchange(config, both_ways)
         assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(60))
         expected_at_a = [b"b%d" % i for i in range(60)] if both_ways else []
         assert sorted(received["a"]) == sorted(expected_at_a)
@@ -221,7 +176,7 @@ class TestRekeyUnderEagerPolling:
         config = EndpointConfig(
             mode=mode, reliability=reliability, batch_size=4, chain_length=32
         )
-        received, failures, handshakes = fifo_exchange(
+        received, failures, handshakes = rekey_exchange(
             config, both_ways=False, count=300, paced=True
         )
         assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(300))
@@ -238,7 +193,7 @@ class TestRekeyUnderEagerPolling:
         moves on with the queue. Every message arrives exactly once and
         nothing fails."""
         config = EndpointConfig(chain_length=16)
-        received, failures, handshakes = fifo_exchange(
+        received, failures, handshakes = rekey_exchange(
             config, both_ways=True, count=30, flip=bit
         )
         assert sorted(received["b"]) == sorted(b"a%d" % i for i in range(30))

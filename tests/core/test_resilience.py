@@ -346,7 +346,7 @@ class TestDeadPeerDetection:
         assert failure.messages == [b"never-sent"]
         # The half-open association is gone and the endpoint is idle —
         # no infinite HS1 loop, no wedged busy flag.
-        assert "b" not in a.peers
+        assert "b" not in a._by_peer
         assert not a.busy
 
     def test_zero_threshold_disables_detection(self):

@@ -21,7 +21,8 @@ from repro.core.packets import (
     peek_type,
 )
 from repro.core.wire import Reader, Writer
-from tests.properties.test_relay_intake import reference_decode
+from tests.properties.test_encode_differential import write_hash_list
+from tests.properties.test_relay_intake import read_hash_list, reference_decode
 
 H = 20
 
@@ -54,14 +55,16 @@ class TestWriterReader:
             Writer().var_bytes(b"x" * 70000)
 
     def test_hash_list_round_trip(self):
+        """The field-by-field references of the encode and decode
+        differentials agree on hash lists."""
         hashes = [h(1), h(2), h(3)]
         writer = Writer()
-        writer.hash_list(hashes, H)
-        assert Reader(writer.getvalue()).hash_list(H) == hashes
+        write_hash_list(writer, hashes, H)
+        assert read_hash_list(Reader(writer.getvalue()), H) == hashes
 
     def test_hash_list_width_mismatch(self):
         with pytest.raises(ValueError):
-            Writer().hash_list([b"short"], H)
+            write_hash_list(Writer(), [b"short"], H)
 
     def test_truncation_raises_packet_error(self):
         writer = Writer()

@@ -182,7 +182,7 @@ class TestHealthLedger:
         assert ledger.get("v") is link
         assert ledger.get("w") is None  # get never creates
         assert len(ledger) == 1
-        assert ledger.peers == ["v"]
+        assert [link.peer for link in ledger] == ["v"]
 
     def test_iteration_and_snapshot(self):
         ledger = HealthLedger()

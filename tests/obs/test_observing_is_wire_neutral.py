@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 import pytest
 
@@ -50,22 +51,23 @@ CORRUPTION_SEEDS = range(12)
 
 
 @dataclass
-class BitFlipNetwork(MemoryNetwork):
-    """A :class:`MemoryNetwork` that records every datagram offered to
-    the link, then, given ``flips``, flips one seeded bit in
-    ``FLIP_SHARE`` of them."""
+class BitFlipLink:
+    """A :class:`MemoryNetwork` link that records every datagram offered
+    to it, then, given ``flips``, flips one seeded bit in
+    ``FLIP_SHARE`` of them, and drops it when ``drops()`` is true."""
 
+    drops: Callable[[], bool]
     flips: random.Random | None = None
     wire: list[tuple[str, str, bytes]] = field(default_factory=list)
 
-    def _enqueue(self, src: str, dst: str, payload: bytes) -> None:
+    def __call__(self, src: str, dst: str, payload: bytes) -> bytes | None:
         self.wire.append((src, dst, payload))
         if self.flips is not None and self.flips.random() < FLIP_SHARE:
             damaged = bytearray(payload)
             bit = self.flips.randrange(8 * len(payload))
             damaged[bit // 8] ^= 1 << bit % 8
             payload = bytes(damaged)
-        super()._enqueue(src, dst, payload)
+        return None if self.drops() else payload
 
 
 def established(endpoint: AlphaEndpoint, peer: str) -> bool:
@@ -85,10 +87,8 @@ def drive(
 ) -> tuple[list[tuple[str, str, bytes]], list[bytes]]:
     """Every datagram offered to the link (lost ones too), in order,
     and what the verifier delivered."""
-    net = BitFlipNetwork(
-        drop_filter=lambda src, dst, payload: loss.random() < loss_share,
-        flips=flips,
-    )
+    link = BitFlipLink(lambda: loss.random() < loss_share, flips)
+    net = MemoryNetwork(link=link)
     a, _ = (
         net.add_endpoint(
             AlphaEndpoint(name, config, seed=seed, obs=Observability() if observe else None)
@@ -106,7 +106,7 @@ def drive(
         if len(net.received_by("b")) == len(messages):
             break
         net.advance(0.25)
-    return net.wire, net.received_by("b")
+    return link.wire, net.received_by("b")
 
 
 def wire_of(observe: bool) -> tuple[list[tuple[str, str, bytes]], list[bytes]]:

@@ -20,13 +20,13 @@ import random
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
-from repro.core.exceptions import ProtocolError
 from repro.core.modes import Mode, ReliabilityMode
 from repro.core.relay import RelayEngine
 from repro.crypto.hashes import get_hash
 from repro.obs import EventKind, Observability
 from repro.obs.export import to_jsonl, to_prometheus
-from tests.obs.test_observing_is_wire_neutral import BitFlipNetwork
+from repro.transports.memory import MemoryNetwork
+from tests.obs.test_observing_is_wire_neutral import BitFlipLink, established
 
 #: Registry name -> the signer ``stats`` field it counts, summed over
 #: every signer of every endpoint, drained ones included.
@@ -72,13 +72,6 @@ LINK_FIELDS = (
 )
 
 
-def established(endpoint, peer):
-    try:
-        return endpoint.association(peer).established
-    except ProtocolError:
-        return False
-
-
 def drive(
     mode, seed, loss_share, chain_length=2048, flips=False, relays=0,
     paths=0, messages=24,
@@ -89,9 +82,11 @@ def drive(
     obs = Observability()
     loss = random.Random(f"loss-{seed}")
     black_hole = []
-    net = BitFlipNetwork(
-        drop_filter=lambda s, d, p: bool(black_hole) or loss.random() < loss_share,
-        flips=random.Random(f"flip-{seed}") if flips else None,
+    net = MemoryNetwork(
+        link=BitFlipLink(
+            lambda: bool(black_hole) or loss.random() < loss_share,
+            random.Random(f"flip-{seed}") if flips else None,
+        )
     )
     config = EndpointConfig(
         mode=mode,

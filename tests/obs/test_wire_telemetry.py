@@ -15,6 +15,7 @@ import pytest
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
 from repro.core.exceptions import PacketError
 from repro.core.packets import A1Packet, HandshakePacket, decode_packet
+from repro.transports.memory import MemoryNetwork
 
 H = 20  # SHA-1 digest width used by the default config
 #: Offset of the A1 and handshake flags byte: right after the header.
@@ -22,41 +23,6 @@ FLAGS_AT = 16
 RETIRED_A1_BIT = 0x04
 RETIRED_HS_BIT = 0x02
 RETIRED_FIELD_SIZE = 16
-
-
-def drive_pair(config, messages=2, steps=400):
-    """Shuttle two unobserved endpoints to completion; returns every
-    datagram either one sent, in order."""
-    nodes = {name: AlphaEndpoint(name, config, seed=seed) for name, seed in (("a", 1), ("b", 2))}
-    t = 0.0
-    _, hs1 = nodes["a"].connect("b", now=t)
-    inflight = [("b", "a", hs1)]
-    wires, delivered = [hs1], []
-    sent = False
-    for _ in range(steps):
-        t += 0.01
-        nxt = []
-        for dst, src, payload in inflight:
-            out = nodes[dst].on_packet(payload, src, t)
-            for peer, reply in out.replies:
-                wires.append(reply)
-                nxt.append((peer, dst, reply))
-            delivered.extend(out.delivered)
-        inflight = nxt
-        for name, node in nodes.items():
-            out = node.poll(t)
-            for peer, reply in out.replies:
-                wires.append(reply)
-                inflight.append((peer, name, reply))
-            delivered.extend(out.delivered)
-        if not sent and nodes["a"].association("b").established:
-            for i in range(messages):
-                nodes["a"].send("b", b"msg-%d" % i)
-            sent = True
-        if sent and len(delivered) >= messages and not inflight:
-            break
-    assert len(delivered) >= messages
-    return wires
 
 
 class TestZeroOverheadWhenUnobserved:
@@ -76,7 +42,15 @@ class TestZeroOverheadWhenUnobserved:
             decode_packet(bytes(flagged), H)
 
     def test_obs_off_endpoints_never_emit_telemetry(self):
-        wires = drive_pair(EndpointConfig(chain_length=64))
+        wires = []
+        net = MemoryNetwork(link=lambda src, dst, data: wires.append(data) or data)
+        config = EndpointConfig(chain_length=64)
+        for name, seed in (("a", 1), ("b", 2)):
+            net.add_endpoint(AlphaEndpoint(name, config, seed=seed))
+        net.connect("a", "b")
+        for i in range(2):
+            net.send("a", "b", b"msg-%d" % i)
+        assert len(net.delivered) >= 2
         seen = 0
         for payload in wires:
             packet = decode_packet(payload, H)

@@ -47,6 +47,18 @@ WIDTHS = (16, 20, 32)
 # -- the reference: a field-by-field ``Writer`` encode -----------------------
 
 
+def write_hash_list(writer: Writer, hashes: list[bytes], h: int) -> Writer:
+    """A 16-bit counted list of ``h``-byte hash values."""
+    if len(hashes) > 0xFFFF:
+        raise ValueError(f"hash list too long: {len(hashes)}")
+    writer.u16(len(hashes))
+    for value in hashes:
+        if len(value) != h:
+            raise ValueError(f"hash width mismatch: expected {h}, got {len(value)}")
+        writer.raw(value)
+    return writer
+
+
 def reference_header(packet_type: PacketType, assoc_id: int, seq: int) -> Writer:
     writer = Writer()
     writer.u16(MAGIC).u8(VERSION).u8(int(packet_type)).u64(assoc_id).u32(seq)
@@ -58,7 +70,7 @@ def reference_s1(packet: S1Packet) -> bytes:
     writer.u8(int(packet.mode)).u8(FLAG_RELIABLE if packet.reliable else 0)
     writer.u32(packet.chain_index).raw(packet.chain_element)
     writer.u16(packet.message_count)
-    writer.hash_list(packet.pre_signatures, len(packet.chain_element))
+    write_hash_list(writer, packet.pre_signatures, len(packet.chain_element))
     return writer.getvalue()
 
 
@@ -75,7 +87,8 @@ def reference_a1(packet: A1Packet) -> bytes:
     writer.u8(flags).u32(packet.ack_index).raw(packet.ack_element)
     writer.u32(packet.echo_sig_index).raw(packet.echo_sig_element)
     if flags & FLAG_PRE_ACK_PAIR:
-        writer.hash_list(packet.pre_acks, h).hash_list(packet.pre_nacks, h)
+        write_hash_list(writer, packet.pre_acks, h)
+        write_hash_list(writer, packet.pre_nacks, h)
     if packet.amt_root is not None:
         writer.raw(packet.amt_root)
     return writer.getvalue()
@@ -85,7 +98,7 @@ def reference_s2(packet: S2Packet) -> bytes:
     writer = reference_header(PacketType.S2, packet.assoc_id, packet.seq)
     writer.u32(packet.disclosed_index).raw(packet.disclosed_element)
     writer.u16(packet.msg_index).var_bytes(packet.message)
-    writer.hash_list(packet.auth_path, len(packet.disclosed_element))
+    write_hash_list(writer, packet.auth_path, len(packet.disclosed_element))
     return writer.getvalue()
 
 
@@ -96,7 +109,7 @@ def reference_a2(packet: A2Packet) -> bytes:
     writer.u16(len(packet.verdicts))
     for verdict in packet.verdicts:
         writer.u16(verdict.msg_index).u8(1 if verdict.is_ack else 0)
-        writer.var_bytes(verdict.secret).hash_list(verdict.path, h)
+        write_hash_list(writer.var_bytes(verdict.secret), verdict.path, h)
     return writer.getvalue()
 
 

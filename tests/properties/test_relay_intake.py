@@ -75,6 +75,11 @@ HASHES = {16: "sha1-16", 20: "sha1", 32: "sha256"}
 # -- the reference: a field-by-field ``Reader`` parse ------------------------
 
 
+def read_hash_list(reader: Reader, h: int) -> list[bytes]:
+    """A 16-bit counted list of ``h``-byte hashes, one element at a time."""
+    return [reader.raw(h) for _ in range(reader.u16())]
+
+
 def reference_s1(reader: Reader, assoc_id: int, seq: int, h: int) -> S1Packet:
     mode_raw = reader.u8()
     try:
@@ -85,7 +90,7 @@ def reference_s1(reader: Reader, assoc_id: int, seq: int, h: int) -> S1Packet:
     chain_index = reader.u32()
     chain_element = reader.raw(h)
     message_count = reader.u16()
-    pre_signatures = reader.hash_list(h)
+    pre_signatures = read_hash_list(reader, h)
     packet = S1Packet(
         assoc_id, seq, mode, chain_index, chain_element, pre_signatures,
         message_count, reliable=bool(flags & FLAG_RELIABLE),
@@ -104,8 +109,8 @@ def reference_a1(reader: Reader, assoc_id: int, seq: int, h: int) -> A1Packet:
     pre_nacks: list[bytes] = []
     amt_root = None
     if flags & FLAG_PRE_ACK_PAIR:
-        pre_acks = reader.hash_list(h)
-        pre_nacks = reader.hash_list(h)
+        pre_acks = read_hash_list(reader, h)
+        pre_nacks = read_hash_list(reader, h)
         if len(pre_acks) != len(pre_nacks):
             raise PacketError("pre-acks and pre-nacks must pair up")
     if flags & FLAG_AMT_ROOT:
@@ -123,7 +128,7 @@ def reference_s2(reader: Reader, assoc_id: int, seq: int, h: int) -> S2Packet:
     message = reader.var_bytes()
     return S2Packet(
         assoc_id, seq, disclosed_index, disclosed_element, msg_index, message,
-        reader.hash_list(h),
+        read_hash_list(reader, h),
     )
 
 
@@ -135,7 +140,8 @@ def reference_a2(reader: Reader, assoc_id: int, seq: int, h: int) -> A2Packet:
         msg_index = reader.u16()
         is_ack = bool(reader.u8())
         secret = reader.var_bytes()
-        verdicts.append(AckVerdict(msg_index, is_ack, secret, reader.hash_list(h)))
+        path = read_hash_list(reader, h)
+        verdicts.append(AckVerdict(msg_index, is_ack, secret, path))
     return A2Packet(assoc_id, seq, disclosed_index, disclosed_element, verdicts)
 
 

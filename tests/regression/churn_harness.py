@@ -38,6 +38,7 @@ from repro.netsim.faults import FaultSchedule
 from repro.netsim.link import LinkConfig
 from repro.obs import EventKind, Observability
 from repro.transports.netsim import EndpointAdapter, RelayAdapter
+from tests.regression.harness import send_until_reported
 
 #: Per-hop latencies: the primary path must win the shortest-path tie.
 PRIMARY_LATENCY_S = 0.003
@@ -120,17 +121,6 @@ def _endpoint_config(
         rekey_threshold=0,
         on_path_switch=route_installer(net) if failover else None,
     )
-
-
-def _drive(net, signer, messages, event_budget, time_budget_s):
-    for i in range(messages):
-        signer.send("v", b"churn-%d" % i)
-    while net.simulator._queue and len(signer.reports) < messages:
-        if net.simulator.events_processed > event_budget:
-            break
-        if net.simulator.now > time_budget_s:
-            break
-        net.simulator.step()
 
 
 def _finish(net, signer, verifier, messages, obs, relays) -> ChurnRun:
@@ -222,7 +212,7 @@ def _diamond_scenario(
     )
     _provision_backup(relays["r2"], signer, verifier)
     plant_faults(net, relays)
-    _drive(net, signer, messages, event_budget, time_budget_s)
+    send_until_reported(net, signer, b"churn", messages, event_budget, time_budget_s)
     return _finish(net, signer, verifier, messages, obs, relays)
 
 
@@ -341,7 +331,7 @@ def run_crash_restart(
             base + offset, relay.crash, journal
         )
         net.simulator.schedule_at(base + offset + down_for, relay.restart)
-    _drive(net, signer, messages, event_budget, time_budget_s)
+    send_until_reported(net, signer, b"churn", messages, event_budget, time_budget_s)
     return _finish(net, signer, verifier, messages, obs, {"r1": relay})
 
 

@@ -49,6 +49,20 @@ class WedgeRun:
     delivered: int
 
 
+def send_until_reported(net, signer, tag, messages, event_budget, time_budget_s):
+    """Send ``messages`` payloads ``tag-0``, ``tag-1``, ... from
+    ``signer`` to ``v``, then step the simulator until each has a
+    report, the event queue runs dry or a budget runs out."""
+    for i in range(messages):
+        signer.send("v", b"%s-%d" % (tag, i))
+    while net.simulator._queue and len(signer.reports) < messages:
+        if net.simulator.events_processed > event_budget:
+            break
+        if net.simulator.now > time_budget_s:
+            break
+        net.simulator.step()
+
+
 def run_wedge(
     seed: int,
     mode: Mode,
@@ -110,14 +124,7 @@ def run_wedge(
         f"seed {seed} failed to establish within the warmup — not a "
         "valid corpus member"
     )
-    for i in range(messages):
-        signer.send("v", b"wedge-%d" % i)
-    while net.simulator._queue and len(signer.reports) < messages:
-        if net.simulator.events_processed > event_budget:
-            break
-        if net.simulator.now > time_budget_s:
-            break
-        net.simulator.step()
+    send_until_reported(net, signer, b"wedge", messages, event_budget, time_budget_s)
     del relays  # kept alive for the run: adapters self-register
     return WedgeRun(
         done=len(signer.reports) >= messages,

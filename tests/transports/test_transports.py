@@ -1,5 +1,7 @@
 """Transports: in-memory pipe and UDP over loopback."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.endpoint import AlphaEndpoint, EndpointConfig
@@ -43,6 +45,21 @@ class TestMemoryNetwork:
         assert net.received_by("b") == [b"watched"]
         assert relay.stats.get("s2-ok", 0) == 1
 
+    def test_replies_cross_the_relays_in_reverse_order(self):
+        seen = []
+
+        def tap(name):
+            def handle(payload, src, dst, now):
+                seen.append((name, src))
+                return SimpleNamespace(forward=True)
+
+            return SimpleNamespace(handle=handle)
+
+        net = self.make()
+        net.add_relays("a", "b", [tap("r1"), tap("r2")])
+        net.connect("a", "b")  # HS1 from a, HS2 from b
+        assert seen == [("r1", "a"), ("r2", "a"), ("r2", "b"), ("r1", "b")]
+
     def test_scripted_loss_recovered_by_timers(self):
         dropped = {"count": 0}
 
@@ -50,15 +67,15 @@ class TestMemoryNetwork:
             # Drop the first two data-plane packets outright.
             if src == "a" and dropped["count"] < 2 and len(payload) > 100:
                 dropped["count"] += 1
-                return True
-            return False
+                return None
+            return payload
 
         config = EndpointConfig(
             chain_length=256,
             reliability=ReliabilityMode.RELIABLE,
             retransmit_timeout_s=0.2,
         )
-        net = self.make(config=config, drop_filter=drop_first_s1)
+        net = self.make(config=config, link=drop_first_s1)
         net.connect("a", "b")
         net.send("a", "b", b"x" * 200)
         # Retransmission timers fire as the clock advances.
@@ -75,6 +92,55 @@ class TestMemoryNetwork:
         net = self.make()
         with pytest.raises(ValueError):
             net.advance(-1.0)
+
+    def test_every_endpoint_is_polled_between_two_datagrams(self):
+        net = self.make()
+        net.add_endpoint(AlphaEndpoint("c", seed=3))
+        calls = []
+        for endpoint in net._endpoints.values():
+            record_calls(endpoint, calls)
+        net.connect("a", "b")
+        net.send("a", "b", b"hello")
+        arrivals = [i for i, call in enumerate(calls) if call[0] == "on_packet"]
+        assert len(arrivals) >= 5  # HS1, HS2, S1, A1, S2
+        for before, after in zip(arrivals, arrivals[1:]):
+            polled = {name for method, name, _ in calls[before:after] if method == "poll"}
+            assert polled == {"a", "b", "c"}
+
+    def test_link_sees_every_datagram_and_drops_or_rewrites_it(self):
+        offered = []
+
+        def link(src, dst, payload):
+            offered.append(payload)
+            # The first HS1 is lost and its first retry arrives mangled.
+            return {1: None, 2: b"garbage"}.get(len(offered), payload)
+
+        config = EndpointConfig(chain_length=256, retransmit_timeout_s=0.2)
+        net = self.make(config=config, link=link)
+        calls = []
+        record_calls(net._endpoints["b"], calls)
+        net.connect("a", "b")
+        net.advance(0.3)
+        net.advance(0.3)
+        net.send("a", "b", b"hello")
+        assert net.received_by("b") == [b"hello"]
+        # Three HS1s, an HS2, then S1, A1 and S2.
+        assert len(offered) == 7 and offered[0] == offered[1] == offered[2]
+        arrived = [data for method, _, data in calls if method == "on_packet"]
+        assert arrived[:2] == [b"garbage", offered[0]]
+
+
+def record_calls(endpoint, calls):
+    """Log ``(method, endpoint name, first argument)`` of each ``poll``
+    and ``on_packet`` call on ``endpoint`` in ``calls``."""
+    for method in ("poll", "on_packet"):
+        inner = getattr(endpoint, method)
+
+        def logged(*args, inner=inner, method=method):
+            calls.append((method, endpoint.name, args[0]))
+            return inner(*args)
+
+        setattr(endpoint, method, logged)
 
 
 class TestUdpTransport:
